@@ -6,136 +6,4 @@ search (planner), reactive local control (localnav), mission execution
 (sim), SVG output (render), and a command line front end (cli).
 """
 
-from .costmodel import CostModel, cost_model_from_dict, load_cost_config
-from .env import (
-    Aabb,
-    Environment,
-    Heightmap,
-    OccupancyGrid,
-    environment_from_dict,
-    load_environment,
-    project_to_grid,
-)
-from .errors import (
-    ConfigError,
-    InvalidStartError,
-    MorphNavError,
-    NoPathError,
-    QueryNodeIsolatedError,
-    SamplingError,
-)
-from .localnav import (
-    DwaParams,
-    VelocityCommand,
-    dwa_params_from_dict,
-    dwa_step,
-    dynamic_window,
-    rollout,
-    score_trajectory,
-)
-from .planner import (
-    GridPath,
-    PathSegment,
-    PlanResult,
-    SegmentKind,
-    astar_multimodal,
-    dijkstra_all_costs,
-    dijkstra_oracle,
-    grid_plan,
-    path_to_waypoints,
-)
-from .render import render_svg
-from .rng import SplitMix64
-from .roadmap import (
-    EdgeKind,
-    NodeMode,
-    PrmParams,
-    Roadmap,
-    RoadmapEdge,
-    RoadmapNode,
-    build_roadmap,
-    connect_node,
-    insert_query_nodes,
-    roadmap_to_dict,
-    sample_air_node,
-    sample_ground_node,
-)
-from .sim import (
-    EnergyLedger,
-    LocomotionMode,
-    Mission,
-    MissionPhase,
-    MissionResult,
-    RobotState,
-    SimConfig,
-    TickRecord,
-    accumulate_energy,
-    run_mission,
-    step_uas,
-    step_ugv,
-    trajectory_csv,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Aabb",
-    "ConfigError",
-    "CostModel",
-    "DwaParams",
-    "EdgeKind",
-    "EnergyLedger",
-    "Environment",
-    "GridPath",
-    "Heightmap",
-    "InvalidStartError",
-    "LocomotionMode",
-    "Mission",
-    "MissionPhase",
-    "MissionResult",
-    "MorphNavError",
-    "NoPathError",
-    "NodeMode",
-    "OccupancyGrid",
-    "PathSegment",
-    "PlanResult",
-    "PrmParams",
-    "QueryNodeIsolatedError",
-    "Roadmap",
-    "RoadmapEdge",
-    "RoadmapNode",
-    "RobotState",
-    "SamplingError",
-    "SegmentKind",
-    "SimConfig",
-    "SplitMix64",
-    "TickRecord",
-    "VelocityCommand",
-    "accumulate_energy",
-    "astar_multimodal",
-    "build_roadmap",
-    "connect_node",
-    "cost_model_from_dict",
-    "dijkstra_all_costs",
-    "dijkstra_oracle",
-    "dwa_params_from_dict",
-    "dwa_step",
-    "dynamic_window",
-    "environment_from_dict",
-    "grid_plan",
-    "insert_query_nodes",
-    "load_cost_config",
-    "load_environment",
-    "path_to_waypoints",
-    "project_to_grid",
-    "render_svg",
-    "roadmap_to_dict",
-    "rollout",
-    "run_mission",
-    "sample_air_node",
-    "sample_ground_node",
-    "score_trajectory",
-    "step_uas",
-    "step_ugv",
-    "trajectory_csv",
-]

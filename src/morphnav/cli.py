@@ -13,12 +13,13 @@ Exit codes: 0 success, 1 configuration error, 2 no path found,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 
-from .costmodel import CostModel, cost_model_from_dict, load_config_file
+from .costmodel import CostModel, config_from_dict, cost_section, load_config_file
 from .env import Aabb, Environment, environment_from_dict
 from .errors import (
     ConfigError,
@@ -26,7 +27,7 @@ from .errors import (
     QueryNodeIsolatedError,
     SamplingError,
 )
-from .localnav import DwaParams, dwa_params_from_dict
+from .localnav import DwaParams
 from .planner import (
     SegmentKind,
     astar_multimodal,
@@ -39,16 +40,9 @@ from .rng import SplitMix64
 from .roadmap import PrmParams, build_roadmap, insert_query_nodes, roadmap_to_dict
 from .sim import SimConfig, run_mission, trajectory_csv
 
-_COST_KEY_SUBSET = (
-    "ground_power",
-    "ground_speed",
-    "flight_power",
-    "flight_speed",
-    "morph_power",
-    "morph_duration",
-    "mass",
-    "gravity",
-)
+# Roadmap sizes used when neither a flag nor the scenario's 'prm' block
+# sets them.
+_PRM_CLI_DEFAULTS = {"n_ground": 300, "n_air": 300, "radius": 2.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,19 +79,10 @@ def _parse_waypoints(text: str) -> list[tuple[float, float, float]]:
     return points
 
 
-_PRM_SCENARIO_KEYS = (
-    "n_ground",
-    "n_air",
-    "radius",
-    "clearance",
-    "min_air_clearance",
-    "z_max",
-)
-
-
 def _load_scenario(path: str):
     """Scenario file: an environment plus optional 'start', 'waypoints',
-    and 'prm' sampling parameters."""
+    and 'prm' sampling parameters. The 'prm' block may set any PrmParams
+    field except the seed, which comes from --seed."""
     raw = load_config_file(path)
     env = environment_from_dict(raw)
     start = tuple(float(v) for v in raw["start"]) if "start" in raw else None
@@ -109,39 +94,31 @@ def _load_scenario(path: str):
     prm = raw.get("prm", {})
     if not isinstance(prm, dict):
         raise ConfigError("'prm' section must be an object")
-    unknown = set(prm) - set(_PRM_SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown prm keys: {sorted(unknown)}")
+    if "seed" in prm:
+        raise ConfigError("'prm' must not set 'seed'; give --seed")
+    prm = config_from_dict(PrmParams, {**_PRM_CLI_DEFAULTS, **prm}, "prm")
     return env, start, waypoints, prm
 
 
 def _load_configs(path: str | None):
     """Cost model, local-controller, and executor parameters from one file."""
     if path is None:
-        return CostModel(), DwaParams(), {}
+        return CostModel(), DwaParams(), SimConfig()
     raw = load_config_file(path)
-    cost = cost_model_from_dict({k: raw[k] for k in _COST_KEY_SUBSET if k in raw})
-    dwa = dwa_params_from_dict(raw.get("dwa", {}))
-    sim_kwargs = raw.get("sim", {})
-    if not isinstance(sim_kwargs, dict):
-        raise ConfigError("'sim' section must be an object")
-    return cost, dwa, dict(sim_kwargs)
+    return (
+        config_from_dict(CostModel, cost_section(raw), "cost"),
+        config_from_dict(DwaParams, raw.get("dwa", {}), "dwa"),
+        config_from_dict(SimConfig, raw.get("sim", {}), "sim"),
+    )
 
 
-def _prm_params(args, scenario_prm: dict) -> PrmParams:
+def _prm_params(args, scenario_prm: PrmParams) -> PrmParams:
     """Sampling parameters: explicit flags beat the scenario's 'prm'
     section, which beats the built-in defaults."""
-    kwargs = dict(scenario_prm)
-    if args.nw is not None:
-        kwargs["n_ground"] = args.nw
-    if args.nf is not None:
-        kwargs["n_air"] = args.nf
-    if args.radius is not None:
-        kwargs["radius"] = args.radius
-    kwargs.setdefault("n_ground", 300)
-    kwargs.setdefault("n_air", 300)
-    kwargs.setdefault("radius", 2.0)
-    return PrmParams(seed=args.seed, **kwargs)
+    flags = {"n_ground": args.nw, "n_air": args.nf, "radius": args.radius}
+    return dataclasses.replace(
+        scenario_prm, seed=args.seed, **{k: v for k, v in flags.items() if v is not None}
+    )
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -246,10 +223,9 @@ def cmd_plan(args) -> int:
 
 def cmd_simulate(args) -> int:
     env, scn_start, scn_waypoints, scn_prm = _load_scenario(args.env)
-    cost, dwa, sim_kwargs = _load_configs(args.cost_config)
+    cost, dwa, cfg = _load_configs(args.cost_config)
     if args.latency is not None:
-        sim_kwargs["actuation_latency"] = args.latency
-    cfg = SimConfig(**sim_kwargs)
+        cfg = dataclasses.replace(cfg, actuation_latency=args.latency)
     start = _parse_point(args.start) if args.start else scn_start
     waypoints = (
         _parse_waypoints(args.waypoints) if args.waypoints else scn_waypoints

@@ -13,22 +13,12 @@ rest against hardware before trusting absolute energy figures.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-_COST_KEYS = (
-    "ground_power",
-    "ground_speed",
-    "flight_power",
-    "flight_speed",
-    "morph_power",
-    "morph_duration",
-    "mass",
-    "gravity",
-)
 
 
 @dataclass(frozen=True)
@@ -55,8 +45,8 @@ class CostModel:
     gravity: float = 9.81
 
     def __post_init__(self):
-        for key in _COST_KEYS:
-            if getattr(self, key) <= 0.0:
+        for key, value in self.to_dict().items():
+            if value <= 0.0:
                 raise ConfigError(f"cost parameter '{key}' must be positive")
         # The lower-bound heuristic charges horizontal travel at the ground
         # rate, which is only valid when flying a meter never beats driving it.
@@ -124,19 +114,45 @@ class CostModel:
         return walk + self.flight_edge_cost(abs(dz), position[2], goal[2])
 
     def to_dict(self) -> dict:
-        return {key: getattr(self, key) for key in _COST_KEYS}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
-def cost_model_from_dict(d: dict) -> CostModel:
-    """Build a CostModel from a config dict; missing keys use defaults."""
-    unknown = set(d) - set(_COST_KEYS)
+def config_from_dict(cls, d, section: str):
+    """Build the config dataclass `cls` from one section of a config file.
+
+    Allowed keys are the dataclass fields; missing keys keep the field
+    defaults. Each value must have the type of its field's default: a JSON
+    boolean for a bool field, an integer for an int field, and a number for
+    any other field, where `null` is also accepted if the default is None.
+    Raises ConfigError naming `section` on any other input.
+    """
+    if not isinstance(d, dict):
+        raise ConfigError(f"'{section}' section must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
     if unknown:
-        raise ConfigError(f"unknown cost parameter(s): {sorted(unknown)}")
-    try:
-        kwargs = {key: float(d[key]) for key in _COST_KEYS if key in d}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"cost parameters must be numbers: {exc}") from exc
-    return CostModel(**kwargs)
+        raise ConfigError(f"unknown {section} parameter(s): {sorted(unknown)}")
+    kwargs = {}
+    for key, value in d.items():
+        default = fields[key].default
+        if isinstance(default, bool):
+            ok = isinstance(value, bool)
+        elif isinstance(value, bool):
+            ok = False
+        elif isinstance(default, int):
+            ok = isinstance(value, int)
+        else:
+            ok = isinstance(value, (int, float)) or (value is None and default is None)
+            if ok and value is not None:
+                try:
+                    value = float(value)
+                except OverflowError:
+                    ok = False
+        if not ok:
+            want = {bool: "true or false", int: "an integer"}.get(type(default), "a number")
+            raise ConfigError(f"{section} parameter '{key}' must be {want}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def load_config_file(path) -> dict:
@@ -151,8 +167,13 @@ def load_config_file(path) -> dict:
     return d
 
 
+def cost_section(d: dict) -> dict:
+    """The cost-model part of a config file: every top-level key except the
+    `dwa` and `sim` controller sections."""
+    return {k: v for k, v in d.items() if k not in ("dwa", "sim")}
+
+
 def load_cost_config(path) -> CostModel:
-    """Load just the CostModel from a config file."""
-    d = load_config_file(path)
-    cost = {k: v for k, v in d.items() if k in _COST_KEYS}
-    return cost_model_from_dict(cost)
+    """Load just the CostModel from a config file, ignoring its `dwa` and
+    `sim` sections; any other unknown top-level key is a ConfigError."""
+    return config_from_dict(CostModel, cost_section(load_config_file(path)), "cost")

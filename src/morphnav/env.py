@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,6 +172,15 @@ class Environment:
         if self.ground_const is not None:
             return self.ground_const
         return float(self.heightmap.elevations(x, y))
+
+    def snap_to_ground(self, point, label: str) -> tuple[float, float, float]:
+        """(x, y, ground height) for a point's x and y. Raises ConfigError
+        naming `label` when the point is outside the bounds footprint."""
+        x, y = float(point[0]), float(point[1])
+        try:
+            return (x, y, self.ground_height(x, y))
+        except ValueError:
+            raise ConfigError(f"{label} outside bounds footprint") from None
 
     def ground_heights(self, x, y) -> np.ndarray:
         """Vectorized ground elevation; callers guarantee in-bounds points."""

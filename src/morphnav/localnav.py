@@ -15,21 +15,6 @@ from dataclasses import dataclass
 from .env import OccupancyGrid
 from .errors import ConfigError
 
-_DWA_KEYS = (
-    "v_max",
-    "omega_max",
-    "accel_v",
-    "accel_omega",
-    "dt",
-    "horizon",
-    "samples_v",
-    "samples_omega",
-    "w_heading",
-    "w_clearance",
-    "w_velocity",
-    "d_sat",
-)
-
 
 @dataclass(frozen=True)
 class DwaParams:
@@ -186,18 +171,3 @@ def dwa_step(
         return VelocityCommand(0.0, p.omega_max / 2.0)
     return best_cmd
 
-
-def dwa_params_from_dict(d: dict) -> DwaParams:
-    """Build DwaParams from the `dwa` block of a config file."""
-    unknown = set(d) - set(_DWA_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown dwa parameter(s): {sorted(unknown)}")
-    kwargs = {}
-    for key in _DWA_KEYS:
-        if key not in d:
-            continue
-        try:
-            kwargs[key] = int(d[key]) if key.startswith("samples_") else float(d[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"dwa parameter '{key}' must be a number") from exc
-    return DwaParams(**kwargs)

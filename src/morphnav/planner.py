@@ -153,6 +153,37 @@ def astar_multimodal(
     raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
 
 
+def _uniform_cost(
+    roadmap: Roadmap, source_id: int, goal_id: int | None = None
+) -> tuple[list[float], list[int], int]:
+    """Reference Dijkstra from source: (cost to every node, parent edge of
+    every node, expansions). Stops once goal_id, when given, is expanded;
+    costs of nodes not yet expanded are then upper bounds."""
+    n = len(roadmap.nodes)
+    dist = [math.inf] * n
+    parent_edge = [-1] * n
+    done = [False] * n
+    dist[source_id] = 0.0
+    heap: list[tuple[float, int]] = [(0.0, source_id)]
+    expanded = 0
+    while heap:
+        du, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        expanded += 1
+        if u == goal_id:
+            break
+        for idx in roadmap.adjacency[u]:
+            v = roadmap.other_end(idx, u)
+            cand = du + roadmap.edges[idx].cost
+            if cand < dist[v]:
+                dist[v] = cand
+                parent_edge[v] = idx
+                heapq.heappush(heap, (cand, v))
+    return dist, parent_edge, expanded
+
+
 def dijkstra_oracle(
     roadmap: Roadmap, start_id: int, goal_id: int, cm: CostModel
 ) -> PlanResult:
@@ -165,39 +196,20 @@ def dijkstra_oracle(
         raise ValueError("start/goal id out of range")
     if start_id == goal_id:
         return _assemble_result(roadmap, cm, [start_id], [], 0.0, 0)
-    dist = {start_id: 0.0}
-    parent_edge: dict[int, int] = {}
-    done = set()
-    heap: list[tuple[float, int]] = [(0.0, start_id)]
-    expanded = 0
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        expanded += 1
-        if u == goal_id:
-            node_ids = [u]
-            edge_idxs = []
-            cur = u
-            while cur != start_id:
-                idx = parent_edge[cur]
-                edge_idxs.append(idx)
-                cur = roadmap.other_end(idx, cur)
-                node_ids.append(cur)
-            node_ids.reverse()
-            edge_idxs.reverse()
-            return _assemble_result(roadmap, cm, node_ids, edge_idxs, dist[u], expanded)
-        for idx in roadmap.adjacency[u]:
-            v = roadmap.other_end(idx, u)
-            if v in done:
-                continue
-            cand = du + roadmap.edges[idx].cost
-            if cand < dist.get(v, math.inf):
-                dist[v] = cand
-                parent_edge[v] = idx
-                heapq.heappush(heap, (cand, v))
-    raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
+    dist, parent_edge, expanded = _uniform_cost(roadmap, start_id, goal_id)
+    if math.isinf(dist[goal_id]):
+        raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
+    node_ids = [goal_id]
+    edge_idxs = []
+    cur = goal_id
+    while cur != start_id:
+        idx = parent_edge[cur]
+        edge_idxs.append(idx)
+        cur = roadmap.other_end(idx, cur)
+        node_ids.append(cur)
+    node_ids.reverse()
+    edge_idxs.reverse()
+    return _assemble_result(roadmap, cm, node_ids, edge_idxs, dist[goal_id], expanded)
 
 
 def dijkstra_all_costs(roadmap: Roadmap, source_id: int) -> list[float]:
@@ -206,23 +218,7 @@ def dijkstra_all_costs(roadmap: Roadmap, source_id: int) -> list[float]:
     One-to-all variant used by verification sweeps to check the heuristic
     against true optimal costs.
     """
-    n = len(roadmap.nodes)
-    dist = [math.inf] * n
-    dist[source_id] = 0.0
-    done = [False] * n
-    heap: list[tuple[float, int]] = [(0.0, source_id)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for idx in roadmap.adjacency[u]:
-            v = roadmap.other_end(idx, u)
-            cand = du + roadmap.edges[idx].cost
-            if cand < dist[v]:
-                dist[v] = cand
-                heapq.heappush(heap, (cand, v))
-    return dist
+    return _uniform_cost(roadmap, source_id)[0]
 
 
 # -- grid planning -----------------------------------------------------------

@@ -64,8 +64,6 @@ class PrmParams:
     clearance: collision-sphere radius for nodes and swept edges.
     min_air_clearance: minimum height of an aerial node above local ground.
     z_max: altitude cap for aerial sampling; None means the bounds ceiling.
-    use_spatial_hash: neighbor lookup strategy; the linear fallback yields
-        identical edge sets and exists to cross-check the hash.
     """
 
     n_ground: int = 200
@@ -75,7 +73,6 @@ class PrmParams:
     clearance: float = 0.35
     min_air_clearance: float = 0.3
     z_max: float | None = None
-    use_spatial_hash: bool = True
 
     def __post_init__(self):
         if self.n_ground < 0 or self.n_air < 0:
@@ -88,57 +85,19 @@ class PrmParams:
             raise ConfigError("min_air_clearance must be non-negative")
 
 
-class _SpatialHash:
-    """Uniform grid over 3-space; cell size equals the connection radius so
-    a radius query only has to visit the adjacent cell shell."""
-
-    def __init__(self, cell_size: float):
-        self.cell = float(cell_size)
-        self.table: dict[tuple[int, int, int], list[int]] = {}
-
-    def _key(self, p) -> tuple[int, int, int]:
-        c = self.cell
-        return (
-            int(math.floor(p[0] / c)),
-            int(math.floor(p[1] / c)),
-            int(math.floor(p[2] / c)),
-        )
-
-    def insert(self, nid: int, p) -> None:
-        self.table.setdefault(self._key(p), []).append(nid)
-
-    def query(self, p, radius: float) -> list[int]:
-        """Ids of all nodes in cells overlapping the query sphere's bbox."""
-        c = self.cell
-        lo = [int(math.floor((p[i] - radius) / c)) for i in range(3)]
-        hi = [int(math.floor((p[i] + radius) / c)) for i in range(3)]
-        out: list[int] = []
-        for ix in range(lo[0], hi[0] + 1):
-            for iy in range(lo[1], hi[1] + 1):
-                for iz in range(lo[2], hi[2] + 1):
-                    bucket = self.table.get((ix, iy, iz))
-                    if bucket:
-                        out.extend(bucket)
-        return out
-
-
 class Roadmap:
     """Growable node/edge store with undirected adjacency."""
 
-    def __init__(self, radius: float, use_spatial_hash: bool = True):
+    def __init__(self, radius: float):
         self.radius = float(radius)
         self.nodes: list[RoadmapNode] = []
         self.edges: list[RoadmapEdge] = []
         self.adjacency: list[list[int]] = []
-        self._use_hash = use_spatial_hash
-        self._hash = _SpatialHash(self.radius) if use_spatial_hash else None
 
     def add_node(self, position, mode: NodeMode) -> RoadmapNode:
         node = RoadmapNode(len(self.nodes), tuple(float(v) for v in position), mode)
         self.nodes.append(node)
         self.adjacency.append([])
-        if self._hash is not None:
-            self._hash.insert(node.id, node.position)
         return node
 
     def add_edge(self, a: int, b: int, kind: EdgeKind, length: float, cost: float) -> RoadmapEdge:
@@ -155,20 +114,9 @@ class Roadmap:
         return len(self.adjacency[nid])
 
     def neighbors_within(self, position, radius: float) -> list[int]:
-        """Node ids within `radius` of position, ascending. The spatial hash
-        and the linear scan must agree; both filter on exact distance."""
-        if self._hash is not None:
-            candidates = self._hash.query(position, radius)
-        else:
-            candidates = range(len(self.nodes))
+        """Node ids within `radius` of position, ascending."""
         p = tuple(position)
-        out = [
-            nid
-            for nid in candidates
-            if math.dist(self.nodes[nid].position, p) <= radius
-        ]
-        out.sort()
-        return out
+        return [n.id for n in self.nodes if math.dist(n.position, p) <= radius]
 
     def nearest_node(self, position) -> tuple[int, float] | None:
         """(id, distance) of the closest node, or None when empty."""
@@ -276,7 +224,7 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     """Sample and connect a full roadmap: all ground nodes first, then all
     aerial nodes, each connected on insertion."""
     rng = SplitMix64(params.seed)
-    roadmap = Roadmap(params.radius, params.use_spatial_hash)
+    roadmap = Roadmap(params.radius)
     for _ in range(params.n_ground):
         pos = sample_ground_node(env, params, rng)
         connect_node(roadmap, RoadmapNode(len(roadmap.nodes), pos, NodeMode.GROUND), env, cm, params)
@@ -303,11 +251,7 @@ def insert_query_nodes(
     """
     ids = []
     for label, pos in (("start", start), ("goal", goal)):
-        x, y = float(pos[0]), float(pos[1])
-        lo, hi = env.bounds.min_corner, env.bounds.max_corner
-        if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]):
-            raise ConfigError(f"{label} outside bounds footprint")
-        snapped = (x, y, env.ground_height(x, y))
+        snapped = env.snap_to_ground(pos, label)
         if env.point_in_collision(snapped, params.clearance):
             raise ConfigError(f"{label} position is in collision")
         nearest = roadmap.nearest_node(snapped)

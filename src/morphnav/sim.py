@@ -16,18 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .costmodel import CostModel
-from .env import (
-    DEFAULT_GRID_RESOLUTION,
-    DEFAULT_HEIGHT_BAND,
-    DEFAULT_INFLATION,
-    Environment,
-    OccupancyGrid,
-    project_to_grid,
-)
+from .env import Environment, OccupancyGrid, project_to_grid
 from .errors import ConfigError, InvalidStartError
 from .localnav import DwaParams, VelocityCommand, dwa_step
 from .planner import GridPath, grid_plan
@@ -302,24 +295,16 @@ class Mission:
         self.cm = cm
         self.dwa = dwa
         self.cfg = cfg
-        lo, hi = env.bounds.min_corner, env.bounds.max_corner
-        self.waypoints: list[tuple[float, float, float]] = []
-        for i, wp in enumerate(waypoints):
-            x, y = float(wp[0]), float(wp[1])
-            if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]):
-                raise ConfigError(f"waypoint {i} outside bounds footprint")
-            self.waypoints.append((x, y, env.ground_height(x, y)))
-        if not (lo[2] < cfg.cruise_altitude <= hi[2]):
+        self.waypoints: list[tuple[float, float, float]] = [
+            env.snap_to_ground(wp, f"waypoint {i}") for i, wp in enumerate(waypoints)
+        ]
+        if not (env.bounds.min_corner[2] < cfg.cruise_altitude <= env.bounds.max_corner[2]):
             raise ConfigError("cruise_altitude outside bounds z range")
         if start is None:
             start = self.waypoints[0]
-        sx, sy = float(start[0]), float(start[1])
-        if not (lo[0] <= sx <= hi[0] and lo[1] <= sy <= hi[1]):
-            raise ConfigError("start outside bounds footprint")
+        sx, sy, sz = env.snap_to_ground(start, "start")
         self.grid = grid if grid is not None else project_to_grid(env)
-        self.state = RobotState(
-            sx, sy, env.ground_height(sx, sy), float(start_yaw)
-        )
+        self.state = RobotState(sx, sy, sz, float(start_yaw))
         self._rng = SplitMix64(seed)
         self._n_delay = int(round(cfg.actuation_latency / cfg.dt))
         self._queue: deque[tuple[float, float, float, float, float]] = deque()

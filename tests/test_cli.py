@@ -58,6 +58,30 @@ def test_usage_problems_exit_one():
         assert fragment in proc.stderr, args
 
 
+def test_bad_config_files_exit_one(tmp_path):
+    # bad keys and values in a cost config or a scenario prm block are
+    # config errors, never tracebacks or silently dropped settings
+    scenario = json.loads(Path(ARENA).read_text())
+    cases = [
+        ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
+        ("cost", {"sim": {"dt": "fast"}}, "sim parameter 'dt' must be a number"),
+        ("cost", {"flight_pwr": 900}, "unknown cost parameter(s): ['flight_pwr']"),
+        ("scenario", {"n_ground": "300"}, "prm parameter 'n_ground' must be an integer"),
+        ("scenario", {"seed": 3}, "'prm' must not set 'seed'"),
+    ]
+    for i, (kind, patch, fragment) in enumerate(cases):
+        path = tmp_path / f"{kind}{i}.json"
+        if kind == "cost":
+            path.write_text(json.dumps(patch))
+            args = ("simulate", "--env", ARENA, "--cost-config", path)
+        else:
+            path.write_text(json.dumps({**scenario, "prm": {**scenario["prm"], **patch}}))
+            args = ("roadmap", "--env", path)
+        proc = run_cli(*args, "--out", tmp_path / "out")
+        assert proc.returncode == 1, patch
+        assert f"config error: {fragment}" in proc.stderr, (patch, proc.stderr)
+
+
 def test_isolated_query_exits_two(tmp_path):
     proc = run_cli(
         "plan", "--env", ARENA, "--nw", 40, "--nf", 40,

@@ -5,11 +5,7 @@ import math
 
 import pytest
 
-from morphnav.costmodel import (
-    CostModel,
-    cost_model_from_dict,
-    load_cost_config,
-)
+from morphnav.costmodel import CostModel, config_from_dict, cost_section, load_cost_config
 from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
 
@@ -172,18 +168,42 @@ def test_prose_heuristic_is_not_admissible():
 
 
 def test_from_dict_partial_and_unknown():
-    cm = cost_model_from_dict({"mass": 7.5})
+    cm = config_from_dict(CostModel, {"mass": 7.5}, "cost")
     assert cm.mass == 7.5
     assert cm.ground_power == 120.0
     with pytest.raises(ConfigError):
-        cost_model_from_dict({"thrust": 1.0})
+        config_from_dict(CostModel, {"thrust": 1.0}, "cost")
     with pytest.raises(ConfigError):
-        cost_model_from_dict({"mass": "heavy"})
+        config_from_dict(CostModel, {"mass": "heavy"}, "cost")
+
+
+def test_config_values_take_field_types():
+    from morphnav.localnav import DwaParams
+    from morphnav.roadmap import PrmParams
+    from morphnav.sim import SimConfig
+
+    assert config_from_dict(CostModel, {"mass": 7}, "cost").mass == 7.0
+    assert config_from_dict(PrmParams, {"z_max": None}, "prm").z_max is None
+    assert config_from_dict(PrmParams, {"z_max": 2}, "prm").z_max == 2.0
+    assert config_from_dict(SimConfig, {"assume_flyable": False}, "sim").assume_flyable is False
+    for cls, d in (
+        (CostModel, {"mass": True}),
+        (CostModel, {"mass": None}),
+        (DwaParams, {"samples_v": 7.0}),
+        (DwaParams, {"samples_v": True}),
+        (PrmParams, {"n_ground": "300"}),
+        (SimConfig, {"assume_flyable": 1}),
+        (SimConfig, {"dt": 10**400}),
+    ):
+        with pytest.raises(ConfigError):
+            config_from_dict(cls, d, "section")
+    with pytest.raises(ConfigError, match="'dwa' section must be an object"):
+        config_from_dict(DwaParams, [1.0], "dwa")
 
 
 def test_to_dict_round_trip():
     cm = CostModel(mass=5.0, flight_power=500.0)
-    assert cost_model_from_dict(cm.to_dict()) == cm
+    assert config_from_dict(CostModel, cm.to_dict(), "cost") == cm
 
 
 def test_load_cost_config_ignores_controller_blocks(tmp_path):
@@ -195,7 +215,18 @@ def test_load_cost_config_ignores_controller_blocks(tmp_path):
 
 
 def test_default_config_file_matches_defaults():
+    import dataclasses
     from pathlib import Path
+
+    from morphnav.cli import _load_configs
+    from morphnav.localnav import DwaParams
+    from morphnav.sim import SimConfig
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
     assert load_cost_config(path) == CostModel()
+    assert _load_configs(str(path)) == (CostModel(), DwaParams(), SimConfig())
+    # The file restates every default, so it names every field.
+    raw = json.loads(path.read_text())
+    sections = ((CostModel, cost_section(raw)), (DwaParams, raw["dwa"]), (SimConfig, raw["sim"]))
+    for cls, block in sections:
+        assert sorted(block) == sorted(f.name for f in dataclasses.fields(cls)), cls

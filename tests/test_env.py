@@ -106,6 +106,9 @@ def test_ground_height_outside_footprint_raises():
     env = _box_env()
     with pytest.raises(ValueError):
         env.ground_height(-1.0, 5.0)
+    with pytest.raises(ConfigError, match="^goal outside bounds footprint$"):
+        env.snap_to_ground((-1.0, 5.0, 0.0), "goal")
+    assert env.snap_to_ground((1, 5, 2.5), "start") == (1.0, 5.0, env.ground_height(1.0, 5.0))
 
 
 # -- point collision --------------------------------------------------------

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from morphnav.costmodel import config_from_dict
 from morphnav.env import OccupancyGrid
 from morphnav.errors import ConfigError
 from morphnav.localnav import (
     DwaParams,
     VelocityCommand,
-    dwa_params_from_dict,
     dwa_step,
     dynamic_window,
     rollout,
@@ -244,11 +244,11 @@ def test_dwa_selection_matches_reference_argmax():
 
 
 def test_dwa_params_from_dict():
-    p = dwa_params_from_dict({"v_max": 0.8, "samples_v": 7})
+    p = config_from_dict(DwaParams, {"v_max": 0.8, "samples_v": 7}, "dwa")
     assert p.v_max == 0.8 and p.samples_v == 7
     assert p.omega_max == 1.5
     with pytest.raises(ConfigError):
-        dwa_params_from_dict({"warp_speed": 9.0})
+        config_from_dict(DwaParams, {"warp_speed": 9.0}, "dwa")
 
 
 def test_default_config_file_matches_defaults():
@@ -257,4 +257,4 @@ def test_default_config_file_matches_defaults():
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
     block = json.loads(path.read_text())["dwa"]
-    assert dwa_params_from_dict(block) == DwaParams()
+    assert config_from_dict(DwaParams, block, "dwa") == DwaParams()

@@ -229,23 +229,6 @@ def test_no_ground_edge_crosses_the_wall():
         assert not (min(xa, xb) < 5.0 < max(xa, xb))
 
 
-def test_spatial_hash_matches_linear_scan():
-    env = _walled_env()
-    for seed in range(5):
-        fast = build_roadmap(
-            env, CM, PrmParams(n_ground=90, n_air=90, radius=2.0, seed=seed)
-        )
-        slow = build_roadmap(
-            env,
-            CM,
-            PrmParams(n_ground=90, n_air=90, radius=2.0, seed=seed, use_spatial_hash=False),
-        )
-        assert [n.position for n in fast.nodes] == [n.position for n in slow.nodes]
-        assert [(e.a, e.b, e.kind, e.length, e.cost) for e in fast.edges] == [
-            (e.a, e.b, e.kind, e.length, e.cost) for e in slow.edges
-        ]
-
-
 def test_neighbors_within_and_nearest():
     roadmap = Roadmap(radius=1.0)
     for x in (0.0, 0.5, 3.0):
