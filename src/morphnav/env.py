@@ -283,8 +283,8 @@ class OccupancyGrid:
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
         arr = np.array(cells, dtype=bool)
-        if arr.ndim != 2:
-            raise ConfigError("grid cells must be 2-D")
+        if arr.ndim != 2 or arr.size == 0:
+            raise ConfigError("grid cells must be a non-empty 2-D array")
         arr.flags.writeable = False
         self.cells = arr
         self._distance_cells: np.ndarray | None = None
@@ -306,12 +306,18 @@ class OccupancyGrid:
         """Cell containing world point (x, y); points on a shared edge fall
         into the higher-index cell, except the outer boundary which maps
         inward so the whole footprint is covered."""
-        col = int(math.floor((x - self.origin[0]) / self.resolution))
-        row = int(math.floor((y - self.origin[1]) / self.resolution))
-        if col == self.width and abs((x - self.origin[0]) - self.width * self.resolution) < 1e-9:
-            col -= 1
-        if row == self.height and abs((y - self.origin[1]) - self.height * self.resolution) < 1e-9:
-            row -= 1
+        row, col = self.world_to_cells(x, y)
+        return int(row), int(col)
+
+    def world_to_cells(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of world_to_cell: (rows, cols) for arrays of world
+        coordinates. Off-grid points get indices outside the raster."""
+        dx = np.asarray(x, dtype=float) - self.origin[0]
+        dy = np.asarray(y, dtype=float) - self.origin[1]
+        col = np.floor(dx / self.resolution).astype(np.int64)
+        row = np.floor(dy / self.resolution).astype(np.int64)
+        col -= (col == self.width) & (np.abs(dx - self.width * self.resolution) < 1e-9)
+        row -= (row == self.height) & (np.abs(dy - self.height * self.resolution) < 1e-9)
         return row, col
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
@@ -327,26 +333,76 @@ class OccupancyGrid:
         return bool(self.cells[row, col])
 
     def occupied_at_world(self, x: float, y: float) -> bool:
-        row, col = self.world_to_cell(x, y)
-        return self.occupied(row, col)
+        return bool(self.occupied_at(*self.world_to_cells(x, y)))
 
     def distance_to_occupied(self, x: float, y: float) -> float:
         """Approximate clearance (m) from (x, y) to the nearest occupied
         cell, measured between cell centers. Infinite on an empty grid;
         zero inside occupied or off-grid cells."""
-        row, col = self.world_to_cell(x, y)
-        if not self.in_grid(row, col):
-            return 0.0
-        if not self.cells.any():
-            return math.inf
-        if self._distance_cells is None:
-            from scipy import ndimage
+        return float(self.clearance_at(*self.world_to_cells(x, y)))
 
-            free = ~self.cells
-            dist = ndimage.distance_transform_edt(free)
+    def occupied_at(self, rows, cols) -> np.ndarray:
+        """Array form of occupied: True where a cell is occupied or off-grid."""
+        inside, r, c = self._clip(rows, cols)
+        return ~inside | self.cells[r, c]
+
+    def clearance_at(self, rows, cols) -> np.ndarray:
+        """Array form of the clearance behind distance_to_occupied, indexed by
+        cell: meters to the nearest occupied cell center, 0 off-grid."""
+        if self._distance_cells is None:
+            dist = edt(self.cells)
             dist.flags.writeable = False
             self._distance_cells = dist
-        return float(self._distance_cells[row, col]) * self.resolution
+        inside, r, c = self._clip(rows, cols)
+        return np.where(inside, self._distance_cells[r, c] * self.resolution, 0.0)
+
+    def _clip(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(inside mask, rows, cols) with off-grid indices clipped onto the
+        raster so they can index it; callers mask them with `inside`."""
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        inside = (rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)
+        return (
+            inside,
+            np.clip(rows, 0, self.height - 1),
+            np.clip(cols, 0, self.width - 1),
+        )
+
+
+# Target element count of edt()'s row-pass temporary: 2 MB of float64.
+_EDT_CHUNK = 1 << 18
+
+
+def edt(cells: np.ndarray) -> np.ndarray:
+    """Exact Euclidean distance transform of a boolean occupancy raster.
+
+    Returns, for every cell, the distance in cells from its center to the
+    nearest occupied cell center: 0 on occupied cells, infinite everywhere
+    when no cell is occupied. Separable transform: a column
+    pass gives the vertical distance to the nearest occupied cell in the
+    same column, then a row pass takes min over columns c' of
+    g(c')^2 + (c - c')^2. Every square is an exact integer in float64, so
+    the result is the correctly rounded square root of the true squared
+    distance. The row pass runs along the shorter axis, a chunk of rows at
+    a time (about _EDT_CHUNK elements, never less than one row), so it takes
+    O(H * W * min(H, W)) time.
+    """
+    cells = np.asarray(cells, dtype=bool)
+    if cells.shape[1] > cells.shape[0]:
+        return edt(cells.T).T
+    height, width = cells.shape
+    rows = np.arange(height, dtype=float)[:, None]
+    above = np.maximum.accumulate(np.where(cells, rows, -np.inf), axis=0)
+    below = np.minimum.accumulate(np.where(cells, rows, np.inf)[::-1], axis=0)[::-1]
+    g2 = np.minimum(rows - above, below - rows) ** 2
+    cols = np.arange(width, dtype=float)
+    dc2 = (cols[:, None] - cols[None, :]) ** 2
+    d2 = np.empty((height, width))
+    chunk = max(1, _EDT_CHUNK // (width * width))
+    for r0 in range(0, height, chunk):
+        block = g2[r0 : r0 + chunk, None, :] + dc2[None, :, :]
+        d2[r0 : r0 + chunk] = block.min(axis=2)
+    return np.sqrt(d2)
 
 
 def project_to_grid(

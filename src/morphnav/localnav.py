@@ -5,12 +5,20 @@ period, rolled out with a unicycle model against the inflated occupancy
 grid, and scored on goal heading, obstacle clearance, and speed. Reverse
 driving is not sampled; the recovery behavior when every candidate collides
 is a stationary spin.
+
+Each control period rolls out and scores the whole window at once: poses
+are (steps + 1, samples_v, samples_omega) arrays, and occupancy and
+clearance are read from the grid's cached distance transform by array
+indexing. `rollout` and `score_trajectory` are one-candidate views of the
+same batched code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .env import OccupancyGrid
 from .errors import ConfigError
@@ -79,6 +87,76 @@ def dynamic_window(
     return v_lo, v_hi, w_lo, w_hi
 
 
+def _rollouts(
+    pose: tuple[float, float, float], vs: list[float], ws: list[float], p: DwaParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unicycle forward simulation of every (v, omega) command pair, each
+    held for the horizon.
+
+    Returns xs and ys of shape (steps + 1, len(vs), len(ws)) and yaws of
+    shape (steps + 1, len(ws)), steps = ceil(horizon / dt), start pose
+    included; yaw depends on omega alone. Position integrates with the
+    pre-step yaw, then yaw advances. Trig goes through `math` on Python
+    floats, and positions add up step by step, so every candidate matches
+    a one-at-a-time integration bit for bit.
+    """
+    steps = int(math.ceil(p.horizon / p.dt))
+    table = []
+    for omega in ws:
+        yaw = pose[2]
+        seq = [yaw]
+        for _ in range(steps):
+            yaw += omega * p.dt
+            seq.append(yaw)
+        table.append(seq)
+    yaws = np.array(table).T
+    pre = yaws[:-1].ravel().tolist()
+    cos = np.array([math.cos(a) for a in pre]).reshape(steps, 1, len(ws))
+    sin = np.array([math.sin(a) for a in pre]).reshape(steps, 1, len(ws))
+    v = np.asarray(vs, dtype=float)[:, None]
+    shape = (1, len(vs), len(ws))
+    xs = np.cumsum(np.concatenate([np.full(shape, pose[0]), v * cos * p.dt]), axis=0)
+    ys = np.cumsum(np.concatenate([np.full(shape, pose[1]), v * sin * p.dt]), axis=0)
+    return xs, ys, yaws
+
+
+def _scores(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    final_yaw: np.ndarray,
+    goal: tuple[float, float],
+    grid: OccupancyGrid,
+    p: DwaParams,
+) -> np.ndarray:
+    """Scores in [0, 1] of rollouts laid out as by _rollouts: xs and ys of
+    shape (poses, n_v, n_omega), final_yaw of shape (n_omega,). A rollout
+    that enters an occupied or off-grid cell scores -inf.
+
+    heading: 1 - |final bearing error| / pi.
+    clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
+    velocity: commanded speed over v_max, recovered from the first step,
+    which is shared by every omega of one v.
+    """
+    rows, cols = grid.world_to_cells(xs, ys)
+    hit = grid.occupied_at(rows, cols).any(axis=0)
+    d_min = grid.clearance_at(rows, cols).min(axis=0)
+    clearance = np.minimum(1.0, d_min / p.d_sat)
+    fyaw = np.broadcast_to(final_yaw, hit.shape)
+    heading = np.array(
+        [
+            1.0 - abs(_wrap_angle(math.atan2(goal[1] - fy, goal[0] - fx) - yaw)) / math.pi
+            for fx, fy, yaw in zip(
+                xs[-1].ravel().tolist(), ys[-1].ravel().tolist(), fyaw.ravel().tolist()
+            )
+        ]
+    ).reshape(hit.shape)
+    first = np.stack([xs[:2, :, 0], ys[:2, :, 0]], axis=-1).tolist()
+    speed = [[math.dist(a, b) / p.dt] for a, b in zip(*first)] if len(first) > 1 else 0.0
+    velocity = np.minimum(1.0, np.divide(speed, p.v_max))
+    score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
+    return np.where(hit, -np.inf, score)
+
+
 def rollout(
     pose: tuple[float, float, float], cmd: VelocityCommand, p: DwaParams
 ) -> list[tuple[float, float, float]]:
@@ -87,15 +165,8 @@ def rollout(
     Returns ceil(horizon / dt) + 1 poses including the start pose. Position
     integrates with the pre-step yaw, then yaw advances.
     """
-    steps = int(math.ceil(p.horizon / p.dt))
-    x, y, yaw = pose
-    poses = [(x, y, yaw)]
-    for _ in range(steps):
-        x += cmd.v * math.cos(yaw) * p.dt
-        y += cmd.v * math.sin(yaw) * p.dt
-        yaw += cmd.omega * p.dt
-        poses.append((x, y, yaw))
-    return poses
+    xs, ys, yaws = _rollouts(pose, [cmd.v], [cmd.omega], p)
+    return list(zip(xs[:, 0, 0].tolist(), ys[:, 0, 0].tolist(), yaws[:, 0].tolist()))
 
 
 def score_trajectory(
@@ -106,28 +177,13 @@ def score_trajectory(
 ) -> float | None:
     """Score one rollout in [0, 1]; None means rejected for collision.
 
-    heading: 1 - |final bearing error| / pi.
-    clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
-    velocity: commanded speed over v_max, recovered from the first step.
+    The terms are those of dwa_step's batched scoring: goal heading at the
+    final pose, clearance over all poses, and the speed of the first step.
     """
-    d_min = math.inf
-    for x, y, _ in traj:
-        if grid.occupied_at_world(x, y):
-            return None
-        d = grid.distance_to_occupied(x, y)
-        if d < d_min:
-            d_min = d
-    fx, fy, fyaw = traj[-1]
-    bearing = math.atan2(goal[1] - fy, goal[0] - fx)
-    dtheta = abs(_wrap_angle(bearing - fyaw))
-    heading = 1.0 - dtheta / math.pi
-    clearance = 1.0 if math.isinf(d_min) else min(1.0, d_min / p.d_sat)
-    if len(traj) > 1:
-        v = math.dist(traj[0][:2], traj[1][:2]) / p.dt
-    else:
-        v = 0.0
-    velocity = min(1.0, v / p.v_max)
-    return p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
+    xs = np.array([[[x]] for x, _, _ in traj])
+    ys = np.array([[[y]] for _, y, _ in traj])
+    score = float(_scores(xs, ys, np.array([traj[-1][2]]), goal, grid, p)[0, 0])
+    return None if score == -math.inf else score
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:
@@ -154,20 +210,15 @@ def dwa_step(
     collides, returns the recovery command (0, +omega_max / 2).
     """
     v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
-    best_cmd: VelocityCommand | None = None
-    best_score = -1.0
-    for v in _samples(v_lo, v_hi, p.samples_v):
-        for omega in _samples(w_lo, w_hi, p.samples_omega):
-            cmd = VelocityCommand(v, omega)
-            score = score_trajectory(rollout(pose, cmd, p), goal, grid, p)
-            if score is None:
-                continue
-            if best_cmd is None or score > best_score or (
-                score == best_score and abs(omega) < abs(best_cmd.omega)
-            ):
-                best_cmd = cmd
-                best_score = score
-    if best_cmd is None:
+    vs = _samples(v_lo, v_hi, p.samples_v)
+    ws = _samples(w_lo, w_hi, p.samples_omega)
+    xs, ys, yaws = _rollouts(pose, vs, ws, p)
+    score = _scores(xs, ys, yaws[-1], goal, grid, p)
+    best = score.max()
+    if best == -math.inf:
         return VelocityCommand(0.0, p.omega_max / 2.0)
-    return best_cmd
-
+    # Among the best scores, the smallest |omega|; argmin keeps the first of
+    # equal keys, which is the earliest candidate in v-major order.
+    key = np.where(score == best, np.abs(np.asarray(ws)), np.inf)
+    i, j = np.unravel_index(int(np.argmin(key)), key.shape)
+    return VelocityCommand(vs[i], ws[j])

@@ -394,3 +394,19 @@ def test_console_script_available():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "usage" in proc.stdout.lower()
+
+
+def test_runtime_path_does_not_import_scipy(tmp_path):
+    # scipy is a test-only dependency. Importing it costs tens of MB and a
+    # large share of a cold start, so the CLI and a full mission must not
+    # pull it in.
+    code = (
+        "import sys\n"
+        "import morphnav.cli\n"
+        f"rc = morphnav.cli.main(['simulate', '--env', {ARENA!r}, '--out', {str(tmp_path)!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "mission.json").exists()

@@ -1,15 +1,18 @@
 """World model: boxes, ground surfaces, collision tests, grid projection."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from morphnav.env import (
     Aabb,
     Environment,
     Heightmap,
     OccupancyGrid,
+    edt,
     environment_from_dict,
     load_environment,
     project_to_grid,
@@ -228,6 +231,51 @@ def test_distance_to_occupied():
     assert grid.distance_to_occupied(-1.0, 0.5) == 0.0  # off-grid
     empty = OccupancyGrid(1.0, (0.0, 0.0), np.zeros((3, 3), dtype=bool))
     assert math.isinf(empty.distance_to_occupied(1.5, 1.5))
+
+
+def test_edt_matches_scipy():
+    """The in-house distance transform equals scipy's exactly, on thin,
+    square, wide, tall and sparse-to-dense grids and on the walled arena."""
+    rng = np.random.default_rng(5)
+    shapes = [(1, 1), (1, 37), (37, 1), (2, 9), (9, 2), (13, 40), (40, 13), (200, 150)]
+    grids = []
+    for shape in shapes:
+        for density in (0.001, 0.01, 0.1, 0.5, 0.9):
+            for _ in range(4 if shape != (200, 150) else 1):
+                cells = rng.random(shape) < density
+                cells.flat[rng.integers(cells.size)] = True  # scipy needs one
+                grids.append(cells)
+    arena = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
+    grids.append(project_to_grid(load_environment(arena)).cells)
+    for cells in grids:
+        assert np.array_equal(edt(cells), ndimage.distance_transform_edt(~cells))
+
+
+def test_edt_empty_grid_is_infinite():
+    assert np.isinf(edt(np.zeros((3, 5), dtype=bool))).all()
+
+
+def test_grid_rejects_empty_raster():
+    with pytest.raises(ConfigError):
+        OccupancyGrid(1.0, (0.0, 0.0), np.zeros((0, 4), dtype=bool))
+
+
+def test_array_lookups_match_scalar_forms():
+    cells = np.zeros((4, 6), dtype=bool)
+    cells[1, 2] = cells[3, 5] = True
+    grid = OccupancyGrid(0.5, (1.0, -1.0), cells)
+    xs = np.linspace(0.5, 4.5, 17)
+    ys = np.linspace(-1.5, 1.5, 13)
+    gx, gy = np.meshgrid(xs, ys)
+    rows, cols = grid.world_to_cells(gx, gy)
+    occ = grid.occupied_at(rows, cols)
+    clear = grid.clearance_at(rows, cols)
+    for idx in np.ndindex(gx.shape):
+        x, y = float(gx[idx]), float(gy[idx])
+        row, col = grid.world_to_cell(x, y)
+        assert (rows[idx], cols[idx]) == (row, col)
+        assert occ[idx] == grid.occupied(row, col)
+        assert clear[idx] == grid.distance_to_occupied(x, y)
 
 
 def test_grid_cells_immutable():

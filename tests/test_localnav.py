@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from morphnav.costmodel import config_from_dict
 from morphnav.env import OccupancyGrid
@@ -194,6 +195,52 @@ def test_dwa_is_deterministic():
     assert dwa_step(*args) == dwa_step(*args)
 
 
+# Scalar reference: the one-candidate-at-a-time controller, with its own
+# cell lookup and scipy's distance transform, kept independent of the
+# batched implementation under test.
+
+
+def _ref_cell(grid, x, y):
+    col = int(math.floor((x - grid.origin[0]) / grid.resolution))
+    row = int(math.floor((y - grid.origin[1]) / grid.resolution))
+    if col == grid.width and abs((x - grid.origin[0]) - grid.width * grid.resolution) < 1e-9:
+        col -= 1
+    if row == grid.height and abs((y - grid.origin[1]) - grid.height * grid.resolution) < 1e-9:
+        row -= 1
+    return row, col
+
+
+def _ref_rollout(pose, cmd, p):
+    steps = int(math.ceil(p.horizon / p.dt))
+    x, y, yaw = pose
+    poses = [(x, y, yaw)]
+    for _ in range(steps):
+        x += cmd.v * math.cos(yaw) * p.dt
+        y += cmd.v * math.sin(yaw) * p.dt
+        yaw += cmd.omega * p.dt
+        poses.append((x, y, yaw))
+    return poses
+
+
+def _ref_score(traj, goal, grid, p):
+    dist = ndimage.distance_transform_edt(~grid.cells) if grid.cells.any() else None
+    d_min = math.inf
+    for x, y, _ in traj:
+        row, col = _ref_cell(grid, x, y)
+        if not grid.in_grid(row, col) or grid.cells[row, col]:
+            return None
+        d = math.inf if dist is None else float(dist[row, col]) * grid.resolution
+        d_min = min(d_min, d)
+    fx, fy, fyaw = traj[-1]
+    bearing = math.atan2(goal[1] - fy, goal[0] - fx)
+    dtheta = abs((bearing - fyaw + math.pi) % (2.0 * math.pi) - math.pi)
+    heading = 1.0 - dtheta / math.pi
+    clearance = 1.0 if math.isinf(d_min) else min(1.0, d_min / p.d_sat)
+    v = math.dist(traj[0][:2], traj[1][:2]) / p.dt if len(traj) > 1 else 0.0
+    velocity = min(1.0, v / p.v_max)
+    return p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
+
+
 def _select_like_dwa(pose, current, goal, grid, p):
     """Independent re-statement of the documented selection rule:
     v-major sample grid, best score wins, ties prefer smaller |omega|."""
@@ -211,7 +258,7 @@ def _select_like_dwa(pose, current, goal, grid, p):
     for v in samples(v_lo, v_hi, p.samples_v):
         for omega in samples(w_lo, w_hi, p.samples_omega):
             cmd = VelocityCommand(v, omega)
-            score = score_trajectory(rollout(pose, cmd, p), goal, grid, p)
+            score = _ref_score(_ref_rollout(pose, cmd, p), goal, grid, p)
             if score is None:
                 continue
             if best is None or score > best_score or (
@@ -221,23 +268,62 @@ def _select_like_dwa(pose, current, goal, grid, p):
     return best if best is not None else VelocityCommand(0.0, p.omega_max / 2.0)
 
 
-def test_dwa_selection_matches_reference_argmax():
-    rng = SplitMix64(77)
-    for _ in range(15):
-        cells = np.zeros((30, 30), dtype=bool)
-        for r in range(30):
-            for c in range(30):
-                cells[r, c] = rng.random() < 0.2
-        grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
-        free = np.argwhere(~cells)
+def _random_case(rng, i):
+    """Random grid, pose, current command, goal and parameters for case i.
+    The residues of i pick the edge cases: a fully blocked grid
+    (i % 10 == 1), an empty one (i % 4 == 0), a pose on the outer boundary
+    (i % 7 == 3) or anywhere, off-grid included (i % 7 == 5), and
+    non-default parameters (i % 4 == 1)."""
+    n_rows, n_cols = 4 + rng.randint(27), 4 + rng.randint(27)
+    density = 1.0 if i % 10 == 1 else (0.0, 0.01, 0.03, 0.1)[i % 4]
+    cells = np.array(
+        [[rng.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
+    )
+    res = rng.uniform(0.05, 0.4)
+    grid = OccupancyGrid(res, (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)), cells)
+    w, h = n_cols * res, n_rows * res
+    ox, oy = grid.origin
+    free = np.argwhere(~cells)
+    if i % 7 == 3:
+        # On the outer boundary or within its 1e-9 snap, which maps inward.
+        x, y = ox + w + rng.uniform(0.0, 9e-10), oy + rng.uniform(0.0, h)
+    elif i % 7 == 5 or len(free) == 0:
+        x, y = ox + rng.uniform(-0.5, w + 0.5), oy + rng.uniform(-0.5, h + 0.5)
+    else:
         row, col = free[rng.randint(len(free))]
-        pose = (grid.cell_center(row, col)[0], grid.cell_center(row, col)[1],
-                rng.uniform(-math.pi, math.pi))
-        current = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
-        goal = (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
-        assert dwa_step(pose, current, goal, grid, P) == _select_like_dwa(
-            pose, current, goal, grid, P
+        x, y = grid.cell_center(int(row), int(col))
+    pose = (x, y, rng.uniform(-math.pi, math.pi))
+    current = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
+    goal = (ox + rng.uniform(-1.0, w + 1.0), oy + rng.uniform(-1.0, h + 1.0))
+    p = P
+    if i % 4 == 1:
+        p = DwaParams(
+            samples_v=1 + rng.randint(4) * (i % 8 != 1),
+            samples_omega=1 + rng.randint(9) * (i % 8 != 5),
+            horizon=(0.05, 0.35, 1.0)[rng.randint(3)],  # 0.05 < dt
+            d_sat=rng.uniform(0.1, 1.0),
+            # Without the heading term, candidates of one speed tie on open
+            # ground, so the |omega| tie-break decides.
+            w_heading=(0.0, 0.5)[rng.randint(2)],
         )
+    return grid, pose, current, goal, p
+
+
+def test_dwa_selection_matches_reference_argmax():
+    """The batched controller picks exactly the scalar reference's command,
+    and its one-candidate views match the reference rollout and score, on
+    empty, fully blocked and random grids, off-grid and boundary poses,
+    single-sample windows and a horizon shorter than dt."""
+    rng = SplitMix64(77)
+    for i in range(300):
+        grid, pose, current, goal, p = _random_case(rng, i)
+        assert dwa_step(pose, current, goal, grid, p) == _select_like_dwa(
+            pose, current, goal, grid, p
+        ), i
+        cmd = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
+        traj = rollout(pose, cmd, p)
+        assert traj == _ref_rollout(pose, cmd, p)
+        assert score_trajectory(traj, goal, grid, p) == _ref_score(traj, goal, grid, p)
 
 
 # -- config parsing ----------------------------------------------------------------
