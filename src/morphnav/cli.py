@@ -20,7 +20,7 @@ import os
 import sys
 
 from .costmodel import CostModel, config_from_dict, cost_section, load_config_file
-from .env import Aabb, Environment, environment_from_dict
+from .env import Aabb, Environment, environment_from_dict, point_from_json
 from .errors import (
     ConfigError,
     NoPathError,
@@ -85,12 +85,12 @@ def _load_scenario(path: str):
     field except the seed, which comes from --seed."""
     raw = load_config_file(path)
     env = environment_from_dict(raw)
-    start = tuple(float(v) for v in raw["start"]) if "start" in raw else None
-    waypoints = (
-        [tuple(float(v) for v in wp) for wp in raw["waypoints"]]
-        if "waypoints" in raw
-        else None
-    )
+    start = point_from_json(raw["start"], "start") if "start" in raw else None
+    waypoints = None
+    if "waypoints" in raw:
+        if not isinstance(raw["waypoints"], list):
+            raise ConfigError(f"waypoints must be a list, got {raw['waypoints']!r}")
+        waypoints = [point_from_json(p, f"waypoints[{i}]") for i, p in enumerate(raw["waypoints"])]
     prm = raw.get("prm", {})
     if not isinstance(prm, dict):
         raise ConfigError("'prm' section must be an object")

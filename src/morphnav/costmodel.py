@@ -98,21 +98,6 @@ class CostModel:
         climb = max(0.0, goal[2] - position[2])
         return (self.ground_power / self.ground_speed) * d_xy + self.mass * self.gravity * climb
 
-    def prose_heuristic(self, position, goal) -> float:
-        """Literal decomposition: walk the straight line, fly the altitude gap.
-
-        Not a lower bound (vertical flight pays hover power both ways), so
-        plans using it carry no optimality guarantee; kept for comparison.
-        """
-        dx = goal[0] - position[0]
-        dy = goal[1] - position[1]
-        d_xy = math.hypot(dx, dy)
-        dz = goal[2] - position[2]
-        walk = (self.ground_power / self.ground_speed) * d_xy
-        if dz == 0.0:
-            return walk
-        return walk + self.flight_edge_cost(abs(dz), position[2], goal[2])
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
@@ -172,8 +157,3 @@ def cost_section(d: dict) -> dict:
     `dwa` and `sim` controller sections."""
     return {k: v for k, v in d.items() if k not in ("dwa", "sim")}
 
-
-def load_cost_config(path) -> CostModel:
-    """Load just the CostModel from a config file, ignoring its `dwa` and
-    `sim` sections; any other unknown top-level key is a ConfigError."""
-    return config_from_dict(CostModel, cost_section(load_config_file(path)), "cost")

@@ -48,11 +48,6 @@ class Aabb:
                     f"{lo[axis]} >= {hi[axis]}"
                 )
 
-    def distance_to_point(self, p) -> float:
-        """Euclidean distance from p to the box surface (0 inside)."""
-        q = np.clip(np.asarray(p, dtype=float), self.min_corner, self.max_corner)
-        return float(np.linalg.norm(np.asarray(p, dtype=float) - q))
-
     def overlaps(self, other: "Aabb") -> bool:
         """Closed-interval overlap test on all three axes."""
         for axis in range(3):
@@ -189,9 +184,6 @@ class Environment:
             return np.full(x.shape, self.ground_const)
         return self.heightmap.elevations(x, np.asarray(y, dtype=float))
 
-    def is_flat(self) -> bool:
-        return self.ground_const is not None
-
     # -- collision --------------------------------------------------------
 
     def points_in_collision(self, pts: np.ndarray, clearance: float) -> np.ndarray:
@@ -224,23 +216,14 @@ class Environment:
         the step cannot slip between samples; both endpoints are always
         included. Degenerate segments reduce to a point test.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
         step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-        n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
-        ts = np.linspace(0.0, 1.0, n)
-        pts = a[None, :] + ts[:, None] * (b - a)[None, :]
+        pts = _segment_points(a, b, step)
         return bool(self.points_in_collision(pts, clearance).any())
 
     def segment_on_ground(self, a, b, tol: float = 1e-6) -> bool:
-        """True when every sample along a-b lies on the ground surface."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        n = max(2, int(math.ceil(length / 0.05)) + 1) if length > 0.0 else 1
-        ts = np.linspace(0.0, 1.0, n)
-        pts = a[None, :] + ts[:, None] * (b - a)[None, :]
+        """True when every sample along a-b, 0.05 m apart, lies on the
+        ground surface."""
+        pts = _segment_points(a, b, 0.05)
         ground = self.ground_heights(pts[:, 0], pts[:, 1])
         return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
 
@@ -266,6 +249,17 @@ class Environment:
                 }
             }
         return d
+
+
+def _segment_points(a, b, step: float) -> np.ndarray:
+    """(n, 3) samples along a-b no more than `step` apart, both endpoints
+    included; a degenerate segment gives the single point a."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.linalg.norm(b - a))
+    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
+    ts = np.linspace(0.0, 1.0, n)
+    return a[None, :] + ts[:, None] * (b - a)[None, :]
 
 
 class OccupancyGrid:
@@ -299,9 +293,6 @@ class OccupancyGrid:
         """Number of columns (x direction)."""
         return self.cells.shape[1]
 
-    def in_grid(self, row: int, col: int) -> bool:
-        return 0 <= row < self.height and 0 <= col < self.width
-
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing world point (x, y); points on a shared edge fall
         into the higher-index cell, except the outer boundary which maps
@@ -328,18 +319,7 @@ class OccupancyGrid:
 
     def occupied(self, row: int, col: int) -> bool:
         """Occupancy at a cell; anything outside the raster counts occupied."""
-        if not self.in_grid(row, col):
-            return True
-        return bool(self.cells[row, col])
-
-    def occupied_at_world(self, x: float, y: float) -> bool:
-        return bool(self.occupied_at(*self.world_to_cells(x, y)))
-
-    def distance_to_occupied(self, x: float, y: float) -> float:
-        """Approximate clearance (m) from (x, y) to the nearest occupied
-        cell, measured between cell centers. Infinite on an empty grid;
-        zero inside occupied or off-grid cells."""
-        return float(self.clearance_at(*self.world_to_cells(x, y)))
+        return bool(self.occupied_at(row, col))
 
     def occupied_at(self, rows, cols) -> np.ndarray:
         """Array form of occupied: True where a cell is occupied or off-grid."""
@@ -347,8 +327,9 @@ class OccupancyGrid:
         return ~inside | self.cells[r, c]
 
     def clearance_at(self, rows, cols) -> np.ndarray:
-        """Array form of the clearance behind distance_to_occupied, indexed by
-        cell: meters to the nearest occupied cell center, 0 off-grid."""
+        """Clearance by cell: meters from each cell center to the nearest
+        occupied cell center. Infinite on an empty grid; zero on occupied
+        and off-grid cells."""
         if self._distance_cells is None:
             dist = edt(self.cells)
             dist.flags.writeable = False
@@ -482,12 +463,31 @@ def project_to_grid(
 # -- serialization ---------------------------------------------------------
 
 
+def point_from_json(value, field: str) -> tuple[float, float, float]:
+    """A scenario point: a JSON array of exactly three numbers. Raises
+    ConfigError naming `field` on anything else."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{field} must be a list of three numbers, got {value!r}")
+    return tuple(_number_from_json(v, f"{field}[{i}]") for i, v in enumerate(value))
+
+
+def _number_from_json(value, field: str) -> float:
+    """A JSON number (not a boolean) as a float; ConfigError otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{field} must be a number, got {value!r}")
+
+
 def environment_from_dict(d: dict) -> Environment:
     """Build an Environment from the scenario JSON schema."""
     try:
-        bounds = Aabb(tuple(d["bounds"]["min"]), tuple(d["bounds"]["max"]), "bounds")
+        lo, hi = d["bounds"]["min"], d["bounds"]["max"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"invalid or missing bounds: {exc}") from exc
+    bounds = Aabb(point_from_json(lo, "bounds min"), point_from_json(hi, "bounds max"), "bounds")
     ground = d.get("ground", {"const": 0.0})
     if isinstance(ground, (int, float)) and not isinstance(ground, bool):
         ground = {"const": float(ground)}
@@ -496,7 +496,7 @@ def environment_from_dict(d: dict) -> Environment:
     ground_const = None
     heightmap = None
     if "const" in ground:
-        ground_const = float(ground["const"])
+        ground_const = _number_from_json(ground["const"], "ground const")
     elif "heightmap" in ground:
         hm = ground["heightmap"]
         try:
@@ -513,14 +513,22 @@ def environment_from_dict(d: dict) -> Environment:
             raise ConfigError(f"invalid heightmap: {exc}") from exc
     else:
         raise ConfigError("ground must specify 'const' or 'heightmap'")
+    raw_obstacles = d.get("obstacles", [])
+    if not isinstance(raw_obstacles, list):
+        raise ConfigError(f"obstacles must be a list, got {raw_obstacles!r}")
     obstacles = []
-    for i, od in enumerate(d.get("obstacles", [])):
+    for i, od in enumerate(raw_obstacles):
         try:
-            obstacles.append(
-                Aabb(tuple(od["min"]), tuple(od["max"]), od.get("name", f"obstacle{i}"))
-            )
+            lo, hi = od["min"], od["max"]
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"invalid obstacle {i}: {exc}") from exc
+        obstacles.append(
+            Aabb(
+                point_from_json(lo, f"obstacle {i} min"),
+                point_from_json(hi, f"obstacle {i} max"),
+                od.get("name", f"obstacle{i}"),
+            )
+        )
     return Environment(bounds, obstacles, ground_const, heightmap)
 
 

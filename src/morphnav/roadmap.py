@@ -195,42 +195,20 @@ def sample_air_node(env: Environment, params: PrmParams, rng: SplitMix64):
 # -- construction --------------------------------------------------------------
 
 
-def connect_node(
-    roadmap: Roadmap,
-    node: RoadmapNode,
-    env: Environment,
-    cm: CostModel,
-    params: PrmParams,
-    radius: float | None = None,
-) -> Roadmap:
-    """Insert `node` and add every valid edge to nodes within the radius.
-
-    An edge is valid when the straight segment is collision-free at the
-    build clearance; driving edges additionally require every sample of the
-    segment to lie on the ground surface (flat-ground traversal). Edges are
-    stored with the lower node id first, so the stored cost orientation is
-    from the older node toward the newer one.
-    """
-    if node.id != len(roadmap.nodes):
-        raise ValueError("node id must be the next free id")
-    roadmap.add_node(node.position, node.mode)
-    _connect_edges(
-        roadmap, node.id, env, cm, params, roadmap.radius if radius is None else radius
-    )
-    return roadmap
-
-
 def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap:
-    """Sample and connect a full roadmap: all ground nodes first, then all
-    aerial nodes, each connected on insertion."""
+    """Sample a full roadmap, then connect it.
+
+    All ground nodes are sampled first, then all aerial nodes, from one
+    stream; sampling never looks at edges. Nodes are then inserted in id
+    order, each connected to the nodes inserted before it.
+    """
     rng = SplitMix64(params.seed)
+    ground = [sample_ground_node(env, params, rng) for _ in range(params.n_ground)]
+    air = [sample_air_node(env, params, rng) for _ in range(params.n_air)]
     roadmap = Roadmap(params.radius)
-    for _ in range(params.n_ground):
-        pos = sample_ground_node(env, params, rng)
-        connect_node(roadmap, RoadmapNode(len(roadmap.nodes), pos, NodeMode.GROUND), env, cm, params)
-    for _ in range(params.n_air):
-        pos = sample_air_node(env, params, rng)
-        connect_node(roadmap, RoadmapNode(len(roadmap.nodes), pos, NodeMode.AERIAL), env, cm, params)
+    for nid, pos in enumerate(ground + air):
+        roadmap.add_node(pos, NodeMode.GROUND if nid < len(ground) else NodeMode.AERIAL)
+        _connect_edges(roadmap, nid, env, cm, params, roadmap.radius)
     return roadmap
 
 
@@ -258,8 +236,8 @@ def insert_query_nodes(
         if nearest is not None and nearest[1] <= DUPLICATE_NODE_TOL:
             ids.append(nearest[0])
             continue
-        node = RoadmapNode(len(roadmap.nodes), snapped, NodeMode.GROUND)
-        connect_node(roadmap, node, env, cm, params)
+        node = roadmap.add_node(snapped, NodeMode.GROUND)
+        _connect_edges(roadmap, node.id, env, cm, params, roadmap.radius)
         if roadmap.degree(node.id) == 0:
             _connect_edges(roadmap, node.id, env, cm, params, 2.0 * roadmap.radius)
         if roadmap.degree(node.id) == 0:
@@ -276,7 +254,15 @@ def _connect_edges(
     params: PrmParams,
     radius: float,
 ) -> None:
-    """Add every valid edge between an inserted node and its neighbors."""
+    """Add every valid edge between an inserted node and the nodes within
+    `radius` of it, in ascending id order.
+
+    An edge is valid when the straight segment is collision-free at the
+    build clearance; driving edges additionally require every sample of the
+    segment to lie on the ground surface (flat-ground traversal). Edges are
+    stored with the lower node id first, so the stored cost orientation is
+    from the older node toward the newer one.
+    """
     node = roadmap.nodes[nid]
     for other_id in roadmap.neighbors_within(node.position, radius):
         if other_id == nid:

@@ -239,33 +239,6 @@ def _apply_flight_velocity(
     return RobotState(x, y, z, state.yaw, speed, 0.0, LocomotionMode.UAS)
 
 
-def step_uas(
-    state: RobotState,
-    waypoint: tuple[float, float, float],
-    speed: float,
-    env: Environment,
-    dt: float,
-) -> RobotState:
-    """Advance a flying robot one tick straight toward a waypoint at up to
-    `speed`, stopping exactly on it rather than overshooting."""
-    if state.mode is not LocomotionMode.UAS:
-        raise ValueError("step_uas requires UAS mode")
-    pos = (state.x, state.y, state.z)
-    dist = math.dist(pos, waypoint)
-    if dist == 0.0:
-        return RobotState(
-            state.x, state.y, state.z, state.yaw, 0.0, 0.0, LocomotionMode.UAS
-        )
-    step = min(speed * dt, dist)
-    f = step / dist
-    vel = (
-        (waypoint[0] - pos[0]) * f / dt,
-        (waypoint[1] - pos[1]) * f / dt,
-        (waypoint[2] - pos[2]) * f / dt,
-    )
-    return _apply_flight_velocity(state, vel, env, dt)
-
-
 # -- mission executor -----------------------------------------------------------
 
 
@@ -315,7 +288,6 @@ class Mission:
         self._phase_start_t = 0.0
         self.tick = 0
         self.wp_idx = 0
-        self.waypoints_reached = 0
         self.morph_count = 0
         self.descend_overshoot = 0.0
         self.reason = ""
@@ -326,8 +298,6 @@ class Mission:
         self._intent = VelocityCommand(0.0, 0.0)
         self._morph_ticks = 0
         self._morph_ticks_needed = max(1, int(math.ceil(cm.morph_duration / cfg.dt - 1e-9)))
-        self._morph_target_mode = LocomotionMode.UAS
-        self._flight_anchor: tuple[float, float] | None = None
         self._land_z = 0.0
         self._failure_pending = self._preflight_check()
         self._record()  # initial condition row at t = 0
@@ -373,21 +343,15 @@ class Mission:
 
     # -- per-phase control -------------------------------------------------
 
-    def _enter_morph(self, target_mode: LocomotionMode) -> None:
-        self._morph_target_mode = target_mode
+    def _enter_morph(self, phase: MissionPhase) -> None:
         self._morph_ticks = 0
         self._intent = VelocityCommand(0.0, 0.0)
-        self._set_phase(
-            MissionPhase.MORPH_TO_UAS
-            if target_mode is LocomotionMode.UAS
-            else MissionPhase.MORPH_TO_UGV
-        )
+        self._set_phase(phase)
 
     def _control_ground_nav(self) -> tuple[float, float, float, float, float]:
         vx, vy, vz, vyaw = self._view()
         wp = self.waypoints[self.wp_idx]
         if math.hypot(wp[0] - vx, wp[1] - vy) <= self.cfg.goal_tolerance:
-            self.waypoints_reached += 1
             self.wp_idx += 1
             self._path = None
             if self.wp_idx >= len(self.waypoints):
@@ -414,8 +378,7 @@ class Mission:
                         f"no drivable path to waypoint {self.wp_idx} and flight disabled"
                     )
                     return _ZERO_CMD
-                self._enter_morph(LocomotionMode.UAS)
-                self._flight_anchor = None
+                self._enter_morph(MissionPhase.MORPH_TO_UAS)
                 return _ZERO_CMD
         carrot = self._carrot(wp, (vx, vy))
         cmd = dwa_step((vx, vy, vyaw), self._intent, carrot, self.grid, self.dwa)
@@ -460,9 +423,8 @@ class Mission:
             # Snap the bucket so completed morphs cost exactly C_t each,
             # free of per-tick accumulation dust.
             self.ledger.transition = self.morph_count * self.cm.transition_cost()
-            if self._morph_target_mode is LocomotionMode.UAS:
+            if self.phase is MissionPhase.MORPH_TO_UAS:
                 self.state.mode = LocomotionMode.UAS
-                self._flight_anchor = (self.state.x, self.state.y)
                 self._set_phase(MissionPhase.TAKEOFF)
             else:
                 self.state.mode = LocomotionMode.UGV
@@ -477,10 +439,9 @@ class Mission:
         if vz_ >= self.cfg.cruise_altitude - 1e-9:
             self._set_phase(MissionPhase.CRUISE)
             return self._control_cruise()
-        anchor = self._flight_anchor or (self.state.x, self.state.y)
         vel = _flight_velocity_toward(
             (vx_, vy_, vz_),
-            (anchor[0], anchor[1], self.cfg.cruise_altitude),
+            (vx_, vy_, self.cfg.cruise_altitude),
             0.0,
             self.cfg.climb_rate,
             self.cfg.dt,
@@ -507,7 +468,7 @@ class Mission:
         vx_, vy_, vz_, _ = self._view()
         if vz_ <= self._land_z + 1e-9 and self.state.v <= 1e-9:
             # Touched down and the delayed actuation has drained.
-            self._enter_morph(LocomotionMode.UGV)
+            self._enter_morph(MissionPhase.MORPH_TO_UGV)
             return _ZERO_CMD
         if vz_ <= self._land_z + 1e-9:
             return _ZERO_CMD
@@ -617,7 +578,7 @@ class Mission:
             timeline=self.timeline,
             morph_count=self.morph_count,
             descend_overshoot=max(0.0, self.descend_overshoot),
-            waypoints_reached=self.waypoints_reached,
+            waypoints_reached=self.wp_idx,
             final_state=self.state,
         )
 

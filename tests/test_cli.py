@@ -16,6 +16,7 @@ REPO = Path(__file__).resolve().parents[1]
 ARENA = str(REPO / "scenarios" / "walled_arena.json")
 OPEN_FIELD = str(REPO / "scenarios" / "open_field.json")
 DEFAULT_COSTS = str(REPO / "scenarios" / "default_costs.json")
+README = REPO / "README.md"
 
 
 def run_cli(*args):
@@ -59,27 +60,52 @@ def test_usage_problems_exit_one():
 
 
 def test_bad_config_files_exit_one(tmp_path):
-    # bad keys and values in a cost config or a scenario prm block are
-    # config errors, never tracebacks or silently dropped settings
+    # bad keys and values in a cost config, a scenario prm block or the
+    # scenario's own keys are config errors, never tracebacks or silently
+    # dropped settings
     scenario = json.loads(Path(ARENA).read_text())
+    bounds = scenario["bounds"]
+    wall = scenario["obstacles"][0]
     cases = [
         ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
         ("cost", {"sim": {"dt": "fast"}}, "sim parameter 'dt' must be a number"),
         ("cost", {"flight_pwr": 900}, "unknown cost parameter(s): ['flight_pwr']"),
-        ("scenario", {"n_ground": "300"}, "prm parameter 'n_ground' must be an integer"),
-        ("scenario", {"seed": 3}, "'prm' must not set 'seed'"),
+        ("prm", {"n_ground": "300"}, "prm parameter 'n_ground' must be an integer"),
+        ("prm", {"seed": 3}, "'prm' must not set 'seed'"),
+        ("top", {"start": "abc"}, "start must be a list of three numbers"),
+        ("top", {"start": 5}, "start must be a list of three numbers"),
+        ("top", {"start": [1, "x", 0]}, "start[1] must be a number"),
+        ("top", {"start": [1, 3]}, "start must be a list of three numbers"),
+        ("top", {"waypoints": 5}, "waypoints must be a list"),
+        ("top", {"waypoints": [[4, "q", 0]]}, "waypoints[0][1] must be a number"),
+        ("top", {"obstacles": 5}, "obstacles must be a list"),
+        ("top", {"ground": {"const": "x"}}, "ground const must be a number"),
+        (
+            "top",
+            {"bounds": {**bounds, "min": [0, "a", 0]}},
+            "bounds min[1] must be a number",
+        ),
+        (
+            "top",
+            {"obstacles": [{**wall, "max": [5, "b", 2]}]},
+            "obstacle 0 max[1] must be a number",
+        ),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
         if kind == "cost":
             path.write_text(json.dumps(patch))
             args = ("simulate", "--env", ARENA, "--cost-config", path)
-        else:
+        elif kind == "prm":
             path.write_text(json.dumps({**scenario, "prm": {**scenario["prm"], **patch}}))
             args = ("roadmap", "--env", path)
+        else:
+            path.write_text(json.dumps({**scenario, **patch}))
+            args = ("plan", "--env", path)
         proc = run_cli(*args, "--out", tmp_path / "out")
         assert proc.returncode == 1, patch
         assert f"config error: {fragment}" in proc.stderr, (patch, proc.stderr)
+        assert "Traceback" not in proc.stderr, patch
 
 
 def test_isolated_query_exits_two(tmp_path):
@@ -398,15 +424,45 @@ def test_console_script_available():
 
 def test_runtime_path_does_not_import_scipy(tmp_path):
     # scipy is a test-only dependency. Importing it costs tens of MB and a
-    # large share of a cold start, so the CLI and a full mission must not
-    # pull it in.
+    # large share of a cold start, so no subcommand may pull it in.
+    commands = [
+        ["roadmap", "--env", ARENA],
+        ["plan", "--env", ARENA],
+        ["simulate", "--env", ARENA],
+        ["oracle", "--n", "2", "--queries", "3"],
+    ]
     code = (
         "import sys\n"
         "import morphnav.cli\n"
-        f"rc = morphnav.cli.main(['simulate', '--env', {ARENA!r}, '--out', {str(tmp_path)!r}])\n"
-        "assert rc == 0, rc\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        f"for argv in {commands!r}:\n"
+        f"    rc = morphnav.cli.main(argv + ['--out', {str(tmp_path)!r}])\n"
+        "    assert rc == 0, (argv, rc)\n"
+        "    assert 'scipy' not in sys.modules, ('scipy was imported', argv)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "mission.json").exists()
+    for name in ("roadmap.json", "plan.json", "mission.json", "oracle.json"):
+        assert (tmp_path / name).exists(), name
+
+
+def test_readme_quick_start_output(tmp_path):
+    # The quick start shows what `plan` and `simulate` print, as comment
+    # lines under each command; the commands must print exactly that.
+    block = README.read_text().split("## Quick start", 1)[1]
+    lines = block.split("```sh", 1)[1].split("```", 1)[0].splitlines()
+    checked = []
+    for i, line in enumerate(lines):
+        if not line.startswith(("morphnav plan ", "morphnav simulate ")):
+            continue
+        shown = []
+        for nxt in lines[i + 1 :]:
+            if not nxt.startswith("# "):
+                break
+            shown.append(nxt[2:])
+        args = line.split()[1:]
+        args[args.index("--out") + 1] = str(tmp_path)
+        proc = run_cli(*args)
+        assert proc.returncode == 0, (line, proc.stderr)
+        assert proc.stdout == " ".join(shown) + "\n", line
+        checked.append(args[0])
+    assert checked == ["plan", "simulate"]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from morphnav.costmodel import CostModel, config_from_dict, cost_section, load_cost_config
+from morphnav.costmodel import CostModel, config_from_dict, cost_section
 from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
 
@@ -148,22 +148,6 @@ def test_heuristic_triangle_inequality():
         assert CM.heuristic(b, g) <= edge + CM.heuristic(a, g) + 1e-9
 
 
-def test_prose_heuristic_dominates_lower_bound():
-    rng = SplitMix64(9)
-    for _ in range(300):
-        a = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), rng.uniform(0.0, 4.0))
-        b = (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), rng.uniform(0.0, 4.0))
-        assert CM.prose_heuristic(a, b) >= CM.heuristic(a, b) - 1e-12
-
-
-def test_prose_heuristic_is_not_admissible():
-    # Walking the footprint then climbing vertically can cost more than one
-    # direct diagonal flight edge, so the decomposition overestimates.
-    a, b = (0.0, 0.0, 0.0), (0.1, 0.0, 2.0)
-    direct = CM.flight_edge_cost(math.dist(a, b), a[2], b[2])
-    assert CM.prose_heuristic(a, b) > direct
-
-
 # -- config parsing ---------------------------------------------------------------
 
 
@@ -206,14 +190,6 @@ def test_to_dict_round_trip():
     assert config_from_dict(CostModel, cm.to_dict(), "cost") == cm
 
 
-def test_load_cost_config_ignores_controller_blocks(tmp_path):
-    path = tmp_path / "costs.json"
-    path.write_text(json.dumps({"mass": 6.0, "dwa": {"v_max": 1.0}, "sim": {}}))
-    assert load_cost_config(path) == CostModel()
-    with pytest.raises(ConfigError):
-        load_cost_config(tmp_path / "nope.json")
-
-
 def test_default_config_file_matches_defaults():
     import dataclasses
     from pathlib import Path
@@ -223,7 +199,6 @@ def test_default_config_file_matches_defaults():
     from morphnav.sim import SimConfig
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
-    assert load_cost_config(path) == CostModel()
     assert _load_configs(str(path)) == (CostModel(), DwaParams(), SimConfig())
     # The file restates every default, so it names every field.
     raw = json.loads(path.read_text())

@@ -39,17 +39,6 @@ def test_aabb_rejects_degenerate_and_inverted():
         Aabb((0.0, 0.0, 0.0), (1.0, -1.0, 1.0))
 
 
-def test_aabb_distance_to_point():
-    box = Aabb((0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
-    assert box.distance_to_point((1.0, 1.0, 1.0)) == 0.0
-    assert box.distance_to_point((3.0, 1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
-    assert box.distance_to_point((3.0, 3.0, 3.0)) == pytest.approx(
-        math.sqrt(3.0), abs=1e-12
-    )
-    # On the surface counts as zero distance.
-    assert box.distance_to_point((2.0, 1.0, 1.0)) == 0.0
-
-
 def test_aabb_overlaps_is_closed():
     a = Aabb((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
     assert a.overlaps(Aabb((1.0, 0.0, 0.0), (2.0, 1.0, 1.0)))  # face contact
@@ -93,8 +82,8 @@ def test_environment_requires_exactly_one_ground_source():
         Environment(bounds, ground_const=0.0, heightmap=hm)
     with pytest.raises(ConfigError):
         Environment(bounds, ground_const=None, heightmap=None)
-    assert Environment(bounds, ground_const=0.0).is_flat()
-    assert not Environment(bounds, ground_const=None, heightmap=hm).is_flat()
+    assert Environment(bounds, ground_const=0.0).heightmap is None
+    assert Environment(bounds, ground_const=None, heightmap=hm).heightmap is hm
 
 
 def test_environment_rejects_bad_ground_and_stray_obstacle():
@@ -206,8 +195,8 @@ def test_world_to_cell_edges_and_boundary():
     assert grid.world_to_cell(0.5, 2.0) == (2, 0)
     # The outer boundary maps inward so the footprint stays covered.
     assert grid.world_to_cell(4.0, 4.0) == (3, 3)
-    assert grid.occupied_at_world(-0.1, 0.5)  # off-grid counts occupied
-    assert grid.occupied_at_world(4.1, 0.5)
+    assert grid.occupied(*grid.world_to_cell(-0.1, 0.5))  # off-grid counts occupied
+    assert grid.occupied(*grid.world_to_cell(4.1, 0.5))
 
 
 def test_cell_center_round_trip():
@@ -218,19 +207,20 @@ def test_cell_center_round_trip():
             assert grid.world_to_cell(x, y) == (row, col)
 
 
-def test_distance_to_occupied():
+def test_clearance_at():
+    def clearance(grid, x, y):
+        return float(grid.clearance_at(*grid.world_to_cells(x, y)))
+
     cells = np.zeros((5, 5), dtype=bool)
     cells[2, 2] = True
     grid = OccupancyGrid(1.0, (0.0, 0.0), cells)
     # Cell-center metric: (0,0) to (2,2) is sqrt(8) cells.
-    assert grid.distance_to_occupied(0.5, 0.5) == pytest.approx(
-        2.0 * math.sqrt(2.0), abs=1e-12
-    )
-    assert grid.distance_to_occupied(2.5, 2.5) == 0.0
-    assert grid.distance_to_occupied(2.5, 1.5) == pytest.approx(1.0, abs=1e-12)
-    assert grid.distance_to_occupied(-1.0, 0.5) == 0.0  # off-grid
+    assert clearance(grid, 0.5, 0.5) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+    assert clearance(grid, 2.5, 2.5) == 0.0
+    assert clearance(grid, 2.5, 1.5) == pytest.approx(1.0, abs=1e-12)
+    assert clearance(grid, -1.0, 0.5) == 0.0  # off-grid
     empty = OccupancyGrid(1.0, (0.0, 0.0), np.zeros((3, 3), dtype=bool))
-    assert math.isinf(empty.distance_to_occupied(1.5, 1.5))
+    assert math.isinf(clearance(empty, 1.5, 1.5))
 
 
 def test_edt_matches_scipy():
@@ -270,12 +260,15 @@ def test_array_lookups_match_scalar_forms():
     rows, cols = grid.world_to_cells(gx, gy)
     occ = grid.occupied_at(rows, cols)
     clear = grid.clearance_at(rows, cols)
+    dist = ndimage.distance_transform_edt(~cells) * grid.resolution
     for idx in np.ndindex(gx.shape):
         x, y = float(gx[idx]), float(gy[idx])
         row, col = grid.world_to_cell(x, y)
         assert (rows[idx], cols[idx]) == (row, col)
-        assert occ[idx] == grid.occupied(row, col)
-        assert clear[idx] == grid.distance_to_occupied(x, y)
+        inside = 0 <= row < grid.height and 0 <= col < grid.width
+        assert occ[idx] == (not inside or cells[row, col])
+        assert grid.occupied(row, col) == occ[idx]
+        assert clear[idx] == (dist[row, col] if inside else 0.0)
 
 
 def test_grid_cells_immutable():
@@ -417,7 +410,7 @@ def test_environment_from_dict_accepts_bare_ground_number():
         "obstacles": [],
     }
     env = environment_from_dict(d)
-    assert env.is_flat() and env.ground_const == 0.0
+    assert env.heightmap is None and env.ground_const == 0.0
     d["ground"] = "sea level"
     with pytest.raises(ConfigError):
         environment_from_dict(d)

@@ -227,7 +227,7 @@ def _ref_score(traj, goal, grid, p):
     d_min = math.inf
     for x, y, _ in traj:
         row, col = _ref_cell(grid, x, y)
-        if not grid.in_grid(row, col) or grid.cells[row, col]:
+        if not (0 <= row < grid.height and 0 <= col < grid.width) or grid.cells[row, col]:
             return None
         d = math.inf if dist is None else float(dist[row, col]) * grid.resolution
         d_min = min(d_min, d)

@@ -18,7 +18,6 @@ from morphnav.sim import (
     SimConfig,
     accumulate_energy,
     run_mission,
-    step_uas,
     step_ugv,
     trajectory_csv,
 )
@@ -96,41 +95,6 @@ def test_step_ugv_requires_ground_mode():
     state = RobotState(1.0, 1.0, 1.0, 0.0, mode=LocomotionMode.UAS)
     with pytest.raises(ValueError):
         step_ugv(state, VelocityCommand(0.0, 0.0), _open_env(), 0.1)
-
-
-def test_step_uas_pure_climb():
-    env = _open_env()
-    state = RobotState(3.0, 3.0, 0.5, 0.0, mode=LocomotionMode.UAS)
-    nxt = step_uas(state, (3.0, 3.0, 1.5), 0.5, env, 0.1)
-    assert abs(nxt.z - 0.55) < 1e-12
-    assert nxt.x == 3.0 and nxt.y == 3.0
-
-
-def test_step_uas_never_overshoots():
-    env = _open_env()
-    state = RobotState(3.0, 3.0, 1.48, 0.0, mode=LocomotionMode.UAS)
-    nxt = step_uas(state, (3.0, 3.0, 1.5), 1.0, env, 0.1)
-    assert abs(nxt.z - 1.5) < 1e-12
-    again = step_uas(nxt, (3.0, 3.0, 1.5), 1.0, env, 0.1)
-    assert again.z == nxt.z and again.v == 0.0
-
-
-def test_step_uas_horizontal_arrival_time():
-    env = _open_env()
-    state = RobotState(0.5, 0.5, 1.5, 0.0, mode=LocomotionMode.UAS)
-    target = (10.5, 0.5, 1.5)
-    ticks = 0
-    while math.dist((state.x, state.y, state.z), target) > 1e-9:
-        state = step_uas(state, target, 1.0, env, 0.1)
-        ticks += 1
-        assert ticks < 110
-    assert 99 <= ticks <= 101  # 10 m at 1 m/s, one tick of slack
-
-
-def test_step_uas_requires_air_mode():
-    state = RobotState(1.0, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        step_uas(state, (2.0, 2.0, 2.0), 1.0, _open_env(), 0.1)
 
 
 # -- energy integration --------------------------------------------------------
