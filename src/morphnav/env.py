@@ -209,23 +209,30 @@ class Environment:
         """Scalar form of points_in_collision; total over all of R^3."""
         return bool(self.points_in_collision(np.asarray(p, dtype=float), clearance)[0])
 
-    def segment_in_collision(self, a, b, clearance: float) -> bool:
-        """Swept test along segment a-b, sampled at a fixed spatial step.
+    def segments_in_collision(self, a, b, clearance: float) -> np.ndarray:
+        """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays,
+        sampled at a fixed spatial step.
 
         The step is min(0.05 m, clearance / 2) so thin obstacles larger than
         the step cannot slip between samples; both endpoints are always
-        included. Degenerate segments reduce to a point test.
+        included. A degenerate segment reduces to a point test.
         """
         step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-        pts = _segment_points(a, b, step)
-        return bool(self.points_in_collision(pts, clearance).any())
+        # points_in_collision makes (samples, obstacles, 3) temporaries.
+        chunk = max(1, SAMPLE_CHUNK // max(1, len(self.obstacles)))
+        return _any_sample(
+            a, b, step, chunk, lambda pts: self.points_in_collision(pts, clearance)
+        )
 
-    def segment_on_ground(self, a, b, tol: float = 1e-6) -> bool:
-        """True when every sample along a-b, 0.05 m apart, lies on the
-        ground surface."""
-        pts = _segment_points(a, b, 0.05)
-        ground = self.ground_heights(pts[:, 0], pts[:, 1])
-        return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+    def segments_on_ground(self, a, b, tol: float = 1e-6) -> np.ndarray:
+        """True for each segment a[k]-b[k] whose samples, 0.05 m apart, all
+        lie on the ground surface."""
+
+        def off_ground(pts):
+            ground = self.ground_heights(pts[:, 0], pts[:, 1])
+            return ~(np.abs(pts[:, 2] - ground) <= tol)
+
+        return ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
 
     def to_dict(self) -> dict:
         d = {
@@ -251,15 +258,56 @@ class Environment:
         return d
 
 
-def _segment_points(a, b, step: float) -> np.ndarray:
-    """(n, 3) samples along a-b no more than `step` apart, both endpoints
-    included; a degenerate segment gives the single point a."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
-    ts = np.linspace(0.0, 1.0, n)
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
+# Samples made and tested per pass of _any_sample (divided by the obstacle
+# count for collision tests). Keep the passes small and all the same size:
+# checking all of a walled-arena roadmap's segments at once holds about 9 MB
+# of samples, and arrays of many different small sizes are no better, because
+# numpy keeps freed buffers under 1 KB in a per-size cache (up to 7 per size)
+# that it never returns and that tracemalloc does not see, so RSS creeps up
+# over repeated builds.
+SAMPLE_CHUNK = 2048
+
+
+def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
+    """For each segment a[k]-b[k], whether `test` holds at any of its samples.
+
+    A segment of length L has n = ceil(L / step) + 1 samples (2 or more
+    unless L == 0) at the parameters np.linspace(0, 1, n) gives:
+    k * (1 / (n - 1)), the last exactly 1.0. `test` maps a (chunk, 3) array
+    of points to chunk booleans; the samples are made `chunk` at a time, in
+    segment order, and the last pass repeats the final sample to fill up.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    b = np.asarray(b, dtype=float).reshape(-1, 3)
+    if not len(a):
+        return np.zeros(0, dtype=bool)
+    d = b - a
+    # np.linalg.norm of each row, bit for bit: the stacked (1, 3) @ (3, 1)
+    # product runs numpy's dot kernel per row, as norm does. A plain sum of
+    # squares can round differently (the kernel may fuse multiply-adds) and
+    # move a sample count at a step boundary.
+    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m.
+    n = np.ceil(length / step).astype(np.int64) + 1
+    inv = 1.0 / np.maximum(n - 1, 1)
+    last = np.where(n > 1, n - 1, -1)
+    ends = np.cumsum(n)
+    starts = ends - n
+    total = int(ends[-1])
+    # Padding with the final sample leaves the last segment's result as is.
+    hit = np.empty(-(-total // chunk) * chunk, dtype=bool)
+    for s0 in range(0, total, chunk):
+        idx = np.arange(s0, s0 + chunk)
+        np.minimum(idx, total - 1, out=idx)
+        seg = np.searchsorted(ends, idx, side="right")
+        k = idx - starts[seg]
+        t = k * inv[seg]
+        t[k == last[seg]] = 1.0
+        pts = d[seg]
+        pts *= t[:, None]
+        pts += a[seg]
+        hit[s0 : s0 + chunk] = test(pts)
+    return np.logical_or.reduceat(hit, starts)
 
 
 class OccupancyGrid:
@@ -481,6 +529,42 @@ def _number_from_json(value, field: str) -> float:
     raise ConfigError(f"{field} must be a number, got {value!r}")
 
 
+def _finite_from_json(value, field: str) -> float:
+    """A finite JSON number as a float; ConfigError otherwise."""
+    x = _number_from_json(value, field)
+    if not math.isfinite(x):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return x
+
+
+def _heightmap_from_json(hm) -> Heightmap:
+    """A scenario heightmap: `origin` two numbers, `resolution` a positive
+    number, `rows` and `cols` integers >= 1, and `data` rows * cols numbers,
+    all finite. Raises ConfigError on anything else."""
+    if not isinstance(hm, dict):
+        raise ConfigError(f"heightmap must be an object, got {hm!r}")
+    missing = [k for k in ("origin", "resolution", "rows", "cols", "data") if k not in hm]
+    if missing:
+        raise ConfigError(f"heightmap is missing {missing}")
+    origin = hm["origin"]
+    if not isinstance(origin, list) or len(origin) != 2:
+        raise ConfigError(f"heightmap origin must be a list of two numbers, got {origin!r}")
+    origin = tuple(_finite_from_json(v, f"heightmap origin[{i}]") for i, v in enumerate(origin))
+    resolution = _finite_from_json(hm["resolution"], "heightmap resolution")
+    if resolution <= 0.0:
+        raise ConfigError(f"heightmap resolution must be positive, got {resolution!r}")
+    for key in ("rows", "cols"):
+        v = hm[key]
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise ConfigError(f"heightmap {key} must be an integer >= 1, got {v!r}")
+    rows, cols = hm["rows"], hm["cols"]
+    data = hm["data"]
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ConfigError(f"heightmap data must be a list of rows*cols = {rows * cols} numbers")
+    values = [_finite_from_json(v, f"heightmap data[{i}]") for i, v in enumerate(data)]
+    return Heightmap(origin, resolution, np.array(values).reshape(rows, cols))
+
+
 def environment_from_dict(d: dict) -> Environment:
     """Build an Environment from the scenario JSON schema."""
     try:
@@ -498,19 +582,7 @@ def environment_from_dict(d: dict) -> Environment:
     if "const" in ground:
         ground_const = _number_from_json(ground["const"], "ground const")
     elif "heightmap" in ground:
-        hm = ground["heightmap"]
-        try:
-            rows, cols = int(hm["rows"]), int(hm["cols"])
-            data = np.asarray(hm["data"], dtype=float)
-            if data.size != rows * cols:
-                raise ConfigError(
-                    f"heightmap data length {data.size} != rows*cols {rows * cols}"
-                )
-            heightmap = Heightmap(
-                tuple(hm["origin"]), float(hm["resolution"]), data.reshape(rows, cols)
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid heightmap: {exc}") from exc
+        heightmap = _heightmap_from_json(ground["heightmap"])
     else:
         raise ConfigError("ground must specify 'const' or 'heightmap'")
     raw_obstacles = d.get("obstacles", [])

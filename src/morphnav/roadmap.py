@@ -4,8 +4,9 @@ mode transitions.
 
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
-aerial ones, and each new node is connected to the already-inserted nodes in
-ascending id order. Two builds from the same parameters are bit-identical.
+aerial ones, and the edges and their order are those of connecting each node
+to the older nodes in ascending id order. Two builds from the same
+parameters are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .costmodel import CostModel
 from .env import Environment
@@ -22,6 +25,12 @@ from .rng import SplitMix64
 SAMPLE_RETRY_BUDGET = 1000
 GROUND_SURFACE_TOL = 1e-6
 DUPLICATE_NODE_TOL = 1e-9
+# Elements of one numpy pass of the candidate-pair search (rows x nodes x 3).
+PAIR_BLOCK = 1 << 13
+# Candidate pairs validated together. Groups this large keep every
+# per-candidate array above numpy's 1 KB small-buffer cache (see
+# env.SAMPLE_CHUNK) while bounding the memory one group holds.
+PAIR_GROUP = 2048
 
 
 class NodeMode(Enum):
@@ -35,14 +44,14 @@ class EdgeKind(Enum):
     TRANSITION = "Transition"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadmapNode:
     id: int
     position: tuple[float, float, float]
     mode: NodeMode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadmapEdge:
     """Undirected edge; `a < b` by construction and `cost` is the stored
     traversal energy for the a-to-b orientation, used for both directions."""
@@ -112,11 +121,6 @@ class Roadmap:
 
     def degree(self, nid: int) -> int:
         return len(self.adjacency[nid])
-
-    def neighbors_within(self, position, radius: float) -> list[int]:
-        """Node ids within `radius` of position, ascending."""
-        p = tuple(position)
-        return [n.id for n in self.nodes if math.dist(n.position, p) <= radius]
 
     def nearest_node(self, position) -> tuple[int, float] | None:
         """(id, distance) of the closest node, or None when empty."""
@@ -199,16 +203,18 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     """Sample a full roadmap, then connect it.
 
     All ground nodes are sampled first, then all aerial nodes, from one
-    stream; sampling never looks at edges. Nodes are then inserted in id
-    order, each connected to the nodes inserted before it.
+    stream; sampling never looks at edges. Every node is then connected to
+    the nodes before it in id order.
     """
     rng = SplitMix64(params.seed)
     ground = [sample_ground_node(env, params, rng) for _ in range(params.n_ground)]
     air = [sample_air_node(env, params, rng) for _ in range(params.n_air)]
     roadmap = Roadmap(params.radius)
-    for nid, pos in enumerate(ground + air):
-        roadmap.add_node(pos, NodeMode.GROUND if nid < len(ground) else NodeMode.AERIAL)
-        _connect_edges(roadmap, nid, env, cm, params, roadmap.radius)
+    for pos in ground:
+        roadmap.add_node(pos, NodeMode.GROUND)
+    for pos in air:
+        roadmap.add_node(pos, NodeMode.AERIAL)
+    _connect_edges(roadmap, 0, env, cm, params, roadmap.radius)
     return roadmap
 
 
@@ -248,14 +254,15 @@ def insert_query_nodes(
 
 def _connect_edges(
     roadmap: Roadmap,
-    nid: int,
+    first: int,
     env: Environment,
     cm: CostModel,
     params: PrmParams,
     radius: float,
 ) -> None:
-    """Add every valid edge between an inserted node and the nodes within
-    `radius` of it, in ascending id order.
+    """Add every valid edge between a node with id >= `first` and an older
+    node within `radius` of it, in the order that inserting the nodes one
+    at a time would: by newer id, then by older id.
 
     An edge is valid when the straight segment is collision-free at the
     build clearance; driving edges additionally require every sample of the
@@ -263,23 +270,56 @@ def _connect_edges(
     stored with the lower node id first, so the stored cost orientation is
     from the older node toward the newer one.
     """
-    node = roadmap.nodes[nid]
-    for other_id in roadmap.neighbors_within(node.position, radius):
-        if other_id == nid:
-            continue
-        other = roadmap.nodes[other_id]
-        length = math.dist(node.position, other.position)
-        if length <= DUPLICATE_NODE_TOL:
-            continue
-        kind = edge_kind_for(other.mode, node.mode)
-        if kind is EdgeKind.GROUND and not env.segment_on_ground(
-            other.position, node.position, GROUND_SURFACE_TOL
-        ):
-            continue
-        if env.segment_in_collision(other.position, node.position, params.clearance):
-            continue
-        cost = edge_cost_for(cm, kind, length, other.position[2], node.position[2])
-        roadmap.add_edge(other_id, nid, kind, length, cost)
+    nodes = roadmap.nodes
+    if first >= len(nodes):
+        return
+    pos = np.array([n.position for n in nodes])
+    # A margin for the numpy search; math.dist makes the exact closed-radius
+    # decision and gives the stored length.
+    reach2 = (radius * (1.0 + 1e-9)) ** 2
+    rows = max(1, PAIR_BLOCK // (3 * len(nodes)))
+    pairs = []
+    for i0 in range(first, len(nodes), rows):
+        i1 = min(i0 + rows, len(nodes))
+        diff = pos[i0:i1, None, :] - pos[None, :i1, :]
+        near = (diff * diff).sum(axis=2) <= reach2
+        near &= np.arange(i1)[None, :] < np.arange(i0, i1)[:, None]
+        new, old = np.nonzero(near)
+        for i, j in zip((new + i0).tolist(), old.tolist()):
+            node, other = nodes[i], nodes[j]
+            length = math.dist(node.position, other.position)
+            if DUPLICATE_NODE_TOL < length <= radius:
+                pairs.append((node, other, length))
+        if len(pairs) >= PAIR_GROUP or i1 == len(nodes):
+            _add_valid_edges(roadmap, pos, pairs, env, cm, params)
+            pairs = []
+
+
+def _add_valid_edges(
+    roadmap: Roadmap,
+    pos: np.ndarray,
+    pairs: list[tuple[RoadmapNode, RoadmapNode, float]],
+    env: Environment,
+    cm: CostModel,
+    params: PrmParams,
+) -> None:
+    """Validate candidate (newer node, older node, length) triples in
+    batched segment checks, each from the older node to the newer one, and
+    add the valid edges in list order. Edges take the nodes' own id
+    objects, so a roadmap holds one int per node, not two per edge."""
+    if not pairs:
+        return
+    new = np.array([node.id for node, _, _ in pairs])
+    old = np.array([other.id for _, other, _ in pairs])
+    kinds = [edge_kind_for(other.mode, node.mode) for node, other, _ in pairs]
+    ok = np.ones(len(pairs), dtype=bool)
+    drive = np.array([kind is EdgeKind.GROUND for kind in kinds])
+    ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]], GROUND_SURFACE_TOL)
+    ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
+    for (node, other, length), kind, valid in zip(pairs, kinds, ok.tolist()):
+        if valid:
+            cost = edge_cost_for(cm, kind, length, other.position[2], node.position[2])
+            roadmap.add_edge(other.id, node.id, kind, length, cost)
 
 
 # -- export -------------------------------------------------------------------

@@ -66,6 +66,11 @@ def test_bad_config_files_exit_one(tmp_path):
     scenario = json.loads(Path(ARENA).read_text())
     bounds = scenario["bounds"]
     wall = scenario["obstacles"][0]
+    flat = {"origin": [0, 0], "resolution": 6.0, "rows": 2, "cols": 3, "data": [0] * 6}
+
+    def heightmap(**patch):
+        return {"ground": {"heightmap": {**flat, **patch}}}
+
     cases = [
         ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
         ("cost", {"sim": {"dt": "fast"}}, "sim parameter 'dt' must be a number"),
@@ -90,6 +95,12 @@ def test_bad_config_files_exit_one(tmp_path):
             {"obstacles": [{**wall, "max": [5, "b", 2]}]},
             "obstacle 0 max[1] must be a number",
         ),
+        ("top", heightmap(origin=[0]), "heightmap origin must be a list of two numbers"),
+        ("top", heightmap(rows=2.7), "heightmap rows must be an integer >= 1"),
+        ("top", heightmap(rows=True, cols=6), "heightmap rows must be an integer >= 1"),
+        ("top", heightmap(resolution=True), "heightmap resolution must be a number"),
+        ("top", heightmap(data=[0] * 5 + ["nan"]), "heightmap data[5] must be a number"),
+        ("top", heightmap(resolution=1e309), "heightmap resolution must be finite"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"

@@ -8,10 +8,12 @@ import pytest
 from scipy import ndimage
 
 from morphnav.env import (
+    SAMPLE_CHUNK,
     Aabb,
     Environment,
     Heightmap,
     OccupancyGrid,
+    _any_sample,
     edt,
     environment_from_dict,
     load_environment,
@@ -144,12 +146,20 @@ def test_points_in_collision_matches_scalar():
 # -- segment collision -------------------------------------------------------
 
 
+def _one_hit(env, a, b, clearance):
+    return bool(env.segments_in_collision([a], [b], clearance)[0])
+
+
+def _one_on_ground(env, a, b):
+    return bool(env.segments_on_ground([a], [b])[0])
+
+
 def test_segment_collision_through_and_over_box():
     env = _box_env()
-    assert env.segment_in_collision((3.0, 5.0, 1.0), (7.0, 5.0, 1.0), 0.0)
+    assert _one_hit(env, (3.0, 5.0, 1.0), (7.0, 5.0, 1.0), 0.0)
     # 1 m above the box top: clears at 0.2, contact at 1.0 (closed).
-    assert not env.segment_in_collision((3.0, 5.0, 3.0), (7.0, 5.0, 3.0), 0.2)
-    assert env.segment_in_collision((3.0, 5.0, 3.0), (7.0, 5.0, 3.0), 1.0)
+    assert not _one_hit(env, (3.0, 5.0, 3.0), (7.0, 5.0, 3.0), 0.2)
+    assert _one_hit(env, (3.0, 5.0, 3.0), (7.0, 5.0, 3.0), 1.0)
 
 
 def test_segment_collision_catches_thin_wall():
@@ -158,21 +168,23 @@ def test_segment_collision_catches_thin_wall():
         obstacles=(Aabb((4.9, 0.0, 0.0), (5.1, 6.0, 1.0)),),
     )
     # Sampling step is at most 0.05 m, so a 0.2 m wall cannot slip through.
-    assert env.segment_in_collision((1.0, 3.0, 0.5), (11.0, 3.0, 0.5), 0.0)
-    assert env.segment_in_collision((1.0, 3.0, 0.0), (11.0, 3.0, 0.0), 0.35)
-    assert not env.segment_in_collision((1.0, 3.0, 2.0), (11.0, 3.0, 2.0), 0.35)
+    a = [(1.0, 3.0, 0.5), (1.0, 3.0, 0.0), (1.0, 3.0, 2.0)]
+    b = [(11.0, 3.0, 0.5), (11.0, 3.0, 0.0), (11.0, 3.0, 2.0)]
+    assert env.segments_in_collision(a, b, 0.0)[0]
+    assert env.segments_in_collision(a, b, 0.35).tolist() == [True, True, False]
 
 
 def test_segment_degenerate_reduces_to_point():
     env = _box_env()
-    assert env.segment_in_collision((5.0, 5.0, 1.0), (5.0, 5.0, 1.0), 0.0)
-    assert not env.segment_in_collision((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0)
+    assert _one_hit(env, (5.0, 5.0, 1.0), (5.0, 5.0, 1.0), 0.0)
+    assert not _one_hit(env, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0)
+    assert env.segments_in_collision(np.zeros((0, 3)), np.zeros((0, 3)), 0.1).shape == (0,)
 
 
 def test_segment_on_ground_flat_and_sloped():
     flat = _box_env()
-    assert flat.segment_on_ground((1.0, 1.0, 0.0), (2.0, 2.0, 0.0))
-    assert not flat.segment_on_ground((1.0, 1.0, 0.0), (2.0, 2.0, 0.5))
+    assert _one_on_ground(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.0))
+    assert not _one_on_ground(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.5))
     # Bilinear saddle: endpoints on the surface, chord off it in the middle.
     hm = Heightmap((0.0, 0.0), 1.0, [[0.0, 0.0], [0.0, 1.0]])
     env = Environment(
@@ -180,8 +192,176 @@ def test_segment_on_ground_flat_and_sloped():
     )
     a = (0.0, 0.0, 0.0)
     b = (1.0, 1.0, 1.0)
-    assert not env.segment_on_ground(a, b)
-    assert env.segment_on_ground(a, a)
+    assert not _one_on_ground(env, a, b)
+    assert _one_on_ground(env, a, a)
+
+
+# The per-segment checks the batched ones replaced, kept as the reference.
+
+
+def _ref_segment_points(a, b, step):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.linalg.norm(b - a))
+    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
+    ts = np.linspace(0.0, 1.0, n)
+    return a[None, :] + ts[:, None] * (b - a)[None, :]
+
+
+def _ref_step(clearance):
+    return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
+
+
+def _ref_in_collision(env, a, b, clearance):
+    pts = _ref_segment_points(a, b, _ref_step(clearance))
+    return bool(env.points_in_collision(pts, clearance).any())
+
+
+def _ref_on_ground(env, a, b, tol=1e-6):
+    pts = _ref_segment_points(a, b, 0.05)
+    ground = env.ground_heights(pts[:, 0], pts[:, 1])
+    return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+
+
+def _stepped_heightmap_env():
+    # Plateaus at 0, 0.5 and 1 m joined by one-lattice-cell ramps, two boxes.
+    row = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0]
+    hm = Heightmap((0.0, 0.0), 1.5, [row] * 5)
+    return Environment(
+        Aabb((0.0, 0.0, 0.0), (10.5, 6.0, 4.0)),
+        obstacles=(
+            Aabb((2.0, 2.0, 0.0), (2.5, 4.0, 2.0)),
+            Aabb((7.0, 1.0, 1.0), (8.0, 2.0, 3.0)),
+        ),
+        ground_const=None,
+        heightmap=hm,
+    )
+
+
+def _several_boxes_env():
+    boxes = [
+        Aabb((2.0, 2.0, 0.0), (3.0, 3.0, 2.0)),
+        Aabb((6.0, 1.0, 0.0), (6.5, 9.0, 1.0)),
+        Aabb((1.0, 7.0, 1.5), (4.0, 8.0, 2.5)),
+        Aabb((7.5, 6.0, 0.0), (9.0, 7.5, 4.0)),
+    ]
+    return Environment(Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 5.0)), obstacles=boxes)
+
+
+def _random_segments(env, rng, n, clearance):
+    """n segments; i % 6 picks the case: anywhere in (and just beyond) the
+    bounds, degenerate, both ends on the ground surface, axis-aligned with a
+    length a whole number of sampling steps, ends on the bounds faces, and
+    level runs exactly `clearance` above an obstacle top."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+
+    def point(margin=0.0):
+        return [rng.uniform(lo[k] - margin, hi[k] + margin) for k in range(3)]
+
+    def on_ground():
+        x, y = rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])
+        return [x, y, env.ground_height(x, y)]
+
+    a_rows, b_rows = [], []
+    for i in range(n):
+        case = i % 6
+        if case == 0:
+            a, b = point(0.2), point(0.2)
+        elif case == 1:
+            a = point()
+            b = list(a)
+        elif case == 2:
+            a = on_ground()
+            b = on_ground() if i % 4 else [a[0] + rng.uniform(-1, 1), a[1], a[2]]
+            b = [min(max(b[0], lo[0]), hi[0]), b[1], b[2]]
+        elif case == 3:
+            a = point()
+            axis = rng.randint(3)
+            b = list(a)
+            b[axis] += (1 + rng.randint(40)) * _ref_step(clearance) * (-1) ** (i // 6)
+        elif case == 4:
+            a, b = point(), point()
+            axis = rng.randint(3)
+            a[axis] = lo[axis] if i % 4 == 0 else hi[axis]
+            b[i % 3] = hi[i % 3] if i % 4 == 0 else lo[i % 3]
+        else:
+            box = env.obstacles[rng.randint(len(env.obstacles))]
+            z = box.max_corner[2] + clearance
+            y = rng.uniform(box.min_corner[1], box.max_corner[1])
+            a = [box.min_corner[0] - rng.uniform(0.0, 1.0), y, z]
+            b = [box.max_corner[0] + rng.uniform(0.0, 1.0), y, z]
+        a_rows.append(a)
+        b_rows.append(b)
+    return np.array(a_rows), np.array(b_rows)
+
+
+WORLDS = {
+    "one box": _box_env,
+    "several boxes": _several_boxes_env,
+    "stepped heightmap": _stepped_heightmap_env,
+}
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+@pytest.mark.parametrize("clearance", [0.0, 0.06, 0.25, 0.35])
+def test_batched_segment_checks_match_per_segment_reference(world, clearance):
+    env = WORLDS[world]()
+    rng = SplitMix64(len(world) * 100 + int(clearance * 100))
+    a, b = _random_segments(env, rng, 2000, clearance)
+    hits = env.segments_in_collision(a, b, clearance)
+    ref_hits = [_ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
+    assert hits.tolist() == ref_hits
+    assert 0 < sum(ref_hits) < len(ref_hits)
+    on = env.segments_on_ground(a, b)
+    ref_on = [_ref_on_ground(env, p, q) for p, q in zip(a, b)]
+    assert on.tolist() == ref_on
+    assert 0 < sum(ref_on) < len(ref_on)
+
+
+# Segments from the origin whose length np.linalg.norm and a plain sum of
+# squares round to opposite sides of a multiple of 0.05 m where numpy's dot
+# kernel fuses multiply-adds (found by search on x86-64).
+NORM_BOUNDARY_ENDS = [
+    (2.2171749992639307, 1.0931508576725728, -1.3149738495531804),
+    (0.47056836881740827, 0.4946798623900629, 0.9253957229284522),
+    (0.48667817132617164, 0.32328833237559473, -1.3270753602205192),
+]
+
+
+@pytest.mark.parametrize("chunk", [5, 64, SAMPLE_CHUNK])
+def test_batched_samples_equal_linspace_samples(chunk):
+    # Bit for bit, in segment order, whatever the chunk; chunks straddle
+    # segment boundaries and the last one is padded.
+    env = _stepped_heightmap_env()
+    a, b = _random_segments(env, SplitMix64(chunk), 2000, 0.25)
+    a = np.vstack([np.zeros((len(NORM_BOUNDARY_ENDS), 3)), a])
+    b = np.vstack([NORM_BOUNDARY_ENDS, b])
+    seen = []
+
+    def record(pts):
+        assert pts.shape == (chunk, 3)
+        seen.append(pts.copy())
+        return np.zeros(len(pts), dtype=bool)
+
+    for step in (0.05, 0.125):
+        seen.clear()
+        assert not _any_sample(a, b, step, chunk, record).any()
+        ref = np.concatenate([_ref_segment_points(p, q, step) for p, q in zip(a, b)])
+        got = np.concatenate(seen)
+        bits = got.view(np.int64)
+        assert np.array_equal(bits[: len(ref)], ref.view(np.int64))
+        assert (bits[len(ref) :] == bits[len(ref) - 1]).all()
+
+
+def test_batched_checks_report_each_segment_across_chunks():
+    # One hit in one segment marks that segment only, wherever chunks split.
+    env = _box_env()
+    a = np.array([(1.0, 1.0, 1.0)] * 6 + [(3.0, 5.0, 1.0)] + [(1.0, 1.0, 1.0)] * 6)
+    b = a + np.array([0.5, 0.0, 0.0])
+    b[6] = (7.0, 5.0, 1.0)
+    for chunk in (1, 2, 3, 5, 11, 13, 1000):
+        hits = _any_sample(a, b, 0.05, chunk, lambda p: env.points_in_collision(p, 0.0))
+        assert hits.tolist() == [False] * 6 + [True] + [False] * 6
 
 
 # -- occupancy grid -----------------------------------------------------------

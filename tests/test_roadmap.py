@@ -1,11 +1,14 @@
 """Roadmap construction: seeded sampling, connection rules, query insertion."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment
+from morphnav.env import Aabb, Environment, Heightmap, load_environment
 from morphnav.errors import (
     ConfigError,
     NoPathError,
@@ -19,11 +22,14 @@ from morphnav.roadmap import (
     NodeMode,
     PrmParams,
     Roadmap,
+    _connect_edges,
     build_roadmap,
     edge_cost_for,
     edge_kind_for,
     insert_query_nodes,
     roadmap_to_dict,
+    sample_air_node,
+    sample_ground_node,
 )
 
 CM = CostModel()
@@ -195,9 +201,11 @@ def test_edge_invariants():
         assert edge.kind is edge_kind_for(na.mode, nb.mode)
         want = edge_cost_for(CM, edge.kind, edge.length, na.position[2], nb.position[2])
         assert edge.cost == pytest.approx(want, rel=1e-12)
-        assert not env.segment_in_collision(na.position, nb.position, params.clearance)
-        if edge.kind is EdgeKind.GROUND:
-            assert env.segment_on_ground(na.position, nb.position)
+    a = [roadmap.nodes[e.a].position for e in roadmap.edges]
+    b = [roadmap.nodes[e.b].position for e in roadmap.edges]
+    assert not env.segments_in_collision(a, b, params.clearance).any()
+    drive = [e.kind is EdgeKind.GROUND for e in roadmap.edges]
+    assert env.segments_on_ground(np.array(a)[drive], np.array(b)[drive]).all()
 
 
 def test_edge_cost_for_matches_cost_model():
@@ -229,12 +237,16 @@ def test_no_ground_edge_crosses_the_wall():
         assert not (min(xa, xb) < 5.0 < max(xa, xb))
 
 
-def test_neighbors_within_and_nearest():
-    roadmap = Roadmap(radius=1.0)
-    for x in (0.0, 0.5, 3.0):
-        roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
-    assert roadmap.neighbors_within((0.0, 0.0, 0.0), 1.0) == [0, 1]
-    assert roadmap.neighbors_within((0.0, 0.0, 0.0), 0.5) == [0, 1]  # closed radius
+def test_connect_edges_closed_radius_and_nearest():
+    env = _open_env()
+    params = PrmParams(n_ground=3, n_air=0, radius=0.5, seed=0)
+    for radius, pairs in ((1.0, [(0, 1)]), (0.5, [(0, 1)]), (0.5 - 1e-10, [])):
+        roadmap = Roadmap(radius=1.0)
+        for x in (0.0, 0.5, 3.0):
+            roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
+        _connect_edges(roadmap, 0, env, CM, params, radius)
+        # 0.5 apart connects at radius 0.5 (closed), not just inside it.
+        assert [(e.a, e.b) for e in roadmap.edges] == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
     assert Roadmap(radius=1.0).nearest_node((0.0, 0.0, 0.0)) is None
     with pytest.raises(ValueError):
@@ -335,6 +347,174 @@ def test_insert_query_isolation_and_bad_positions():
         insert_query_nodes(
             fresh(), (10.0, 10.0, 0.0), (5.5, 5.0, 0.0), blocked, CM, params
         )
+
+
+# -- reference: the one-node-at-a-time build -------------------------------------
+
+ARENA = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
+
+
+def _ref_segment_points(a, b, step):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.linalg.norm(b - a))
+    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
+    ts = np.linspace(0.0, 1.0, n)
+    return a[None, :] + ts[:, None] * (b - a)[None, :]
+
+
+def _ref_in_collision(env, a, b, clearance):
+    step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
+    return bool(env.points_in_collision(_ref_segment_points(a, b, step), clearance).any())
+
+
+def _ref_on_ground(env, a, b, tol=1e-6):
+    pts = _ref_segment_points(a, b, 0.05)
+    ground = env.ground_heights(pts[:, 0], pts[:, 1])
+    return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+
+
+def _ref_connect(roadmap, nid, env, params, radius):
+    # Linear-scan neighbours in ascending id order, one segment at a time.
+    node = roadmap.nodes[nid]
+    near = [n.id for n in roadmap.nodes if math.dist(n.position, node.position) <= radius]
+    for other_id in near:
+        if other_id == nid:
+            continue
+        other = roadmap.nodes[other_id]
+        length = math.dist(node.position, other.position)
+        if length <= 1e-9:
+            continue
+        kind = edge_kind_for(other.mode, node.mode)
+        if kind is EdgeKind.GROUND and not _ref_on_ground(env, other.position, node.position):
+            continue
+        if _ref_in_collision(env, other.position, node.position, params.clearance):
+            continue
+        cost = edge_cost_for(CM, kind, length, other.position[2], node.position[2])
+        roadmap.add_edge(other_id, nid, kind, length, cost)
+
+
+def _ref_build(env, params):
+    rng = SplitMix64(params.seed)
+    ground = [sample_ground_node(env, params, rng) for _ in range(params.n_ground)]
+    air = [sample_air_node(env, params, rng) for _ in range(params.n_air)]
+    roadmap = Roadmap(params.radius)
+    for nid, pos in enumerate(ground + air):
+        roadmap.add_node(pos, NodeMode.GROUND if nid < len(ground) else NodeMode.AERIAL)
+        _ref_connect(roadmap, nid, env, params, roadmap.radius)
+    return roadmap
+
+
+def _ref_insert(roadmap, start, goal, env, params):
+    """insert_query_nodes on the reference connection; also returns how
+    many query nodes needed the doubled radius."""
+    ids, retries = [], 0
+    for label, pos in (("start", start), ("goal", goal)):
+        snapped = env.snap_to_ground(pos, label)
+        if env.point_in_collision(snapped, params.clearance):
+            raise ConfigError(f"{label} position is in collision")
+        nearest = roadmap.nearest_node(snapped)
+        if nearest is not None and nearest[1] <= 1e-9:
+            ids.append(nearest[0])
+            continue
+        node = roadmap.add_node(snapped, NodeMode.GROUND)
+        _ref_connect(roadmap, node.id, env, params, roadmap.radius)
+        if roadmap.degree(node.id) == 0:
+            retries += 1
+            _ref_connect(roadmap, node.id, env, params, 2.0 * roadmap.radius)
+        if roadmap.degree(node.id) == 0:
+            raise QueryNodeIsolatedError(f"query node '{label}' isolated")
+        ids.append(node.id)
+    return roadmap, ids[0], ids[1], retries
+
+
+def _four_boxes_env():
+    return Environment(
+        Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 4.0)),
+        obstacles=(
+            Aabb((2.0, 2.0, 0.0), (3.0, 3.0, 2.0)),
+            Aabb((6.0, 1.0, 0.0), (6.5, 9.0, 1.0)),
+            Aabb((1.0, 7.0, 1.5), (4.0, 8.0, 2.5)),
+            Aabb((7.5, 6.0, 0.0), (9.0, 7.5, 4.0)),
+        ),
+    )
+
+
+def _stepped_heightmap_env():
+    # Plateaus at 0, 0.5 and 1 m joined by one-lattice-cell ramps.
+    row = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0]
+    return Environment(
+        Aabb((0.0, 0.0, 0.0), (10.5, 6.0, 4.0)),
+        obstacles=(Aabb((2.0, 2.0, 0.0), (2.5, 4.0, 2.0)),),
+        ground_const=None,
+        heightmap=Heightmap((0.0, 0.0), 1.5, [row] * 5),
+    )
+
+
+REFERENCE_WORLDS = {
+    "open field": (_open_env, {"n_ground": 25, "n_air": 5}),
+    "walled arena": (lambda: load_environment(ARENA), {"min_air_clearance": 1.4}),
+    "four boxes": (_four_boxes_env, {}),
+    "stepped heightmap": (_stepped_heightmap_env, {"n_ground": 90, "n_air": 50}),
+    "clearance 0": (_walled_env, {"clearance": 0.0}),
+}
+
+
+def _snapshot(roadmap):
+    return (
+        [(e.a, e.b, e.kind, e.length, e.cost) for e in roadmap.edges],
+        roadmap.adjacency,
+        roadmap_to_dict(roadmap),
+    )
+
+
+def test_batched_build_matches_one_node_at_a_time_build():
+    retries = 0
+    for world, (make_env, prm) in REFERENCE_WORLDS.items():
+        env = make_env()
+        lo, hi = env.bounds.min_corner, env.bounds.max_corner
+        for seed in (0, 1, 2):
+            params = PrmParams(**{"n_ground": 80, "n_air": 80, "radius": 2.0, **prm, "seed": seed})
+            ref = _ref_build(env, params)
+            roadmap = build_roadmap(env, CM, params)
+            assert _snapshot(roadmap) == _snapshot(ref), (world, seed)
+            assert ref.edges, (world, seed)
+            # Query pairs anywhere on the footprint, some on existing nodes.
+            rng = SplitMix64(1000 + seed)
+            for q in range(6):
+                start = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0)
+                goal = ref.nodes[q].position if q % 3 == 2 else (
+                    rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0
+                )
+                try:
+                    _, *want, n_retries = _ref_insert(ref, start, goal, env, params)
+                    retries += n_retries
+                except (ConfigError, QueryNodeIsolatedError) as exc:
+                    want = type(exc)
+                try:
+                    _, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
+                except (ConfigError, QueryNodeIsolatedError) as exc:
+                    got = type(exc)
+                assert got == want, (world, seed, q)
+                assert _snapshot(roadmap) == _snapshot(ref), (world, seed, q)
+    assert retries > 0  # the doubled-radius retry ran
+
+
+def test_build_memory_stays_flat():
+    # Edge checks run in fixed-size numpy passes (env.SAMPLE_CHUNK,
+    # PAIR_BLOCK, PAIR_GROUP). Making every sample of a walled-arena build at
+    # once would hold about 9 MB of samples alone; the passes keep the build's
+    # transient memory, above what the finished roadmap retains, under 2 MB.
+    env = load_environment(ARENA)
+    params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=7)
+    tracemalloc.start()
+    try:
+        roadmap = build_roadmap(env, CM, params)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(roadmap.edges) > 10000
+    assert peak - retained < 2 * 2**20, (retained, peak)
 
 
 # -- export ------------------------------------------------------------------------
