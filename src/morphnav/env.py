@@ -76,11 +76,15 @@ class Heightmap:
     def __init__(self, origin: tuple[float, float], resolution: float, data):
         self.origin = (float(origin[0]), float(origin[1]))
         self.resolution = float(resolution)
+        if not all(map(math.isfinite, (*self.origin, self.resolution))):
+            raise ConfigError("heightmap origin and resolution must be finite")
         if self.resolution <= 0.0:
             raise ConfigError("heightmap resolution must be positive")
         arr = np.asarray(data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ConfigError("heightmap data must be a non-empty 2-D grid")
+        if not np.isfinite(arr).all():
+            raise ConfigError("heightmap data must be finite")
         arr = arr.copy()
         arr.flags.writeable = False
         self.data = arr

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .costmodel import CostModel
 from .env import OccupancyGrid
 from .errors import InvalidStartError, NoPathError
@@ -232,66 +234,87 @@ class GridPath:
     length: float
 
 
-_NEIGHBOR_STEPS = (
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-)
+# Relative slack for "this step continues a shortest path": above the float
+# dust of the wavefront's sums, below the gap between distinct path lengths.
+_TIE = 1e-9
+
+
+class CostToGo:
+    """Shortest 8-connected path length (m) from every cell to one goal
+    cell: a Dijkstra wavefront from the goal over the free cells, diagonal
+    steps sqrt(2) times the resolution. Infinite on occupied, off-grid and
+    cut-off cells, and everywhere when the goal is occupied or off-grid.
+    Costs sit in a flat list over the raster padded by one occupied cell,
+    so neighbour offsets are constants and no step needs a bounds check.
+    """
+
+    def __init__(self, grid: OccupancyGrid, goal_cell: tuple[int, int]):
+        self._rows, self._cols = grid.cells.shape
+        w = self._width = self._cols + 2
+        res = grid.resolution
+        # Straight steps first: descent takes the first that continues a
+        # shortest path.
+        self._steps = steps = [(off, res) for off in (-w, -1, 1, w)] + [
+            (off, SQRT2 * res) for off in (-w - 1, -w + 1, w - 1, w + 1)
+        ]
+        self._cost = cost = [math.inf] * ((self._rows + 2) * w)
+        if grid.occupied(*goal_cell):
+            return
+        free = np.pad(~grid.cells, 1).ravel().tolist()
+        heap = [(0.0, self._index(goal_cell))]
+        cost[heap[0][1]] = 0.0
+        while heap:
+            cu, u = heapq.heappop(heap)
+            if cu > cost[u]:
+                continue
+            for off, step in steps:
+                v = u + off
+                cand = cu + step
+                if free[v] and cand < cost[v]:
+                    cost[v] = cand
+                    heapq.heappush(heap, (cand, v))
+
+    def _index(self, cell: tuple[int, int]) -> int:
+        return (int(cell[0]) + 1) * self._width + int(cell[1]) + 1
+
+    def cost(self, row: int, col: int) -> float:
+        """Path length from a cell to the goal; infinite off the grid."""
+        inside = 0 <= row < self._rows and 0 <= col < self._cols
+        return self._cost[self._index((row, col))] if inside else math.inf
+
+    def descend(
+        self, cell: tuple[int, int], max_steps: int | None = None
+    ) -> list[tuple[int, int]]:
+        """Cells of a shortest path from `cell` (first) toward the goal, for
+        `max_steps` steps or to the goal. A straight step goes before a
+        diagonal one when both continue a shortest path; a cell of infinite
+        cost yields just itself."""
+        u, cu, w, cost = self._index(cell), self.cost(*cell), self._width, self._cost
+        out = [u]
+        while 0.0 < cu < math.inf and (max_steps is None or len(out) <= max_steps):
+            for off, step in self._steps:
+                if cost[u + off] + step <= cu * (1.0 + _TIE):
+                    break
+            u += off
+            cu = cost[u]
+            out.append(u)
+        return [(i // w - 1, i % w - 1) for i in out]
 
 
 def grid_plan(
     grid: OccupancyGrid, start_cell: tuple[int, int], goal_cell: tuple[int, int]
 ) -> GridPath | None:
-    """Shortest 8-connected path over free cells, or None when no path
-    exists (including an occupied or off-grid goal).
-
-    Diagonal steps cost sqrt(2) times the resolution. An occupied or
-    off-grid start raises InvalidStartError: that is a caller bug or a
-    vehicle inside an obstacle, not an absence of paths.
-    """
-    start = (int(start_cell[0]), int(start_cell[1]))
-    goal = (int(goal_cell[0]), int(goal_cell[1]))
-    if grid.occupied(*start):
-        raise InvalidStartError(f"start cell {start} occupied or outside grid")
-    if grid.occupied(*goal):
+    """Shortest 8-connected path over free cells, descended from the start
+    over the goal's CostToGo; None when no path exists (including an
+    occupied or off-grid goal). An occupied or off-grid start raises
+    InvalidStartError: a caller bug or a vehicle inside an obstacle."""
+    if grid.occupied(*start_cell):
+        raise InvalidStartError(f"start cell {tuple(map(int, start_cell))} occupied or outside grid")
+    field = CostToGo(grid, goal_cell)
+    length = field.cost(*start_cell)
+    if math.isinf(length):
         return None
-    res = grid.resolution
-    cells = grid.cells
-
-    def h(cell: tuple[int, int]) -> float:
-        return math.hypot(cell[0] - goal[0], cell[1] - goal[1]) * res
-
-    g: dict[tuple[int, int], float] = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    closed: set[tuple[int, int]] = set()
-    heap: list[tuple[float, float, tuple[int, int]]] = [(h(start), 0.0, start)]
-    while heap:
-        f, gu, u = heapq.heappop(heap)
-        if u in closed:
-            continue
-        closed.add(u)
-        if u == goal:
-            path = [u]
-            while u != start:
-                u = parent[u]
-                path.append(u)
-            path.reverse()
-            return GridPath(tuple(path), gu)
-        height, width = cells.shape
-        for dr, dc in _NEIGHBOR_STEPS:
-            r, c = u[0] + dr, u[1] + dc
-            if not (0 <= r < height and 0 <= c < width) or cells[r, c]:
-                continue
-            v = (r, c)
-            if v in closed:
-                continue
-            step = res if dr == 0 or dc == 0 else SQRT2 * res
-            cand = gu + step
-            if cand < g.get(v, math.inf):
-                g[v] = cand
-                parent[v] = u
-                heapq.heappush(heap, (cand + h(v), cand, v))
-    return None
+    return GridPath(tuple(field.descend(start_cell)), length)
 
 
 # -- waypoint extraction -------------------------------------------------------

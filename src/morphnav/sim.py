@@ -1,10 +1,10 @@
 """Mission execution for a robot that drives, morphs, and flies.
 
 The executor mirrors a simple field procedure: drive toward the active
-waypoint with grid planning plus dynamic-window control; when no drivable
-path exists, assume the waypoint is reachable by air, morph, fly a
-takeoff / fixed-altitude cruise / vertical descent profile to it, morph
-back, and continue driving.
+waypoint with a grid cost-to-go field, built once per waypoint, plus
+dynamic-window control; when no drivable path exists, assume the waypoint
+is reachable by air, morph, fly a takeoff / fixed-altitude cruise /
+vertical descent profile to it, morph back, and continue driving.
 
 Actuation latency is modeled as a FIFO delay line on all velocity commands:
 the vehicle executes the command issued `latency` seconds ago, which is what
@@ -21,12 +21,12 @@ from enum import Enum
 
 from .costmodel import CostModel
 from .env import Environment, OccupancyGrid, project_to_grid
-from .errors import ConfigError, InvalidStartError
+from .errors import ConfigError
 from .localnav import DwaParams, VelocityCommand, dwa_step
-from .planner import GridPath, grid_plan
+from .planner import CostToGo
 from .rng import SplitMix64
 
-# Carrot distance for tracking the grid path.
+# Carrot distance along the descent of the cost-to-go field.
 LOOKAHEAD_DIST = 1.2
 # Horizontal arrival threshold ending the cruise phase.
 CRUISE_ARRIVAL = 0.05
@@ -93,14 +93,13 @@ class SimConfig:
     actuation_latency: float = 0.0
     max_mission_time: float = 300.0
     landing_tolerance: float = 0.05
-    replan_interval: float = 1.0
     assume_flyable: bool = True
     pose_noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
-        for key in ("goal_tolerance", "cruise_altitude", "max_mission_time", "replan_interval"):
+        for key in ("goal_tolerance", "cruise_altitude", "max_mission_time"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"sim parameter '{key}' must be positive")
         if not 0.0 < self.climb_rate <= MAX_CLIMB_RATE:
@@ -273,6 +272,9 @@ class Mission:
         ]
         if not (env.bounds.min_corner[2] < cfg.cruise_altitude <= env.bounds.max_corner[2]):
             raise ConfigError("cruise_altitude outside bounds z range")
+        if dwa.dt != cfg.dt:
+            # The dynamic window allows dwa.dt of acceleration per tick.
+            raise ConfigError(f"dwa dt ({dwa.dt}) must equal sim dt ({cfg.dt})")
         if start is None:
             start = self.waypoints[0]
         sx, sy, sz = env.snap_to_ground(start, "start")
@@ -291,8 +293,7 @@ class Mission:
         self.morph_count = 0
         self.descend_overshoot = 0.0
         self.reason = ""
-        self._path: GridPath | None = None
-        self._last_replan_tick: int | None = None
+        self._field: CostToGo | None = None  # of waypoint wp_idx
         # Window reference for the local controller: its own last command,
         # not the delayed plant response, or latency destabilizes the loop.
         self._intent = VelocityCommand(0.0, 0.0)
@@ -353,57 +354,31 @@ class Mission:
         wp = self.waypoints[self.wp_idx]
         if math.hypot(wp[0] - vx, wp[1] - vy) <= self.cfg.goal_tolerance:
             self.wp_idx += 1
-            self._path = None
+            self._field = None
             if self.wp_idx >= len(self.waypoints):
                 self._set_phase(MissionPhase.DONE)
                 return _ZERO_CMD
             wp = self.waypoints[self.wp_idx]
-        replan_ticks = max(1, int(round(self.cfg.replan_interval / self.cfg.dt)))
-        if (
-            self._path is None
-            or self._last_replan_tick is None
-            or self.tick - self._last_replan_tick >= replan_ticks
-        ):
-            start_cell = self.grid.world_to_cell(vx, vy)
-            goal_cell = self.grid.world_to_cell(wp[0], wp[1])
-            try:
-                self._path = grid_plan(self.grid, start_cell, goal_cell)
-            except InvalidStartError:
+        if self._field is None:
+            self._field = CostToGo(self.grid, self.grid.world_to_cell(wp[0], wp[1]))
+        cell = self.grid.world_to_cell(vx, vy)
+        if math.isinf(self._field.cost(*cell)):
+            if self.grid.occupied(*cell):
                 self._fail("vehicle inside the inflated obstacle region")
                 return _ZERO_CMD
-            self._last_replan_tick = self.tick
-            if self._path is None:
-                if not self.cfg.assume_flyable:
-                    self._fail(
-                        f"no drivable path to waypoint {self.wp_idx} and flight disabled"
-                    )
-                    return _ZERO_CMD
-                self._enter_morph(MissionPhase.MORPH_TO_UAS)
+            if not self.cfg.assume_flyable:
+                self._fail(f"no drivable path to waypoint {self.wp_idx} and flight disabled")
                 return _ZERO_CMD
-        carrot = self._carrot(wp, (vx, vy))
+            self._enter_morph(MissionPhase.MORPH_TO_UAS)
+            return _ZERO_CMD
+        if math.hypot(wp[0] - vx, wp[1] - vy) <= LOOKAHEAD_DIST:
+            carrot = (wp[0], wp[1])
+        else:
+            ahead = max(1, int(round(LOOKAHEAD_DIST / self.grid.resolution)))
+            carrot = self.grid.cell_center(*self._field.descend(cell, ahead)[-1])
         cmd = dwa_step((vx, vy, vyaw), self._intent, carrot, self.grid, self.dwa)
         self._intent = cmd
         return (cmd.v, cmd.omega, 0.0, 0.0, 0.0)
-
-    def _carrot(self, wp, view_xy) -> tuple[float, float]:
-        """Point on the grid path roughly one lookahead ahead of the robot;
-        the waypoint itself once it is close."""
-        if math.hypot(wp[0] - view_xy[0], wp[1] - view_xy[1]) <= LOOKAHEAD_DIST:
-            return (wp[0], wp[1])
-        path = self._path
-        if path is None or len(path.cells) < 2:
-            return (wp[0], wp[1])
-        best_i = 0
-        best_d = math.inf
-        for i, cell in enumerate(path.cells):
-            cx, cy = self.grid.cell_center(*cell)
-            d = math.hypot(cx - view_xy[0], cy - view_xy[1])
-            if d < best_d:
-                best_d = d
-                best_i = i
-        ahead = max(1, int(round(LOOKAHEAD_DIST / self.grid.resolution)))
-        cell = path.cells[min(best_i + ahead, len(path.cells) - 1)]
-        return self.grid.cell_center(*cell)
 
     def _control_morph(self) -> tuple[float, float, float, float, float]:
         if self.state.mode is not LocomotionMode.MORPHING:
@@ -429,8 +404,6 @@ class Mission:
             else:
                 self.state.mode = LocomotionMode.UGV
                 self.state.z = self.env.ground_height(self.state.x, self.state.y)
-                self._path = None
-                self._last_replan_tick = None
                 self._set_phase(MissionPhase.GROUND_NAV)
         return _ZERO_CMD
 

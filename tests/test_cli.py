@@ -75,6 +75,8 @@ def test_bad_config_files_exit_one(tmp_path):
         ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
         ("cost", {"sim": {"dt": "fast"}}, "sim parameter 'dt' must be a number"),
         ("cost", {"flight_pwr": 900}, "unknown cost parameter(s): ['flight_pwr']"),
+        ("cost", {"sim": {"dt": 0.05}}, "dwa dt (0.1) must equal sim dt (0.05)"),
+        ("cost", {"sim": {"replan_interval": 1.0}}, "unknown sim parameter(s)"),
         ("prm", {"n_ground": "300"}, "prm parameter 'n_ground' must be an integer"),
         ("prm", {"seed": 3}, "'prm' must not set 'seed'"),
         ("top", {"start": "abc"}, "start must be a list of three numbers"),

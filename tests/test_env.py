@@ -74,6 +74,19 @@ def test_heightmap_vectorized_matches_scalar():
         assert float(hm.elevations(x, y)) == pytest.approx(float(v), abs=1e-12)
 
 
+def test_heightmap_rejects_non_finite_values():
+    data = [[0.0, 0.0], [0.0, 0.0]]
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="must be finite"):
+            Heightmap((0.0, bad), 1.0, data)
+        with pytest.raises(ConfigError, match="must be finite"):
+            Heightmap((bad, 0.0), 1.0, data)
+        with pytest.raises(ConfigError, match="must be finite"):
+            Heightmap((0.0, 0.0), bad, data)
+        with pytest.raises(ConfigError, match="data must be finite"):
+            Heightmap((0.0, 0.0), 1.0, [[0.0, bad], [0.0, 0.0]])
+
+
 # -- Environment validation ------------------------------------------------
 
 

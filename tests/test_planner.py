@@ -11,6 +11,7 @@ from morphnav.costmodel import CostModel
 from morphnav.env import Aabb, Environment, OccupancyGrid
 from morphnav.errors import InvalidStartError, NoPathError
 from morphnav.planner import (
+    CostToGo,
     GridPath,
     SegmentKind,
     astar_multimodal,
@@ -221,9 +222,10 @@ def test_grid_plan_routes_through_the_gap():
     assert grid_plan(_grid(cells), (0, 0), (0, 9)) is None
 
 
-def _dijkstra_grid_length(grid, start, goal):
-    """Independent shortest-path length over free cells, or None."""
-    if grid.occupied(*goal):
+def _dijkstra_grid_length(grid, start, goal=None):
+    """Independent shortest-path length over free cells, or None; with no
+    goal, the lengths from start to every cell it reaches, as a dict."""
+    if goal is not None and grid.occupied(*goal):
         return None
     dist = {start: 0.0}
     heap = [(0.0, start)]
@@ -248,7 +250,7 @@ def _dijkstra_grid_length(grid, start, goal):
                 if nd < dist.get(nxt, math.inf):
                     dist[nxt] = nd
                     heapq.heappush(heap, (nd, nxt))
-    return None
+    return None if goal is not None else dist
 
 
 def _path_is_valid(grid, path, start, goal):
@@ -263,7 +265,9 @@ def _path_is_valid(grid, path, start, goal):
     assert length == pytest.approx(path.length, rel=1e-9, abs=1e-12)
 
 
-def test_grid_plan_matches_flood_fill_and_is_optimal():
+def _random_grids():
+    """40 seeded 25 x 25 grids at 35% occupancy: (cells, grid, flood-fill
+    labels, start, goal), start and goal free."""
     eight = np.ones((3, 3), dtype=int)
     rng = SplitMix64(21)
     for _ in range(40):
@@ -271,11 +275,15 @@ def test_grid_plan_matches_flood_fill_and_is_optimal():
         for r in range(25):
             for c in range(25):
                 cells[r, c] = rng.random() < 0.35
-        grid = _grid(cells)
         free = np.argwhere(~cells)
-        start = tuple(free[rng.randint(len(free))])
-        goal = tuple(free[rng.randint(len(free))])
+        start = tuple(int(v) for v in free[rng.randint(len(free))])
+        goal = tuple(int(v) for v in free[rng.randint(len(free))])
         labels, _ = ndimage.label(~cells, structure=eight)
+        yield cells, _grid(cells), labels, start, goal
+
+
+def test_grid_plan_matches_flood_fill_and_is_optimal():
+    for cells, grid, labels, start, goal in _random_grids():
         reachable = labels[start] == labels[goal]
         path = grid_plan(grid, start, goal)
         assert (path is not None) == reachable
@@ -283,6 +291,65 @@ def test_grid_plan_matches_flood_fill_and_is_optimal():
             _path_is_valid(grid, path, start, goal)
             want = _dijkstra_grid_length(grid, start, goal)
             assert path.length == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_cost_to_go_matches_reference_on_every_cell():
+    # The grid graph is undirected, so the reference lengths from the goal
+    # are every cell's cost to reach it.
+    for cells, grid, labels, _, goal in _random_grids():
+        want = _dijkstra_grid_length(grid, goal)
+        field = CostToGo(grid, goal)
+        for r in range(25):
+            for c in range(25):
+                got = field.cost(r, c)
+                reachable = not cells[r, c] and labels[r, c] == labels[goal]
+                assert math.isinf(got) == (not reachable), (r, c)
+                assert reachable == ((r, c) in want)
+                if reachable:
+                    assert got == pytest.approx(want[(r, c)], rel=1e-9, abs=1e-12)
+                    # Descent walks a shortest path over cells of finite cost.
+                    path = field.descend((r, c))
+                    steps = [math.dist(a, b) for a, b in zip(path, path[1:])]
+                    assert path[0] == (r, c) and path[-1] == goal
+                    assert all(math.isfinite(field.cost(*cell)) for cell in path)
+                    assert set(steps) <= {1.0, math.sqrt(2.0)}
+                    assert 0.1 * sum(steps) == pytest.approx(got, rel=1e-9, abs=1e-12)
+        for off_grid in ((-1, 0), (0, -1), (25, 3), (3, 25), (-2, -2), (40, 40)):
+            assert math.isinf(field.cost(*off_grid))
+
+
+def test_cost_to_go_infinite_for_blocked_or_off_grid_goal():
+    cells = np.zeros((6, 7), dtype=bool)
+    cells[2, 2] = True
+    grid = _grid(cells)
+    for goal in ((2, 2), (-1, 0), (0, 7), (6, 0), (9, 9)):
+        field = CostToGo(grid, goal)
+        assert all(math.isinf(field.cost(r, c)) for r in range(6) for c in range(7))
+        assert field.descend((0, 0)) == [(0, 0)]
+
+
+def test_descent_takes_straight_steps_before_diagonals():
+    grid = _grid(np.zeros((6, 8)))
+    field = CostToGo(grid, (2, 5))
+    assert field.cost(0, 0) == pytest.approx((3.0 + 2.0 * math.sqrt(2.0)) * 0.1, rel=1e-12)
+    path = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
+    assert field.descend((0, 0)) == path
+    assert grid_plan(grid, (0, 0), (2, 5)).cells == tuple(path)
+    # A step budget stops the descent early; the goal stops it anyway.
+    assert field.descend((0, 0), 2) == path[:3]
+    assert field.descend((0, 0), 50) == path
+    assert field.descend((2, 5), 3) == [(2, 5)]
+    # From below the goal the straight steps lead as well.
+    assert field.descend((5, 0)) == [(5, 0), (5, 1), (5, 2), (4, 3), (3, 4), (2, 5)]
+    # On an open grid every descent is straight steps, then diagonals, even
+    # where float sums make two shortest paths differ in the last bit.
+    grid = _grid(np.zeros((20, 30)))
+    field = CostToGo(grid, (7, 11))
+    for r in range(20):
+        for c in range(30):
+            path = field.descend((r, c))
+            kinds = [abs(r1 - r0) + abs(c1 - c0) for (r0, c0), (r1, c1) in zip(path, path[1:])]
+            assert kinds == sorted(kinds), (r, c)
 
 
 # -- segmentation -----------------------------------------------------------------

@@ -141,7 +141,6 @@ def test_sim_config_validation():
         {"actuation_latency": -0.1},
         {"landing_tolerance": -0.01},
         {"max_mission_time": 0.0},
-        {"replan_interval": 0.0},
         {"pose_noise_sigma": -1.0},
     ):
         with pytest.raises(ConfigError):
@@ -159,6 +158,14 @@ def test_mission_rejects_bad_setup():
         run_mission(env, ((50.0, 3.0, 0.0),), CM, DWA, SimConfig())
     with pytest.raises(ConfigError):
         run_mission(env, ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(cruise_altitude=10.0))
+    # The dynamic window's acceleration step is dwa.dt; a shorter tick would
+    # let the vehicle accelerate faster than its configured limits.
+    wps, start = ((6.0, 2.0, 0.0),), (2.0, 2.0, 0.0)
+    for dwa_dt, sim_dt in ((0.1, 0.05), (0.05, 0.1)):
+        with pytest.raises(ConfigError, match="must equal sim dt"):
+            run_mission(_open_env(), wps, CM, DwaParams(dt=dwa_dt), SimConfig(dt=sim_dt), start=start)
+    same = run_mission(_open_env(), wps, CM, DwaParams(dt=0.05), SimConfig(dt=0.05), start=start)
+    assert same.outcome == "Done"
 
 
 # -- missions ----------------------------------------------------------------------
