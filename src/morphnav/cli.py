@@ -137,7 +137,7 @@ def cmd_roadmap(args) -> int:
         os.path.join(args.out, "roadmap.svg"),
         render_svg(env, roadmap=roadmap, waypoints=waypoints, start=start),
     )
-    n_isolated = sum(1 for n in roadmap.nodes if roadmap.degree(n.id) == 0)
+    n_isolated = sum(roadmap.degree(i) == 0 for i in range(len(roadmap.nodes)))
     print(
         f"roadmap: {len(roadmap.nodes)} nodes, {len(roadmap.edges)} edges, "
         f"{n_isolated} isolated"
@@ -181,12 +181,8 @@ def cmd_plan(args) -> int:
         "expanded": plan.expanded,
         "node_ids": list(plan.node_ids),
         "nodes": [
-            {
-                "id": roadmap.nodes[nid].id,
-                "position": list(roadmap.nodes[nid].position),
-                "mode": roadmap.nodes[nid].mode.value,
-            }
-            for nid in plan.node_ids
+            {"id": n.id, "position": list(n.position), "mode": n.mode.value}
+            for n in map(roadmap.nodes.__getitem__, plan.node_ids)
         ],
         "segments": [
             {

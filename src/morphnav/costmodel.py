@@ -46,8 +46,8 @@ class CostModel:
 
     def __post_init__(self):
         for key, value in self.to_dict().items():
-            if value <= 0.0:
-                raise ConfigError(f"cost parameter '{key}' must be positive")
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"cost parameter '{key}' must be positive and finite")
         # The lower-bound heuristic charges horizontal travel at the ground
         # rate, which is only valid when flying a meter never beats driving it.
         if self.ground_power / self.ground_speed > self.flight_power / self.flight_speed:
@@ -107,9 +107,10 @@ def config_from_dict(cls, d, section: str):
 
     Allowed keys are the dataclass fields; missing keys keep the field
     defaults. Each value must have the type of its field's default: a JSON
-    boolean for a bool field, an integer for an int field, and a number for
-    any other field, where `null` is also accepted if the default is None.
-    Raises ConfigError naming `section` on any other input.
+    boolean for a bool field, an integer for an int field, and a finite
+    number (json.load also reads NaN and Infinity) for any other field, where
+    `null` is also accepted if the default is None. Raises ConfigError
+    naming `section` on any other input.
     """
     if not isinstance(d, dict):
         raise ConfigError(f"'{section}' section must be an object")
@@ -136,6 +137,8 @@ def config_from_dict(cls, d, section: str):
         if not ok:
             want = {bool: "true or false", int: "an integer"}.get(type(default), "a number")
             raise ConfigError(f"{section} parameter '{key}' must be {want}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section} parameter '{key}' must be finite, got {value!r}")
         kwargs[key] = value
     return cls(**kwargs)
 

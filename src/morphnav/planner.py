@@ -3,12 +3,13 @@
 The roadmap planner is A* with a consistent lower-bound heuristic and a
 closed set (no reopening); an independent uniform-cost implementation,
 dijkstra_oracle, exists purely to cross-check it and deliberately shares no
-search code with it.
+search code with it. Both walk the roadmap's CSR adjacency.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,37 +46,25 @@ class PlanResult:
 
 
 def _assemble_result(
-    roadmap: Roadmap,
-    cm: CostModel,
-    node_ids: list[int],
-    edge_idxs: list[int],
-    total: float,
-    expanded: int,
+    roadmap: Roadmap, cm: CostModel, parent_edge: list[int], start_id: int, goal_id: int,
+    total: float, expanded: int,
 ) -> PlanResult:
-    ground = 0.0
-    flight = 0.0
-    n_t = 0
+    """The path the parent edges trace from goal_id back to start_id."""
+    node_ids, edge_idxs = [goal_id], []
+    while node_ids[-1] != start_id:
+        edge_idxs.append(parent_edge[node_ids[-1]])
+        node_ids.append(roadmap.other_end(edge_idxs[-1], node_ids[-1]))
+    edges = tuple(map(roadmap.edges.__getitem__, reversed(edge_idxs)))
     c_t = cm.transition_cost()
-    edges = []
-    for idx in edge_idxs:
-        e = roadmap.edges[idx]
-        edges.append(e)
+    ground = flight = 0.0
+    for e in edges:
         if e.kind is EdgeKind.GROUND:
             ground += e.cost
-        elif e.kind is EdgeKind.FLIGHT:
-            flight += e.cost
         else:
-            n_t += 1
-            flight += e.cost - c_t
+            flight += e.cost if e.kind is EdgeKind.FLIGHT else e.cost - c_t
+    n_t = sum(e.kind is EdgeKind.TRANSITION for e in edges)
     return PlanResult(
-        node_ids=tuple(node_ids),
-        edges=tuple(edges),
-        total_cost=total,
-        cost_ground=ground,
-        cost_flight=flight,
-        cost_transition=n_t * c_t,
-        n_transitions=n_t,
-        expanded=expanded,
+        tuple(reversed(node_ids)), edges, total, ground, flight, n_t * c_t, n_t, expanded
     )
 
 
@@ -84,7 +73,7 @@ def astar_multimodal(
     start_id: int,
     goal_id: int,
     cm: CostModel,
-    heuristic: Callable[[tuple, tuple], float] | None = None,
+    heuristic: Callable[[list, list], float] | None = None,
     assume_consistent: bool | None = None,
 ) -> PlanResult:
     """Minimum-energy path between two roadmap nodes.
@@ -92,7 +81,8 @@ def astar_multimodal(
     Uses the cost model's lower-bound heuristic by default; a custom
     heuristic callable (position, goal_position) -> float may be supplied
     for comparison runs, in which case optimality is not guaranteed and the
-    consistency guard is disabled unless requested.
+    consistency guard is disabled unless requested. It is called once per
+    reached node, on [x, y, z] lists.
 
     Raises NoPathError (carrying the count of explored nodes) when the goal
     is unreachable.
@@ -104,18 +94,20 @@ def astar_multimodal(
         assume_consistent = heuristic is None
     if heuristic is None:
         heuristic = cm.heuristic
-    goal_pos = roadmap.nodes[goal_id].position
     if start_id == goal_id:
-        return _assemble_result(roadmap, cm, [start_id], [], 0.0, 0)
+        return _assemble_result(roadmap, cm, [], start_id, start_id, 0.0, 0)
 
+    indptr, neighbour, edge_id, edge_cost = roadmap.csr()
+    pos = roadmap.positions.tolist()
+    goal_pos = pos[goal_id]
     g = [math.inf] * n
     parent_edge = [-1] * n
     closed = [False] * n
+    h: list[float | None] = [None] * n
     g[start_id] = 0.0
+    h[start_id] = heuristic(pos[start_id], goal_pos)
     # Heap entries order by f, then lower g, then lower node id.
-    heap: list[tuple[float, float, int]] = [
-        (heuristic(roadmap.nodes[start_id].position, goal_pos), 0.0, start_id)
-    ]
+    heap: list[tuple[float, float, int]] = [(h[start_id], 0.0, start_id)]
     expanded = 0
     while heap:
         f, gu, u = heapq.heappop(heap)
@@ -124,20 +116,12 @@ def astar_multimodal(
         closed[u] = True
         expanded += 1
         if u == goal_id:
-            node_ids = [u]
-            edge_idxs = []
-            cur = u
-            while cur != start_id:
-                idx = parent_edge[cur]
-                edge_idxs.append(idx)
-                cur = roadmap.other_end(idx, cur)
-                node_ids.append(cur)
-            node_ids.reverse()
-            edge_idxs.reverse()
-            return _assemble_result(roadmap, cm, node_ids, edge_idxs, g[goal_id], expanded)
-        for idx in roadmap.adjacency[u]:
-            v = roadmap.other_end(idx, u)
-            new_g = gu + roadmap.edges[idx].cost
+            return _assemble_result(roadmap, cm, parent_edge, start_id, u, g[u], expanded)
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, idx, cost in zip(
+            neighbour[lo:hi].tolist(), edge_id[lo:hi].tolist(), edge_cost[lo:hi].tolist()
+        ):
+            new_g = gu + cost
             if new_g < g[v]:
                 if closed[v]:
                     # A consistent heuristic can never improve a closed node
@@ -149,9 +133,10 @@ def astar_multimodal(
                     continue
                 g[v] = new_g
                 parent_edge[v] = idx
-                heapq.heappush(
-                    heap, (new_g + heuristic(roadmap.nodes[v].position, goal_pos), new_g, v)
-                )
+                hv = h[v]
+                if hv is None:
+                    hv = h[v] = heuristic(pos[v], goal_pos)
+                heapq.heappush(heap, (new_g + hv, new_g, v))
     raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
 
 
@@ -162,6 +147,7 @@ def _uniform_cost(
     every node, expansions). Stops once goal_id, when given, is expanded;
     costs of nodes not yet expanded are then upper bounds."""
     n = len(roadmap.nodes)
+    indptr, neighbour, edge_id, edge_cost = roadmap.csr()
     dist = [math.inf] * n
     parent_edge = [-1] * n
     done = [False] * n
@@ -176,9 +162,11 @@ def _uniform_cost(
         expanded += 1
         if u == goal_id:
             break
-        for idx in roadmap.adjacency[u]:
-            v = roadmap.other_end(idx, u)
-            cand = du + roadmap.edges[idx].cost
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, idx, cost in zip(
+            neighbour[lo:hi].tolist(), edge_id[lo:hi].tolist(), edge_cost[lo:hi].tolist()
+        ):
+            cand = du + cost
             if cand < dist[v]:
                 dist[v] = cand
                 parent_edge[v] = idx
@@ -197,21 +185,11 @@ def dijkstra_oracle(
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
     if start_id == goal_id:
-        return _assemble_result(roadmap, cm, [start_id], [], 0.0, 0)
+        return _assemble_result(roadmap, cm, [], start_id, start_id, 0.0, 0)
     dist, parent_edge, expanded = _uniform_cost(roadmap, start_id, goal_id)
     if math.isinf(dist[goal_id]):
         raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
-    node_ids = [goal_id]
-    edge_idxs = []
-    cur = goal_id
-    while cur != start_id:
-        idx = parent_edge[cur]
-        edge_idxs.append(idx)
-        cur = roadmap.other_end(idx, cur)
-        node_ids.append(cur)
-    node_ids.reverse()
-    edge_idxs.reverse()
-    return _assemble_result(roadmap, cm, node_ids, edge_idxs, dist[goal_id], expanded)
+    return _assemble_result(roadmap, cm, parent_edge, start_id, goal_id, dist[goal_id], expanded)
 
 
 def dijkstra_all_costs(roadmap: Roadmap, source_id: int) -> list[float]:
@@ -354,20 +332,11 @@ def path_to_waypoints(plan: PlanResult, roadmap: Roadmap) -> list[PathSegment]:
     LandThenMorph when traversed air-to-ground. A plan with no edges yields
     no segments.
     """
-    if not plan.edges:
-        return []
-    segments: list[PathSegment] = []
-    cur_kind: SegmentKind | None = None
-    cur_points: list[tuple[float, float, float]] = []
-    for i, edge in enumerate(plan.edges):
-        from_id = plan.node_ids[i]
-        to_id = plan.node_ids[i + 1]
-        kind = _segment_kind(edge, from_id, roadmap)
-        if kind is not cur_kind:
-            if cur_kind is not None:
-                segments.append(PathSegment(cur_kind, tuple(cur_points)))
-            cur_kind = kind
-            cur_points = [roadmap.nodes[from_id].position]
-        cur_points.append(roadmap.nodes[to_id].position)
-    segments.append(PathSegment(cur_kind, tuple(cur_points)))
+    ids, pos = plan.node_ids, roadmap.positions.tolist()
+    kinds = [_segment_kind(edge, ids[i], roadmap) for i, edge in enumerate(plan.edges)]
+    segments, i = [], 0
+    for kind, run in itertools.groupby(kinds):
+        j = i + len(list(run))
+        segments.append(PathSegment(kind, tuple(tuple(pos[k]) for k in ids[i : j + 1])))
+        i = j
     return segments

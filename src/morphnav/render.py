@@ -8,7 +8,7 @@ same scene yields byte-identical files.
 from __future__ import annotations
 
 from .env import Environment
-from .roadmap import EdgeKind, Roadmap
+from .roadmap import EDGE_KINDS, EdgeKind, Roadmap
 
 _CANVAS_W = 900.0
 _PAD = 24.0
@@ -108,20 +108,16 @@ def render_svg(
         )
 
     if roadmap is not None:
-        for edge in roadmap.edges:
-            pa = roadmap.nodes[edge.a].position
-            pb = roadmap.nodes[edge.b].position
-            parts.append(_line(c, pa, pb, _EDGE_COLORS[edge.kind], 0.8, 0.45))
-        for node in roadmap.nodes:
-            parts.append(_circle(c, node.position, 1.4, "#555555"))
-
-    if plan is not None and roadmap is not None:
-        for edge in plan.edges:
-            pa = roadmap.nodes[edge.a].position
-            pb = roadmap.nodes[edge.b].position
-            parts.append(_line(c, pa, pb, _PATH_COLORS[edge.kind], 3.2))
-        for nid in plan.node_ids:
-            parts.append(_circle(c, roadmap.nodes[nid].position, 2.6, "#111111"))
+        pos = roadmap.positions.tolist()
+        for a, b, kind in zip(roadmap.a.tolist(), roadmap.b.tolist(), roadmap.kind.tolist()):
+            parts.append(_line(c, pos[a], pos[b], _EDGE_COLORS[EDGE_KINDS[kind]], 0.8, 0.45))
+        for p in pos:
+            parts.append(_circle(c, p, 1.4, "#555555"))
+        if plan is not None:
+            for edge in plan.edges:
+                parts.append(_line(c, pos[edge.a], pos[edge.b], _PATH_COLORS[edge.kind], 3.2))
+            for nid in plan.node_ids:
+                parts.append(_circle(c, pos[nid], 2.6, "#111111"))
 
     if records:
         # Split the trajectory into same-mode runs so each gets its color.

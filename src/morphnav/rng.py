@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -31,6 +33,22 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def skip(self, n: int) -> None:
+        """Advance the stream by n draws, as n next_u64() calls would."""
+        self._state = (self._state + n * _GAMMA) & _MASK64
+
+    def peek_random(self, k: int) -> np.ndarray:
+        """The next k random() values, bit for bit, as a float64 array; the
+        stream does not advance. The state after j draws is seed + j * gamma
+        mod 2^64, so the block is one pass of uint64 arithmetic. Every operand
+        is an explicit uint64: products wrap, and no promotion rule applies."""
+        u = np.uint64
+        z = u(self._state) + np.arange(1, k + 1, dtype=u) * u(_GAMMA)
+        z = (z ^ (z >> u(30))) * u(_MIX1)
+        z = (z ^ (z >> u(27))) * u(_MIX2)
+        z ^= z >> u(31)
+        return (z >> u(11)).astype(np.float64) * 2.0**-53
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""

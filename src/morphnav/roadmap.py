@@ -2,6 +2,12 @@
 flying nodes in the free airspace, and edges for driving, flying, and
 mode transitions.
 
+A roadmap is numpy columns: nodes `positions (n, 3)` and `mode`, edges `a`,
+`b` (a < b), `kind`, `length` and `cost`, with modes and kinds as codes into
+NODE_MODES and EDGE_KINDS. Searches walk a CSR (compressed sparse rows)
+adjacency built on first use. `nodes`, `edges` and `adjacency` are
+read-only views that build records on access; no record is stored.
+
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
 aerial ones, and the edges and their order are those of connecting each node
@@ -12,6 +18,7 @@ parameters are bit-identical.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,6 +32,8 @@ from .rng import SplitMix64
 SAMPLE_RETRY_BUDGET = 1000
 GROUND_SURFACE_TOL = 1e-6
 DUPLICATE_NODE_TOL = 1e-9
+# Sampling attempts tested together in one points_in_collision pass.
+SAMPLE_BLOCK = 512
 # Elements of one numpy pass of the candidate-pair search (rows x nodes x 3).
 PAIR_BLOCK = 1 << 13
 # Candidate pairs validated together. Groups this large keep every
@@ -44,8 +53,16 @@ class EdgeKind(Enum):
     TRANSITION = "Transition"
 
 
+# Column codes. An edge's kind code is the sum of its end modes' codes.
+NODE_MODES = (NodeMode.GROUND, NodeMode.AERIAL)
+EDGE_KINDS = (EdgeKind.GROUND, EdgeKind.TRANSITION, EdgeKind.FLIGHT)
+_GROUND, _FLIGHT = EDGE_KINDS.index(EdgeKind.GROUND), EDGE_KINDS.index(EdgeKind.FLIGHT)
+
+
 @dataclass(frozen=True, slots=True)
 class RoadmapNode:
+    """One node row, built on access."""
+
     id: int
     position: tuple[float, float, float]
     mode: NodeMode
@@ -53,8 +70,9 @@ class RoadmapNode:
 
 @dataclass(frozen=True, slots=True)
 class RoadmapEdge:
-    """Undirected edge; `a < b` by construction and `cost` is the stored
-    traversal energy for the a-to-b orientation, used for both directions."""
+    """One edge row, built on access. Undirected; `a < b` by construction
+    and `cost` is the stored traversal energy for the a-to-b orientation,
+    used for both directions."""
 
     a: int
     b: int
@@ -84,6 +102,9 @@ class PrmParams:
     z_max: float | None = None
 
     def __post_init__(self):
+        reals = (self.radius, self.clearance, self.min_air_clearance, self.z_max)
+        if not all(math.isfinite(v) for v in reals if v is not None):
+            raise ConfigError("roadmap parameters must be finite")
         if self.n_ground < 0 or self.n_air < 0:
             raise ConfigError("node counts must be non-negative")
         if self.radius <= 0.0:
@@ -94,106 +115,157 @@ class PrmParams:
             raise ConfigError("min_air_clearance must be non-negative")
 
 
+class _Rows(Sequence):
+    """Read-only sequence of `count` records, `row(i)` built on access."""
+
+    def __init__(self, count: int, row):
+        self._count, self._row = count, row
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        ids = range(self._count)[i]
+        return [self._row(j) for j in ids] if isinstance(ids, range) else self._row(ids)
+
+
 class Roadmap:
-    """Growable node/edge store with undirected adjacency."""
+    """Growable node and edge columns with an on-demand CSR adjacency."""
 
     def __init__(self, radius: float):
         self.radius = float(radius)
-        self.nodes: list[RoadmapNode] = []
-        self.edges: list[RoadmapEdge] = []
-        self.adjacency: list[list[int]] = []
+        self.positions = np.empty((0, 3))
+        self.a = self.b = np.empty(0, dtype=np.intp)
+        self.mode = self.kind = np.empty(0, dtype=np.int8)
+        self.length = self.cost = np.empty(0)
+        self._csr = None
 
-    def add_node(self, position, mode: NodeMode) -> RoadmapNode:
-        node = RoadmapNode(len(self.nodes), tuple(float(v) for v in position), mode)
-        self.nodes.append(node)
-        self.adjacency.append([])
-        return node
+    nodes = property(lambda self: _Rows(len(self.positions), self._node))
+    edges = property(lambda self: _Rows(len(self.a), self._edge))
+    # Incident edge ids of each node, by ascending edge id.
+    adjacency = property(lambda self: _Rows(len(self.positions), self._incident))
 
-    def add_edge(self, a: int, b: int, kind: EdgeKind, length: float, cost: float) -> RoadmapEdge:
+    def _append(self, **columns) -> None:
+        for name, values in columns.items():
+            col = getattr(self, name)
+            setattr(self, name, np.concatenate((col, values), dtype=col.dtype))
+        self._csr = None
+
+    def add_node(self, position, mode: NodeMode) -> int:
+        """Append one node; returns its id."""
+        self._append(positions=[position], mode=[NODE_MODES.index(mode)])
+        return len(self.positions) - 1
+
+    def add_edge(self, a: int, b: int, kind: EdgeKind, length: float, cost: float) -> None:
         if a == b:
             raise ValueError("self-loop edges are not allowed")
-        edge = RoadmapEdge(min(a, b), max(a, b), kind, length, cost)
-        idx = len(self.edges)
-        self.edges.append(edge)
-        self.adjacency[a].append(idx)
-        self.adjacency[b].append(idx)
-        return edge
+        self._append(a=[min(a, b)], b=[max(a, b)], kind=[EDGE_KINDS.index(kind)],
+                     length=[length], cost=[cost])
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, neighbour, edge_id, cost): node u's incident edges are
+        entries indptr[u]:indptr[u + 1], by ascending edge id, with the
+        node at their other end and their stored cost."""
+        if self._csr is None:
+            # Interleaved ends a0, b0, a1, b1, ...: entry k belongs to edge
+            # k >> 1 and its other end is entry k ^ 1. A stable sort by node
+            # keeps each node's edges in id order; numpy sorts 16-bit keys
+            # stably by radix, several times faster than 64-bit ones.
+            n = len(self.positions)
+            ends = np.empty(2 * len(self.a), dtype=np.uint16 if n <= 1 << 16 else np.intp)
+            ends[0::2], ends[1::2] = self.a, self.b
+            order = np.argsort(ends, kind="stable")
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+            neighbour = ends[order ^ 1]
+            order >>= 1  # now the edge ids
+            self._csr = (indptr, neighbour, order, self.cost[order])
+        return self._csr
 
     def degree(self, nid: int) -> int:
-        return len(self.adjacency[nid])
-
-    def nearest_node(self, position) -> tuple[int, float] | None:
-        """(id, distance) of the closest node, or None when empty."""
-        if not self.nodes:
-            return None
-        p = tuple(position)
-        best = min(
-            ((math.dist(n.position, p), n.id) for n in self.nodes),
-        )
-        return best[1], best[0]
+        indptr = self.csr()[0]
+        return int(indptr[nid + 1] - indptr[nid])
 
     def other_end(self, edge_idx: int, nid: int) -> int:
-        e = self.edges[edge_idx]
-        return e.b if e.a == nid else e.a
+        a, b = int(self.a[edge_idx]), int(self.b[edge_idx])
+        return b if a == nid else a
+
+    def _node(self, i: int) -> RoadmapNode:
+        return RoadmapNode(i, tuple(self.positions[i].tolist()), NODE_MODES[self.mode[i]])
+
+    def _edge(self, i: int) -> RoadmapEdge:
+        a, b, kind, length, cost = (
+            col[i].item() for col in (self.a, self.b, self.kind, self.length, self.cost)
+        )
+        return RoadmapEdge(a, b, EDGE_KINDS[kind], length, cost)
+
+    def _incident(self, u: int) -> list[int]:
+        indptr, _, edge_id, _ = self.csr()
+        return edge_id[indptr[u] : indptr[u + 1]].tolist()
+
+    def nearest_node(self, position) -> tuple[int, float] | None:
+        """(id, distance) of the closest node, lowest id first on ties, or
+        None when empty."""
+        pts = self.positions.tolist()
+        best = min(((math.dist(q, position), i) for i, q in enumerate(pts)), default=None)
+        return None if best is None else best[::-1]
 
 
-def edge_kind_for(mode_a: NodeMode, mode_b: NodeMode) -> EdgeKind:
-    if mode_a is NodeMode.GROUND and mode_b is NodeMode.GROUND:
-        return EdgeKind.GROUND
-    if mode_a is NodeMode.AERIAL and mode_b is NodeMode.AERIAL:
-        return EdgeKind.FLIGHT
-    return EdgeKind.TRANSITION
-
-
-def edge_cost_for(cm: CostModel, kind: EdgeKind, length: float, z_a: float, z_b: float) -> float:
-    """Stored traversal cost for an edge in its a-to-b orientation.
-
-    Transition edges morph at the ground endpoint and then fly the segment,
-    so they pay one reconfiguration plus the flight cost of the edge.
-    """
-    if kind is EdgeKind.GROUND:
-        return cm.ground_edge_cost(length)
-    if kind is EdgeKind.FLIGHT:
-        return cm.flight_edge_cost(length, z_a, z_b)
-    return cm.transition_cost() + cm.flight_edge_cost(length, z_a, z_b)
+def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
+    """Stored traversal cost of each edge in its a-to-b orientation, bit for
+    bit CostModel's ground_edge_cost, flight_edge_cost and transition_cost
+    (same operations, same order). Transition edges morph at the ground
+    endpoint and then fly, so they pay one morph plus the flight cost."""
+    ground = cm.ground_power * length / cm.ground_speed
+    raw = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
+    flight = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw), -0.0 included
+    return np.select(
+        [kind == _GROUND, kind == _FLIGHT], [ground, flight], cm.transition_cost() + flight
+    )
 
 
 # -- sampling ----------------------------------------------------------------
 
 
-def sample_ground_node(env: Environment, params: PrmParams, rng: SplitMix64):
-    """One collision-free position on the ground surface, or SamplingError
-    after the retry budget."""
-    lo, hi = env.bounds.min_corner, env.bounds.max_corner
-    for _ in range(SAMPLE_RETRY_BUDGET):
-        x = rng.uniform(lo[0], hi[0])
-        y = rng.uniform(lo[1], hi[1])
-        z = env.ground_height(x, y)
-        if not env.point_in_collision((x, y, z), params.clearance):
-            return (x, y, z)
-    raise SamplingError(
-        f"no collision-free ground sample in {SAMPLE_RETRY_BUDGET} attempts"
-    )
+def _sample_nodes(
+    env: Environment, params: PrmParams, rng: SplitMix64, n: int, air: bool
+) -> np.ndarray:
+    """(n, 3) collision-free positions: on the ground surface, or with `air`
+    uniform over {(x, y, z): ground(x, y) + min_air_clearance <= z <= z_max}.
 
-
-def sample_air_node(env: Environment, params: PrmParams, rng: SplitMix64):
-    """One collision-free position in the flyable airspace, uniform over
-    {(x, y, z): ground(x, y) + min_air_clearance <= z <= z_max}."""
+    Attempts (x, y, and z when flying) are drawn and tested SAMPLE_BLOCK at
+    a time. Replaying the one-node-at-a-time rejection loop over the
+    verdicts gives its nodes, its stream consumption, and its SamplingError
+    when one node's SAMPLE_RETRY_BUDGET attempts all fail."""
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
     z_hi = hi[2] if params.z_max is None else min(params.z_max, hi[2])
-    if z_hi <= lo[2]:
+    if air and n and z_hi <= lo[2]:
         raise SamplingError("aerial sampling band is empty (z_max at or below floor)")
-    for _ in range(SAMPLE_RETRY_BUDGET):
-        x = rng.uniform(lo[0], hi[0])
-        y = rng.uniform(lo[1], hi[1])
-        z = rng.uniform(lo[2], z_hi)
-        if z < env.ground_height(x, y) + params.min_air_clearance:
-            continue
-        if not env.point_in_collision((x, y, z), params.clearance):
-            return (x, y, z)
-    raise SamplingError(
-        f"no collision-free aerial sample in {SAMPLE_RETRY_BUDGET} attempts"
-    )
+    per, what = (3, "aerial") if air else (2, "ground")
+    chunks, found, failed = [], 0, 0
+    while found < n:
+        draws = rng.peek_random(per * SAMPLE_BLOCK).reshape(SAMPLE_BLOCK, per)
+        x = lo[0] + (hi[0] - lo[0]) * draws[:, 0]
+        y = lo[1] + (hi[1] - lo[1]) * draws[:, 1]
+        ground = env.ground_heights(x, y)
+        if air:
+            z = lo[2] + (z_hi - lo[2]) * draws[:, 2]
+            ok = ~(z < ground + params.min_air_clearance)
+        else:
+            z, ok = ground, np.ones(SAMPLE_BLOCK, dtype=bool)
+        pts = np.stack((x, y, z), axis=1)
+        ok &= ~env.points_in_collision(pts, params.clearance)
+        hits = np.flatnonzero(ok)[: n - found]
+        # Failed attempts before each hit, counted from the node's first.
+        gaps = np.diff(hits, prepend=-1 - failed) - 1
+        found += len(hits)
+        failed = SAMPLE_BLOCK - 1 - int(hits[-1]) if len(hits) else failed + SAMPLE_BLOCK
+        if (gaps >= SAMPLE_RETRY_BUDGET).any() or (found < n and failed >= SAMPLE_RETRY_BUDGET):
+            raise SamplingError(
+                f"no collision-free {what} sample in {SAMPLE_RETRY_BUDGET} attempts"
+            )
+        chunks.append(pts[hits])
+        rng.skip(per * (int(hits[-1]) + 1 if found == n else SAMPLE_BLOCK))
+    return np.concatenate(chunks) if chunks else np.empty((0, 3))
 
 
 # -- construction --------------------------------------------------------------
@@ -207,13 +279,11 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     the nodes before it in id order.
     """
     rng = SplitMix64(params.seed)
-    ground = [sample_ground_node(env, params, rng) for _ in range(params.n_ground)]
-    air = [sample_air_node(env, params, rng) for _ in range(params.n_air)]
+    ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
+    air = _sample_nodes(env, params, rng, params.n_air, air=True)
     roadmap = Roadmap(params.radius)
-    for pos in ground:
-        roadmap.add_node(pos, NodeMode.GROUND)
-    for pos in air:
-        roadmap.add_node(pos, NodeMode.AERIAL)
+    for mode, pts in ((NodeMode.GROUND, ground), (NodeMode.AERIAL, air)):
+        roadmap._append(positions=pts, mode=np.full(len(pts), NODE_MODES.index(mode)))
     _connect_edges(roadmap, 0, env, cm, params, roadmap.radius)
     return roadmap
 
@@ -242,13 +312,12 @@ def insert_query_nodes(
         if nearest is not None and nearest[1] <= DUPLICATE_NODE_TOL:
             ids.append(nearest[0])
             continue
-        node = roadmap.add_node(snapped, NodeMode.GROUND)
-        _connect_edges(roadmap, node.id, env, cm, params, roadmap.radius)
-        if roadmap.degree(node.id) == 0:
-            _connect_edges(roadmap, node.id, env, cm, params, 2.0 * roadmap.radius)
-        if roadmap.degree(node.id) == 0:
+        nid = roadmap.add_node(snapped, NodeMode.GROUND)
+        # any() stops at the first radius that gains the node an edge.
+        radii = (roadmap.radius, 2.0 * roadmap.radius)
+        if not any(_connect_edges(roadmap, nid, env, cm, params, r) for r in radii):
             raise QueryNodeIsolatedError(f"query node '{label}' isolated")
-        ids.append(node.id)
+        ids.append(nid)
     return roadmap, ids[0], ids[1]
 
 
@@ -259,10 +328,11 @@ def _connect_edges(
     cm: CostModel,
     params: PrmParams,
     radius: float,
-) -> None:
+) -> int:
     """Add every valid edge between a node with id >= `first` and an older
     node within `radius` of it, in the order that inserting the nodes one
-    at a time would: by newer id, then by older id.
+    at a time would: by newer id, then by older id. Returns the number of
+    edges added.
 
     An edge is valid when the straight segment is collision-free at the
     build clearance; driving edges additionally require every sample of the
@@ -270,56 +340,40 @@ def _connect_edges(
     stored with the lower node id first, so the stored cost orientation is
     from the older node toward the newer one.
     """
-    nodes = roadmap.nodes
-    if first >= len(nodes):
-        return
-    pos = np.array([n.position for n in nodes])
+    pos = roadmap.positions
+    pl, n = pos.tolist(), len(pos)
     # A margin for the numpy search; math.dist makes the exact closed-radius
     # decision and gives the stored length.
     reach2 = (radius * (1.0 + 1e-9)) ** 2
-    rows = max(1, PAIR_BLOCK // (3 * len(nodes)))
-    pairs = []
-    for i0 in range(first, len(nodes), rows):
-        i1 = min(i0 + rows, len(nodes))
+    rows = max(1, PAIR_BLOCK // (3 * n)) if n else 1
+    new, old, added = [], [], 0
+    for i0 in range(first, n, rows):
+        i1 = min(i0 + rows, n)
         diff = pos[i0:i1, None, :] - pos[None, :i1, :]
         near = (diff * diff).sum(axis=2) <= reach2
         near &= np.arange(i1)[None, :] < np.arange(i0, i1)[:, None]
-        new, old = np.nonzero(near)
-        for i, j in zip((new + i0).tolist(), old.tolist()):
-            node, other = nodes[i], nodes[j]
-            length = math.dist(node.position, other.position)
-            if DUPLICATE_NODE_TOL < length <= radius:
-                pairs.append((node, other, length))
-        if len(pairs) >= PAIR_GROUP or i1 == len(nodes):
-            _add_valid_edges(roadmap, pos, pairs, env, cm, params)
-            pairs = []
-
-
-def _add_valid_edges(
-    roadmap: Roadmap,
-    pos: np.ndarray,
-    pairs: list[tuple[RoadmapNode, RoadmapNode, float]],
-    env: Environment,
-    cm: CostModel,
-    params: PrmParams,
-) -> None:
-    """Validate candidate (newer node, older node, length) triples in
-    batched segment checks, each from the older node to the newer one, and
-    add the valid edges in list order. Edges take the nodes' own id
-    objects, so a roadmap holds one int per node, not two per edge."""
-    if not pairs:
-        return
-    new = np.array([node.id for node, _, _ in pairs])
-    old = np.array([other.id for _, other, _ in pairs])
-    kinds = [edge_kind_for(other.mode, node.mode) for node, other, _ in pairs]
-    ok = np.ones(len(pairs), dtype=bool)
-    drive = np.array([kind is EdgeKind.GROUND for kind in kinds])
-    ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]], GROUND_SURFACE_TOL)
-    ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
-    for (node, other, length), kind, valid in zip(pairs, kinds, ok.tolist()):
-        if valid:
-            cost = edge_cost_for(cm, kind, length, other.position[2], node.position[2])
-            roadmap.add_edge(other.id, node.id, kind, length, cost)
+        i, j = np.nonzero(near)
+        new.append(i + i0)
+        old.append(j)
+        if sum(map(len, new)) < PAIR_GROUP and i1 < n:
+            continue
+        # Validate the group's (newer, older) candidates in batched segment
+        # checks, each from the older node to the newer one.
+        new, old = np.concatenate(new), np.concatenate(old)
+        length = np.array([math.dist(pl[i], pl[j]) for i, j in zip(new.tolist(), old.tolist())])
+        keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)
+        new, old, length = new[keep], old[keep], length[keep]
+        kind = roadmap.mode[old] + roadmap.mode[new]
+        ok = np.ones(len(new), dtype=bool)
+        drive = kind == _GROUND
+        ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]], GROUND_SURFACE_TOL)
+        ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
+        a, b, kind, length = old[ok], new[ok], kind[ok], length[ok]
+        cost = edge_costs(cm, kind, length, pos[a, 2], pos[b, 2])
+        roadmap._append(a=a, b=b, kind=kind, length=length, cost=cost)
+        added += len(a)
+        new, old = [], []
+    return added
 
 
 # -- export -------------------------------------------------------------------
@@ -327,19 +381,15 @@ def _add_valid_edges(
 
 def roadmap_to_dict(roadmap: Roadmap) -> dict:
     """JSON-ready dict; nodes by id, edges sorted by (a, b)."""
+    order = np.lexsort((roadmap.b, roadmap.a))
+    columns = (roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost)
     return {
         "nodes": [
-            {"id": n.id, "position": list(n.position), "mode": n.mode.value}
-            for n in roadmap.nodes
+            {"id": i, "position": p, "mode": NODE_MODES[m].value}
+            for i, (p, m) in enumerate(zip(roadmap.positions.tolist(), roadmap.mode.tolist()))
         ],
         "edges": [
-            {
-                "a": e.a,
-                "b": e.b,
-                "kind": e.kind.value,
-                "length": e.length,
-                "cost": e.cost,
-            }
-            for e in sorted(roadmap.edges, key=lambda e: (e.a, e.b))
+            {"a": a, "b": b, "kind": EDGE_KINDS[k].value, "length": length, "cost": cost}
+            for a, b, k, length, cost in zip(*(col[order].tolist() for col in columns))
         ],
     }

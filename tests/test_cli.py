@@ -103,6 +103,15 @@ def test_bad_config_files_exit_one(tmp_path):
         ("top", heightmap(resolution=True), "heightmap resolution must be a number"),
         ("top", heightmap(data=[0] * 5 + ["nan"]), "heightmap data[5] must be a number"),
         ("top", heightmap(resolution=1e309), "heightmap resolution must be finite"),
+        # json.load reads NaN and Infinity; every non-finite number is refused.
+        ("prm", {"clearance": math.nan}, "prm parameter 'clearance' must be finite, got nan"),
+        ("prm", {"radius": math.nan}, "prm parameter 'radius' must be finite, got nan"),
+        ("prm", {"z_max": math.inf}, "prm parameter 'z_max' must be finite, got inf"),
+        ("cost", {"flight_power": math.nan}, "cost parameter 'flight_power' must be finite"),
+        ("cost", {"mass": math.nan}, "cost parameter 'mass' must be finite, got nan"),
+        ("cost", {"ground_speed": -math.inf}, "cost parameter 'ground_speed' must be finite"),
+        ("cost", {"dwa": {"d_sat": math.nan}}, "dwa parameter 'd_sat' must be finite, got nan"),
+        ("cost", {"sim": {"dt": math.inf}}, "sim parameter 'dt' must be finite, got inf"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"

@@ -96,6 +96,9 @@ def test_rejects_non_positive_parameters():
             CostModel(**{key: 0.0})
         with pytest.raises(ConfigError):
             CostModel(**{key: -1.0})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                CostModel(**{key: bad})
 
 
 def test_rejects_ground_travel_dearer_than_flight():

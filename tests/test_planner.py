@@ -2,13 +2,14 @@
 
 import heapq
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment, OccupancyGrid
+from morphnav.env import Aabb, Environment, OccupancyGrid, load_environment
 from morphnav.errors import InvalidStartError, NoPathError
 from morphnav.planner import (
     CostToGo,
@@ -176,6 +177,93 @@ def test_all_costs_agrees_with_single_queries():
         except NoPathError:
             want = math.inf
         assert table[target] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# -- the CSR search against the adjacency-list search it replaced ------------------
+
+ARENA = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
+
+
+def _list_search(edges, positions, adjacency, source, goal, h):
+    """Best-first search over per-node adjacency lists, as the roadmap was
+    searched before its CSR: keys (g + h(position), g, id), h called on
+    every push, no reopening. Returns (g, parent edge, expansions)."""
+    n = len(positions)
+    g, parent, closed = [math.inf] * n, [-1] * n, [False] * n
+    g[source] = 0.0
+    heap = [(h(positions[source]), 0.0, source)]
+    expanded = 0
+    while heap:
+        _, gu, u = heapq.heappop(heap)
+        if closed[u] or gu > g[u]:
+            continue
+        closed[u] = True
+        expanded += 1
+        if u == goal:
+            break
+        for idx in adjacency[u]:
+            e = edges[idx]
+            v = e.b if e.a == u else e.a
+            new_g = gu + e.cost
+            if new_g < g[v] and not closed[v]:
+                g[v] = new_g
+                parent[v] = idx
+                heapq.heappush(heap, (new_g + h(positions[v]), new_g, v))
+    return g, parent, expanded
+
+
+def _list_path(edges, parent, source, goal):
+    """(node ids, edge records) of the path the parent edges hold."""
+    node_ids, path, cur = [goal], [], goal
+    while cur != source:
+        e = edges[parent[cur]]
+        path.append(e)
+        cur = e.b if e.a == cur else e.a
+        node_ids.append(cur)
+    return tuple(reversed(node_ids)), tuple(reversed(path))
+
+
+def test_csr_search_matches_adjacency_list_search():
+    env = load_environment(ARENA)
+    roadmap = build_roadmap(
+        env, CM, PrmParams(seed=1, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4)
+    )
+    edges = list(roadmap.edges)
+    positions = [n.position for n in roadmap.nodes]
+    adjacency = [[] for _ in positions]
+    for idx, e in enumerate(edges):
+        adjacency[e.a].append(idx)
+        adjacency[e.b].append(idx)
+    # Ground nodes connected to node 0, west and east of the wall at x = 5.
+    reach = dijkstra_all_costs(roadmap, 0)
+    ground = [n.id for n in roadmap.nodes if n.mode is NodeMode.GROUND and reach[n.id] < math.inf]
+    west = [i for i in ground if positions[i][0] < 5.0]
+    east = [i for i in ground if positions[i][0] > 5.0]
+    rng = SplitMix64(40)
+    for q in range(40):
+        # Two queries in three cross the wall.
+        a, side = west[rng.randint(len(west))], east if q % 3 else west
+        b = a
+        while b == a:
+            b = side[rng.randint(len(side))]
+        goal = positions[b]
+        g, parent, expanded = _list_search(
+            edges, positions, adjacency, a, b, lambda p: CM.heuristic(p, goal)
+        )
+        plan = astar_multimodal(roadmap, a, b, CM)
+        assert plan.total_cost == g[b], q
+        assert (plan.node_ids, plan.edges) == _list_path(edges, parent, a, b), q
+        assert plan.expanded == expanded, q
+        if q % 3:
+            assert plan.n_transitions == 2, q
+        g, parent, expanded = _list_search(edges, positions, adjacency, a, b, lambda p: 0.0)
+        ref = dijkstra_oracle(roadmap, a, b, CM)
+        assert ref.total_cost == g[b], q
+        assert (ref.node_ids, ref.edges) == _list_path(edges, parent, a, b), q
+        assert ref.expanded == expanded, q
+        if q % 10 == 0:
+            full = _list_search(edges, positions, adjacency, b, None, lambda p: 0.0)[0]
+            assert dijkstra_all_costs(roadmap, b) == full, q
 
 
 # -- grid planner ----------------------------------------------------------------

@@ -18,21 +18,43 @@ from morphnav.errors import (
 from morphnav.planner import astar_multimodal
 from morphnav.rng import SplitMix64
 from morphnav.roadmap import (
+    EDGE_KINDS,
+    NODE_MODES,
+    SAMPLE_RETRY_BUDGET,
     EdgeKind,
     NodeMode,
     PrmParams,
     Roadmap,
+    RoadmapEdge,
+    RoadmapNode,
     _connect_edges,
+    _sample_nodes,
     build_roadmap,
-    edge_cost_for,
-    edge_kind_for,
+    edge_costs,
     insert_query_nodes,
     roadmap_to_dict,
-    sample_air_node,
-    sample_ground_node,
 )
 
 CM = CostModel()
+
+
+# -- reference: the scalar formulas an edge's kind and cost must follow ----------
+
+
+def _ref_kind(mode_a, mode_b):
+    if mode_a is NodeMode.GROUND and mode_b is NodeMode.GROUND:
+        return EdgeKind.GROUND
+    if mode_a is NodeMode.AERIAL and mode_b is NodeMode.AERIAL:
+        return EdgeKind.FLIGHT
+    return EdgeKind.TRANSITION
+
+
+def _ref_cost(cm, kind, length, z_a, z_b):
+    if kind is EdgeKind.GROUND:
+        return cm.ground_edge_cost(length)
+    if kind is EdgeKind.FLIGHT:
+        return cm.flight_edge_cost(length, z_a, z_b)
+    return cm.transition_cost() + cm.flight_edge_cost(length, z_a, z_b)
 
 
 def _open_env(x=20.0, y=20.0, z=5.0):
@@ -104,6 +126,10 @@ def test_rng_normal_moments():
 
 
 def test_prm_params_validation():
+    for bad in ({"radius": math.nan}, {"radius": math.inf}, {"clearance": math.nan},
+                {"min_air_clearance": math.inf}, {"z_max": math.nan}):
+        with pytest.raises(ConfigError, match="finite"):
+            PrmParams(**bad)
     with pytest.raises(ConfigError):
         PrmParams(n_ground=-1)
     with pytest.raises(ConfigError):
@@ -172,15 +198,114 @@ def test_sampling_error_when_world_is_blocked():
         build_roadmap(env, CM, PrmParams(n_ground=5, n_air=5, radius=1.0, seed=0))
 
 
+def _scalar_sample(env, params, rng, air):
+    """The one-node-at-a-time rejection loop the batched sampler replays."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    z_hi = hi[2] if params.z_max is None else min(params.z_max, hi[2])
+    if air and z_hi <= lo[2]:
+        raise SamplingError("aerial sampling band is empty (z_max at or below floor)")
+    for _ in range(SAMPLE_RETRY_BUDGET):
+        x = rng.uniform(lo[0], hi[0])
+        y = rng.uniform(lo[1], hi[1])
+        if air:
+            z = rng.uniform(lo[2], z_hi)
+            if z < env.ground_height(x, y) + params.min_air_clearance:
+                continue
+        else:
+            z = env.ground_height(x, y)
+        if not env.point_in_collision((x, y, z), params.clearance):
+            return (x, y, z)
+    kind = "aerial" if air else "ground"
+    raise SamplingError(f"no collision-free {kind} sample in {SAMPLE_RETRY_BUDGET} attempts")
+
+
+def _heightmap_obstacles_env():
+    rows = [[0.3 * math.sin(0.5 * j) * math.cos(0.5 * i) + 0.3 for j in range(13)]
+            for i in range(7)]
+    boxes = [((1.0 + 1.5 * k, 0.5 + 0.6 * k, 0.0), (1.8 + 1.5 * k, 1.5 + 0.6 * k, 1.0 + 0.3 * k))
+             for k in range(7)]
+    return Environment(
+        Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
+        obstacles=tuple(Aabb(lo, hi) for lo, hi in boxes),
+        ground_const=None,
+        heightmap=Heightmap((0.0, 0.0), 1.0, rows),
+    )
+
+
+def _sample_both_ways(env, params, n, air):
+    """(positions, stream state) from the batched and the scalar sampler,
+    or the SamplingError message each raised."""
+    results = []
+    for batched in (True, False):
+        rng = SplitMix64(params.seed)
+        try:
+            if batched:
+                pts = _sample_nodes(env, params, rng, n, air).tolist()
+            else:
+                pts = [list(_scalar_sample(env, params, rng, air)) for _ in range(n)]
+        except SamplingError as exc:
+            results.append(str(exc))
+        else:
+            results.append((pts, rng.next_u64()))
+    return results
+
+
+def test_batched_sampler_matches_scalar_loop():
+    worlds = {
+        "open field": (_open_env(), {}),
+        "walled arena": (load_environment(ARENA), {"min_air_clearance": 1.4}),
+        "heightmap, 7 obstacles": (_heightmap_obstacles_env(), {"min_air_clearance": 0.4}),
+        "z_max cap": (_heightmap_obstacles_env(), {"z_max": 1.2}),
+    }
+    for world, (env, prm) in worlds.items():
+        for seed in range(6):
+            params = PrmParams(seed=seed, **prm)
+            for n, air in ((1, False), (300, False), (1, True), (300, True), (0, True)):
+                batched, scalar = _sample_both_ways(env, params, n, air)
+                assert not isinstance(batched, str), (world, seed, n, air)
+                assert batched == scalar, (world, seed, n, air)
+
+
+def _hole_world(x, y, half):
+    """A unit cube whose floor is walled off except for a square of side
+    2 * half round (x, y)."""
+    x0, x1, y0, y1 = x - half, x + half, y - half, y + half
+    assert 0.0 < x0 and x1 < 1.0 and 0.0 < y0 and y1 < 1.0
+    walls = [((0, 0, 0), (x0, 1, 1)), ((x1, 0, 0), (1, 1, 1)),
+             ((x0, 0, 0), (x1, y0, 1)), ((x0, y1, 0), (x1, 1, 1))]
+    return Environment(Aabb((0, 0, 0), (1, 1, 1)), obstacles=[Aabb(lo, hi) for lo, hi in walls])
+
+
+@pytest.mark.parametrize("air", [False, True])
+def test_sampler_retry_budget_is_exact(air):
+    # Wall off everything but a square round the attempt at index k, too
+    # small to hold any earlier attempt: the first node then succeeds after
+    # exactly k failed attempts, so k = 999 succeeds and k = 1000 fails.
+    per = 3 if air else 2
+    params = PrmParams(seed=4, clearance=0.0, min_air_clearance=0.0)
+    draws = SplitMix64(params.seed).peek_random(per * 1001).reshape(1001, per)
+    xy = draws[:, :2]  # the bounds are the unit cube
+    for k, succeeds in ((SAMPLE_RETRY_BUDGET - 1, True), (SAMPLE_RETRY_BUDGET, False)):
+        half = 0.5 * np.abs(xy[:k] - xy[k]).max(axis=1).min()
+        env = _hole_world(*xy[k].tolist(), half)
+        batched, scalar = _sample_both_ways(env, params, 1, air)
+        assert batched == scalar
+        if succeeds:
+            assert batched[0] == [[*xy[k].tolist(), batched[0][0][2]]]
+        else:
+            kind = "aerial" if air else "ground"
+            assert batched == f"no collision-free {kind} sample in 1000 attempts"
+
+
 # -- edges ------------------------------------------------------------------------
 
 
 def test_edge_kind_table():
-    g, a = NodeMode.GROUND, NodeMode.AERIAL
-    assert edge_kind_for(g, g) is EdgeKind.GROUND
-    assert edge_kind_for(a, a) is EdgeKind.FLIGHT
-    assert edge_kind_for(g, a) is EdgeKind.TRANSITION
-    assert edge_kind_for(a, g) is EdgeKind.TRANSITION
+    # A kind code is the sum of its end modes' codes.
+    for ma in NodeMode:
+        for mb in NodeMode:
+            code = NODE_MODES.index(ma) + NODE_MODES.index(mb)
+            assert EDGE_KINDS[code] is _ref_kind(ma, mb)
 
 
 def test_edge_invariants():
@@ -194,13 +319,10 @@ def test_edge_invariants():
         assert edge.a < edge.b
         assert (edge.a, edge.b) not in seen
         seen.add((edge.a, edge.b))
-        assert edge.length == pytest.approx(
-            math.dist(na.position, nb.position), rel=1e-12
-        )
-        assert edge.length <= params.radius + 1e-9
-        assert edge.kind is edge_kind_for(na.mode, nb.mode)
-        want = edge_cost_for(CM, edge.kind, edge.length, na.position[2], nb.position[2])
-        assert edge.cost == pytest.approx(want, rel=1e-12)
+        assert edge.length == math.dist(na.position, nb.position)
+        assert edge.length <= params.radius
+        assert edge.kind is _ref_kind(na.mode, nb.mode)
+        assert edge.cost == _ref_cost(CM, edge.kind, edge.length, na.position[2], nb.position[2])
     a = [roadmap.nodes[e.a].position for e in roadmap.edges]
     b = [roadmap.nodes[e.b].position for e in roadmap.edges]
     assert not env.segments_in_collision(a, b, params.clearance).any()
@@ -208,21 +330,31 @@ def test_edge_invariants():
     assert env.segments_on_ground(np.array(a)[drive], np.array(b)[drive]).all()
 
 
-def test_edge_cost_for_matches_cost_model():
-    # One stored number per edge, computed in the a-to-b orientation; each
-    # kind must reduce to the corresponding cost-model expression.
-    rng = SplitMix64(12)
-    for _ in range(100):
-        za, zb = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-        length = max(abs(zb - za), 0.01) * rng.uniform(1.0, 4.0)
-        ground = edge_cost_for(CM, EdgeKind.GROUND, length, za, za)
-        assert ground == pytest.approx(CM.ground_edge_cost(length), rel=1e-12)
-        flight = edge_cost_for(CM, EdgeKind.FLIGHT, length, za, zb)
-        assert flight == pytest.approx(CM.flight_edge_cost(length, za, zb), rel=1e-12)
-        morph = edge_cost_for(CM, EdgeKind.TRANSITION, length, za, zb)
-        assert morph == pytest.approx(
-            CM.transition_cost() + CM.flight_edge_cost(length, za, zb), rel=1e-12
-        )
+def test_edge_costs_match_cost_model_bit_for_bit():
+    # The vectorized costs repeat CostModel's operations in its order, so
+    # each equals the scalar formula exactly. The cheap-flight model makes
+    # steep descents negative before the floor at 0, and its speeds make
+    # the order of the products and quotients matter.
+    cheap_flight = CostModel(
+        ground_power=10.0, ground_speed=0.7, flight_power=30.0, flight_speed=1.3
+    )
+    rng = np.random.default_rng(12)
+    za = rng.uniform(0.0, 3.0, 4000)
+    zb = np.where(rng.random(4000) < 0.1, za, rng.uniform(0.0, 3.0, 4000))
+    length = np.abs(zb - za) * rng.uniform(1.0, 4.0, 4000) + rng.uniform(0.0, 0.5, 4000)
+    length[:50] = np.abs(zb - za)[:50]  # vertical segments
+    kind = rng.integers(0, 3, 4000).astype(np.int8)
+    for cm in (CM, cheap_flight):
+        got = edge_costs(cm, kind, length, za, zb)
+        want = [
+            _ref_cost(cm, EDGE_KINDS[k], L, a, b)
+            for k, L, a, b in zip(kind.tolist(), length.tolist(), za.tolist(), zb.tolist())
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
+    raw = 30.0 * length / 1.3 + cheap_flight.mass * cheap_flight.gravity * (zb - za)
+    floored = (kind == EDGE_KINDS.index(EdgeKind.FLIGHT)) & (raw < 0.0)
+    assert floored.sum() > 10
+    assert (edge_costs(cheap_flight, kind, length, za, zb)[floored] == 0.0).all()
 
 
 def test_no_ground_edge_crosses_the_wall():
@@ -251,6 +383,23 @@ def test_connect_edges_closed_radius_and_nearest():
     assert Roadmap(radius=1.0).nearest_node((0.0, 0.0, 0.0)) is None
     with pytest.raises(ValueError):
         roadmap.add_edge(1, 1, EdgeKind.GROUND, 0.0, 0.0)
+
+
+def test_csr_lists_each_nodes_edges_by_id():
+    # Up to 2^16 nodes the CSR sorts 16-bit keys; beyond, 64-bit ones.
+    for n in (5, 70_000):
+        roadmap = Roadmap(radius=1.0)
+        roadmap._append(positions=np.zeros((n, 3)), mode=np.zeros(n, dtype=np.int8))
+        for a, b in ((0, n - 1), (1, 2), (2, 0), (n - 1, 2), (0, 1)):
+            roadmap.add_edge(a, b, EdgeKind.GROUND, 1.0, float(a + b))
+        assert roadmap.adjacency[0] == [0, 2, 4]
+        assert roadmap.adjacency[2] == [1, 2, 3]
+        assert roadmap.adjacency[n - 1] == [0, 3]
+        assert roadmap.degree(n - 2) == 0
+        indptr, neighbour, _, cost = roadmap.csr()
+        assert neighbour[indptr[2] : indptr[3]].tolist() == [1, 0, n - 1]
+        assert cost[indptr[2] : indptr[3]].tolist() == [3.0, 2.0, n + 1.0]
+        assert roadmap.other_end(3, 2) == n - 1
 
 
 # -- connectivity trend ------------------------------------------------------------
@@ -374,6 +523,35 @@ def _ref_on_ground(env, a, b, tol=1e-6):
     return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
 
 
+class _RefRoadmap:
+    """The object store the columns replaced: one record per node and per
+    edge, and an adjacency list per node."""
+
+    def __init__(self, radius):
+        self.radius = radius
+        self.nodes, self.edges, self.adjacency = [], [], []
+
+    def add_node(self, position, mode):
+        self.nodes.append(RoadmapNode(len(self.nodes), tuple(position), mode))
+        self.adjacency.append([])
+        return self.nodes[-1]
+
+    def add_edge(self, a, b, kind, length, cost):
+        self.adjacency[a].append(len(self.edges))
+        self.adjacency[b].append(len(self.edges))
+        self.edges.append(RoadmapEdge(min(a, b), max(a, b), kind, length, cost))
+
+    def other_end(self, idx, nid):
+        e = self.edges[idx]
+        return e.b if e.a == nid else e.a
+
+    def nearest_node(self, position):
+        if not self.nodes:
+            return None
+        d, nid = min((math.dist(n.position, position), n.id) for n in self.nodes)
+        return nid, d
+
+
 def _ref_connect(roadmap, nid, env, params, radius):
     # Linear-scan neighbours in ascending id order, one segment at a time.
     node = roadmap.nodes[nid]
@@ -385,20 +563,20 @@ def _ref_connect(roadmap, nid, env, params, radius):
         length = math.dist(node.position, other.position)
         if length <= 1e-9:
             continue
-        kind = edge_kind_for(other.mode, node.mode)
+        kind = _ref_kind(other.mode, node.mode)
         if kind is EdgeKind.GROUND and not _ref_on_ground(env, other.position, node.position):
             continue
         if _ref_in_collision(env, other.position, node.position, params.clearance):
             continue
-        cost = edge_cost_for(CM, kind, length, other.position[2], node.position[2])
+        cost = _ref_cost(CM, kind, length, other.position[2], node.position[2])
         roadmap.add_edge(other_id, nid, kind, length, cost)
 
 
 def _ref_build(env, params):
     rng = SplitMix64(params.seed)
-    ground = [sample_ground_node(env, params, rng) for _ in range(params.n_ground)]
-    air = [sample_air_node(env, params, rng) for _ in range(params.n_air)]
-    roadmap = Roadmap(params.radius)
+    ground = [_scalar_sample(env, params, rng, False) for _ in range(params.n_ground)]
+    air = [_scalar_sample(env, params, rng, True) for _ in range(params.n_air)]
+    roadmap = _RefRoadmap(params.radius)
     for nid, pos in enumerate(ground + air):
         roadmap.add_node(pos, NodeMode.GROUND if nid < len(ground) else NodeMode.AERIAL)
         _ref_connect(roadmap, nid, env, params, roadmap.radius)
@@ -419,10 +597,10 @@ def _ref_insert(roadmap, start, goal, env, params):
             continue
         node = roadmap.add_node(snapped, NodeMode.GROUND)
         _ref_connect(roadmap, node.id, env, params, roadmap.radius)
-        if roadmap.degree(node.id) == 0:
+        if not roadmap.adjacency[node.id]:
             retries += 1
             _ref_connect(roadmap, node.id, env, params, 2.0 * roadmap.radius)
-        if roadmap.degree(node.id) == 0:
+        if not roadmap.adjacency[node.id]:
             raise QueryNodeIsolatedError(f"query node '{label}' isolated")
         ids.append(node.id)
     return roadmap, ids[0], ids[1], retries
@@ -461,10 +639,45 @@ REFERENCE_WORLDS = {
 
 
 def _snapshot(roadmap):
+    """Nodes, edges, each node's (edge id, neighbour, cost) incident list
+    and the export, read from the columns and the CSR."""
+    indptr, neighbour, edge_id, cost = roadmap.csr()
+    csr = (edge_id, neighbour, cost)
+    incident = [
+        list(zip(*(col[indptr[u] : indptr[u + 1]].tolist() for col in csr)))
+        for u in range(len(roadmap.positions))
+    ]
+    modes = roadmap.mode.tolist()
+    columns = (roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost)
     return (
-        [(e.a, e.b, e.kind, e.length, e.cost) for e in roadmap.edges],
-        roadmap.adjacency,
+        [(tuple(p), NODE_MODES[m]) for p, m in zip(roadmap.positions.tolist(), modes)],
+        [(a, b, EDGE_KINDS[k], *rest) for a, b, k, *rest in zip(*(c.tolist() for c in columns))],
+        incident,
         roadmap_to_dict(roadmap),
+    )
+
+
+def _ref_snapshot(ref):
+    """The same from the reference's records and adjacency lists, with the
+    export as roadmap_to_dict wrote it from records."""
+    export = {
+        "nodes": [
+            {"id": n.id, "position": list(n.position), "mode": n.mode.value} for n in ref.nodes
+        ],
+        "edges": [
+            {"a": e.a, "b": e.b, "kind": e.kind.value, "length": e.length, "cost": e.cost}
+            for e in sorted(ref.edges, key=lambda e: (e.a, e.b))
+        ],
+    }
+    incident = [
+        [(i, ref.other_end(i, u), ref.edges[i].cost) for i in adj]
+        for u, adj in enumerate(ref.adjacency)
+    ]
+    return (
+        [(n.position, n.mode) for n in ref.nodes],
+        [(e.a, e.b, e.kind, e.length, e.cost) for e in ref.edges],
+        incident,
+        export,
     )
 
 
@@ -477,7 +690,9 @@ def test_batched_build_matches_one_node_at_a_time_build():
             params = PrmParams(**{"n_ground": 80, "n_air": 80, "radius": 2.0, **prm, "seed": seed})
             ref = _ref_build(env, params)
             roadmap = build_roadmap(env, CM, params)
-            assert _snapshot(roadmap) == _snapshot(ref), (world, seed)
+            assert _snapshot(roadmap) == _ref_snapshot(ref), (world, seed)
+            views = (list(roadmap.nodes), list(roadmap.edges), list(roadmap.adjacency))
+            assert views == (ref.nodes, ref.edges, ref.adjacency), (world, seed)
             assert ref.edges, (world, seed)
             # Query pairs anywhere on the footprint, some on existing nodes.
             rng = SplitMix64(1000 + seed)
@@ -496,7 +711,7 @@ def test_batched_build_matches_one_node_at_a_time_build():
                 except (ConfigError, QueryNodeIsolatedError) as exc:
                     got = type(exc)
                 assert got == want, (world, seed, q)
-                assert _snapshot(roadmap) == _snapshot(ref), (world, seed, q)
+                assert _snapshot(roadmap) == _ref_snapshot(ref), (world, seed, q)
     assert retries > 0  # the doubled-radius retry ran
 
 
