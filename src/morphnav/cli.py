@@ -112,12 +112,12 @@ def _load_configs(path: str | None):
     )
 
 
-def _prm_params(args, scenario_prm: PrmParams) -> PrmParams:
-    """Sampling parameters: explicit flags beat the scenario's 'prm'
-    section, which beats the built-in defaults."""
+def _prm_params(args, base: PrmParams) -> PrmParams:
+    """Sampling parameters: explicit flags beat `base`, the scenario's
+    'prm' section over the built-in defaults (PrmParams() for `oracle`)."""
     flags = {"n_ground": args.nw, "n_air": args.nf, "radius": args.radius}
     return dataclasses.replace(
-        scenario_prm, seed=args.seed, **{k: v for k, v in flags.items() if v is not None}
+        base, seed=args.seed, **{k: v for k, v in flags.items() if v is not None}
     )
 
 
@@ -318,11 +318,9 @@ def cmd_oracle(args) -> int:
     expansion_regressions = 0
     n_queries = 0
     pair_rng = SplitMix64(args.seed + 0x5EED)
+    params = _prm_params(args, PrmParams())
     for i in range(args.n):
-        params = PrmParams(
-            n_ground=args.nw, n_air=args.nf, radius=args.radius, seed=args.seed + i
-        )
-        roadmap = build_roadmap(env, cost, params)
+        roadmap = build_roadmap(env, cost, dataclasses.replace(params, seed=args.seed + i))
         n_nodes = len(roadmap.nodes)
         for _ in range(args.queries):
             a = pair_rng.randint(n_nodes)
@@ -393,15 +391,15 @@ def cmd_oracle(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(sp, with_prm: bool) -> None:
-    sp.add_argument("--env", required=True, help="scenario JSON file")
+def _add_common(sp, with_env: bool = True) -> None:
+    if with_env:
+        sp.add_argument("--env", required=True, help="scenario JSON file")
     sp.add_argument("--cost-config", default=None, help="cost/controller JSON file")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--out", default=".", help="output directory")
-    if with_prm:
-        sp.add_argument("--nw", type=int, default=None, help="ground sample count")
-        sp.add_argument("--nf", type=int, default=None, help="aerial sample count")
-        sp.add_argument("--radius", type=float, default=None, help="connection radius")
+    sp.add_argument("--nw", type=int, default=None, help="ground sample count")
+    sp.add_argument("--nf", type=int, default=None, help="aerial sample count")
+    sp.add_argument("--radius", type=float, default=None, help="connection radius")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,17 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roadmap", help="build and export a roadmap")
-    _add_common(sp, with_prm=True)
+    _add_common(sp)
     sp.set_defaults(func=cmd_roadmap)
 
     sp = sub.add_parser("plan", help="plan a route on a fresh roadmap")
-    _add_common(sp, with_prm=True)
+    _add_common(sp)
     sp.add_argument("--start", default=None, help="override start 'x,y,z'")
     sp.add_argument("--goal", default=None, help="override goal 'x,y,z'")
     sp.set_defaults(func=cmd_plan)
 
     sp = sub.add_parser("simulate", help="execute a waypoint mission")
-    _add_common(sp, with_prm=True)
+    _add_common(sp)
     sp.add_argument("--start", default=None, help="override start 'x,y,z'")
     sp.add_argument("--waypoints", default=None, help="override list 'x,y,z;x,y,z;...'")
     sp.add_argument("--latency", type=float, default=None, help="actuation delay (s)")
@@ -432,14 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("oracle", help="cross-check planner optimality")
-    sp.add_argument("--cost-config", default=None)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--out", default=".")
+    _add_common(sp, with_env=False)
     sp.add_argument("--n", type=int, default=100, help="number of roadmaps")
     sp.add_argument("--queries", type=int, default=10, help="query pairs per roadmap")
-    sp.add_argument("--nw", type=int, default=200)
-    sp.add_argument("--nf", type=int, default=200)
-    sp.add_argument("--radius", type=float, default=2.0)
     sp.add_argument(
         "--heuristic-scale",
         type=float,

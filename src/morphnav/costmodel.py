@@ -144,7 +144,7 @@ def config_from_dict(cls, d, section: str):
 
 
 def load_config_file(path) -> dict:
-    """Read a JSON config file holding cost, heuristic, and local-nav blocks."""
+    """Read a JSON file holding one object: a cost config or a scenario."""
     try:
         with open(path) as fh:
             d = json.load(fh)

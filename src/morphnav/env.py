@@ -11,12 +11,12 @@ would reject every legal pose).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import load_config_file
 from .errors import ConfigError
 
 # Footprint inflation: half the 0.70 m vehicle length.
@@ -56,12 +56,6 @@ class Aabb:
             if self.max_corner[axis] < other.min_corner[axis]:
                 return False
         return True
-
-    def to_dict(self) -> dict:
-        d = {"min": list(self.min_corner), "max": list(self.max_corner)}
-        if self.name:
-            d["name"] = self.name
-        return d
 
 
 class Heightmap:
@@ -237,29 +231,6 @@ class Environment:
             return ~(np.abs(pts[:, 2] - ground) <= tol)
 
         return ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
-
-    def to_dict(self) -> dict:
-        d = {
-            "bounds": {
-                "min": list(self.bounds.min_corner),
-                "max": list(self.bounds.max_corner),
-            },
-            "obstacles": [o.to_dict() for o in self.obstacles],
-        }
-        if self.ground_const is not None:
-            d["ground"] = {"const": self.ground_const}
-        else:
-            hm = self.heightmap
-            d["ground"] = {
-                "heightmap": {
-                    "origin": list(hm.origin),
-                    "resolution": hm.resolution,
-                    "rows": hm.rows,
-                    "cols": hm.cols,
-                    "data": [float(v) for v in hm.data.ravel()],
-                }
-            }
-        return d
 
 
 # Samples made and tested per pass of _any_sample (divided by the obstacle
@@ -609,12 +580,5 @@ def environment_from_dict(d: dict) -> Environment:
 
 
 def load_environment(path) -> Environment:
-    """Load an Environment from a JSON file."""
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read environment '{path}': {exc}") from exc
-    if not isinstance(d, dict):
-        raise ConfigError("environment file must hold a JSON object")
-    return environment_from_dict(d)
+    """Load an Environment from a scenario JSON file."""
+    return environment_from_dict(load_config_file(path))

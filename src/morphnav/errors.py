@@ -28,6 +28,3 @@ class NoPathError(MorphNavError):
         super().__init__(message)
         self.explored = explored
 
-
-class InvalidStartError(MorphNavError):
-    """Planning was requested from an occupied or otherwise invalid state."""

@@ -16,7 +16,7 @@ same batched code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -47,9 +47,15 @@ class DwaParams:
     d_sat: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"dwa parameter '{f.name}' must be finite, got {value!r}")
         for key in ("v_max", "omega_max", "accel_v", "accel_omega", "dt", "horizon", "d_sat"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"dwa parameter '{key}' must be positive")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ConfigError(f"dwa parameter 'horizon' is too many ticks of dt {self.dt} s")
         if self.samples_v < 1 or self.samples_omega < 1:
             raise ConfigError("sample counts must be at least 1")
         for key in ("w_heading", "w_clearance", "w_velocity"):

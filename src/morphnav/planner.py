@@ -1,9 +1,15 @@
-"""Search: energy-optimal roadmap planning and 8-connected grid planning.
+"""Search: energy-optimal roadmap planning and an 8-connected grid
+cost-to-go field.
 
 The roadmap planner is A* with a consistent lower-bound heuristic and a
 closed set (no reopening); an independent uniform-cost implementation,
 dijkstra_oracle, exists purely to cross-check it and deliberately shares no
 search code with it. Both walk the roadmap's CSR adjacency.
+
+The grid side is CostToGo: one wavefront from a goal cell gives every
+cell's shortest-path length to it, and `descend` reads a shortest path off
+it. The mission executor builds one per waypoint; an infinite cost is its
+verdict that no drivable path exists.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .costmodel import CostModel
 from .env import OccupancyGrid
-from .errors import InvalidStartError, NoPathError
+from .errors import NoPathError
 from .roadmap import EdgeKind, NodeMode, Roadmap, RoadmapEdge
 
 SQRT2 = math.sqrt(2.0)
@@ -201,15 +207,7 @@ def dijkstra_all_costs(roadmap: Roadmap, source_id: int) -> list[float]:
     return _uniform_cost(roadmap, source_id)[0]
 
 
-# -- grid planning -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """8-connected sequence of free cells with its metric length."""
-
-    cells: tuple[tuple[int, int], ...]
-    length: float
+# -- grid cost-to-go -----------------------------------------------------------
 
 
 # Relative slack for "this step continues a shortest path": above the float
@@ -277,22 +275,6 @@ class CostToGo:
             cu = cost[u]
             out.append(u)
         return [(i // w - 1, i % w - 1) for i in out]
-
-
-def grid_plan(
-    grid: OccupancyGrid, start_cell: tuple[int, int], goal_cell: tuple[int, int]
-) -> GridPath | None:
-    """Shortest 8-connected path over free cells, descended from the start
-    over the goal's CostToGo; None when no path exists (including an
-    occupied or off-grid goal). An occupied or off-grid start raises
-    InvalidStartError: a caller bug or a vehicle inside an obstacle."""
-    if grid.occupied(*start_cell):
-        raise InvalidStartError(f"start cell {tuple(map(int, start_cell))} occupied or outside grid")
-    field = CostToGo(grid, goal_cell)
-    length = field.cost(*start_cell)
-    if math.isinf(length):
-        return None
-    return GridPath(tuple(field.descend(start_cell)), length)
 
 
 # -- waypoint extraction -------------------------------------------------------

@@ -6,6 +6,14 @@ dynamic-window control; when no drivable path exists, assume the waypoint
 is reachable by air, morph, fly a takeoff / fixed-altitude cruise /
 vertical descent profile to it, morph back, and continue driving.
 
+Each tick runs one of three controllers, picked by phase: the ground
+controller, the morph controller (both directions), or the flight
+controller, which flies all three air phases and takes its target and
+horizontal speed from the phase. Every controller call reads the pose
+estimate once; a flight phase that ends hands over within the tick, and the
+next phase reads a fresh estimate, so with pose noise on, the order of the
+noise draws is part of a seeded mission's outcome.
+
 Actuation latency is modeled as a FIFO delay line on all velocity commands:
 the vehicle executes the command issued `latency` seconds ago, which is what
 produces the altitude overshoot seen when a controller keeps commanding
@@ -16,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .costmodel import CostModel
@@ -97,8 +105,15 @@ class SimConfig:
     pose_noise_sigma: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"sim parameter '{f.name}' must be finite, got {value!r}")
         if self.dt <= 0.0:
             raise ConfigError("dt must be positive")
+        for key in ("actuation_latency", "max_mission_time"):
+            if not math.isfinite(getattr(self, key) / self.dt):
+                raise ConfigError(f"sim parameter '{key}' is too many ticks of dt {self.dt} s")
         for key in ("goal_tolerance", "cruise_altitude", "max_mission_time"):
             if getattr(self, key) <= 0.0:
                 raise ConfigError(f"sim parameter '{key}' must be positive")
@@ -407,51 +422,31 @@ class Mission:
                 self._set_phase(MissionPhase.GROUND_NAV)
         return _ZERO_CMD
 
-    def _control_takeoff(self) -> tuple[float, float, float, float, float]:
-        vx_, vy_, vz_, _ = self._view()
-        if vz_ >= self.cfg.cruise_altitude - 1e-9:
-            self._set_phase(MissionPhase.CRUISE)
-            return self._control_cruise()
-        vel = _flight_velocity_toward(
-            (vx_, vy_, vz_),
-            (vx_, vy_, self.cfg.cruise_altitude),
-            0.0,
-            self.cfg.climb_rate,
-            self.cfg.dt,
-        )
-        return (0.0, 0.0, *vel)
-
-    def _control_cruise(self) -> tuple[float, float, float, float, float]:
-        vx_, vy_, vz_, _ = self._view()
-        wp = self.waypoints[self.wp_idx]
-        if math.hypot(wp[0] - vx_, wp[1] - vy_) <= CRUISE_ARRIVAL:
-            self._land_z = wp[2] + self.cfg.landing_tolerance
-            self._set_phase(MissionPhase.DESCEND)
-            return self._control_descend()
-        vel = _flight_velocity_toward(
-            (vx_, vy_, vz_),
-            (wp[0], wp[1], self.cfg.cruise_altitude),
-            self.cm.flight_speed,
-            self.cfg.climb_rate,
-            self.cfg.dt,
-        )
-        return (0.0, 0.0, *vel)
-
-    def _control_descend(self) -> tuple[float, float, float, float, float]:
-        vx_, vy_, vz_, _ = self._view()
-        if vz_ <= self._land_z + 1e-9 and self.state.v <= 1e-9:
-            # Touched down and the delayed actuation has drained.
-            self._enter_morph(MissionPhase.MORPH_TO_UGV)
+    def _control_flight(self) -> tuple[float, float, float, float, float]:
+        """Takeoff climbs in place to cruise altitude, cruise flies level to
+        the waypoint, descent drops in place to the landing height."""
+        x, y, z, _ = self._view()
+        cfg = self.cfg
+        if self.phase is MissionPhase.TAKEOFF:
+            if z >= cfg.cruise_altitude - 1e-9:
+                self._set_phase(MissionPhase.CRUISE)
+                return self._control_flight()
+            target, h_speed = (x, y, cfg.cruise_altitude), 0.0
+        elif self.phase is MissionPhase.CRUISE:
+            wp = self.waypoints[self.wp_idx]
+            if math.hypot(wp[0] - x, wp[1] - y) <= CRUISE_ARRIVAL:
+                self._land_z = wp[2] + cfg.landing_tolerance
+                self._set_phase(MissionPhase.DESCEND)
+                return self._control_flight()
+            target, h_speed = (wp[0], wp[1], cfg.cruise_altitude), self.cm.flight_speed
+        elif z <= self._land_z + 1e-9:
+            if self.state.v <= 1e-9:
+                # Touched down and the delayed actuation has drained.
+                self._enter_morph(MissionPhase.MORPH_TO_UGV)
             return _ZERO_CMD
-        if vz_ <= self._land_z + 1e-9:
-            return _ZERO_CMD
-        vel = _flight_velocity_toward(
-            (vx_, vy_, vz_),
-            (vx_, vy_, self._land_z),
-            0.0,
-            self.cfg.climb_rate,
-            self.cfg.dt,
-        )
+        else:
+            target, h_speed = (x, y, self._land_z), 0.0
+        vel = _flight_velocity_toward((x, y, z), target, h_speed, cfg.climb_rate, cfg.dt)
         return (0.0, 0.0, *vel)
 
     # -- tick loop -----------------------------------------------------------
@@ -477,15 +472,12 @@ class Mission:
             self._record()
             return
 
-        handler = {
-            MissionPhase.GROUND_NAV: self._control_ground_nav,
-            MissionPhase.MORPH_TO_UAS: self._control_morph,
-            MissionPhase.MORPH_TO_UGV: self._control_morph,
-            MissionPhase.TAKEOFF: self._control_takeoff,
-            MissionPhase.CRUISE: self._control_cruise,
-            MissionPhase.DESCEND: self._control_descend,
-        }[self.phase]
-        desired = handler()
+        if self.phase is MissionPhase.GROUND_NAV:
+            desired = self._control_ground_nav()
+        elif self.phase in (MissionPhase.MORPH_TO_UAS, MissionPhase.MORPH_TO_UGV):
+            desired = self._control_morph()
+        else:
+            desired = self._control_flight()
         applied = self._apply_latency(desired)
 
         prev_z = self.state.z

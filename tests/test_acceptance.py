@@ -29,7 +29,7 @@ from morphnav.env import (
 )
 from morphnav.errors import NoPathError
 from morphnav.localnav import DwaParams
-from morphnav.planner import astar_multimodal, dijkstra_all_costs, dijkstra_oracle, grid_plan
+from morphnav.planner import CostToGo, astar_multimodal, dijkstra_all_costs, dijkstra_oracle
 from morphnav.rng import SplitMix64
 from morphnav.roadmap import NodeMode, PrmParams, build_roadmap, insert_query_nodes
 from morphnav.sim import SimConfig, run_mission
@@ -160,10 +160,13 @@ def test_wall_forces_exactly_two_transitions():
         start = tuple(raw["start"])
         goal = tuple(raw["waypoints"][-1])
 
-        # a purely ground-bound planner cannot cross the wall
+        # a purely ground-bound planner cannot cross the wall: the start
+        # cell is free, yet its cost to the goal is infinite
         grid = project_to_grid(env)
-        assert grid_plan(grid, grid.world_to_cell(*start[:2]),
-                         grid.world_to_cell(*goal[:2])) is None
+        start_cell = grid.world_to_cell(*start[:2])
+        assert not grid.occupied(*start_cell)
+        field = CostToGo(grid, grid.world_to_cell(*goal[:2]))
+        assert math.isinf(field.cost(*start_cell))
 
         params = PrmParams(
             seed=1, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4
@@ -282,7 +285,7 @@ def test_actuation_latency_degrades_landing():
         assert overshoots[2] > overshoots[0]
 
 
-# -- 7: grid planner verdict matches flood fill -------------------------------------
+# -- 7: grid cost-to-go verdict matches flood fill ---------------------------------
 
 
 def test_grid_verdict_matches_flood_fill():
@@ -305,11 +308,11 @@ def test_grid_verdict_matches_flood_fill():
             labels, _ = ndimage.label(~cells, structure=eight)
             connected = labels[start] == labels[goal]
 
-            path = grid_plan(grid, start, goal)
-            assert (path is not None) == connected
-            if path is None:
+            field = CostToGo(grid, goal)
+            assert math.isfinite(field.cost(*start)) == connected
+            if not connected:
                 continue
-            steps = path.cells
+            steps = field.descend(start)
             assert steps[0] == start and steps[-1] == goal
             length = 0.0
             for (r0, c0), (r1, c1) in zip(steps, steps[1:]):
@@ -318,7 +321,7 @@ def test_grid_verdict_matches_flood_fill():
                 assert not cells[r1, c1]
                 length += grid.resolution * (math.sqrt(2.0) if dr and dc else 1.0)
             assert not cells[steps[0]]
-            assert _close(path.length, length)
+            assert _close(field.cost(*start), length)
 
 
 # -- 8: open-field goals are reached without contact --------------------------------

@@ -112,10 +112,22 @@ def test_bad_config_files_exit_one(tmp_path):
         ("cost", {"ground_speed": -math.inf}, "cost parameter 'ground_speed' must be finite"),
         ("cost", {"dwa": {"d_sat": math.nan}}, "dwa parameter 'd_sat' must be finite, got nan"),
         ("cost", {"sim": {"dt": math.inf}}, "sim parameter 'dt' must be finite, got inf"),
+        # Finite times whose tick counts overflow.
+        (
+            "cost",
+            {"sim": {"max_mission_time": 1e308}},
+            "sim parameter 'max_mission_time' is too many ticks",
+        ),
+        ("cost", {"dwa": {"horizon": 1e308}}, "dwa parameter 'horizon' is too many ticks"),
+        ("latency", "nan", "sim parameter 'actuation_latency' must be finite, got nan"),
+        ("latency", "inf", "sim parameter 'actuation_latency' must be finite, got inf"),
+        ("latency", "1e308", "sim parameter 'actuation_latency' is too many ticks"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
-        if kind == "cost":
+        if kind == "latency":
+            args = ("simulate", "--env", ARENA, "--latency", patch)
+        elif kind == "cost":
             path.write_text(json.dumps(patch))
             args = ("simulate", "--env", ARENA, "--cost-config", path)
         elif kind == "prm":
@@ -488,3 +500,18 @@ def test_readme_quick_start_output(tmp_path):
         assert proc.stdout == " ".join(shown) + "\n", line
         checked.append(args[0])
     assert checked == ["plan", "simulate"]
+
+
+def test_readme_library_example_runs():
+    # The Library block runs as written from the repo root, gives the plan
+    # and mission figures its comments show, and never imports scipy.
+    block = README.read_text().split("## Library", 1)[1]
+    code = block.split("```python", 1)[1].split("```", 1)[0]
+    assert "# 4185.97 J, 2 transitions" in code and "# Done 4904.29" in code
+    code += (
+        "import sys\n"
+        "print(round(plan.total_cost, 2), plan.n_transitions, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Done 4904.29", "4185.97 2 False"]

@@ -586,12 +586,22 @@ def test_projection_monotone_in_inflation():
 # -- serialization --------------------------------------------------------------
 
 
+# _box_env() in the scenario file schema, written out by hand.
+_BOX_DICT = {
+    "bounds": {"min": [0, 0, 0], "max": [10, 10, 5]},
+    "ground": {"const": 0.0},
+    "obstacles": [{"name": "box", "min": [4, 4, 0], "max": [6, 6, 2]}],
+}
+
+
 def test_environment_dict_round_trip():
     env = _box_env()
-    clone = environment_from_dict(env.to_dict())
+    clone = environment_from_dict(_BOX_DICT)
     assert clone.bounds.min_corner == env.bounds.min_corner
     assert clone.bounds.max_corner == env.bounds.max_corner
     assert len(clone.obstacles) == 1
+    box, want = clone.obstacles[0], env.obstacles[0]
+    assert (box.min_corner, box.max_corner, box.name) == (want.min_corner, want.max_corner, "box")
     assert clone.ground_height(3.0, 3.0) == 0.0
     assert clone.point_in_collision((5.0, 5.0, 1.0), 0.0)
 
@@ -619,7 +629,12 @@ def test_heightmap_dict_round_trip():
     env = Environment(
         Aabb((0.0, 0.0, 0.0), (2.0, 2.0, 3.0)), ground_const=None, heightmap=hm
     )
-    clone = environment_from_dict(env.to_dict())
+    clone = environment_from_dict({
+        "bounds": {"min": [0, 0, 0], "max": [2, 2, 3]},
+        "ground": {"heightmap": {
+            "origin": [0, 0], "resolution": 2.0, "rows": 2, "cols": 2, "data": [0, 0.5, 1, 1.5],
+        }},
+    })
     for x, y in ((0.0, 0.0), (1.0, 1.3), (2.0, 2.0)):
         assert clone.ground_height(x, y) == pytest.approx(env.ground_height(x, y), abs=1e-12)
 
@@ -628,8 +643,11 @@ def test_load_environment_from_file(tmp_path):
     import json
 
     path = tmp_path / "world.json"
-    path.write_text(json.dumps(_box_env().to_dict()))
+    path.write_text(json.dumps(_BOX_DICT))
     env = load_environment(path)
     assert env.bounds.max_corner == (10.0, 10.0, 5.0)
     with pytest.raises(ConfigError):
         load_environment(tmp_path / "missing.json")
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="must hold a JSON object"):
+        load_environment(path)

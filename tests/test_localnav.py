@@ -53,6 +53,11 @@ def test_parameter_validation():
         {"samples_v": 0},
         {"w_heading": -0.5},
         {"w_heading": 0.0, "w_clearance": 0.0, "w_velocity": 0.0},
+        # Every float is finite, and so is the horizon in ticks.
+        {"v_max": math.nan},
+        {"d_sat": math.inf},
+        {"w_velocity": math.nan},
+        {"horizon": 1e308},
     ):
         with pytest.raises(ConfigError):
             DwaParams(**kwargs)

@@ -1,4 +1,4 @@
-"""Graph search: A* vs a reference Dijkstra, grid planning, plan segmentation."""
+"""Graph search: A* vs a reference Dijkstra, grid cost-to-go, plan segmentation."""
 
 import heapq
 import math
@@ -10,15 +10,13 @@ from scipy import ndimage
 
 from morphnav.costmodel import CostModel
 from morphnav.env import Aabb, Environment, OccupancyGrid, load_environment
-from morphnav.errors import InvalidStartError, NoPathError
+from morphnav.errors import NoPathError
 from morphnav.planner import (
     CostToGo,
-    GridPath,
     SegmentKind,
     astar_multimodal,
     dijkstra_all_costs,
     dijkstra_oracle,
-    grid_plan,
     path_to_waypoints,
 )
 from morphnav.rng import SplitMix64
@@ -266,48 +264,33 @@ def test_csr_search_matches_adjacency_list_search():
             assert dijkstra_all_costs(roadmap, b) == full, q
 
 
-# -- grid planner ----------------------------------------------------------------
+# -- grid cost-to-go ------------------------------------------------------------
 
 
 def _grid(cells, res=0.1):
     return OccupancyGrid(res, (0.0, 0.0), np.array(cells, dtype=bool))
 
 
-def test_grid_plan_diagonal_and_straight():
-    grid = _grid(np.zeros((10, 10)))
-    path = grid_plan(grid, (0, 0), (9, 9))
-    assert len(path.cells) == 10
-    assert path.length == pytest.approx(9.0 * math.sqrt(2.0) * 0.1, rel=1e-12)
-    path = grid_plan(grid, (0, 0), (0, 7))
-    assert path.length == pytest.approx(0.7, rel=1e-12)
-    trivial = grid_plan(grid, (4, 4), (4, 4))
-    assert trivial.cells == ((4, 4),) and trivial.length == 0.0
+def test_cost_to_go_diagonal_and_straight():
+    field = CostToGo(_grid(np.zeros((10, 10))), (9, 9))
+    assert len(field.descend((0, 0))) == 10
+    assert field.cost(0, 0) == pytest.approx(9.0 * math.sqrt(2.0) * 0.1, rel=1e-12)
+    assert field.cost(9, 2) == pytest.approx(0.7, rel=1e-12)
+    assert field.cost(9, 9) == 0.0 and field.descend((9, 9)) == [(9, 9)]
 
 
-def test_grid_plan_goal_failures_vs_start_errors():
-    cells = np.zeros((6, 6))
-    cells[2, 2] = 1
-    grid = _grid(cells)
-    assert grid_plan(grid, (0, 0), (2, 2)) is None  # occupied goal
-    assert grid_plan(grid, (0, 0), (9, 9)) is None  # off-grid goal
-    with pytest.raises(InvalidStartError):
-        grid_plan(grid, (2, 2), (0, 0))
-    with pytest.raises(InvalidStartError):
-        grid_plan(grid, (-1, 0), (0, 0))
-
-
-def test_grid_plan_routes_through_the_gap():
+def test_cost_to_go_routes_through_the_gap():
     cells = np.zeros((10, 10))
     cells[:, 5] = 1
     cells[8, 5] = 0
     grid = _grid(cells)
-    path = grid_plan(grid, (0, 0), (0, 9))
-    assert path is not None
-    assert (8, 5) in path.cells
-    for cell in path.cells:
+    path = CostToGo(grid, (0, 9)).descend((0, 0))
+    assert path[-1] == (0, 9)
+    assert (8, 5) in path
+    for cell in path:
         assert not grid.occupied(*cell)
     cells[8, 5] = 1
-    assert grid_plan(_grid(cells), (0, 0), (0, 9)) is None
+    assert math.isinf(CostToGo(_grid(cells), (0, 9)).cost(0, 0))
 
 
 def _dijkstra_grid_length(grid, start, goal=None):
@@ -341,16 +324,16 @@ def _dijkstra_grid_length(grid, start, goal=None):
     return None if goal is not None else dist
 
 
-def _path_is_valid(grid, path, start, goal):
-    assert path.cells[0] == start and path.cells[-1] == goal
-    length = 0.0
-    for (r0, c0), (r1, c1) in zip(path.cells, path.cells[1:]):
+def _path_is_valid(grid, path, start, goal, length):
+    assert path[0] == start and path[-1] == goal
+    total = 0.0
+    for (r0, c0), (r1, c1) in zip(path, path[1:]):
         dr, dc = abs(r1 - r0), abs(c1 - c0)
         assert max(dr, dc) == 1  # 8-adjacent single step
         assert not grid.occupied(r1, c1)
-        length += grid.resolution * (math.sqrt(2.0) if dr and dc else 1.0)
-    assert not grid.occupied(*path.cells[0])
-    assert length == pytest.approx(path.length, rel=1e-9, abs=1e-12)
+        total += grid.resolution * (math.sqrt(2.0) if dr and dc else 1.0)
+    assert not grid.occupied(*path[0])
+    assert total == pytest.approx(length, rel=1e-9, abs=1e-12)
 
 
 def _random_grids():
@@ -370,15 +353,16 @@ def _random_grids():
         yield cells, _grid(cells), labels, start, goal
 
 
-def test_grid_plan_matches_flood_fill_and_is_optimal():
+def test_cost_to_go_matches_flood_fill_and_is_optimal():
     for cells, grid, labels, start, goal in _random_grids():
         reachable = labels[start] == labels[goal]
-        path = grid_plan(grid, start, goal)
-        assert (path is not None) == reachable
-        if path is not None:
-            _path_is_valid(grid, path, start, goal)
+        field = CostToGo(grid, goal)
+        length = field.cost(*start)
+        assert math.isfinite(length) == reachable
+        if reachable:
+            _path_is_valid(grid, field.descend(start), start, goal, length)
             want = _dijkstra_grid_length(grid, start, goal)
-            assert path.length == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert length == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_cost_to_go_matches_reference_on_every_cell():
@@ -414,6 +398,12 @@ def test_cost_to_go_infinite_for_blocked_or_off_grid_goal():
         field = CostToGo(grid, goal)
         assert all(math.isinf(field.cost(r, c)) for r in range(6) for c in range(7))
         assert field.descend((0, 0)) == [(0, 0)]
+    # From an occupied or off-grid start the cost is infinite too, and
+    # descent goes nowhere.
+    field = CostToGo(grid, (0, 0))
+    for start in ((2, 2), (-1, 0), (0, 7)):
+        assert math.isinf(field.cost(*start))
+    assert field.descend((2, 2)) == [(2, 2)]
 
 
 def test_descent_takes_straight_steps_before_diagonals():
@@ -422,7 +412,6 @@ def test_descent_takes_straight_steps_before_diagonals():
     assert field.cost(0, 0) == pytest.approx((3.0 + 2.0 * math.sqrt(2.0)) * 0.1, rel=1e-12)
     path = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 4), (2, 5)]
     assert field.descend((0, 0)) == path
-    assert grid_plan(grid, (0, 0), (2, 5)).cells == tuple(path)
     # A step budget stops the descent early; the goal stops it anyway.
     assert field.descend((0, 0), 2) == path[:3]
     assert field.descend((0, 0), 50) == path

@@ -142,6 +142,15 @@ def test_sim_config_validation():
         {"landing_tolerance": -0.01},
         {"max_mission_time": 0.0},
         {"pose_noise_sigma": -1.0},
+        # Every float is finite, and so is every duration in ticks.
+        {"dt": math.nan},
+        {"pose_noise_sigma": math.nan},
+        {"landing_tolerance": math.inf},
+        {"actuation_latency": math.nan},
+        {"actuation_latency": math.inf},
+        {"actuation_latency": 1e308},
+        {"max_mission_time": 1e308},
+        {"dt": 1e-310},
     ):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
@@ -307,6 +316,23 @@ def test_pose_noise_perturbs_but_completes():
         env, wp, CM, DWA, SimConfig(pose_noise_sigma=0.02), seed=3, start=(2.0, 2.0, 0.0)
     )
     assert again.records == noisy.records
+
+
+def test_noisy_and_delayed_arena_missions_are_pinned():
+    # The seed-1 walled arena as `morphnav simulate` runs it. The noisy run
+    # pins the order of the pose-noise draws: each controller call reads
+    # the pose estimate, and a flight phase that hands over reads it again.
+    # Reading it once per tick instead lands 0.6 s and 467 J later.
+    for cfg, records, energy in (
+        (SimConfig(pose_noise_sigma=0.03), 239, 5299.0),
+        (SimConfig(actuation_latency=0.3), 304, 6253.0),
+    ):
+        res = run_mission(
+            _walled_env(), _ARENA_WAYPOINTS, CM, DWA, cfg, seed=1, start=(1.0, 3.0, 0.0)
+        )
+        assert res.outcome == "Done", cfg
+        got = (len(res.records), round(res.ledger.total, 1), res.morph_count)
+        assert got == (records, energy, 2), cfg
 
 
 def test_custom_grid_triggers_flight_over_phantom_wall():
