@@ -279,6 +279,25 @@ def test_cost_to_go_diagonal_and_straight():
     assert field.cost(9, 9) == 0.0 and field.descend((9, 9)) == [(9, 9)]
 
 
+def test_grid_plan_goal_failures_vs_start_errors():
+    # An occupied or off-grid goal leaves no route from anywhere; an occupied
+    # or off-grid start is infinite only at that cell, and the field it sits
+    # in stays finite elsewhere.
+    cells = np.zeros((6, 6))
+    cells[2, 2] = 1
+    grid = _grid(cells)
+    for goal in ((2, 2), (9, 9)):
+        field = CostToGo(grid, goal)
+        assert math.isinf(field.cost(0, 0))
+        assert field.descend((0, 0)) == [(0, 0)]
+    field = CostToGo(grid, (0, 0))
+    for start in ((2, 2), (-1, 0)):
+        assert math.isinf(field.cost(*start))
+        assert field.descend(start) == [start]
+    assert field.cost(0, 5) == pytest.approx(0.5, rel=1e-12)
+    assert field.descend((0, 5))[-1] == (0, 0)
+
+
 def test_cost_to_go_routes_through_the_gap():
     cells = np.zeros((10, 10))
     cells[:, 5] = 1
@@ -398,12 +417,6 @@ def test_cost_to_go_infinite_for_blocked_or_off_grid_goal():
         field = CostToGo(grid, goal)
         assert all(math.isinf(field.cost(r, c)) for r in range(6) for c in range(7))
         assert field.descend((0, 0)) == [(0, 0)]
-    # From an occupied or off-grid start the cost is infinite too, and
-    # descent goes nowhere.
-    field = CostToGo(grid, (0, 0))
-    for start in ((2, 2), (-1, 0), (0, 7)):
-        assert math.isinf(field.cost(*start))
-    assert field.descend((2, 2)) == [(2, 2)]
 
 
 def test_descent_takes_straight_steps_before_diagonals():
