@@ -40,10 +40,6 @@ from .rng import SplitMix64
 from .roadmap import PrmParams, build_roadmap, insert_query_nodes, roadmap_to_dict
 from .sim import SimConfig, run_mission, trajectory_csv
 
-# Roadmap sizes used when neither a flag nor the scenario's 'prm' block
-# sets them.
-_PRM_CLI_DEFAULTS = {"n_ground": 300, "n_air": 300, "radius": 2.0}
-
 
 class _Parser(argparse.ArgumentParser):
     """Argparse that reports usage problems as configuration errors so the
@@ -92,12 +88,10 @@ def _load_scenario(path: str):
             raise ConfigError(f"waypoints must be a list, got {raw['waypoints']!r}")
         waypoints = [point_from_json(p, f"waypoints[{i}]") for i, p in enumerate(raw["waypoints"])]
     prm = raw.get("prm", {})
-    if not isinstance(prm, dict):
-        raise ConfigError("'prm' section must be an object")
+    params = config_from_dict(PrmParams, prm, "prm")
     if "seed" in prm:
         raise ConfigError("'prm' must not set 'seed'; give --seed")
-    prm = config_from_dict(PrmParams, {**_PRM_CLI_DEFAULTS, **prm}, "prm")
-    return env, start, waypoints, prm
+    return env, start, waypoints, params
 
 
 def _load_configs(path: str | None):
@@ -114,7 +108,7 @@ def _load_configs(path: str | None):
 
 def _prm_params(args, base: PrmParams) -> PrmParams:
     """Sampling parameters: explicit flags beat `base`, the scenario's
-    'prm' section over the built-in defaults (PrmParams() for `oracle`)."""
+    'prm' section over the PrmParams defaults (PrmParams() for `oracle`)."""
     flags = {"n_ground": args.nw, "n_air": args.nf, "radius": args.radius}
     return dataclasses.replace(
         base, seed=args.seed, **{k: v for k, v in flags.items() if v is not None}
@@ -305,6 +299,8 @@ def _oracle_world() -> Environment:
 def cmd_oracle(args) -> int:
     if args.n <= 0:
         raise ConfigError("--n must be positive")
+    if not math.isfinite(args.heuristic_scale):
+        raise ConfigError(f"--heuristic-scale must be finite, got {args.heuristic_scale!r}")
     env = _oracle_world()
     cost, _, _ = _load_configs(args.cost_config)
     scale = args.heuristic_scale

@@ -21,6 +21,25 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 
+def check_fields(obj, section: str, positive=(), non_negative=()) -> None:
+    """Range check of the config dataclass `obj`: every float field must be
+    finite, each field named in `positive` above zero and each named in
+    `non_negative` at least zero. Raises ConfigError naming `section` and
+    the key."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{section} parameter '{f.name}' must be finite, got {value!r}")
+    for key in positive:
+        value = getattr(obj, key)
+        if not value > 0:
+            raise ConfigError(f"{section} parameter '{key}' must be positive, got {value!r}")
+    for key in non_negative:
+        value = getattr(obj, key)
+        if value < 0:
+            raise ConfigError(f"{section} parameter '{key}' must be non-negative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Energy parameters, SI units throughout.
@@ -45,9 +64,7 @@ class CostModel:
     gravity: float = 9.81
 
     def __post_init__(self):
-        for key, value in self.to_dict().items():
-            if not 0.0 < value < math.inf:
-                raise ConfigError(f"cost parameter '{key}' must be positive and finite")
+        check_fields(self, "cost", positive=[f.name for f in dataclasses.fields(self)])
         # The lower-bound heuristic charges horizontal travel at the ground
         # rate, which is only valid when flying a meter never beats driving it.
         if self.ground_power / self.ground_speed > self.flight_power / self.flight_speed:
@@ -98,19 +115,16 @@ class CostModel:
         climb = max(0.0, goal[2] - position[2])
         return (self.ground_power / self.ground_speed) * d_xy + self.mass * self.gravity * climb
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
 
 def config_from_dict(cls, d, section: str):
     """Build the config dataclass `cls` from one section of a config file.
 
     Allowed keys are the dataclass fields; missing keys keep the field
     defaults. Each value must have the type of its field's default: a JSON
-    boolean for a bool field, an integer for an int field, and a finite
-    number (json.load also reads NaN and Infinity) for any other field, where
-    `null` is also accepted if the default is None. Raises ConfigError
-    naming `section` on any other input.
+    boolean for a bool field, an integer for an int field, and a number
+    (json_number) for any other field, where `null` is also accepted if the
+    default is None. Raises ConfigError naming `section` on any other input;
+    ranges, finiteness included, are the dataclass's own check (check_fields).
     """
     if not isinstance(d, dict):
         raise ConfigError(f"'{section}' section must be an object")
@@ -121,26 +135,35 @@ def config_from_dict(cls, d, section: str):
     kwargs = {}
     for key, value in d.items():
         default = fields[key].default
-        if isinstance(default, bool):
-            ok = isinstance(value, bool)
-        elif isinstance(value, bool):
-            ok = False
-        elif isinstance(default, int):
-            ok = isinstance(value, int)
-        else:
-            ok = isinstance(value, (int, float)) or (value is None and default is None)
-            if ok and value is not None:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    ok = False
-        if not ok:
-            want = {bool: "true or false", int: "an integer"}.get(type(default), "a number")
-            raise ConfigError(f"{section} parameter '{key}' must be {want}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{section} parameter '{key}' must be finite, got {value!r}")
+        field = f"{section} parameter '{key}'"
+        if isinstance(default, int):  # bool or int: the exact type, so True is no int
+            if type(value) is not type(default):
+                want = "true or false" if isinstance(default, bool) else "an integer"
+                raise ConfigError(f"{field} must be {want}, got {value!r}")
+        elif value is not None or default is not None:
+            value = json_number(value, field)
         kwargs[key] = value
     return cls(**kwargs)
+
+
+def json_number(value, field: str) -> float:
+    """A JSON number (not a boolean) as a float; ConfigError naming `field`
+    otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{field} must be a number, got {value!r}")
+
+
+def json_finite(value, field: str) -> float:
+    """A finite JSON number as a float (json.load also reads NaN and
+    Infinity); ConfigError naming `field` otherwise."""
+    x = json_number(value, field)
+    if not math.isfinite(x):
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return x
 
 
 def load_config_file(path) -> dict:

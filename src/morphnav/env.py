@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import load_config_file
+from .costmodel import json_finite, json_number, load_config_file
 from .errors import ConfigError
 
 # Footprint inflation: half the 0.70 m vehicle length.
@@ -491,25 +491,7 @@ def point_from_json(value, field: str) -> tuple[float, float, float]:
     ConfigError naming `field` on anything else."""
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{field} must be a list of three numbers, got {value!r}")
-    return tuple(_number_from_json(v, f"{field}[{i}]") for i, v in enumerate(value))
-
-
-def _number_from_json(value, field: str) -> float:
-    """A JSON number (not a boolean) as a float; ConfigError otherwise."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{field} must be a number, got {value!r}")
-
-
-def _finite_from_json(value, field: str) -> float:
-    """A finite JSON number as a float; ConfigError otherwise."""
-    x = _number_from_json(value, field)
-    if not math.isfinite(x):
-        raise ConfigError(f"{field} must be finite, got {value!r}")
-    return x
+    return tuple(json_number(v, f"{field}[{i}]") for i, v in enumerate(value))
 
 
 def _heightmap_from_json(hm) -> Heightmap:
@@ -524,8 +506,8 @@ def _heightmap_from_json(hm) -> Heightmap:
     origin = hm["origin"]
     if not isinstance(origin, list) or len(origin) != 2:
         raise ConfigError(f"heightmap origin must be a list of two numbers, got {origin!r}")
-    origin = tuple(_finite_from_json(v, f"heightmap origin[{i}]") for i, v in enumerate(origin))
-    resolution = _finite_from_json(hm["resolution"], "heightmap resolution")
+    origin = tuple(json_finite(v, f"heightmap origin[{i}]") for i, v in enumerate(origin))
+    resolution = json_finite(hm["resolution"], "heightmap resolution")
     if resolution <= 0.0:
         raise ConfigError(f"heightmap resolution must be positive, got {resolution!r}")
     for key in ("rows", "cols"):
@@ -536,7 +518,7 @@ def _heightmap_from_json(hm) -> Heightmap:
     data = hm["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ConfigError(f"heightmap data must be a list of rows*cols = {rows * cols} numbers")
-    values = [_finite_from_json(v, f"heightmap data[{i}]") for i, v in enumerate(data)]
+    values = [json_finite(v, f"heightmap data[{i}]") for i, v in enumerate(data)]
     return Heightmap(origin, resolution, np.array(values).reshape(rows, cols))
 
 
@@ -555,7 +537,7 @@ def environment_from_dict(d: dict) -> Environment:
     ground_const = None
     heightmap = None
     if "const" in ground:
-        ground_const = _number_from_json(ground["const"], "ground const")
+        ground_const = json_number(ground["const"], "ground const")
     elif "heightmap" in ground:
         heightmap = _heightmap_from_json(ground["heightmap"])
     else:

@@ -9,19 +9,24 @@ is a stationary spin.
 Each control period rolls out and scores the whole window at once: poses
 are (steps + 1, samples_v, samples_omega) arrays, and occupancy and
 clearance are read from the grid's cached distance transform by array
-indexing. `rollout` and `score_trajectory` are one-candidate views of the
-same batched code.
+indexing: a rollout collides where its clearance reaches 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .costmodel import check_fields
 from .env import OccupancyGrid
 from .errors import ConfigError
+
+# Cap on the poses one control period rolls out,
+# (ceil(horizon / dt) + 1) * samples_v * samples_omega: the default window is
+# 2,541 poses, a 100 s horizon at the default sampling 231,231.
+MAX_WINDOW_POSES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -47,20 +52,17 @@ class DwaParams:
     d_sat: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"dwa parameter '{f.name}' must be finite, got {value!r}")
-        for key in ("v_max", "omega_max", "accel_v", "accel_omega", "dt", "horizon", "d_sat"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigError(f"dwa parameter '{key}' must be positive")
+        check_fields(
+            self, "dwa",
+            positive=("v_max", "omega_max", "accel_v", "accel_omega", "dt", "horizon", "d_sat",
+                      "samples_v", "samples_omega"),
+            non_negative=("w_heading", "w_clearance", "w_velocity"),
+        )
         if not math.isfinite(self.horizon / self.dt):
             raise ConfigError(f"dwa parameter 'horizon' is too many ticks of dt {self.dt} s")
-        if self.samples_v < 1 or self.samples_omega < 1:
-            raise ConfigError("sample counts must be at least 1")
-        for key in ("w_heading", "w_clearance", "w_velocity"):
-            if getattr(self, key) < 0.0:
-                raise ConfigError(f"dwa weight '{key}' must be non-negative")
+        poses = (math.ceil(self.horizon / self.dt) + 1) * self.samples_v * self.samples_omega
+        if poses > MAX_WINDOW_POSES:
+            raise ConfigError(f"dwa rollout window of {poses} poses exceeds {MAX_WINDOW_POSES}")
         total = self.w_heading + self.w_clearance + self.w_velocity
         if total <= 0.0:
             raise ConfigError("dwa weights must not all be zero")
@@ -136,7 +138,8 @@ def _scores(
 ) -> np.ndarray:
     """Scores in [0, 1] of rollouts laid out as by _rollouts: xs and ys of
     shape (poses, n_v, n_omega), final_yaw of shape (n_omega,). A rollout
-    that enters an occupied or off-grid cell scores -inf.
+    that enters an occupied or off-grid cell, where clearance is 0 (it is
+    at least one cell width on a free cell), scores -inf.
 
     heading: 1 - |final bearing error| / pi.
     clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
@@ -144,8 +147,8 @@ def _scores(
     which is shared by every omega of one v.
     """
     rows, cols = grid.world_to_cells(xs, ys)
-    hit = grid.occupied_at(rows, cols).any(axis=0)
     d_min = grid.clearance_at(rows, cols).min(axis=0)
+    hit = d_min == 0.0
     clearance = np.minimum(1.0, d_min / p.d_sat)
     fyaw = np.broadcast_to(final_yaw, hit.shape)
     heading = np.array(
@@ -161,35 +164,6 @@ def _scores(
     velocity = np.minimum(1.0, np.divide(speed, p.v_max))
     score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
     return np.where(hit, -np.inf, score)
-
-
-def rollout(
-    pose: tuple[float, float, float], cmd: VelocityCommand, p: DwaParams
-) -> list[tuple[float, float, float]]:
-    """Unicycle forward simulation of one command held for the horizon.
-
-    Returns ceil(horizon / dt) + 1 poses including the start pose. Position
-    integrates with the pre-step yaw, then yaw advances.
-    """
-    xs, ys, yaws = _rollouts(pose, [cmd.v], [cmd.omega], p)
-    return list(zip(xs[:, 0, 0].tolist(), ys[:, 0, 0].tolist(), yaws[:, 0].tolist()))
-
-
-def score_trajectory(
-    traj: list[tuple[float, float, float]],
-    goal: tuple[float, float],
-    grid: OccupancyGrid,
-    p: DwaParams,
-) -> float | None:
-    """Score one rollout in [0, 1]; None means rejected for collision.
-
-    The terms are those of dwa_step's batched scoring: goal heading at the
-    final pose, clearance over all poses, and the speed of the first step.
-    """
-    xs = np.array([[[x]] for x, _, _ in traj])
-    ys = np.array([[[y]] for _, y, _ in traj])
-    score = float(_scores(xs, ys, np.array([traj[-1][2]]), goal, grid, p)[0, 0])
-    return None if score == -math.inf else score
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:

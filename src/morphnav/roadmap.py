@@ -24,13 +24,12 @@ from enum import Enum
 
 import numpy as np
 
-from .costmodel import CostModel
+from .costmodel import CostModel, check_fields
 from .env import Environment
 from .errors import ConfigError, QueryNodeIsolatedError, SamplingError
 from .rng import SplitMix64
 
 SAMPLE_RETRY_BUDGET = 1000
-GROUND_SURFACE_TOL = 1e-6
 DUPLICATE_NODE_TOL = 1e-9
 # Sampling attempts tested together in one points_in_collision pass.
 SAMPLE_BLOCK = 512
@@ -102,17 +101,8 @@ class PrmParams:
     z_max: float | None = None
 
     def __post_init__(self):
-        reals = (self.radius, self.clearance, self.min_air_clearance, self.z_max)
-        if not all(math.isfinite(v) for v in reals if v is not None):
-            raise ConfigError("roadmap parameters must be finite")
-        if self.n_ground < 0 or self.n_air < 0:
-            raise ConfigError("node counts must be non-negative")
-        if self.radius <= 0.0:
-            raise ConfigError("connection radius must be positive")
-        if self.clearance < 0.0:
-            raise ConfigError("clearance must be non-negative")
-        if self.min_air_clearance < 0.0:
-            raise ConfigError("min_air_clearance must be non-negative")
+        check_fields(self, "prm", positive=("radius",),
+                     non_negative=("n_ground", "n_air", "clearance", "min_air_clearance"))
 
 
 class _Rows(Sequence):
@@ -132,8 +122,7 @@ class _Rows(Sequence):
 class Roadmap:
     """Growable node and edge columns with an on-demand CSR adjacency."""
 
-    def __init__(self, radius: float):
-        self.radius = float(radius)
+    def __init__(self):
         self.positions = np.empty((0, 3))
         self.a = self.b = np.empty(0, dtype=np.intp)
         self.mode = self.kind = np.empty(0, dtype=np.int8)
@@ -281,10 +270,10 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     rng = SplitMix64(params.seed)
     ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
-    roadmap = Roadmap(params.radius)
+    roadmap = Roadmap()
     for mode, pts in ((NodeMode.GROUND, ground), (NodeMode.AERIAL, air)):
         roadmap._append(positions=pts, mode=np.full(len(pts), NODE_MODES.index(mode)))
-    _connect_edges(roadmap, 0, env, cm, params, roadmap.radius)
+    _connect_edges(roadmap, 0, env, cm, params, params.radius)
     return roadmap
 
 
@@ -314,7 +303,7 @@ def insert_query_nodes(
             continue
         nid = roadmap.add_node(snapped, NodeMode.GROUND)
         # any() stops at the first radius that gains the node an edge.
-        radii = (roadmap.radius, 2.0 * roadmap.radius)
+        radii = (params.radius, 2.0 * params.radius)
         if not any(_connect_edges(roadmap, nid, env, cm, params, r) for r in radii):
             raise QueryNodeIsolatedError(f"query node '{label}' isolated")
         ids.append(nid)
@@ -366,7 +355,7 @@ def _connect_edges(
         kind = roadmap.mode[old] + roadmap.mode[new]
         ok = np.ones(len(new), dtype=bool)
         drive = kind == _GROUND
-        ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]], GROUND_SURFACE_TOL)
+        ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]])
         ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
         a, b, kind, length = old[ok], new[ok], kind[ok], length[ok]
         cost = edge_costs(cm, kind, length, pos[a, 2], pos[b, 2])

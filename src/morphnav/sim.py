@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
-from .costmodel import CostModel
+from .costmodel import CostModel, check_fields
 from .env import Environment, OccupancyGrid, project_to_grid
 from .errors import ConfigError
 from .localnav import DwaParams, VelocityCommand, dwa_step
@@ -105,26 +105,16 @@ class SimConfig:
     pose_noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"sim parameter '{f.name}' must be finite, got {value!r}")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
+        check_fields(
+            self, "sim",
+            positive=("dt", "goal_tolerance", "cruise_altitude", "max_mission_time"),
+            non_negative=("actuation_latency", "landing_tolerance", "pose_noise_sigma"),
+        )
         for key in ("actuation_latency", "max_mission_time"):
             if not math.isfinite(getattr(self, key) / self.dt):
                 raise ConfigError(f"sim parameter '{key}' is too many ticks of dt {self.dt} s")
-        for key in ("goal_tolerance", "cruise_altitude", "max_mission_time"):
-            if getattr(self, key) <= 0.0:
-                raise ConfigError(f"sim parameter '{key}' must be positive")
         if not 0.0 < self.climb_rate <= MAX_CLIMB_RATE:
             raise ConfigError(f"climb_rate must be in (0, {MAX_CLIMB_RATE}] m/s")
-        if self.actuation_latency < 0.0:
-            raise ConfigError("actuation_latency must be non-negative")
-        if self.landing_tolerance < 0.0:
-            raise ConfigError("landing_tolerance must be non-negative")
-        if self.pose_noise_sigma < 0.0:
-            raise ConfigError("pose_noise_sigma must be non-negative")
 
 
 @dataclass
@@ -528,11 +518,8 @@ class Mission:
         )
 
     def run(self) -> MissionResult:
-        max_ticks = int(math.ceil(self.cfg.max_mission_time / self.cfg.dt)) + 2
+        # step() fails the mission at the first tick past max_mission_time.
         while self.phase not in (MissionPhase.DONE, MissionPhase.FAILED):
-            if self.tick > max_ticks:
-                self._fail("mission time limit exceeded")
-                break
             self.step()
         self.timeline.append((self.phase.value, self._phase_start_t, self.t))
         return MissionResult(

@@ -122,11 +122,18 @@ def test_bad_config_files_exit_one(tmp_path):
         ("latency", "nan", "sim parameter 'actuation_latency' must be finite, got nan"),
         ("latency", "inf", "sim parameter 'actuation_latency' must be finite, got inf"),
         ("latency", "1e308", "sim parameter 'actuation_latency' is too many ticks"),
+        # A rollout window over the cap, refused before it is built.
+        ("cost", {"dwa": {"horizon": 1e5}}, "dwa rollout window of 231000231 poses exceeds"),
+        ("cost", {"dwa": {"samples_v": 10**6}}, "dwa rollout window of 231000000 poses exceeds"),
+        ("oracle", "nan", "--heuristic-scale must be finite, got nan"),
+        ("oracle", "inf", "--heuristic-scale must be finite, got inf"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
         if kind == "latency":
             args = ("simulate", "--env", ARENA, "--latency", patch)
+        elif kind == "oracle":
+            args = ("oracle", "--n", 1, "--queries", 1, "--heuristic-scale", patch)
         elif kind == "cost":
             path.write_text(json.dumps(patch))
             args = ("simulate", "--env", ARENA, "--cost-config", path)
@@ -196,10 +203,29 @@ def test_roadmap_param_precedence(tmp_path):
     # walled_arena.json carries prm: n_ground 300, n_air 300
     assert len(read_json(tmp_path / "scn", "roadmap.json")["nodes"]) == 600
 
-    proc = run_cli("roadmap", "--env", OPEN_FIELD, "--out", tmp_path / "builtin")
+    proc = run_cli("roadmap", "--env", OPEN_FIELD, "--out", tmp_path / "open")
     assert proc.returncode == 0
-    # open_field.json has no prm block, so the 300/300 defaults apply
-    assert len(read_json(tmp_path / "builtin", "roadmap.json")["nodes"]) == 600
+    # open_field.json carries prm: n_ground 300, n_air 300
+    assert len(read_json(tmp_path / "open", "roadmap.json")["nodes"]) == 600
+
+
+def test_roadmap_without_prm_block_uses_library_defaults(tmp_path):
+    # A scenario with no prm block samples the PrmParams() sizes, as
+    # build_roadmap does in the library.
+    from morphnav.costmodel import CostModel
+    from morphnav.env import environment_from_dict
+    from morphnav.roadmap import PrmParams, build_roadmap, roadmap_to_dict
+
+    scenario = json.loads(Path(OPEN_FIELD).read_text())
+    del scenario["prm"]
+    path = tmp_path / "no_prm.json"
+    path.write_text(json.dumps(scenario))
+    proc = run_cli("roadmap", "--env", path, "--seed", 5, "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    built = build_roadmap(environment_from_dict(scenario), CostModel(), PrmParams(seed=5))
+    assert len(built.nodes) == 400
+    assert proc.stdout.startswith("roadmap: 400 nodes, ")
+    assert read_json(tmp_path, "roadmap.json") == json.loads(json.dumps(roadmap_to_dict(built)))
 
 
 def test_roadmap_rerun_is_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 """Energy model: per-edge costs, the search heuristic, and config parsing."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,10 @@ import pytest
 
 from morphnav.costmodel import CostModel, config_from_dict, cost_section
 from morphnav.errors import ConfigError
+from morphnav.localnav import DwaParams
 from morphnav.rng import SplitMix64
+from morphnav.roadmap import PrmParams
+from morphnav.sim import SimConfig
 
 CM = CostModel()
 
@@ -165,10 +169,6 @@ def test_from_dict_partial_and_unknown():
 
 
 def test_config_values_take_field_types():
-    from morphnav.localnav import DwaParams
-    from morphnav.roadmap import PrmParams
-    from morphnav.sim import SimConfig
-
     assert config_from_dict(CostModel, {"mass": 7}, "cost").mass == 7.0
     assert config_from_dict(PrmParams, {"z_max": None}, "prm").z_max is None
     assert config_from_dict(PrmParams, {"z_max": 2}, "prm").z_max == 2.0
@@ -188,18 +188,46 @@ def test_config_values_take_field_types():
         config_from_dict(DwaParams, [1.0], "dwa")
 
 
-def test_to_dict_round_trip():
+def test_config_round_trip():
     cm = CostModel(mass=5.0, flight_power=500.0)
-    assert config_from_dict(CostModel, cm.to_dict(), "cost") == cm
+    assert config_from_dict(CostModel, dataclasses.asdict(cm), "cost") == cm
+
+
+@pytest.mark.parametrize(
+    "cls, section, non_finite, non_positive, negative, negative_rule",
+    [
+        # Every cost parameter must be positive, so a negative one is too.
+        (CostModel, "cost", "mass", "ground_speed", "morph_power", "positive"),
+        (PrmParams, "prm", "clearance", "radius", "n_ground", "non-negative"),
+        (DwaParams, "dwa", "d_sat", "dt", "w_clearance", "non-negative"),
+        (SimConfig, "sim", "pose_noise_sigma", "goal_tolerance", "landing_tolerance",
+         "non-negative"),
+    ],
+)
+def test_range_errors_name_section_and_key(
+    cls, section, non_finite, non_positive, negative, negative_rule
+):
+    # One range check serves every config dataclass, and config_from_dict
+    # reports the same message as direct construction.
+    bad_negative = -1 if isinstance(getattr(cls(), negative), int) else -1.0
+    for key, value, want in (
+        (non_finite, math.nan, "must be finite, got nan"),
+        (non_positive, 0.0, "must be positive, got 0.0"),
+        (negative, bad_negative, f"must be {negative_rule}, got {bad_negative!r}"),
+    ):
+        message = f"{section} parameter '{key}' {want}"
+        with pytest.raises(ConfigError) as direct:
+            cls(**{key: value})
+        assert str(direct.value) == message
+        with pytest.raises(ConfigError) as parsed:
+            config_from_dict(cls, {key: value}, section)
+        assert str(parsed.value) == message
 
 
 def test_default_config_file_matches_defaults():
-    import dataclasses
     from pathlib import Path
 
     from morphnav.cli import _load_configs
-    from morphnav.localnav import DwaParams
-    from morphnav.sim import SimConfig
 
     path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
     assert _load_configs(str(path)) == (CostModel(), DwaParams(), SimConfig())

@@ -12,14 +12,28 @@ from morphnav.errors import ConfigError
 from morphnav.localnav import (
     DwaParams,
     VelocityCommand,
+    _rollouts,
+    _scores,
     dwa_step,
     dynamic_window,
-    rollout,
-    score_trajectory,
 )
 from morphnav.rng import SplitMix64
 
 P = DwaParams()
+
+
+def _rollout(pose, cmd, p):
+    """Poses of one command's rollout: the (v, omega) window of size one."""
+    xs, ys, yaws = _rollouts(pose, [cmd.v], [cmd.omega], p)
+    return list(zip(xs[:, 0, 0].tolist(), ys[:, 0, 0].tolist(), yaws[:, 0].tolist()))
+
+
+def _score(traj, goal, grid, p):
+    """dwa_step's score of one rollout given as poses; None if it collides."""
+    xs = np.array([[[x]] for x, _, _ in traj])
+    ys = np.array([[[y]] for _, y, _ in traj])
+    score = float(_scores(xs, ys, np.array([traj[-1][2]]), goal, grid, p)[0, 0])
+    return None if score == -math.inf else score
 
 
 def _empty_grid(n=60, res=0.1):
@@ -58,9 +72,14 @@ def test_parameter_validation():
         {"d_sat": math.inf},
         {"w_velocity": math.nan},
         {"horizon": 1e308},
+        # The rollout window is capped; construction refuses it unbuilt.
+        {"horizon": 1e5},
+        {"samples_v": 10**6},
     ):
         with pytest.raises(ConfigError):
             DwaParams(**kwargs)
+    # A 100 s horizon at the default sampling is 231,231 poses, under the cap.
+    assert DwaParams(horizon=100.0).horizon == 100.0
 
 
 # -- dynamic window ---------------------------------------------------------
@@ -83,7 +102,7 @@ def test_window_clamps_to_limits():
 
 
 def test_rollout_pose_count_and_straight_line():
-    poses = rollout((2.0, 3.0, 0.0), VelocityCommand(1.0, 0.0), P)
+    poses = _rollout((2.0, 3.0, 0.0), VelocityCommand(1.0, 0.0), P)
     assert len(poses) == 11  # ceil(horizon / dt) + 1, start included
     assert poses[0] == (2.0, 3.0, 0.0)
     x, y, yaw = poses[-1]
@@ -91,14 +110,14 @@ def test_rollout_pose_count_and_straight_line():
 
 
 def test_rollout_zero_command_stays_put():
-    poses = rollout((1.0, 1.0, 0.7), VelocityCommand(0.0, 0.0), P)
+    poses = _rollout((1.0, 1.0, 0.7), VelocityCommand(0.0, 0.0), P)
     assert all(pose == (1.0, 1.0, 0.7) for pose in poses)
 
 
 def test_rollout_arc_first_order_accuracy():
     # Euler integration of (v=1, w=1): yaw accumulates exactly, position
     # tracks the unit circle with O(dt) error over one horizon.
-    poses = rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, 1.0), P)
+    poses = _rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, 1.0), P)
     x, y, yaw = poses[-1]
     assert yaw == pytest.approx(1.0, abs=1e-12)
     exact = (math.sin(1.0), 1.0 - math.cos(1.0))
@@ -107,9 +126,9 @@ def test_rollout_arc_first_order_accuracy():
 
 
 def test_rollout_turns_positive_omega_left():
-    poses = rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, 0.5), P)
+    poses = _rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, 0.5), P)
     assert poses[-1][1] > 0.0
-    poses = rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, -0.5), P)
+    poses = _rollout((0.0, 0.0, 0.0), VelocityCommand(1.0, -0.5), P)
     assert poses[-1][1] < 0.0
 
 
@@ -118,8 +137,8 @@ def test_rollout_turns_positive_omega_left():
 
 def test_perfect_trajectory_scores_one():
     grid = _empty_grid()
-    traj = rollout((2.0, 2.0, 0.0), VelocityCommand(1.0, 0.0), P)
-    score = score_trajectory(traj, (10.0, 2.0), grid, P)
+    traj = _rollout((2.0, 2.0, 0.0), VelocityCommand(1.0, 0.0), P)
+    score = _score(traj, (10.0, 2.0), grid, P)
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
@@ -127,8 +146,8 @@ def test_score_rejects_colliding_trajectory():
     cells = np.zeros((60, 60), dtype=bool)
     cells[20, 25:] = True  # wall across the rollout's lane
     grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
-    traj = rollout((2.0, 2.05, 0.0), VelocityCommand(1.0, 0.0), P)
-    assert score_trajectory(traj, (10.0, 2.05), grid, P) is None
+    traj = _rollout((2.0, 2.05, 0.0), VelocityCommand(1.0, 0.0), P)
+    assert _score(traj, (10.0, 2.05), grid, P) is None
 
 
 def test_score_components_bounded():
@@ -138,7 +157,7 @@ def test_score_components_bounded():
         pose = (rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0), rng.uniform(-3.0, 3.0))
         cmd = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
         goal = (rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0))
-        score = score_trajectory(rollout(pose, cmd, P), goal, grid, P)
+        score = _score(_rollout(pose, cmd, P), goal, grid, P)
         assert 0.0 <= score <= 1.0 + 1e-12
 
 
@@ -152,22 +171,22 @@ def test_score_prefers_clearance_inside_saturation_band():
         # Straight pass directly alongside the occupied cell's column.
         return [(2.55 + 0.1 * i, y, 0.0) for i in range(10)]
 
-    s_near = score_trajectory(lane(3.25), goal, grid, P)  # 0.2 m off the cell
-    s_far = score_trajectory(lane(3.45), goal, grid, P)  # 0.4 m off
+    s_near = _score(lane(3.25), goal, grid, P)  # 0.2 m off the cell
+    s_far = _score(lane(3.45), goal, grid, P)  # 0.4 m off
     assert s_far > s_near + 0.05
     # Beyond d_sat more clearance stops mattering.
     very_far = lane(4.45)
     even_farther = lane(5.05)
-    sa = score_trajectory(very_far, goal, grid, P)
-    sb = score_trajectory(even_farther, goal, grid, P)
+    sa = _score(very_far, goal, grid, P)
+    sb = _score(even_farther, goal, grid, P)
     assert sa == pytest.approx(sb, abs=1e-3)
 
 
 def test_score_velocity_term_rewards_speed():
     grid = _empty_grid()
     goal = (10.0, 2.0)
-    fast = score_trajectory(rollout((2.0, 2.0, 0.0), VelocityCommand(1.0, 0.0), P), goal, grid, P)
-    slow = score_trajectory(rollout((2.0, 2.0, 0.0), VelocityCommand(0.4, 0.0), P), goal, grid, P)
+    fast = _score(_rollout((2.0, 2.0, 0.0), VelocityCommand(1.0, 0.0), P), goal, grid, P)
+    slow = _score(_rollout((2.0, 2.0, 0.0), VelocityCommand(0.4, 0.0), P), goal, grid, P)
     assert fast > slow
     assert fast - slow == pytest.approx(P.w_velocity * 0.6, abs=1e-9)
 
@@ -316,7 +335,7 @@ def _random_case(rng, i):
 
 def test_dwa_selection_matches_reference_argmax():
     """The batched controller picks exactly the scalar reference's command,
-    and its one-candidate views match the reference rollout and score, on
+    and its rollout and score of one candidate match the reference, on
     empty, fully blocked and random grids, off-grid and boundary poses,
     single-sample windows and a horizon shorter than dt."""
     rng = SplitMix64(77)
@@ -326,9 +345,9 @@ def test_dwa_selection_matches_reference_argmax():
             pose, current, goal, grid, p
         ), i
         cmd = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
-        traj = rollout(pose, cmd, p)
+        traj = _rollout(pose, cmd, p)
         assert traj == _ref_rollout(pose, cmd, p)
-        assert score_trajectory(traj, goal, grid, p) == _ref_score(traj, goal, grid, p)
+        assert _score(traj, goal, grid, p) == _ref_score(traj, goal, grid, p)
 
 
 # -- config parsing ----------------------------------------------------------------

@@ -38,7 +38,7 @@ def _line_graph(costs):
     """Ground nodes at x = 0, 1, 2, ... with explicit edge costs
     {(a, b): cost}; lengths are set to the node distance."""
     n = 1 + max(max(a, b) for a, b in costs)
-    roadmap = Roadmap(radius=100.0)
+    roadmap = Roadmap()
     for i in range(n):
         roadmap.add_node((float(i), 0.0, 0.0), NodeMode.GROUND)
     for (a, b), cost in costs.items():
@@ -71,7 +71,7 @@ def test_start_equals_goal():
 
 
 def test_two_node_ground_plan_costs_drive_energy():
-    roadmap = Roadmap(radius=10.0)
+    roadmap = Roadmap()
     roadmap.add_node((0.0, 0.0, 0.0), NodeMode.GROUND)
     roadmap.add_node((3.0, 0.0, 0.0), NodeMode.GROUND)
     roadmap.add_edge(0, 1, EdgeKind.GROUND, 3.0, CM.ground_edge_cost(3.0))

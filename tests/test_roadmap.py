@@ -373,14 +373,14 @@ def test_connect_edges_closed_radius_and_nearest():
     env = _open_env()
     params = PrmParams(n_ground=3, n_air=0, radius=0.5, seed=0)
     for radius, pairs in ((1.0, [(0, 1)]), (0.5, [(0, 1)]), (0.5 - 1e-10, [])):
-        roadmap = Roadmap(radius=1.0)
+        roadmap = Roadmap()
         for x in (0.0, 0.5, 3.0):
             roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
         _connect_edges(roadmap, 0, env, CM, params, radius)
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
         assert [(e.a, e.b) for e in roadmap.edges] == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
-    assert Roadmap(radius=1.0).nearest_node((0.0, 0.0, 0.0)) is None
+    assert Roadmap().nearest_node((0.0, 0.0, 0.0)) is None
     with pytest.raises(ValueError):
         roadmap.add_edge(1, 1, EdgeKind.GROUND, 0.0, 0.0)
 
@@ -388,7 +388,7 @@ def test_connect_edges_closed_radius_and_nearest():
 def test_csr_lists_each_nodes_edges_by_id():
     # Up to 2^16 nodes the CSR sorts 16-bit keys; beyond, 64-bit ones.
     for n in (5, 70_000):
-        roadmap = Roadmap(radius=1.0)
+        roadmap = Roadmap()
         roadmap._append(positions=np.zeros((n, 3)), mode=np.zeros(n, dtype=np.int8))
         for a, b in ((0, n - 1), (1, 2), (2, 0), (n - 1, 2), (0, 1)):
             roadmap.add_edge(a, b, EdgeKind.GROUND, 1.0, float(a + b))
@@ -464,7 +464,7 @@ def test_insert_query_reuses_coincident_node():
 def test_insert_query_escalates_radius_once():
     env = _open_env()
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
-    roadmap = Roadmap(radius=1.0)
+    roadmap = Roadmap()
     roadmap.add_node((5.0, 5.0, 0.0), NodeMode.GROUND)
     # Start is 1.5 m out: outside the build radius, inside the doubled retry
     # radius. Goal sits on the far side so the two queries cannot pair up.
@@ -480,7 +480,7 @@ def test_insert_query_isolation_and_bad_positions():
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
 
     def fresh():
-        r = Roadmap(radius=1.0)
+        r = Roadmap()
         r.add_node((5.0, 5.0, 0.0), NodeMode.GROUND)
         return r
 

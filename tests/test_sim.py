@@ -387,17 +387,22 @@ def test_start_inside_inflated_region_fails():
 
 
 def test_time_limit_fails_mission():
-    result = run_mission(
-        _walled_env(),
-        _ARENA_WAYPOINTS,
-        CM,
-        DWA,
-        SimConfig(max_mission_time=1.0),
-        start=(1.0, 3.0, 0.0),
-    )
-    assert result.outcome == "Failed"
-    assert "time limit" in result.reason
-    assert result.duration <= 1.0 + 0.1 + 1e-9
+    # step() fails the mission at the first tick past max_mission_time;
+    # the records are the start and one per tick.
+    for max_time, dt, n_records in ((1.0, 0.1, 12), (0.7, 0.05, 15), (1e-3, 0.1, 2)):
+        result = run_mission(
+            _walled_env(),
+            _ARENA_WAYPOINTS,
+            CM,
+            DwaParams(dt=dt),
+            SimConfig(max_mission_time=max_time, dt=dt),
+            start=(1.0, 3.0, 0.0),
+        )
+        assert result.outcome == "Failed"
+        assert "time limit" in result.reason
+        assert result.duration <= max_time + dt + 1e-9
+        assert len(result.records) == n_records, (max_time, dt)
+        assert result.records[-1].t == result.duration == (n_records - 1) * dt
 
 
 def test_phase_machine_terminal_states():
