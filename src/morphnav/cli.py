@@ -299,6 +299,8 @@ def _oracle_world() -> Environment:
 def cmd_oracle(args) -> int:
     if args.n <= 0:
         raise ConfigError("--n must be positive")
+    if args.queries <= 0:
+        raise ConfigError("--queries must be positive")
     if not math.isfinite(args.heuristic_scale):
         raise ConfigError(f"--heuristic-scale must be finite, got {args.heuristic_scale!r}")
     env = _oracle_world()

@@ -125,15 +125,18 @@ def test_bad_config_files_exit_one(tmp_path):
         # A rollout window over the cap, refused before it is built.
         ("cost", {"dwa": {"horizon": 1e5}}, "dwa rollout window of 231000231 poses exceeds"),
         ("cost", {"dwa": {"samples_v": 10**6}}, "dwa rollout window of 231000000 poses exceeds"),
-        ("oracle", "nan", "--heuristic-scale must be finite, got nan"),
-        ("oracle", "inf", "--heuristic-scale must be finite, got inf"),
+        ("oracle", ("--heuristic-scale", "nan"), "--heuristic-scale must be finite, got nan"),
+        ("oracle", ("--heuristic-scale", "inf"), "--heuristic-scale must be finite, got inf"),
+        # Zero queries would compare no A* result and still report a pass.
+        ("oracle", ("--queries", 0), "--queries must be positive"),
+        ("oracle", ("--queries", -5), "--queries must be positive"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
         if kind == "latency":
             args = ("simulate", "--env", ARENA, "--latency", patch)
         elif kind == "oracle":
-            args = ("oracle", "--n", 1, "--queries", 1, "--heuristic-scale", patch)
+            args = ("oracle", "--n", 1, "--queries", 1, *patch)
         elif kind == "cost":
             path.write_text(json.dumps(patch))
             args = ("simulate", "--env", ARENA, "--cost-config", path)

@@ -377,6 +377,109 @@ def test_batched_checks_report_each_segment_across_chunks():
         assert hits.tolist() == [False] * 6 + [True] + [False] * 6
 
 
+def _broad_phase_world(rng, ground):
+    """Bounds 8 x 6 x 3 m from a random origin, 0 to 5 random boxes, and
+    flat ground at 0 or 0.2 or a random heightmap."""
+    x0, y0 = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    lo, hi = (x0, y0, 0.0), (x0 + 8.0, y0 + 6.0, 3.0)
+    boxes = []
+    for _ in range(rng.randint(6)):
+        c = [rng.uniform(lo[k], hi[k]) for k in range(3)]
+        size = [rng.uniform(0.1, 2.0) for _ in range(3)]
+        boxes.append(Aabb(tuple(c), tuple(c[k] + size[k] for k in range(3))))
+    if ground == "heightmap":
+        data = [[rng.uniform(0.0, 0.6) for _ in range(9)] for _ in range(7)]
+        return Environment(
+            Aabb(lo, hi), boxes, ground_const=None, heightmap=Heightmap((x0, y0), 1.0, data)
+        )
+    return Environment(Aabb(lo, hi), boxes, ground_const=ground)
+
+
+def _broad_phase_segments(env, rng, n, clearance):
+    """n segments; i % 7 picks the case: anywhere in and just beyond the
+    bounds, zero-length, on a bounds face, level at the ground height of
+    one end, axis-aligned (a == b on two axes), exactly `clearance` from a
+    box face and parallel to it, and short segments near a box."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    boxes = env.obstacles
+
+    def point(margin=0.0):
+        return [rng.uniform(lo[k] - margin, hi[k] + margin) for k in range(3)]
+
+    a_rows, b_rows = [], []
+    for i in range(n):
+        case = i % 7
+        if case >= 5 and not boxes:
+            case = 0
+        if case == 0:
+            a, b = point(0.3), point(0.3)
+        elif case == 1:
+            a = point()
+            b = list(a)
+        elif case == 2:
+            a, b = point(), point()
+            axis = rng.randint(3)
+            a[axis] = b[axis] = (lo, hi)[rng.randint(2)][axis]
+        elif case == 3:
+            # Every other one zero-length, so a heightmap has some too.
+            a = point()
+            b = point() if i % 2 else list(a)
+            a[2] = b[2] = env.ground_height(a[0], a[1])
+        elif case == 4:
+            a = point()
+            b = list(a)
+            axis = rng.randint(3)
+            b[axis] = rng.uniform(lo[axis] - 0.3, hi[axis] + 0.3)
+        elif case == 5:
+            box = boxes[rng.randint(len(boxes))]
+            axis, across = rng.randint(3), rng.randint(2)
+            other = [k for k in range(3) if k != axis]
+            a, b = [0.0] * 3, [0.0] * 3
+            if rng.randint(2):
+                a[axis] = b[axis] = box.max_corner[axis] + clearance
+            else:
+                a[axis] = b[axis] = box.min_corner[axis] - clearance
+            run, fixed = other[across], other[1 - across]
+            a[run] = box.min_corner[run] - rng.uniform(0.0, 1.0)
+            b[run] = box.max_corner[run] + rng.uniform(0.0, 1.0)
+            a[fixed] = b[fixed] = rng.uniform(box.min_corner[fixed], box.max_corner[fixed])
+        else:
+            box = boxes[rng.randint(len(boxes))]
+            a = [rng.uniform(box.min_corner[k] - 0.5, box.max_corner[k] + 0.5) for k in range(3)]
+            b = [v + rng.uniform(-0.5, 0.5) for v in a]
+        a_rows.append(a)
+        b_rows.append(b)
+    return np.array(a_rows), np.array(b_rows)
+
+
+@pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
+@pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
+def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
+    # segments_in_collision and segments_on_ground decide some segments
+    # without sampling; their verdicts must equal sampling every segment.
+    step = 0.05 if clearance == 0.0 else min(0.05, clearance / 2.0)
+    hits = on = 0
+    for seed in range(8):
+        rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
+        env = _broad_phase_world(rng, ground)
+        a, b = _broad_phase_segments(env, rng, 700, clearance)
+        chunk = max(1, SAMPLE_CHUNK // max(1, len(env.obstacles)))
+        want = _any_sample(a, b, step, chunk, lambda p: env.points_in_collision(p, clearance))
+        got = env.segments_in_collision(a, b, clearance)
+        assert got.tolist() == want.tolist(), (ground, clearance, seed)
+
+        def off_ground(pts):
+            z = env.ground_heights(pts[:, 0], pts[:, 1])
+            return ~(np.abs(pts[:, 2] - z) <= 1e-6)
+
+        want_on = ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
+        assert env.segments_on_ground(a, b).tolist() == want_on.tolist(), (ground, seed)
+        hits += int(want.sum())
+        on += int(want_on.sum())
+    assert 0 < hits < 8 * 700
+    assert 0 < on < 8 * 700
+
+
 # -- occupancy grid -----------------------------------------------------------
 
 
