@@ -37,7 +37,9 @@ from .planner import (
 )
 from .render import render_svg
 from .rng import SplitMix64
-from .roadmap import PrmParams, build_roadmap, insert_query_nodes, roadmap_to_dict
+from .roadmap import (
+    PrmParams, build_roadmap, edge_dicts, insert_query_nodes, node_dicts, roadmap_to_dict
+)
 from .sim import SimConfig, run_mission, trajectory_csv
 
 
@@ -131,9 +133,10 @@ def cmd_roadmap(args) -> int:
         os.path.join(args.out, "roadmap.svg"),
         render_svg(env, roadmap=roadmap, waypoints=waypoints, start=start),
     )
-    n_isolated = sum(roadmap.degree(i) == 0 for i in range(len(roadmap.nodes)))
+    indptr = roadmap.csr()[0]
+    n_isolated = (indptr[1:] == indptr[:-1]).sum()
     print(
-        f"roadmap: {len(roadmap.nodes)} nodes, {len(roadmap.edges)} edges, "
+        f"roadmap: {len(roadmap.positions)} nodes, {len(roadmap.a)} edges, "
         f"{n_isolated} isolated"
     )
     return 0
@@ -164,9 +167,10 @@ def cmd_plan(args) -> int:
     roadmap, plan = _plan_leg(env, cost, params, start, goal)
 
     segments = path_to_waypoints(plan, roadmap)
+    nodes = node_dicts(roadmap, list(plan.node_ids))
     plan_doc = {
-        "start": list(roadmap.nodes[plan.node_ids[0]].position),
-        "goal": list(roadmap.nodes[plan.node_ids[-1]].position),
+        "start": nodes[0]["position"],
+        "goal": nodes[-1]["position"],
         "total_cost": plan.total_cost,
         "cost_ground": plan.cost_ground,
         "cost_flight": plan.cost_flight,
@@ -174,10 +178,7 @@ def cmd_plan(args) -> int:
         "n_transitions": plan.n_transitions,
         "expanded": plan.expanded,
         "node_ids": list(plan.node_ids),
-        "nodes": [
-            {"id": n.id, "position": list(n.position), "mode": n.mode.value}
-            for n in map(roadmap.nodes.__getitem__, plan.node_ids)
-        ],
+        "nodes": nodes,
         "segments": [
             {
                 "kind": seg.kind.value,
@@ -189,8 +190,8 @@ def cmd_plan(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     _write_text(os.path.join(args.out, "plan.json"), _json_dumps(plan_doc))
     lines = ["index,a,b,kind,length,cost"]
-    for i, e in enumerate(plan.edges):
-        lines.append(f"{i},{e.a},{e.b},{e.kind.value},{e.length!r},{e.cost!r}")
+    for i, e in enumerate(edge_dicts(roadmap, list(plan.edge_ids))):
+        lines.append(f"{i},{e['a']},{e['b']},{e['kind']},{e['length']!r},{e['cost']!r}")
     _write_text(os.path.join(args.out, "plan_edges.csv"), "\n".join(lines) + "\n")
     _write_text(
         os.path.join(args.out, "plan.svg"),
@@ -317,9 +318,12 @@ def cmd_oracle(args) -> int:
     n_queries = 0
     pair_rng = SplitMix64(args.seed + 0x5EED)
     params = _prm_params(args, PrmParams())
+    if params.n_ground + params.n_air <= 0:
+        raise ConfigError("--nw plus --nf must be positive: queries pick roadmap nodes")
     for i in range(args.n):
         roadmap = build_roadmap(env, cost, dataclasses.replace(params, seed=args.seed + i))
-        n_nodes = len(roadmap.nodes)
+        pos = roadmap.positions.tolist()
+        n_nodes = len(pos)
         for _ in range(args.queries):
             a = pair_rng.randint(n_nodes)
             b = pair_rng.randint(n_nodes)
@@ -352,12 +356,11 @@ def cmd_oracle(args) -> int:
         # costs are symmetric, so one-to-all from the goal gives those.
         goal = pair_rng.randint(n_nodes)
         dist = dijkstra_all_costs(roadmap, goal)
-        goal_pos = roadmap.nodes[goal].position
         h_fn = heuristic if heuristic is not None else cost.heuristic
         for nid in range(n_nodes):
             if math.isinf(dist[nid]):
                 continue
-            h = h_fn(roadmap.nodes[nid].position, goal_pos)
+            h = h_fn(pos[nid], pos[goal])
             if h > dist[nid] + 1e-9 * max(1.0, dist[nid]):
                 admissibility_violations += 1
 

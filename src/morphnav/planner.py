@@ -26,7 +26,7 @@ import numpy as np
 from .costmodel import CostModel
 from .env import OccupancyGrid
 from .errors import NoPathError
-from .roadmap import EdgeKind, NodeMode, Roadmap, RoadmapEdge
+from .roadmap import EDGE_KINDS, EdgeKind, Roadmap
 
 SQRT2 = math.sqrt(2.0)
 
@@ -35,14 +35,15 @@ SQRT2 = math.sqrt(2.0)
 class PlanResult:
     """A roadmap path with its energy breakdown.
 
-    node_ids/edges describe the path; total_cost is the accumulated edge
-    cost, split into driving, flying (including the flight share of
-    transition edges), and n_transitions reconfigurations at fixed cost
-    each. `expanded` counts search expansions, for diagnostics.
+    node_ids/edge_ids index the roadmap's columns (its record views serve
+    only the benchmark). total_cost is the accumulated edge cost, split into
+    driving, flying (including the flight share of transition edges), and
+    n_transitions reconfigurations at fixed cost each. `expanded` counts
+    search expansions, for diagnostics.
     """
 
     node_ids: tuple[int, ...]
-    edges: tuple[RoadmapEdge, ...]
+    edge_ids: tuple[int, ...]
     total_cost: float
     cost_ground: float
     cost_flight: float
@@ -55,22 +56,24 @@ def _assemble_result(
     roadmap: Roadmap, cm: CostModel, parent_edge: list[int], start_id: int, goal_id: int,
     total: float, expanded: int,
 ) -> PlanResult:
-    """The path the parent edges trace from goal_id back to start_id."""
-    node_ids, edge_idxs = [goal_id], []
+    """The path the parent edges trace from goal_id back to start_id, with
+    its cost split summed in path order."""
+    node_ids, edge_ids = [goal_id], []
     while node_ids[-1] != start_id:
-        edge_idxs.append(parent_edge[node_ids[-1]])
-        node_ids.append(roadmap.other_end(edge_idxs[-1], node_ids[-1]))
-    edges = tuple(map(roadmap.edges.__getitem__, reversed(edge_idxs)))
+        edge_ids.append(e := parent_edge[node_ids[-1]])
+        node_ids.append(int(roadmap.a[e] + roadmap.b[e]) - node_ids[-1])
+    edge_ids.reverse()
+    kinds = [EDGE_KINDS[k] for k in roadmap.kind[edge_ids].tolist()]
     c_t = cm.transition_cost()
     ground = flight = 0.0
-    for e in edges:
-        if e.kind is EdgeKind.GROUND:
-            ground += e.cost
+    for kind, cost in zip(kinds, roadmap.cost[edge_ids].tolist()):
+        if kind is EdgeKind.GROUND:
+            ground += cost
         else:
-            flight += e.cost if e.kind is EdgeKind.FLIGHT else e.cost - c_t
-    n_t = sum(e.kind is EdgeKind.TRANSITION for e in edges)
+            flight += cost if kind is EdgeKind.FLIGHT else cost - c_t
+    n_t = kinds.count(EdgeKind.TRANSITION)
     return PlanResult(
-        tuple(reversed(node_ids)), edges, total, ground, flight, n_t * c_t, n_t, expanded
+        tuple(reversed(node_ids)), tuple(edge_ids), total, ground, flight, n_t * c_t, n_t, expanded
     )
 
 
@@ -93,7 +96,7 @@ def astar_multimodal(
     Raises NoPathError (carrying the count of explored nodes) when the goal
     is unreachable.
     """
-    n = len(roadmap.nodes)
+    n = len(roadmap.positions)
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
     if assume_consistent is None:
@@ -152,7 +155,7 @@ def _uniform_cost(
     """Reference Dijkstra from source: (cost to every node, parent edge of
     every node, expansions). Stops once goal_id, when given, is expanded;
     costs of nodes not yet expanded are then upper bounds."""
-    n = len(roadmap.nodes)
+    n = len(roadmap.positions)
     indptr, neighbour, edge_id, edge_cost = roadmap.csr()
     dist = [math.inf] * n
     parent_edge = [-1] * n
@@ -187,7 +190,7 @@ def dijkstra_oracle(
 
     Kept as a separate implementation so the two can cross-check each other.
     """
-    n = len(roadmap.nodes)
+    n = len(roadmap.positions)
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
     if start_id == goal_id:
@@ -281,10 +284,18 @@ class CostToGo:
 
 
 class SegmentKind(Enum):
+    """Motion along a plan, in code order: an edge's kind code plus the mode
+    code (Ground 0, Aerial 1) of the node the path leaves it from. A ground
+    edge sums to 0, a transition to 1 from the ground or 2 from the air, a
+    flight edge to 3."""
+
     DRIVE = "Drive"
     MORPH_THEN_FLY = "MorphThenFly"
-    FLY = "Fly"
     LAND_THEN_MORPH = "LandThenMorph"
+    FLY = "Fly"
+
+
+_SEGMENT_KINDS = tuple(SegmentKind)
 
 
 @dataclass(frozen=True)
@@ -296,16 +307,6 @@ class PathSegment:
     waypoints: tuple[tuple[float, float, float], ...]
 
 
-def _segment_kind(edge: RoadmapEdge, from_id: int, roadmap: Roadmap) -> SegmentKind:
-    if edge.kind is EdgeKind.GROUND:
-        return SegmentKind.DRIVE
-    if edge.kind is EdgeKind.FLIGHT:
-        return SegmentKind.FLY
-    if roadmap.nodes[from_id].mode is NodeMode.GROUND:
-        return SegmentKind.MORPH_THEN_FLY
-    return SegmentKind.LAND_THEN_MORPH
-
-
 def path_to_waypoints(plan: PlanResult, roadmap: Roadmap) -> list[PathSegment]:
     """Compress a plan into executable segments.
 
@@ -314,11 +315,12 @@ def path_to_waypoints(plan: PlanResult, roadmap: Roadmap) -> list[PathSegment]:
     LandThenMorph when traversed air-to-ground. A plan with no edges yields
     no segments.
     """
-    ids, pos = plan.node_ids, roadmap.positions.tolist()
-    kinds = [_segment_kind(edge, ids[i], roadmap) for i, edge in enumerate(plan.edges)]
+    ids = list(plan.node_ids)
+    pos = roadmap.positions[ids].tolist()
+    codes = roadmap.kind[list(plan.edge_ids)] + roadmap.mode[ids[:-1]]
     segments, i = [], 0
-    for kind, run in itertools.groupby(kinds):
+    for code, run in itertools.groupby(codes.tolist()):
         j = i + len(list(run))
-        segments.append(PathSegment(kind, tuple(tuple(pos[k]) for k in ids[i : j + 1])))
+        segments.append(PathSegment(_SEGMENT_KINDS[code], tuple(map(tuple, pos[i : j + 1]))))
         i = j
     return segments

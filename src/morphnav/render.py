@@ -8,21 +8,14 @@ same scene yields byte-identical files.
 from __future__ import annotations
 
 from .env import Environment
-from .roadmap import EDGE_KINDS, EdgeKind, Roadmap
+from .roadmap import Roadmap
 
 _CANVAS_W = 900.0
 _PAD = 24.0
 
-_EDGE_COLORS = {
-    EdgeKind.GROUND: "#2a7d4f",
-    EdgeKind.FLIGHT: "#4a90d9",
-    EdgeKind.TRANSITION: "#e08a00",
-}
-_PATH_COLORS = {
-    EdgeKind.GROUND: "#14532d",
-    EdgeKind.FLIGHT: "#1d4ed8",
-    EdgeKind.TRANSITION: "#b45309",
-}
+# By edge kind code, as in roadmap.EDGE_KINDS: Ground, Transition, Flight.
+_EDGE_COLORS = ("#2a7d4f", "#e08a00", "#4a90d9")
+_PATH_COLORS = ("#14532d", "#b45309", "#1d4ed8")
 _MODE_COLORS = {
     "UGV": "#166534",
     "UAS": "#1e40af",
@@ -69,6 +62,12 @@ def _circle(c: _Canvas, p, r: float, fill: str) -> str:
     return f'<circle cx="{_f(x)}" cy="{_f(y)}" r="{_f(r)}" fill="{fill}"/>'
 
 
+def _edge_lines(c: _Canvas, roadmap: Roadmap, pos, ids, colors, width, opacity=1.0) -> list[str]:
+    """Lines for the roadmap edges `ids` selects, colored by kind."""
+    ends = zip(*(col[ids].tolist() for col in (roadmap.a, roadmap.b, roadmap.kind)))
+    return [_line(c, pos[a], pos[b], colors[k], width, opacity) for a, b, k in ends]
+
+
 def render_svg(
     env: Environment,
     roadmap: Roadmap | None = None,
@@ -109,13 +108,11 @@ def render_svg(
 
     if roadmap is not None:
         pos = roadmap.positions.tolist()
-        for a, b, kind in zip(roadmap.a.tolist(), roadmap.b.tolist(), roadmap.kind.tolist()):
-            parts.append(_line(c, pos[a], pos[b], _EDGE_COLORS[EDGE_KINDS[kind]], 0.8, 0.45))
+        parts += _edge_lines(c, roadmap, pos, slice(None), _EDGE_COLORS, 0.8, 0.45)
         for p in pos:
             parts.append(_circle(c, p, 1.4, "#555555"))
         if plan is not None:
-            for edge in plan.edges:
-                parts.append(_line(c, pos[edge.a], pos[edge.b], _PATH_COLORS[edge.kind], 3.2))
+            parts += _edge_lines(c, roadmap, pos, list(plan.edge_ids), _PATH_COLORS, 3.2)
             for nid in plan.node_ids:
                 parts.append(_circle(c, pos[nid], 2.6, "#111111"))
 

@@ -6,7 +6,8 @@ A roadmap is numpy columns: nodes `positions (n, 3)` and `mode`, edges `a`,
 `b` (a < b), `kind`, `length` and `cost`, with modes and kinds as codes into
 NODE_MODES and EDGE_KINDS. Searches walk a CSR (compressed sparse rows)
 adjacency built on first use. `nodes`, `edges` and `adjacency` are
-read-only views that build records on access; no record is stored.
+read-only views that build records on access, kept only for the benchmark;
+the program reads the columns. No record is stored.
 
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
@@ -114,9 +115,8 @@ class _Rows(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i):
-        ids = range(self._count)[i]
-        return [self._row(j) for j in ids] if isinstance(ids, range) else self._row(ids)
+    def __getitem__(self, i: int):
+        return self._row(range(self._count)[i])
 
 
 class Roadmap:
@@ -145,12 +145,6 @@ class Roadmap:
         self._append(positions=[position], mode=[NODE_MODES.index(mode)])
         return len(self.positions) - 1
 
-    def add_edge(self, a: int, b: int, kind: EdgeKind, length: float, cost: float) -> None:
-        if a == b:
-            raise ValueError("self-loop edges are not allowed")
-        self._append(a=[min(a, b)], b=[max(a, b)], kind=[EDGE_KINDS.index(kind)],
-                     length=[length], cost=[cost])
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbour, edge_id, cost): node u's incident edges are
         entries indptr[u]:indptr[u + 1], by ascending edge id, with the
@@ -169,10 +163,6 @@ class Roadmap:
             order >>= 1  # now the edge ids
             self._csr = (indptr, neighbour, order, self.cost[order])
         return self._csr
-
-    def degree(self, nid: int) -> int:
-        indptr = self.csr()[0]
-        return int(indptr[nid + 1] - indptr[nid])
 
     def other_end(self, edge_idx: int, nid: int) -> int:
         a, b = int(self.a[edge_idx]), int(self.b[edge_idx])
@@ -331,9 +321,9 @@ def _connect_edges(
     """
     pos = roadmap.positions
     pl, n = pos.tolist(), len(pos)
-    # A margin for the numpy search; math.dist makes the exact closed-radius
-    # decision and gives the stored length.
-    reach2 = (radius * (1.0 + 1e-9)) ** 2
+    # A margin for the numpy search, squared by a multiply (inf on overflow,
+    # where ** raises); math.dist makes the exact closed-radius decision.
+    reach2 = radius * radius * (1.0 + 2e-9)
     rows = max(1, PAIR_BLOCK // (3 * n)) if n else 1
     new, old, added = [], [], 0
     for i0 in range(first, n, rows):
@@ -368,17 +358,24 @@ def _connect_edges(
 # -- export -------------------------------------------------------------------
 
 
+def node_dicts(roadmap: Roadmap, ids: list[int]) -> list[dict]:
+    """JSON-ready nodes `ids`, in that order."""
+    columns = (roadmap.positions[ids].tolist(), roadmap.mode[ids].tolist())
+    return [{"id": i, "position": p, "mode": NODE_MODES[m].value} for i, p, m in zip(ids, *columns)]
+
+
+def edge_dicts(roadmap: Roadmap, ids: list[int]) -> list[dict]:
+    """JSON-ready edges `ids`, in that order."""
+    columns = (roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost)
+    return [
+        {"a": a, "b": b, "kind": EDGE_KINDS[k].value, "length": length, "cost": cost}
+        for a, b, k, length, cost in zip(*(col[ids].tolist() for col in columns))
+    ]
+
+
 def roadmap_to_dict(roadmap: Roadmap) -> dict:
     """JSON-ready dict; nodes by id, edges sorted by (a, b)."""
-    order = np.lexsort((roadmap.b, roadmap.a))
-    columns = (roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost)
     return {
-        "nodes": [
-            {"id": i, "position": p, "mode": NODE_MODES[m].value}
-            for i, (p, m) in enumerate(zip(roadmap.positions.tolist(), roadmap.mode.tolist()))
-        ],
-        "edges": [
-            {"a": a, "b": b, "kind": EDGE_KINDS[k].value, "length": length, "cost": cost}
-            for a, b, k, length, cost in zip(*(col[order].tolist() for col in columns))
-        ],
+        "nodes": node_dicts(roadmap, list(range(len(roadmap.positions)))),
+        "edges": edge_dicts(roadmap, np.lexsort((roadmap.b, roadmap.a)).tolist()),
     }

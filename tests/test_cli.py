@@ -130,6 +130,8 @@ def test_bad_config_files_exit_one(tmp_path):
         # Zero queries would compare no A* result and still report a pass.
         ("oracle", ("--queries", 0), "--queries must be positive"),
         ("oracle", ("--queries", -5), "--queries must be positive"),
+        # Queries pick random nodes, so an empty roadmap has none to pick.
+        ("oracle", ("--nw", 0, "--nf", 0), "--nw plus --nf must be positive"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
@@ -150,6 +152,15 @@ def test_bad_config_files_exit_one(tmp_path):
         assert proc.returncode == 1, patch
         assert f"config error: {fragment}" in proc.stderr, (patch, proc.stderr)
         assert "Traceback" not in proc.stderr, patch
+
+
+def test_huge_finite_radius_plans(tmp_path):
+    # A finite radius whose square overflows connects every pair in reach.
+    proc = run_cli(
+        "plan", "--env", ARENA, "--nw", 5, "--nf", 5, "--radius", 1e308, "--out", tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path, "plan.json")["n_transitions"] == 2
 
 
 def test_isolated_query_exits_two(tmp_path):
@@ -506,6 +517,30 @@ def test_runtime_path_does_not_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in ("roadmap.json", "plan.json", "mission.json", "oracle.json"):
         assert (tmp_path / name).exists(), name
+
+
+def test_commands_read_no_roadmap_record_view(tmp_path):
+    # Every command reads the roadmap's columns. The record views and
+    # other_end remain for the benchmark alone; any access here fails.
+    commands = [
+        ["roadmap", "--env", ARENA],
+        ["plan", "--env", ARENA],
+        ["simulate", "--env", ARENA, "--pipeline", "mmprm"],
+        ["oracle", "--n", "2", "--queries", "3"],
+    ]
+    code = (
+        "import morphnav.cli\n"
+        "from morphnav.roadmap import Roadmap\n"
+        "def refuse(self):\n"
+        "    raise AssertionError('record view read')\n"
+        "for name in ('nodes', 'edges', 'adjacency', 'other_end', '_node', '_edge', '_incident'):\n"
+        "    setattr(Roadmap, name, property(refuse))\n"
+        f"for argv in {commands!r}:\n"
+        f"    rc = morphnav.cli.main(argv + ['--out', {str(tmp_path)!r}])\n"
+        "    assert rc == 0, (argv, rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_quick_start_output(tmp_path):

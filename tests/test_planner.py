@@ -21,6 +21,7 @@ from morphnav.planner import (
 )
 from morphnav.rng import SplitMix64
 from morphnav.roadmap import (
+    EDGE_KINDS,
     EdgeKind,
     NodeMode,
     PrmParams,
@@ -34,15 +35,18 @@ CM = CostModel()
 _ZERO_H = lambda p, g: 0.0  # noqa: E731 - handy for fake-cost graphs
 
 
-def _line_graph(costs):
-    """Ground nodes at x = 0, 1, 2, ... with explicit edge costs
-    {(a, b): cost}; lengths are set to the node distance."""
-    n = 1 + max(max(a, b) for a, b in costs)
+def _line_graph(costs, spacing=1.0):
+    """Ground nodes at x = 0, spacing, 2 * spacing, ... with ground edges
+    of explicit costs {(a, b): cost}, a < b, appended to the columns;
+    lengths are set to the node distance."""
+    n = 1 + max(b for _, b in costs)
+    a, b = zip(*costs)
     roadmap = Roadmap()
-    for i in range(n):
-        roadmap.add_node((float(i), 0.0, 0.0), NodeMode.GROUND)
-    for (a, b), cost in costs.items():
-        roadmap.add_edge(a, b, EdgeKind.GROUND, float(abs(b - a)), cost)
+    roadmap._append(positions=[(spacing * i, 0.0, 0.0) for i in range(n)], mode=[0] * n)
+    roadmap._append(
+        a=a, b=b, kind=[EDGE_KINDS.index(EdgeKind.GROUND)] * len(a),
+        length=[spacing * (j - i) for i, j in costs], cost=list(costs.values()),
+    )
     return roadmap
 
 
@@ -55,7 +59,7 @@ def test_astar_picks_cheapest_route_on_manual_graph():
     assert plan.node_ids == (0, 1, 2)
     assert plan.total_cost == 3.0
     assert plan.n_transitions == 0
-    assert len(plan.edges) == 2
+    assert plan.edge_ids == (0, 1)
     oracle = dijkstra_oracle(roadmap, 0, 2, CM)
     assert oracle.node_ids == plan.node_ids
     assert oracle.total_cost == plan.total_cost
@@ -66,15 +70,12 @@ def test_start_equals_goal():
     for search in (astar_multimodal, dijkstra_oracle):
         plan = search(roadmap, 1, 1, CM)
         assert plan.node_ids == (1,)
-        assert plan.edges == ()
+        assert plan.edge_ids == ()
         assert plan.total_cost == 0.0
 
 
 def test_two_node_ground_plan_costs_drive_energy():
-    roadmap = Roadmap()
-    roadmap.add_node((0.0, 0.0, 0.0), NodeMode.GROUND)
-    roadmap.add_node((3.0, 0.0, 0.0), NodeMode.GROUND)
-    roadmap.add_edge(0, 1, EdgeKind.GROUND, 3.0, CM.ground_edge_cost(3.0))
+    roadmap = _line_graph({(0, 1): CM.ground_edge_cost(3.0)}, spacing=3.0)
     plan = astar_multimodal(roadmap, 0, 1, CM)
     assert plan.total_cost == 360.0
     assert plan.cost_ground == 360.0
@@ -125,7 +126,7 @@ def test_astar_matches_dijkstra_on_seeded_roadmaps():
         roadmap = build_roadmap(
             env, CM, PrmParams(n_ground=70, n_air=70, radius=2.0, seed=seed)
         )
-        n = len(roadmap.nodes)
+        n = len(roadmap.positions)
         for _ in range(5):
             a, b = pair_rng.randint(n), pair_rng.randint(n)
             try:
@@ -143,7 +144,7 @@ def test_astar_matches_dijkstra_on_seeded_roadmaps():
             assert fast.cost_transition == pytest.approx(
                 fast.n_transitions * CM.transition_cost(), rel=1e-12
             )
-            recomputed = sum(e.cost for e in fast.edges)
+            recomputed = sum(roadmap.cost[list(fast.edge_ids)].tolist())
             assert recomputed == pytest.approx(fast.total_cost, rel=1e-9)
 
 
@@ -156,8 +157,9 @@ def test_plan_path_is_edge_connected():
     )
     plan = astar_multimodal(roadmap, sid, gid, CM)
     assert plan.node_ids[0] == sid and plan.node_ids[-1] == gid
-    for i, edge in enumerate(plan.edges):
-        assert {plan.node_ids[i], plan.node_ids[i + 1]} == {edge.a, edge.b}
+    assert len(plan.edge_ids) == len(plan.node_ids) - 1
+    for i, e in enumerate(plan.edge_ids):
+        assert {plan.node_ids[i], plan.node_ids[i + 1]} == {roadmap.a[e], roadmap.b[e]}
 
 
 def test_all_costs_agrees_with_single_queries():
@@ -169,7 +171,7 @@ def test_all_costs_agrees_with_single_queries():
     assert table[source] == 0.0
     rng = SplitMix64(17)
     for _ in range(15):
-        target = rng.randint(len(roadmap.nodes))
+        target = rng.randint(len(roadmap.positions))
         try:
             want = dijkstra_oracle(roadmap, source, target, CM).total_cost
         except NoPathError:
@@ -211,11 +213,11 @@ def _list_search(edges, positions, adjacency, source, goal, h):
 
 
 def _list_path(edges, parent, source, goal):
-    """(node ids, edge records) of the path the parent edges hold."""
+    """(node ids, edge ids) of the path the parent edges hold."""
     node_ids, path, cur = [goal], [], goal
     while cur != source:
         e = edges[parent[cur]]
-        path.append(e)
+        path.append(parent[cur])
         cur = e.b if e.a == cur else e.a
         node_ids.append(cur)
     return tuple(reversed(node_ids)), tuple(reversed(path))
@@ -250,14 +252,14 @@ def test_csr_search_matches_adjacency_list_search():
         )
         plan = astar_multimodal(roadmap, a, b, CM)
         assert plan.total_cost == g[b], q
-        assert (plan.node_ids, plan.edges) == _list_path(edges, parent, a, b), q
+        assert (plan.node_ids, plan.edge_ids) == _list_path(edges, parent, a, b), q
         assert plan.expanded == expanded, q
         if q % 3:
             assert plan.n_transitions == 2, q
         g, parent, expanded = _list_search(edges, positions, adjacency, a, b, lambda p: 0.0)
         ref = dijkstra_oracle(roadmap, a, b, CM)
         assert ref.total_cost == g[b], q
-        assert (ref.node_ids, ref.edges) == _list_path(edges, parent, a, b), q
+        assert (ref.node_ids, ref.edge_ids) == _list_path(edges, parent, a, b), q
         assert ref.expanded == expanded, q
         if q % 10 == 0:
             full = _list_search(edges, positions, adjacency, b, None, lambda p: 0.0)[0]

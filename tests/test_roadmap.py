@@ -162,8 +162,9 @@ def test_sampling_order_and_modes():
     params = PrmParams(n_ground=40, n_air=25, radius=2.0, seed=1)
     roadmap = build_roadmap(_open_env(), CM, params)
     assert len(roadmap.nodes) == 65
-    assert all(n.mode is NodeMode.GROUND for n in roadmap.nodes[:40])
-    assert all(n.mode is NodeMode.AERIAL for n in roadmap.nodes[40:])
+    assert [NODE_MODES[m] for m in roadmap.mode.tolist()] == (
+        [NodeMode.GROUND] * 40 + [NodeMode.AERIAL] * 25
+    )
     assert [n.id for n in roadmap.nodes] == list(range(65))
 
 
@@ -186,8 +187,7 @@ def test_samples_respect_world_geometry():
 def test_air_band_respects_z_max():
     params = PrmParams(n_ground=5, n_air=60, radius=3.0, seed=9, z_max=2.0)
     roadmap = build_roadmap(_open_env(), CM, params)
-    for node in roadmap.nodes[5:]:
-        assert node.position[2] <= 2.0 + 1e-12
+    assert (roadmap.positions[5:, 2] <= 2.0 + 1e-12).all()
 
 
 def test_sampling_error_when_world_is_blocked():
@@ -382,8 +382,6 @@ def test_connect_edges_closed_radius_and_nearest():
         assert [(e.a, e.b) for e in roadmap.edges] == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
     assert Roadmap().nearest_node((0.0, 0.0, 0.0)) is None
-    with pytest.raises(ValueError):
-        roadmap.add_edge(1, 1, EdgeKind.GROUND, 0.0, 0.0)
 
 
 def test_csr_lists_each_nodes_edges_by_id():
@@ -391,12 +389,12 @@ def test_csr_lists_each_nodes_edges_by_id():
     for n in (5, 70_000):
         roadmap = Roadmap()
         roadmap._append(positions=np.zeros((n, 3)), mode=np.zeros(n, dtype=np.int8))
-        for a, b in ((0, n - 1), (1, 2), (2, 0), (n - 1, 2), (0, 1)):
-            roadmap.add_edge(a, b, EdgeKind.GROUND, 1.0, float(a + b))
+        a, b = [0, 1, 0, 2, 0], [n - 1, 2, 2, n - 1, 1]
+        roadmap._append(a=a, b=b, kind=[0] * 5, length=[1.0] * 5, cost=np.add(a, b, dtype=float))
         assert roadmap.adjacency[0] == [0, 2, 4]
         assert roadmap.adjacency[2] == [1, 2, 3]
         assert roadmap.adjacency[n - 1] == [0, 3]
-        assert roadmap.degree(n - 2) == 0
+        assert np.diff(roadmap.csr()[0])[n - 2] == 0
         indptr, neighbour, _, cost = roadmap.csr()
         assert neighbour[indptr[2] : indptr[3]].tolist() == [1, 0, n - 1]
         assert cost[indptr[2] : indptr[3]].tolist() == [3.0, 2.0, n + 1.0]
@@ -443,7 +441,8 @@ def test_insert_query_connects_endpoints():
         roadmap, (2.0, 2.0, 0.0), (17.0, 17.0, 0.0), env, CM, params
     )
     assert {sid, gid} == {n_before, n_before + 1}
-    assert roadmap.degree(sid) > 0 and roadmap.degree(gid) > 0
+    degree = np.diff(roadmap.csr()[0])
+    assert degree[sid] > 0 and degree[gid] > 0
     for node_id in (sid, gid):
         assert roadmap.nodes[node_id].mode is NodeMode.GROUND
         assert roadmap.nodes[node_id].position[2] == 0.0
@@ -472,7 +471,8 @@ def test_insert_query_escalates_radius_once():
     roadmap, sid, gid = insert_query_nodes(
         roadmap, (6.5, 5.0, 0.0), (4.5, 5.0, 0.0), env, CM, params
     )
-    assert roadmap.degree(sid) == 1 and roadmap.degree(gid) == 1
+    degree = np.diff(roadmap.csr()[0])
+    assert degree[sid] == 1 and degree[gid] == 1
     assert roadmap.other_end(roadmap.adjacency[sid][0], sid) == 0
 
 
