@@ -4,7 +4,8 @@ Driving and hovering are modeled as constant electrical power draws at a
 constant commanded speed, so a traversal of length d costs power * d / speed.
 Flight additionally pays the potential energy of any net climb and recovers
 it on descent, floored at zero per edge. Morphing is a fixed-duration,
-fixed-power maneuver.
+fixed-power maneuver. `roadmap.edge_costs` prices edges with these
+parameters; this module holds them, the morph cost and the A* heuristic.
 
 Default power/speed numbers are calibration placeholders for a roughly
 6 kg morphing robot; only the mass is a measured value. Calibrate the
@@ -65,6 +66,16 @@ class CostModel:
 
     def __post_init__(self):
         check_fields(self, "cost", positive=[f.name for f in dataclasses.fields(self)])
+        # Finite parameters can still overflow in the products every price
+        # uses; inf * 0 would then price a level flight edge as NaN.
+        for name, value in (
+            ("mass * gravity", self.mass * self.gravity),
+            ("ground_power / ground_speed", self.ground_power / self.ground_speed),
+            ("flight_power / flight_speed", self.flight_power / self.flight_speed),
+            ("morph_power * morph_duration", self.transition_cost()),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"cost product '{name}' must be finite, got {value!r}")
         # The lower-bound heuristic charges horizontal travel at the ground
         # rate, which is only valid when flying a meter never beats driving it.
         if self.ground_power / self.ground_speed > self.flight_power / self.flight_speed:
@@ -72,29 +83,6 @@ class CostModel:
                 "ground energy per meter must not exceed flight energy per "
                 "meter (ground_power/ground_speed <= flight_power/flight_speed)"
             )
-
-    # -- per-edge costs -----------------------------------------------------
-
-    def ground_edge_cost(self, length: float) -> float:
-        """Energy (J) to drive `length` meters."""
-        if length < 0.0:
-            raise ValueError("length must be non-negative")
-        return self.ground_power * length / self.ground_speed
-
-    def flight_edge_cost(self, length: float, z_a: float, z_b: float) -> float:
-        """Energy (J) to fly a straight segment from altitude z_a to z_b.
-
-        Hover power for the traversal time plus the potential energy of the
-        altitude change; descents recover potential but never below zero.
-        """
-        if length < 0.0:
-            raise ValueError("length must be non-negative")
-        if length + 1e-12 < abs(z_b - z_a):
-            raise ValueError("segment length cannot be less than its altitude change")
-        raw = self.flight_power * length / self.flight_speed + self.mass * self.gravity * (
-            z_b - z_a
-        )
-        return max(0.0, raw)
 
     def transition_cost(self) -> float:
         """Energy (J) for one reconfiguration."""

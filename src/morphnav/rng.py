@@ -54,10 +54,6 @@ class SplitMix64:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * 2.0 ** -53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """Uniform float in [lo, hi)."""
-        return lo + (hi - lo) * self.random()
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n). Uses rejection to avoid modulo bias."""
         if n <= 0:

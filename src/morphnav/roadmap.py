@@ -190,10 +190,10 @@ class Roadmap:
 
 
 def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
-    """Stored traversal cost of each edge in its a-to-b orientation, bit for
-    bit CostModel's ground_edge_cost, flight_edge_cost and transition_cost
-    (same operations, same order). Transition edges morph at the ground
-    endpoint and then fly, so they pay one morph plus the flight cost."""
+    """Stored traversal cost of each edge in its a-to-b orientation: the one
+    edge pricing formula. Flight adds m * g * (z_b - z_a) and is floored at
+    0. Transition edges morph at the ground endpoint and then fly, so they
+    pay one morph plus the flight cost."""
     ground = cm.ground_power * length / cm.ground_speed
     raw = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
     flight = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw), -0.0 included

@@ -280,6 +280,10 @@ class Mission:
         if dwa.dt != cfg.dt:
             # The dynamic window allows dwa.dt of acceleration per tick.
             raise ConfigError(f"dwa dt ({dwa.dt}) must equal sim dt ({cfg.dt})")
+        if not math.isfinite(cm.morph_duration / cfg.dt):
+            raise ConfigError(
+                f"cost parameter 'morph_duration' is too many ticks of dt {cfg.dt} s"
+            )
         if start is None:
             start = self.waypoints[0]
         sx, sy, sz = env.snap_to_ground(start, "start")

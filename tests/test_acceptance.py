@@ -11,36 +11,22 @@ runs of the CLI) and together take on the order of a minute.
 
 import json
 import math
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
-from morphnav.costmodel import CostModel
-from morphnav.env import (
-    Aabb,
-    Environment,
-    OccupancyGrid,
-    load_environment,
-    project_to_grid,
-)
+from morphnav.env import OccupancyGrid, load_environment, project_to_grid
 from morphnav.errors import NoPathError
 from morphnav.localnav import DwaParams
 from morphnav.planner import CostToGo, astar_multimodal, dijkstra_all_costs, dijkstra_oracle
 from morphnav.rng import SplitMix64
-from morphnav.roadmap import NodeMode, PrmParams, build_roadmap, insert_query_nodes
+from morphnav.roadmap import NODE_MODES, NodeMode, PrmParams, build_roadmap, insert_query_nodes
 from morphnav.sim import SimConfig, run_mission
-
-REPO = Path(__file__).resolve().parents[1]
-ARENA = str(REPO / "scenarios" / "walled_arena.json")
-OPEN_FIELD = str(REPO / "scenarios" / "open_field.json")
+from reference import ARENA, CM, OPEN_FIELD, open_env, run_cli
 
 REL = 1e-9
-
-CM = CostModel()
 
 
 class _verdict:
@@ -58,14 +44,6 @@ class _verdict:
         return False
 
 
-def _empty_field() -> Environment:
-    return Environment(
-        bounds=Aabb((0.0, 0.0, 0.0), (20.0, 20.0, 5.0), name="field"),
-        obstacles=[],
-        ground_const=0.0,
-    )
-
-
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= REL * max(1.0, abs(a), abs(b))
 
@@ -77,7 +55,7 @@ def test_route_costs_match_exhaustive_search():
     with _verdict(
         "A* equals Dijkstra on 100 roadmaps x 10 queries (rel 1e-9, under 60 s)"
     ):
-        env = _empty_field()
+        env = open_env()
         t0 = time.perf_counter()
         n_solvable = 0
         for seed in range(1, 101):
@@ -86,8 +64,8 @@ def test_route_costs_match_exhaustive_search():
             )
             rng = SplitMix64(10_000 + seed)
             for _ in range(10):
-                a = rng.randint(len(rm.nodes))
-                b = rng.randint(len(rm.nodes))
+                a = rng.randint(len(rm.positions))
+                b = rng.randint(len(rm.positions))
                 if a == b:
                     continue
                 try:
@@ -116,33 +94,34 @@ def test_heuristic_admissible_and_consistent():
     with _verdict(
         "1000 node/goal pairs: zero admissibility or edge-consistency violations"
     ):
-        env = _empty_field()
+        env = open_env()
         pairs = 0
         for seed in range(1, 21):
             rm = build_roadmap(
                 env, CM, PrmParams(seed=seed, n_ground=200, n_air=200, radius=2.0)
             )
             rng = SplitMix64(20_000 + seed)
-            n = len(rm.nodes)
+            positions = rm.positions.tolist()
+            n = len(positions)
             for _ in range(5):
                 g = rng.randint(n)
-                gpos = rm.nodes[g].position
+                gpos = positions[g]
                 truth = dijkstra_all_costs(rm, g)
                 for _ in range(10):
                     a = rng.randint(n)
                     while a == g:
                         a = rng.randint(n)
-                    h = CM.heuristic(rm.nodes[a].position, gpos)
+                    h = CM.heuristic(positions[a], gpos)
                     if math.isfinite(truth[a]):
                         assert h <= truth[a] + REL * max(1.0, truth[a])
                     pairs += 1
                 # consistency across every stored edge, both orientations
-                for e in rm.edges:
-                    ha = CM.heuristic(rm.nodes[e.a].position, gpos)
-                    hb = CM.heuristic(rm.nodes[e.b].position, gpos)
-                    slack = REL * max(1.0, e.cost)
-                    assert ha <= e.cost + hb + slack
-                    assert hb <= e.cost + ha + slack
+                for ea, eb, cost in zip(rm.a.tolist(), rm.b.tolist(), rm.cost.tolist()):
+                    ha = CM.heuristic(positions[ea], gpos)
+                    hb = CM.heuristic(positions[eb], gpos)
+                    slack = REL * max(1.0, cost)
+                    assert ha <= cost + hb + slack
+                    assert hb <= cost + ha + slack
         assert pairs == 1000
 
 
@@ -178,9 +157,8 @@ def test_wall_forces_exactly_two_transitions():
         # every airborne node on the route clears the wall top plus inflation
         wall_top = 1.0 + 0.35
         for nid in plan.node_ids:
-            node = rm.nodes[nid]
-            if node.mode is NodeMode.AERIAL:
-                assert node.position[2] > wall_top
+            if NODE_MODES[rm.mode[nid]] is NodeMode.AERIAL:
+                assert rm.positions[nid, 2] > wall_top
 
         res = run_mission(
             env, [tuple(w) for w in raw["waypoints"]], CM, DwaParams(),
@@ -234,14 +212,6 @@ def test_executed_energy_tracks_plan():
 # -- 5: CLI outputs are byte-for-byte reproducible ----------------------------------
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "morphnav.cli"] + [str(a) for a in args],
-        capture_output=True,
-        text=True,
-    )
-
-
 def test_cli_outputs_reproducible(tmp_path):
     with _verdict("roadmap, plan, and simulate reruns are byte-identical"):
         jobs = [
@@ -253,7 +223,7 @@ def test_cli_outputs_reproducible(tmp_path):
             outs = []
             for attempt in ("a", "b"):
                 out = tmp_path / f"{command}-{attempt}"
-                proc = _run_cli(command, "--env", ARENA, "--out", out)
+                proc = run_cli(command, "--env", ARENA, "--out", out)
                 assert proc.returncode == 0, proc.stderr
                 outs.append(out)
             for name in files:

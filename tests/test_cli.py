@@ -12,19 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parents[1]
-ARENA = str(REPO / "scenarios" / "walled_arena.json")
-OPEN_FIELD = str(REPO / "scenarios" / "open_field.json")
+from reference import ARENA, CM, OPEN_FIELD, REPO, run_cli
+
 DEFAULT_COSTS = str(REPO / "scenarios" / "default_costs.json")
 README = REPO / "README.md"
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "morphnav.cli"] + [str(a) for a in args],
-        capture_output=True,
-        text=True,
-    )
 
 
 def read_json(out_dir, name):
@@ -119,6 +110,18 @@ def test_bad_config_files_exit_one(tmp_path):
             "sim parameter 'max_mission_time' is too many ticks",
         ),
         ("cost", {"dwa": {"horizon": 1e308}}, "dwa parameter 'horizon' is too many ticks"),
+        (
+            "cost",
+            {"morph_duration": 1e306, "sim": {"dt": 0.001}, "dwa": {"dt": 0.001}},
+            "cost parameter 'morph_duration' is too many ticks of dt 0.001 s",
+        ),
+        # Finite parameters whose products overflow (m*g = inf prices as NaN).
+        ("cost", {"mass": 1e308}, "cost product 'mass * gravity' must be finite, got inf"),
+        (
+            "cost",
+            {"morph_power": 1e308, "morph_duration": 10},
+            "cost product 'morph_power * morph_duration' must be finite, got inf",
+        ),
         ("latency", "nan", "sim parameter 'actuation_latency' must be finite, got nan"),
         ("latency", "inf", "sim parameter 'actuation_latency' must be finite, got inf"),
         ("latency", "1e308", "sim parameter 'actuation_latency' is too many ticks"),
@@ -226,7 +229,6 @@ def test_roadmap_param_precedence(tmp_path):
 def test_roadmap_without_prm_block_uses_library_defaults(tmp_path):
     # A scenario with no prm block samples the PrmParams() sizes, as
     # build_roadmap does in the library.
-    from morphnav.costmodel import CostModel
     from morphnav.env import environment_from_dict
     from morphnav.roadmap import PrmParams, build_roadmap, roadmap_to_dict
 
@@ -236,8 +238,8 @@ def test_roadmap_without_prm_block_uses_library_defaults(tmp_path):
     path.write_text(json.dumps(scenario))
     proc = run_cli("roadmap", "--env", path, "--seed", 5, "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    built = build_roadmap(environment_from_dict(scenario), CostModel(), PrmParams(seed=5))
-    assert len(built.nodes) == 400
+    built = build_roadmap(environment_from_dict(scenario), CM, PrmParams(seed=5))
+    assert len(built.positions) == 400
     assert proc.stdout.startswith("roadmap: 400 nodes, ")
     assert read_json(tmp_path, "roadmap.json") == json.loads(json.dumps(roadmap_to_dict(built)))
 

@@ -1,19 +1,19 @@
-"""Energy model: per-edge costs, the search heuristic, and config parsing."""
+"""Energy model: edge pricing, the search heuristic, and config parsing."""
 
 import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from morphnav.costmodel import CostModel, config_from_dict, cost_section
 from morphnav.errors import ConfigError
 from morphnav.localnav import DwaParams
 from morphnav.rng import SplitMix64
-from morphnav.roadmap import PrmParams
+from morphnav.roadmap import EDGE_KINDS, EdgeKind, PrmParams, edge_costs
 from morphnav.sim import SimConfig
-
-CM = CostModel()
+from reference import CM, REPO, uniform
 
 
 def test_default_parameters():
@@ -27,22 +27,28 @@ def test_default_parameters():
     assert CM.gravity == 9.81
 
 
-# -- frozen edge costs -------------------------------------------------------
+# -- frozen edge costs: roadmap.edge_costs, the planner's pricing --------------
+
+
+def _price(kind, length, z_a=0.0, z_b=0.0, cm=CM):
+    """roadmap.edge_costs on edges of one kind; arrays or scalars."""
+    length = np.asarray(length, dtype=float)
+    code = np.full(length.shape, EDGE_KINDS.index(kind), dtype=np.int8)
+    return edge_costs(cm, code, length, np.asarray(z_a, dtype=float), np.asarray(z_b, dtype=float))
 
 
 def test_ground_edge_cost():
-    assert CM.ground_edge_cost(3.0) == 360.0
-    assert CM.ground_edge_cost(0.0) == 0.0
-    with pytest.raises(ValueError):
-        CM.ground_edge_cost(-1.0)
+    assert _price(EdgeKind.GROUND, [3.0, 0.0]).tolist() == [360.0, 0.0]
 
 
 def test_flight_edge_cost_level_and_climb():
-    assert CM.flight_edge_cost(2.0, 1.5, 1.5) == 1200.0
-    # 1 m pure climb: hover energy plus m*g*h.
-    assert abs(CM.flight_edge_cost(1.0, 0.0, 1.0) - 658.86) < 1e-9
-    # Descent credits potential energy.
-    assert abs(CM.flight_edge_cost(1.0, 1.0, 0.0) - 541.14) < 1e-9
+    # Level, a 1 m pure climb (hover energy plus m*g*h) and a 1 m descent,
+    # which credits potential energy.
+    got = _price(EdgeKind.FLIGHT, [2.0, 1.0, 1.0], [1.5, 0.0, 1.0], [1.5, 1.0, 0.0])
+    assert got[0] == 1200.0
+    assert np.abs(got[1:] - [658.86, 541.14]).max() < 1e-9
+    # A transition pays one morph on top of the same flight.
+    assert _price(EdgeKind.TRANSITION, 2.0, 1.5, 1.5) == 1400.0
 
 
 def test_flight_edge_cost_clamps_at_zero():
@@ -50,16 +56,8 @@ def test_flight_edge_cost_clamps_at_zero():
     # recovered energy never goes below zero.
     cm = CostModel(ground_power=1.0, ground_speed=1.0, flight_power=2.0,
                    flight_speed=1.0, mass=50.0, gravity=9.81)
-    assert cm.flight_edge_cost(10.0, 10.0, 0.0) == 0.0
-
-
-def test_flight_edge_rejects_impossible_geometry():
-    with pytest.raises(ValueError):
-        CM.flight_edge_cost(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        CM.flight_edge_cost(-1.0, 0.0, 0.0)
-    # Exactly vertical is legal.
-    assert CM.flight_edge_cost(1.0, 0.0, 1.0) > 0.0
+    assert _price(EdgeKind.FLIGHT, 10.0, 10.0, 0.0, cm=cm) == 0.0
+    assert _price(EdgeKind.TRANSITION, 10.0, 10.0, 0.0, cm=cm) == cm.transition_cost()
 
 
 def test_transition_cost():
@@ -68,26 +66,26 @@ def test_transition_cost():
 
 def test_costs_scale_linearly():
     rng = SplitMix64(3)
-    for _ in range(50):
-        d1 = rng.uniform(0.1, 5.0)
-        d2 = rng.uniform(0.1, 5.0)
-        whole = CM.ground_edge_cost(d1 + d2)
-        assert CM.ground_edge_cost(d1) + CM.ground_edge_cost(d2) == pytest.approx(
-            whole, rel=1e-12
-        )
+    d1, d2 = np.array([[uniform(rng, 0.1, 5.0) for _ in range(2)] for _ in range(50)]).T
+    whole = _price(EdgeKind.GROUND, d1 + d2)
+    assert _price(EdgeKind.GROUND, d1) + _price(EdgeKind.GROUND, d2) == pytest.approx(
+        whole, rel=1e-12
+    )
 
 
 def test_flight_cost_telescopes_over_a_split_climb():
     rng = SplitMix64(4)
+    cases = []
     for _ in range(50):
-        za, zb = rng.uniform(0.0, 2.0), rng.uniform(2.0, 5.0)
+        za, zb = uniform(rng, 0.0, 2.0), uniform(rng, 2.0, 5.0)
         zm = za + (zb - za) * rng.random()
-        length = abs(zb - za) * rng.uniform(1.0, 3.0)
-        f = abs(zm - za) / abs(zb - za)
-        split = CM.flight_edge_cost(length * f, za, zm) + CM.flight_edge_cost(
-            length * (1.0 - f), zm, zb
-        )
-        assert split == pytest.approx(CM.flight_edge_cost(length, za, zb), rel=1e-9)
+        cases.append((za, zb, zm, abs(zb - za) * uniform(rng, 1.0, 3.0)))
+    za, zb, zm, length = np.array(cases).T
+    f = np.abs(zm - za) / np.abs(zb - za)
+    split = _price(EdgeKind.FLIGHT, length * f, za, zm) + _price(
+        EdgeKind.FLIGHT, length * (1.0 - f), zm, zb
+    )
+    assert split == pytest.approx(_price(EdgeKind.FLIGHT, length, za, zb), rel=1e-9)
 
 
 # -- validation -----------------------------------------------------------------
@@ -103,6 +101,13 @@ def test_rejects_non_positive_parameters():
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError, match="finite"):
                 CostModel(**{key: bad})
+    # Finite parameters whose products overflow: with m*g = inf, a level
+    # flight edge would cost inf * 0 = NaN.
+    for kwargs in ({"mass": 1e308}, {"ground_power": 1e300, "ground_speed": 1e-10},
+                   {"flight_power": 1e300, "flight_speed": 1e-10},
+                   {"morph_power": 1e308, "morph_duration": 10.0}):
+        with pytest.raises(ConfigError, match="cost product '.*' must be finite, got inf"):
+            CostModel(**kwargs)
 
 
 def test_rejects_ground_travel_dearer_than_flight():
@@ -124,19 +129,23 @@ def test_heuristic_frozen_values():
 
 def test_heuristic_never_exceeds_any_edge_cost():
     rng = SplitMix64(7)
-    for _ in range(500):
-        a = (rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0), rng.uniform(0.0, 5.0))
-        b = (rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0), rng.uniform(0.0, 5.0))
-        h = CM.heuristic(a, b)
-        d = math.dist(a, b)
-        assert h >= 0.0
-        assert h <= CM.flight_edge_cost(d, a[2], b[2]) + 1e-9
-        assert h <= CM.transition_cost() + CM.flight_edge_cost(d, a[2], b[2]) + 1e-9
+
+    def point(z_hi):
+        return (uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), uniform(rng, 0.0, z_hi))
+
+    pairs = [(point(5.0), point(5.0)) for _ in range(500)]
+    a, b = np.array(pairs).transpose(1, 2, 0)
+    h = np.array([CM.heuristic(p, q) for p, q in pairs])
+    d = np.array([math.dist(p, q) for p, q in pairs])
+    assert (h >= 0.0).all()
+    assert (h <= _price(EdgeKind.FLIGHT, d, a[2], b[2]) + 1e-9).all()
+    assert (h <= _price(EdgeKind.TRANSITION, d, a[2], b[2]) + 1e-9).all()
     # Coplanar pairs exercise the ground-edge bound.
-    for _ in range(200):
-        a = (rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0), 0.0)
-        b = (rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0), 0.0)
-        assert CM.heuristic(a, b) <= CM.ground_edge_cost(math.dist(a, b)) + 1e-9
+    pairs = [((uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0),
+              (uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0)) for _ in range(200)]
+    h = np.array([CM.heuristic(p, q) for p, q in pairs])
+    d = np.array([math.dist(p, q) for p, q in pairs])
+    assert (h <= _price(EdgeKind.GROUND, d) + 1e-9).all()
 
 
 def test_heuristic_triangle_inequality():
@@ -144,15 +153,18 @@ def test_heuristic_triangle_inequality():
     # search safe. Flight edges are the binding case; ground edges follow
     # because they cost at least the heuristic of their own span.
     rng = SplitMix64(8)
-    for _ in range(300):
-        pts = [
-            (rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0), rng.uniform(0.0, 4.0))
-            for _ in range(3)
-        ]
-        a, b, g = pts
-        edge = CM.flight_edge_cost(math.dist(a, b), a[2], b[2])
-        assert CM.heuristic(a, g) <= edge + CM.heuristic(b, g) + 1e-9
-        assert CM.heuristic(b, g) <= edge + CM.heuristic(a, g) + 1e-9
+    triples = [
+        [(uniform(rng, 0.0, 10.0), uniform(rng, 0.0, 10.0), uniform(rng, 0.0, 4.0))
+         for _ in range(3)]
+        for _ in range(300)
+    ]
+    d = np.array([math.dist(a, b) for a, b, _ in triples])
+    za, zb = np.array([(a[2], b[2]) for a, b, _ in triples]).T
+    edge = _price(EdgeKind.FLIGHT, d, za, zb)
+    ha = np.array([CM.heuristic(a, g) for a, _, g in triples])
+    hb = np.array([CM.heuristic(b, g) for _, b, g in triples])
+    assert (ha <= edge + hb + 1e-9).all()
+    assert (hb <= edge + ha + 1e-9).all()
 
 
 # -- config parsing ---------------------------------------------------------------
@@ -225,11 +237,9 @@ def test_range_errors_name_section_and_key(
 
 
 def test_default_config_file_matches_defaults():
-    from pathlib import Path
-
     from morphnav.cli import _load_configs
 
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
+    path = REPO / "scenarios" / "default_costs.json"
     assert _load_configs(str(path)) == (CostModel(), DwaParams(), SimConfig())
     # The file restates every default, so it names every field.
     raw = json.loads(path.read_text())

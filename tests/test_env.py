@@ -1,7 +1,6 @@
 """World model: boxes, ground surfaces, collision tests, grid projection."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +20,14 @@ from morphnav.env import (
 )
 from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
+from reference import (
+    ARENA,
+    ref_in_collision,
+    ref_on_ground,
+    ref_segment_points,
+    ref_step,
+    uniform,
+)
 
 
 def _box_env():
@@ -65,10 +72,10 @@ def test_heightmap_bilinear_and_clamp():
 
 def test_heightmap_vectorized_matches_scalar():
     rng = SplitMix64(11)
-    data = [[rng.uniform(0.0, 2.0) for _ in range(5)] for _ in range(4)]
+    data = [[uniform(rng, 0.0, 2.0) for _ in range(5)] for _ in range(4)]
     hm = Heightmap((1.0, -1.0), 0.5, data)
-    xs = np.array([rng.uniform(0.0, 4.0) for _ in range(64)])
-    ys = np.array([rng.uniform(-2.0, 2.0) for _ in range(64)])
+    xs = np.array([uniform(rng, 0.0, 4.0) for _ in range(64)])
+    ys = np.array([uniform(rng, -2.0, 2.0) for _ in range(64)])
     vec = hm.elevations(xs, ys)
     for x, y, v in zip(xs, ys, vec):
         assert float(hm.elevations(x, y)) == pytest.approx(float(v), abs=1e-12)
@@ -147,7 +154,7 @@ def test_points_in_collision_matches_scalar():
     rng = SplitMix64(5)
     pts = np.array(
         [
-            [rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 6.0)]
+            [uniform(rng, -1.0, 11.0), uniform(rng, -1.0, 11.0), uniform(rng, -1.0, 6.0)]
             for _ in range(200)
         ]
     )
@@ -209,31 +216,7 @@ def test_segment_on_ground_flat_and_sloped():
     assert _one_on_ground(env, a, a)
 
 
-# The per-segment checks the batched ones replaced, kept as the reference.
-
-
-def _ref_segment_points(a, b, step):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
-    ts = np.linspace(0.0, 1.0, n)
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
-
-
-def _ref_step(clearance):
-    return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-
-
-def _ref_in_collision(env, a, b, clearance):
-    pts = _ref_segment_points(a, b, _ref_step(clearance))
-    return bool(env.points_in_collision(pts, clearance).any())
-
-
-def _ref_on_ground(env, a, b, tol=1e-6):
-    pts = _ref_segment_points(a, b, 0.05)
-    ground = env.ground_heights(pts[:, 0], pts[:, 1])
-    return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+# The batched checks against the per-segment ones they replaced (reference.py).
 
 
 def _stepped_heightmap_env():
@@ -269,10 +252,10 @@ def _random_segments(env, rng, n, clearance):
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
 
     def point(margin=0.0):
-        return [rng.uniform(lo[k] - margin, hi[k] + margin) for k in range(3)]
+        return [uniform(rng, lo[k] - margin, hi[k] + margin) for k in range(3)]
 
     def on_ground():
-        x, y = rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1])
+        x, y = uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1])
         return [x, y, env.ground_height(x, y)]
 
     a_rows, b_rows = [], []
@@ -285,13 +268,13 @@ def _random_segments(env, rng, n, clearance):
             b = list(a)
         elif case == 2:
             a = on_ground()
-            b = on_ground() if i % 4 else [a[0] + rng.uniform(-1, 1), a[1], a[2]]
+            b = on_ground() if i % 4 else [a[0] + uniform(rng, -1, 1), a[1], a[2]]
             b = [min(max(b[0], lo[0]), hi[0]), b[1], b[2]]
         elif case == 3:
             a = point()
             axis = rng.randint(3)
             b = list(a)
-            b[axis] += (1 + rng.randint(40)) * _ref_step(clearance) * (-1) ** (i // 6)
+            b[axis] += (1 + rng.randint(40)) * ref_step(clearance) * (-1) ** (i // 6)
         elif case == 4:
             a, b = point(), point()
             axis = rng.randint(3)
@@ -300,9 +283,9 @@ def _random_segments(env, rng, n, clearance):
         else:
             box = env.obstacles[rng.randint(len(env.obstacles))]
             z = box.max_corner[2] + clearance
-            y = rng.uniform(box.min_corner[1], box.max_corner[1])
-            a = [box.min_corner[0] - rng.uniform(0.0, 1.0), y, z]
-            b = [box.max_corner[0] + rng.uniform(0.0, 1.0), y, z]
+            y = uniform(rng, box.min_corner[1], box.max_corner[1])
+            a = [box.min_corner[0] - uniform(rng, 0.0, 1.0), y, z]
+            b = [box.max_corner[0] + uniform(rng, 0.0, 1.0), y, z]
         a_rows.append(a)
         b_rows.append(b)
     return np.array(a_rows), np.array(b_rows)
@@ -322,11 +305,11 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     rng = SplitMix64(len(world) * 100 + int(clearance * 100))
     a, b = _random_segments(env, rng, 2000, clearance)
     hits = env.segments_in_collision(a, b, clearance)
-    ref_hits = [_ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
+    ref_hits = [ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
     assert hits.tolist() == ref_hits
     assert 0 < sum(ref_hits) < len(ref_hits)
     on = env.segments_on_ground(a, b)
-    ref_on = [_ref_on_ground(env, p, q) for p, q in zip(a, b)]
+    ref_on = [ref_on_ground(env, p, q) for p, q in zip(a, b)]
     assert on.tolist() == ref_on
     assert 0 < sum(ref_on) < len(ref_on)
 
@@ -359,7 +342,7 @@ def test_batched_samples_equal_linspace_samples(chunk):
     for step in (0.05, 0.125):
         seen.clear()
         assert not _any_sample(a, b, step, chunk, record).any()
-        ref = np.concatenate([_ref_segment_points(p, q, step) for p, q in zip(a, b)])
+        ref = np.concatenate([ref_segment_points(p, q, step) for p, q in zip(a, b)])
         got = np.concatenate(seen)
         bits = got.view(np.int64)
         assert np.array_equal(bits[: len(ref)], ref.view(np.int64))
@@ -380,15 +363,15 @@ def test_batched_checks_report_each_segment_across_chunks():
 def _broad_phase_world(rng, ground):
     """Bounds 8 x 6 x 3 m from a random origin, 0 to 5 random boxes, and
     flat ground at 0 or 0.2 or a random heightmap."""
-    x0, y0 = rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)
+    x0, y0 = uniform(rng, -5.0, 5.0), uniform(rng, -5.0, 5.0)
     lo, hi = (x0, y0, 0.0), (x0 + 8.0, y0 + 6.0, 3.0)
     boxes = []
     for _ in range(rng.randint(6)):
-        c = [rng.uniform(lo[k], hi[k]) for k in range(3)]
-        size = [rng.uniform(0.1, 2.0) for _ in range(3)]
+        c = [uniform(rng, lo[k], hi[k]) for k in range(3)]
+        size = [uniform(rng, 0.1, 2.0) for _ in range(3)]
         boxes.append(Aabb(tuple(c), tuple(c[k] + size[k] for k in range(3))))
     if ground == "heightmap":
-        data = [[rng.uniform(0.0, 0.6) for _ in range(9)] for _ in range(7)]
+        data = [[uniform(rng, 0.0, 0.6) for _ in range(9)] for _ in range(7)]
         return Environment(
             Aabb(lo, hi), boxes, ground_const=None, heightmap=Heightmap((x0, y0), 1.0, data)
         )
@@ -404,7 +387,7 @@ def _broad_phase_segments(env, rng, n, clearance):
     boxes = env.obstacles
 
     def point(margin=0.0):
-        return [rng.uniform(lo[k] - margin, hi[k] + margin) for k in range(3)]
+        return [uniform(rng, lo[k] - margin, hi[k] + margin) for k in range(3)]
 
     a_rows, b_rows = [], []
     for i in range(n):
@@ -429,7 +412,7 @@ def _broad_phase_segments(env, rng, n, clearance):
             a = point()
             b = list(a)
             axis = rng.randint(3)
-            b[axis] = rng.uniform(lo[axis] - 0.3, hi[axis] + 0.3)
+            b[axis] = uniform(rng, lo[axis] - 0.3, hi[axis] + 0.3)
         elif case == 5:
             box = boxes[rng.randint(len(boxes))]
             axis, across = rng.randint(3), rng.randint(2)
@@ -440,13 +423,13 @@ def _broad_phase_segments(env, rng, n, clearance):
             else:
                 a[axis] = b[axis] = box.min_corner[axis] - clearance
             run, fixed = other[across], other[1 - across]
-            a[run] = box.min_corner[run] - rng.uniform(0.0, 1.0)
-            b[run] = box.max_corner[run] + rng.uniform(0.0, 1.0)
-            a[fixed] = b[fixed] = rng.uniform(box.min_corner[fixed], box.max_corner[fixed])
+            a[run] = box.min_corner[run] - uniform(rng, 0.0, 1.0)
+            b[run] = box.max_corner[run] + uniform(rng, 0.0, 1.0)
+            a[fixed] = b[fixed] = uniform(rng, box.min_corner[fixed], box.max_corner[fixed])
         else:
             box = boxes[rng.randint(len(boxes))]
-            a = [rng.uniform(box.min_corner[k] - 0.5, box.max_corner[k] + 0.5) for k in range(3)]
-            b = [v + rng.uniform(-0.5, 0.5) for v in a]
+            a = [uniform(rng, box.min_corner[k] - 0.5, box.max_corner[k] + 0.5) for k in range(3)]
+            b = [v + uniform(rng, -0.5, 0.5) for v in a]
         a_rows.append(a)
         b_rows.append(b)
     return np.array(a_rows), np.array(b_rows)
@@ -531,8 +514,7 @@ def test_edt_matches_scipy():
                 cells = rng.random(shape) < density
                 cells.flat[rng.integers(cells.size)] = True  # scipy needs one
                 grids.append(cells)
-    arena = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
-    grids.append(project_to_grid(load_environment(arena)).cells)
+    grids.append(project_to_grid(load_environment(ARENA)).cells)
     for cells in grids:
         assert np.array_equal(edt(cells), ndimage.distance_transform_edt(~cells))
 
@@ -646,15 +628,11 @@ def test_projection_matches_per_cell_oracle():
         rng = SplitMix64(seed)
         obstacles = []
         for _ in range(1 + rng.randint(3)):
-            x = rng.uniform(0.0, 8.0)
-            y = rng.uniform(0.0, 6.0)
-            z = rng.uniform(0.0, 1.0)
-            obstacles.append(
-                Aabb(
-                    (x, y, z),
-                    (x + rng.uniform(0.2, 2.0), y + rng.uniform(0.2, 2.0), z + rng.uniform(0.2, 2.0)),
-                )
-            )
+            x = uniform(rng, 0.0, 8.0)
+            y = uniform(rng, 0.0, 6.0)
+            z = uniform(rng, 0.0, 1.0)
+            size = [uniform(rng, 0.2, 2.0) for _ in range(3)]
+            obstacles.append(Aabb((x, y, z), (x + size[0], y + size[1], z + size[2])))
         env = Environment(Aabb((0.0, 0.0, 0.0), (10.0, 8.0, 4.0)), obstacles=tuple(obstacles))
         inflation = (0.0, 0.35, 0.5)[rng.randint(3)]
         grid = project_to_grid(env, resolution=0.25, inflation=inflation, height_band=band)

@@ -18,6 +18,7 @@ from morphnav.localnav import (
     dynamic_window,
 )
 from morphnav.rng import SplitMix64
+from reference import uniform
 
 P = DwaParams()
 
@@ -154,9 +155,9 @@ def test_score_components_bounded():
     grid = _empty_grid()
     rng = SplitMix64(31)
     for _ in range(100):
-        pose = (rng.uniform(1.0, 5.0), rng.uniform(1.0, 5.0), rng.uniform(-3.0, 3.0))
-        cmd = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
-        goal = (rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0))
+        pose = (uniform(rng, 1.0, 5.0), uniform(rng, 1.0, 5.0), uniform(rng, -3.0, 3.0))
+        cmd = VelocityCommand(uniform(rng, 0.0, 1.0), uniform(rng, -1.5, 1.5))
+        goal = (uniform(rng, 0.0, 6.0), uniform(rng, 0.0, 6.0))
         score = _score(_rollout(pose, cmd, P), goal, grid, P)
         assert 0.0 <= score <= 1.0 + 1e-12
 
@@ -303,29 +304,29 @@ def _random_case(rng, i):
     cells = np.array(
         [[rng.random() < density for _ in range(n_cols)] for _ in range(n_rows)]
     )
-    res = rng.uniform(0.05, 0.4)
-    grid = OccupancyGrid(res, (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)), cells)
+    res = uniform(rng, 0.05, 0.4)
+    grid = OccupancyGrid(res, (uniform(rng, -1.0, 1.0), uniform(rng, -1.0, 1.0)), cells)
     w, h = n_cols * res, n_rows * res
     ox, oy = grid.origin
     free = np.argwhere(~cells)
     if i % 7 == 3:
         # On the outer boundary or within its 1e-9 snap, which maps inward.
-        x, y = ox + w + rng.uniform(0.0, 9e-10), oy + rng.uniform(0.0, h)
+        x, y = ox + w + uniform(rng, 0.0, 9e-10), oy + uniform(rng, 0.0, h)
     elif i % 7 == 5 or len(free) == 0:
-        x, y = ox + rng.uniform(-0.5, w + 0.5), oy + rng.uniform(-0.5, h + 0.5)
+        x, y = ox + uniform(rng, -0.5, w + 0.5), oy + uniform(rng, -0.5, h + 0.5)
     else:
         row, col = free[rng.randint(len(free))]
         x, y = grid.cell_center(int(row), int(col))
-    pose = (x, y, rng.uniform(-math.pi, math.pi))
-    current = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
-    goal = (ox + rng.uniform(-1.0, w + 1.0), oy + rng.uniform(-1.0, h + 1.0))
+    pose = (x, y, uniform(rng, -math.pi, math.pi))
+    current = VelocityCommand(uniform(rng, 0.0, 1.0), uniform(rng, -1.5, 1.5))
+    goal = (ox + uniform(rng, -1.0, w + 1.0), oy + uniform(rng, -1.0, h + 1.0))
     p = P
     if i % 4 == 1:
         p = DwaParams(
             samples_v=1 + rng.randint(4) * (i % 8 != 1),
             samples_omega=1 + rng.randint(9) * (i % 8 != 5),
             horizon=(0.05, 0.35, 1.0)[rng.randint(3)],  # 0.05 < dt
-            d_sat=rng.uniform(0.1, 1.0),
+            d_sat=uniform(rng, 0.1, 1.0),
             # Without the heading term, candidates of one speed tie on open
             # ground, so the |omega| tie-break decides.
             w_heading=(0.0, 0.5)[rng.randint(2)],
@@ -344,7 +345,7 @@ def test_dwa_selection_matches_reference_argmax():
         assert dwa_step(pose, current, goal, grid, p) == _select_like_dwa(
             pose, current, goal, grid, p
         ), i
-        cmd = VelocityCommand(rng.uniform(0.0, 1.0), rng.uniform(-1.5, 1.5))
+        cmd = VelocityCommand(uniform(rng, 0.0, 1.0), uniform(rng, -1.5, 1.5))
         traj = _rollout(pose, cmd, p)
         assert traj == _ref_rollout(pose, cmd, p)
         assert _score(traj, goal, grid, p) == _ref_score(traj, goal, grid, p)
@@ -359,12 +360,3 @@ def test_dwa_params_from_dict():
     assert p.omega_max == 1.5
     with pytest.raises(ConfigError):
         config_from_dict(DwaParams, {"warp_speed": 9.0}, "dwa")
-
-
-def test_default_config_file_matches_defaults():
-    import json
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scenarios" / "default_costs.json"
-    block = json.loads(path.read_text())["dwa"]
-    assert config_from_dict(DwaParams, block, "dwa") == DwaParams()

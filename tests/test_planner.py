@@ -2,14 +2,12 @@
 
 import heapq
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment, OccupancyGrid, load_environment
+from morphnav.env import OccupancyGrid, load_environment
 from morphnav.errors import NoPathError
 from morphnav.planner import (
     CostToGo,
@@ -22,6 +20,7 @@ from morphnav.planner import (
 from morphnav.rng import SplitMix64
 from morphnav.roadmap import (
     EDGE_KINDS,
+    NODE_MODES,
     EdgeKind,
     NodeMode,
     PrmParams,
@@ -29,8 +28,7 @@ from morphnav.roadmap import (
     build_roadmap,
     insert_query_nodes,
 )
-
-CM = CostModel()
+from reference import ARENA, CM, ref_edge_cost, walled_env
 
 _ZERO_H = lambda p, g: 0.0  # noqa: E731 - handy for fake-cost graphs
 
@@ -75,7 +73,7 @@ def test_start_equals_goal():
 
 
 def test_two_node_ground_plan_costs_drive_energy():
-    roadmap = _line_graph({(0, 1): CM.ground_edge_cost(3.0)}, spacing=3.0)
+    roadmap = _line_graph({(0, 1): ref_edge_cost(CM, EdgeKind.GROUND, 3.0, 0.0, 0.0)}, spacing=3.0)
     plan = astar_multimodal(roadmap, 0, 1, CM)
     assert plan.total_cost == 360.0
     assert plan.cost_ground == 360.0
@@ -112,15 +110,8 @@ def test_inconsistent_heuristic_trips_the_guard():
 # -- randomized cross-check -----------------------------------------------------
 
 
-def _walled_env():
-    return Environment(
-        Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
-        obstacles=(Aabb((4.9, 0.0, 0.0), (5.1, 6.0, 1.0)),),
-    )
-
-
 def test_astar_matches_dijkstra_on_seeded_roadmaps():
-    env = _walled_env()
+    env = walled_env()
     pair_rng = SplitMix64(99)
     for seed in range(10):
         roadmap = build_roadmap(
@@ -149,7 +140,7 @@ def test_astar_matches_dijkstra_on_seeded_roadmaps():
 
 
 def test_plan_path_is_edge_connected():
-    env = _walled_env()
+    env = walled_env()
     params = PrmParams(n_ground=100, n_air=100, radius=2.0, seed=3)
     roadmap = build_roadmap(env, CM, params)
     roadmap, sid, gid = insert_query_nodes(
@@ -164,7 +155,7 @@ def test_plan_path_is_edge_connected():
 
 def test_all_costs_agrees_with_single_queries():
     roadmap = build_roadmap(
-        _walled_env(), CM, PrmParams(n_ground=60, n_air=60, radius=2.0, seed=7)
+        walled_env(), CM, PrmParams(n_ground=60, n_air=60, radius=2.0, seed=7)
     )
     source = 5
     table = dijkstra_all_costs(roadmap, source)
@@ -181,13 +172,12 @@ def test_all_costs_agrees_with_single_queries():
 
 # -- the CSR search against the adjacency-list search it replaced ------------------
 
-ARENA = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
-
 
 def _list_search(edges, positions, adjacency, source, goal, h):
-    """Best-first search over per-node adjacency lists, as the roadmap was
-    searched before its CSR: keys (g + h(position), g, id), h called on
-    every push, no reopening. Returns (g, parent edge, expansions)."""
+    """Best-first search over per-node adjacency lists of (a, b, cost)
+    edges, as the roadmap was searched before its CSR: keys (g + h(position),
+    g, id), h called on every push, no reopening. Returns (g, parent edge,
+    expansions)."""
     n = len(positions)
     g, parent, closed = [math.inf] * n, [-1] * n, [False] * n
     g[source] = 0.0
@@ -202,9 +192,9 @@ def _list_search(edges, positions, adjacency, source, goal, h):
         if u == goal:
             break
         for idx in adjacency[u]:
-            e = edges[idx]
-            v = e.b if e.a == u else e.a
-            new_g = gu + e.cost
+            ea, eb, cost = edges[idx]
+            v = eb if ea == u else ea
+            new_g = gu + cost
             if new_g < g[v] and not closed[v]:
                 g[v] = new_g
                 parent[v] = idx
@@ -216,9 +206,9 @@ def _list_path(edges, parent, source, goal):
     """(node ids, edge ids) of the path the parent edges hold."""
     node_ids, path, cur = [goal], [], goal
     while cur != source:
-        e = edges[parent[cur]]
+        ea, eb, _ = edges[parent[cur]]
         path.append(parent[cur])
-        cur = e.b if e.a == cur else e.a
+        cur = eb if ea == cur else ea
         node_ids.append(cur)
     return tuple(reversed(node_ids)), tuple(reversed(path))
 
@@ -228,15 +218,16 @@ def test_csr_search_matches_adjacency_list_search():
     roadmap = build_roadmap(
         env, CM, PrmParams(seed=1, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4)
     )
-    edges = list(roadmap.edges)
-    positions = [n.position for n in roadmap.nodes]
+    edges = list(zip(roadmap.a.tolist(), roadmap.b.tolist(), roadmap.cost.tolist()))
+    positions = roadmap.positions.tolist()
     adjacency = [[] for _ in positions]
-    for idx, e in enumerate(edges):
-        adjacency[e.a].append(idx)
-        adjacency[e.b].append(idx)
+    for idx, (a, b, _) in enumerate(edges):
+        adjacency[a].append(idx)
+        adjacency[b].append(idx)
     # Ground nodes connected to node 0, west and east of the wall at x = 5.
     reach = dijkstra_all_costs(roadmap, 0)
-    ground = [n.id for n in roadmap.nodes if n.mode is NodeMode.GROUND and reach[n.id] < math.inf]
+    on_ground = roadmap.mode == NODE_MODES.index(NodeMode.GROUND)
+    ground = np.flatnonzero(on_ground & np.isfinite(reach)).tolist()
     west = [i for i in ground if positions[i][0] < 5.0]
     east = [i for i in ground if positions[i][0] > 5.0]
     rng = SplitMix64(40)
@@ -448,7 +439,7 @@ def test_descent_takes_straight_steps_before_diagonals():
 
 
 def test_segments_for_cross_wall_plan():
-    env = _walled_env()
+    env = walled_env()
     params = PrmParams(
         n_ground=300, n_air=300, radius=2.0, seed=1, min_air_clearance=1.4
     )
@@ -472,7 +463,7 @@ def test_segments_for_cross_wall_plan():
     stitched = list(segments[0].waypoints)
     for seg in segments[1:]:
         stitched.extend(seg.waypoints[1:])
-    assert stitched == [roadmap.nodes[i].position for i in plan.node_ids]
+    assert stitched == [tuple(p) for p in roadmap.positions[list(plan.node_ids)].tolist()]
     # Flight legs stay above the wall with margin.
     for seg in segments:
         if seg.kind is SegmentKind.FLY:

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from pathlib import Path
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -26,8 +26,6 @@ from morphnav.roadmap import (
     NodeMode,
     PrmParams,
     Roadmap,
-    RoadmapEdge,
-    RoadmapNode,
     _connect_edges,
     _sample_nodes,
     build_roadmap,
@@ -35,11 +33,18 @@ from morphnav.roadmap import (
     insert_query_nodes,
     roadmap_to_dict,
 )
+from reference import (
+    ARENA,
+    CM,
+    open_env,
+    ref_edge_cost,
+    ref_in_collision,
+    ref_on_ground,
+    uniform,
+    walled_env,
+)
 
-CM = CostModel()
-
-
-# -- reference: the scalar formulas an edge's kind and cost must follow ----------
+# -- reference: the scalar rule an edge's kind must follow -------------------------
 
 
 def _ref_kind(mode_a, mode_b):
@@ -48,25 +53,6 @@ def _ref_kind(mode_a, mode_b):
     if mode_a is NodeMode.AERIAL and mode_b is NodeMode.AERIAL:
         return EdgeKind.FLIGHT
     return EdgeKind.TRANSITION
-
-
-def _ref_cost(cm, kind, length, z_a, z_b):
-    if kind is EdgeKind.GROUND:
-        return cm.ground_edge_cost(length)
-    if kind is EdgeKind.FLIGHT:
-        return cm.flight_edge_cost(length, z_a, z_b)
-    return cm.transition_cost() + cm.flight_edge_cost(length, z_a, z_b)
-
-
-def _open_env(x=20.0, y=20.0, z=5.0):
-    return Environment(Aabb((0.0, 0.0, 0.0), (x, y, z)))
-
-
-def _walled_env():
-    return Environment(
-        Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
-        obstacles=(Aabb((4.9, 0.0, 0.0), (5.1, 6.0, 1.0)),),
-    )
 
 
 # -- PRNG ------------------------------------------------------------------
@@ -106,7 +92,6 @@ def test_rng_distribution_helpers():
     vals = [rng.random() for _ in range(5000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert min(vals) < 0.05 and max(vals) > 0.95
-    assert all(2.0 <= rng.uniform(2.0, 5.0) < 5.0 for _ in range(1000))
     draws = {rng.randint(10) for _ in range(1000)}
     assert draws == set(range(10))
     assert all(rng.randint(1) == 0 for _ in range(10))
@@ -146,39 +131,36 @@ def test_prm_params_validation():
 
 
 def test_build_is_deterministic_and_seed_sensitive():
-    env = _walled_env()
+    env = walled_env()
     params = PrmParams(n_ground=80, n_air=80, radius=2.0, seed=5)
+    columns = ("positions", "mode", "a", "b", "kind", "length", "cost")
     r1 = build_roadmap(env, CM, params)
     r2 = build_roadmap(env, CM, params)
-    assert [n.position for n in r1.nodes] == [n.position for n in r2.nodes]
-    assert [(e.a, e.b, e.kind, e.length, e.cost) for e in r1.edges] == [
-        (e.a, e.b, e.kind, e.length, e.cost) for e in r2.edges
-    ]
+    for name in columns:
+        assert getattr(r1, name).tobytes() == getattr(r2, name).tobytes(), name
     r3 = build_roadmap(env, CM, PrmParams(n_ground=80, n_air=80, radius=2.0, seed=6))
-    assert r3.nodes[0].position != r1.nodes[0].position
+    assert r3.positions[0].tolist() != r1.positions[0].tolist()
 
 
 def test_sampling_order_and_modes():
     params = PrmParams(n_ground=40, n_air=25, radius=2.0, seed=1)
-    roadmap = build_roadmap(_open_env(), CM, params)
-    assert len(roadmap.nodes) == 65
+    roadmap = build_roadmap(open_env(), CM, params)
+    assert len(roadmap.positions) == 65
     assert [NODE_MODES[m] for m in roadmap.mode.tolist()] == (
         [NodeMode.GROUND] * 40 + [NodeMode.AERIAL] * 25
     )
-    assert [n.id for n in roadmap.nodes] == list(range(65))
 
 
 def test_samples_respect_world_geometry():
-    env = _walled_env()
+    env = walled_env()
     params = PrmParams(n_ground=120, n_air=120, radius=2.0, seed=3)
     roadmap = build_roadmap(env, CM, params)
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
-    for node in roadmap.nodes:
-        x, y, z = node.position
+    for (x, y, z), mode in zip(roadmap.positions.tolist(), roadmap.mode.tolist()):
         assert lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]
-        assert not env.point_in_collision(node.position, params.clearance)
+        assert not env.point_in_collision((x, y, z), params.clearance)
         ground = env.ground_height(x, y)
-        if node.mode is NodeMode.GROUND:
+        if NODE_MODES[mode] is NodeMode.GROUND:
             assert z == ground  # exact surface pin on the flat arena
         else:
             assert z >= ground + params.min_air_clearance - 1e-12
@@ -186,7 +168,7 @@ def test_samples_respect_world_geometry():
 
 def test_air_band_respects_z_max():
     params = PrmParams(n_ground=5, n_air=60, radius=3.0, seed=9, z_max=2.0)
-    roadmap = build_roadmap(_open_env(), CM, params)
+    roadmap = build_roadmap(open_env(), CM, params)
     assert (roadmap.positions[5:, 2] <= 2.0 + 1e-12).all()
 
 
@@ -206,10 +188,10 @@ def _scalar_sample(env, params, rng, air):
     if air and z_hi <= lo[2]:
         raise SamplingError("aerial sampling band is empty (z_max at or below floor)")
     for _ in range(SAMPLE_RETRY_BUDGET):
-        x = rng.uniform(lo[0], hi[0])
-        y = rng.uniform(lo[1], hi[1])
+        x = uniform(rng, lo[0], hi[0])
+        y = uniform(rng, lo[1], hi[1])
         if air:
-            z = rng.uniform(lo[2], z_hi)
+            z = uniform(rng, lo[2], z_hi)
             if z < env.ground_height(x, y) + params.min_air_clearance:
                 continue
         else:
@@ -253,7 +235,7 @@ def _sample_both_ways(env, params, n, air):
 
 def test_batched_sampler_matches_scalar_loop():
     worlds = {
-        "open field": (_open_env(), {}),
+        "open field": (open_env(), {}),
         "walled arena": (load_environment(ARENA), {"min_air_clearance": 1.4}),
         "heightmap, 7 obstacles": (_heightmap_obstacles_env(), {"min_air_clearance": 0.4}),
         "z_max cap": (_heightmap_obstacles_env(), {"z_max": 1.2}),
@@ -310,30 +292,31 @@ def test_edge_kind_table():
 
 
 def test_edge_invariants():
-    env = _walled_env()
+    env = walled_env()
     params = PrmParams(n_ground=100, n_air=100, radius=2.0, seed=2)
     roadmap = build_roadmap(env, CM, params)
-    assert roadmap.edges, "arena this size must produce edges"
+    assert len(roadmap.a), "arena this size must produce edges"
+    positions, modes = roadmap.positions.tolist(), [NODE_MODES[m] for m in roadmap.mode.tolist()]
+    columns = (roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost)
     seen = set()
-    for edge in roadmap.edges:
-        na, nb = roadmap.nodes[edge.a], roadmap.nodes[edge.b]
-        assert edge.a < edge.b
-        assert (edge.a, edge.b) not in seen
-        seen.add((edge.a, edge.b))
-        assert edge.length == math.dist(na.position, nb.position)
-        assert edge.length <= params.radius
-        assert edge.kind is _ref_kind(na.mode, nb.mode)
-        assert edge.cost == _ref_cost(CM, edge.kind, edge.length, na.position[2], nb.position[2])
-    a = [roadmap.nodes[e.a].position for e in roadmap.edges]
-    b = [roadmap.nodes[e.b].position for e in roadmap.edges]
+    for a, b, k, length, cost in zip(*(c.tolist() for c in columns)):
+        kind = EDGE_KINDS[k]
+        assert a < b
+        assert (a, b) not in seen
+        seen.add((a, b))
+        assert length == math.dist(positions[a], positions[b])
+        assert length <= params.radius
+        assert kind is _ref_kind(modes[a], modes[b])
+        assert cost == ref_edge_cost(CM, kind, length, positions[a][2], positions[b][2])
+    a, b = roadmap.positions[roadmap.a], roadmap.positions[roadmap.b]
     assert not env.segments_in_collision(a, b, params.clearance).any()
-    drive = [e.kind is EdgeKind.GROUND for e in roadmap.edges]
-    assert env.segments_on_ground(np.array(a)[drive], np.array(b)[drive]).all()
+    drive = roadmap.kind == EDGE_KINDS.index(EdgeKind.GROUND)
+    assert env.segments_on_ground(a[drive], b[drive]).all()
 
 
 def test_edge_costs_match_cost_model_bit_for_bit():
-    # The vectorized costs repeat CostModel's operations in its order, so
-    # each equals the scalar formula exactly. The cheap-flight model makes
+    # The vectorized costs repeat the scalar reference's operations in its
+    # order, so each equals it exactly. The cheap-flight model makes
     # steep descents negative before the floor at 0, and its speeds make
     # the order of the products and quotients matter.
     cheap_flight = CostModel(
@@ -348,7 +331,7 @@ def test_edge_costs_match_cost_model_bit_for_bit():
     for cm in (CM, cheap_flight):
         got = edge_costs(cm, kind, length, za, zb)
         want = [
-            _ref_cost(cm, EDGE_KINDS[k], L, a, b)
+            ref_edge_cost(cm, EDGE_KINDS[k], L, a, b)
             for k, L, a, b in zip(kind.tolist(), length.tolist(), za.tolist(), zb.tolist())
         ]
         assert got.tobytes() == np.array(want).tobytes()
@@ -360,18 +343,16 @@ def test_edge_costs_match_cost_model_bit_for_bit():
 
 def test_no_ground_edge_crosses_the_wall():
     roadmap = build_roadmap(
-        _walled_env(), CM, PrmParams(n_ground=150, n_air=80, radius=2.0, seed=4)
+        walled_env(), CM, PrmParams(n_ground=150, n_air=80, radius=2.0, seed=4)
     )
-    for edge in roadmap.edges:
-        if edge.kind is not EdgeKind.GROUND:
-            continue
-        xa = roadmap.nodes[edge.a].position[0]
-        xb = roadmap.nodes[edge.b].position[0]
-        assert not (min(xa, xb) < 5.0 < max(xa, xb))
+    drive = roadmap.kind == EDGE_KINDS.index(EdgeKind.GROUND)
+    xa, xb = roadmap.positions[roadmap.a[drive], 0], roadmap.positions[roadmap.b[drive], 0]
+    assert drive.any()
+    assert not ((np.minimum(xa, xb) < 5.0) & (5.0 < np.maximum(xa, xb))).any()
 
 
 def test_connect_edges_closed_radius_and_nearest():
-    env = _open_env()
+    env = open_env()
     params = PrmParams(n_ground=3, n_air=0, radius=0.5, seed=0)
     for radius, pairs in ((1.0, [(0, 1)]), (0.5, [(0, 1)]), (0.5 - 1e-10, [])):
         roadmap = Roadmap()
@@ -379,7 +360,7 @@ def test_connect_edges_closed_radius_and_nearest():
             roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
         _connect_edges(roadmap, 0, env, CM, params, radius)
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
-        assert [(e.a, e.b) for e in roadmap.edges] == pairs
+        assert list(zip(roadmap.a.tolist(), roadmap.b.tolist())) == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
     assert Roadmap().nearest_node((0.0, 0.0, 0.0)) is None
 
@@ -391,14 +372,11 @@ def test_csr_lists_each_nodes_edges_by_id():
         roadmap._append(positions=np.zeros((n, 3)), mode=np.zeros(n, dtype=np.int8))
         a, b = [0, 1, 0, 2, 0], [n - 1, 2, 2, n - 1, 1]
         roadmap._append(a=a, b=b, kind=[0] * 5, length=[1.0] * 5, cost=np.add(a, b, dtype=float))
-        assert roadmap.adjacency[0] == [0, 2, 4]
-        assert roadmap.adjacency[2] == [1, 2, 3]
-        assert roadmap.adjacency[n - 1] == [0, 3]
-        assert np.diff(roadmap.csr()[0])[n - 2] == 0
-        indptr, neighbour, _, cost = roadmap.csr()
+        indptr, neighbour, edge_id, cost = roadmap.csr()
+        for u, ids in ((0, [0, 2, 4]), (2, [1, 2, 3]), (n - 2, []), (n - 1, [0, 3])):
+            assert edge_id[indptr[u] : indptr[u + 1]].tolist() == ids
         assert neighbour[indptr[2] : indptr[3]].tolist() == [1, 0, n - 1]
         assert cost[indptr[2] : indptr[3]].tolist() == [3.0, 2.0, n + 1.0]
-        assert roadmap.other_end(3, 2) == n - 1
 
 
 # -- connectivity trend ------------------------------------------------------------
@@ -407,7 +385,7 @@ def test_csr_lists_each_nodes_edges_by_id():
 def test_ground_connectivity_grows_with_sample_count():
     # On an empty arena with a fixed radius, the share of seeds in which two
     # fixed corners connect must not drop as the sample count doubles.
-    env = _open_env()
+    env = open_env()
     corners = ((1.0, 1.0, 0.0), (19.0, 19.0, 0.0))
     fractions = []
     for n in (50, 100, 200, 400, 800):
@@ -433,10 +411,10 @@ def test_ground_connectivity_grows_with_sample_count():
 
 
 def test_insert_query_connects_endpoints():
-    env = _open_env()
+    env = open_env()
     params = PrmParams(n_ground=150, n_air=0, radius=2.0, seed=8)
     roadmap = build_roadmap(env, CM, params)
-    n_before = len(roadmap.nodes)
+    n_before = len(roadmap.positions)
     roadmap, sid, gid = insert_query_nodes(
         roadmap, (2.0, 2.0, 0.0), (17.0, 17.0, 0.0), env, CM, params
     )
@@ -444,25 +422,25 @@ def test_insert_query_connects_endpoints():
     degree = np.diff(roadmap.csr()[0])
     assert degree[sid] > 0 and degree[gid] > 0
     for node_id in (sid, gid):
-        assert roadmap.nodes[node_id].mode is NodeMode.GROUND
-        assert roadmap.nodes[node_id].position[2] == 0.0
+        assert NODE_MODES[roadmap.mode[node_id]] is NodeMode.GROUND
+        assert roadmap.positions[node_id, 2] == 0.0
 
 
 def test_insert_query_reuses_coincident_node():
-    env = _open_env()
+    env = open_env()
     params = PrmParams(n_ground=60, n_air=0, radius=2.0, seed=8)
     roadmap = build_roadmap(env, CM, params)
-    anchor = roadmap.nodes[7].position
-    n_before = len(roadmap.nodes)
+    anchor = tuple(roadmap.positions[7].tolist())
+    n_before = len(roadmap.positions)
     roadmap, sid, _ = insert_query_nodes(
         roadmap, anchor, (10.0, 10.0, 0.0), env, CM, params
     )
     assert sid == 7
-    assert len(roadmap.nodes) == n_before + 1  # only the goal was added
+    assert len(roadmap.positions) == n_before + 1  # only the goal was added
 
 
 def test_insert_query_escalates_radius_once():
-    env = _open_env()
+    env = open_env()
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
     roadmap = Roadmap()
     roadmap.add_node((5.0, 5.0, 0.0), NodeMode.GROUND)
@@ -471,13 +449,14 @@ def test_insert_query_escalates_radius_once():
     roadmap, sid, gid = insert_query_nodes(
         roadmap, (6.5, 5.0, 0.0), (4.5, 5.0, 0.0), env, CM, params
     )
-    degree = np.diff(roadmap.csr()[0])
+    indptr, neighbour, _, _ = roadmap.csr()
+    degree = np.diff(indptr)
     assert degree[sid] == 1 and degree[gid] == 1
-    assert roadmap.other_end(roadmap.adjacency[sid][0], sid) == 0
+    assert neighbour[indptr[sid]] == 0
 
 
 def test_insert_query_isolation_and_bad_positions():
-    env = _open_env()
+    env = open_env()
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
 
     def fresh():
@@ -501,27 +480,8 @@ def test_insert_query_isolation_and_bad_positions():
 
 # -- reference: the one-node-at-a-time build -------------------------------------
 
-ARENA = Path(__file__).resolve().parents[1] / "scenarios" / "walled_arena.json"
-
-
-def _ref_segment_points(a, b, step):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
-    ts = np.linspace(0.0, 1.0, n)
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
-
-
-def _ref_in_collision(env, a, b, clearance):
-    step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-    return bool(env.points_in_collision(_ref_segment_points(a, b, step), clearance).any())
-
-
-def _ref_on_ground(env, a, b, tol=1e-6):
-    pts = _ref_segment_points(a, b, 0.05)
-    ground = env.ground_heights(pts[:, 0], pts[:, 1])
-    return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+_RefNode = namedtuple("_RefNode", "id position mode")
+_RefEdge = namedtuple("_RefEdge", "a b kind length cost")
 
 
 class _RefRoadmap:
@@ -530,46 +490,46 @@ class _RefRoadmap:
 
     def __init__(self, radius):
         self.radius = radius
-        self.nodes, self.edges, self.adjacency = [], [], []
+        self.node_records, self.edge_records, self.incident = [], [], []
 
     def add_node(self, position, mode):
-        self.nodes.append(RoadmapNode(len(self.nodes), tuple(position), mode))
-        self.adjacency.append([])
-        return self.nodes[-1]
+        self.node_records.append(_RefNode(len(self.node_records), tuple(position), mode))
+        self.incident.append([])
+        return self.node_records[-1]
 
     def add_edge(self, a, b, kind, length, cost):
-        self.adjacency[a].append(len(self.edges))
-        self.adjacency[b].append(len(self.edges))
-        self.edges.append(RoadmapEdge(min(a, b), max(a, b), kind, length, cost))
+        self.incident[a].append(len(self.edge_records))
+        self.incident[b].append(len(self.edge_records))
+        self.edge_records.append(_RefEdge(min(a, b), max(a, b), kind, length, cost))
 
-    def other_end(self, idx, nid):
-        e = self.edges[idx]
+    def far_end(self, idx, nid):
+        e = self.edge_records[idx]
         return e.b if e.a == nid else e.a
 
     def nearest_node(self, position):
-        if not self.nodes:
+        if not self.node_records:
             return None
-        d, nid = min((math.dist(n.position, position), n.id) for n in self.nodes)
+        d, nid = min((math.dist(n.position, position), n.id) for n in self.node_records)
         return nid, d
 
 
 def _ref_connect(roadmap, nid, env, params, radius):
     # Linear-scan neighbours in ascending id order, one segment at a time.
-    node = roadmap.nodes[nid]
-    near = [n.id for n in roadmap.nodes if math.dist(n.position, node.position) <= radius]
+    node = roadmap.node_records[nid]
+    near = [n.id for n in roadmap.node_records if math.dist(n.position, node.position) <= radius]
     for other_id in near:
         if other_id == nid:
             continue
-        other = roadmap.nodes[other_id]
+        other = roadmap.node_records[other_id]
         length = math.dist(node.position, other.position)
         if length <= 1e-9:
             continue
         kind = _ref_kind(other.mode, node.mode)
-        if kind is EdgeKind.GROUND and not _ref_on_ground(env, other.position, node.position):
+        if kind is EdgeKind.GROUND and not ref_on_ground(env, other.position, node.position):
             continue
-        if _ref_in_collision(env, other.position, node.position, params.clearance):
+        if ref_in_collision(env, other.position, node.position, params.clearance):
             continue
-        cost = _ref_cost(CM, kind, length, other.position[2], node.position[2])
+        cost = ref_edge_cost(CM, kind, length, other.position[2], node.position[2])
         roadmap.add_edge(other_id, nid, kind, length, cost)
 
 
@@ -598,10 +558,10 @@ def _ref_insert(roadmap, start, goal, env, params):
             continue
         node = roadmap.add_node(snapped, NodeMode.GROUND)
         _ref_connect(roadmap, node.id, env, params, roadmap.radius)
-        if not roadmap.adjacency[node.id]:
+        if not roadmap.incident[node.id]:
             retries += 1
             _ref_connect(roadmap, node.id, env, params, 2.0 * roadmap.radius)
-        if not roadmap.adjacency[node.id]:
+        if not roadmap.incident[node.id]:
             raise QueryNodeIsolatedError(f"query node '{label}' isolated")
         ids.append(node.id)
     return roadmap, ids[0], ids[1], retries
@@ -619,8 +579,9 @@ def _four_boxes_env():
     )
 
 
-def _stepped_heightmap_env():
-    # Plateaus at 0, 0.5 and 1 m joined by one-lattice-cell ramps.
+def _one_box_stepped_heightmap_env():
+    # Plateaus at 0, 0.5 and 1 m joined by one-lattice-cell ramps; test_env's
+    # stepped heightmap adds a second, raised box.
     row = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0]
     return Environment(
         Aabb((0.0, 0.0, 0.0), (10.5, 6.0, 4.0)),
@@ -631,11 +592,11 @@ def _stepped_heightmap_env():
 
 
 REFERENCE_WORLDS = {
-    "open field": (_open_env, {"n_ground": 25, "n_air": 5}),
+    "open field": (open_env, {"n_ground": 25, "n_air": 5}),
     "walled arena": (lambda: load_environment(ARENA), {"min_air_clearance": 1.4}),
     "four boxes": (_four_boxes_env, {}),
-    "stepped heightmap": (_stepped_heightmap_env, {"n_ground": 90, "n_air": 50}),
-    "clearance 0": (_walled_env, {"clearance": 0.0}),
+    "stepped heightmap": (_one_box_stepped_heightmap_env, {"n_ground": 90, "n_air": 50}),
+    "clearance 0": (walled_env, {"clearance": 0.0}),
 }
 
 
@@ -663,20 +624,21 @@ def _ref_snapshot(ref):
     export as roadmap_to_dict wrote it from records."""
     export = {
         "nodes": [
-            {"id": n.id, "position": list(n.position), "mode": n.mode.value} for n in ref.nodes
+            {"id": n.id, "position": list(n.position), "mode": n.mode.value}
+            for n in ref.node_records
         ],
         "edges": [
             {"a": e.a, "b": e.b, "kind": e.kind.value, "length": e.length, "cost": e.cost}
-            for e in sorted(ref.edges, key=lambda e: (e.a, e.b))
+            for e in sorted(ref.edge_records, key=lambda e: (e.a, e.b))
         ],
     }
     incident = [
-        [(i, ref.other_end(i, u), ref.edges[i].cost) for i in adj]
-        for u, adj in enumerate(ref.adjacency)
+        [(i, ref.far_end(i, u), ref.edge_records[i].cost) for i in adj]
+        for u, adj in enumerate(ref.incident)
     ]
     return (
-        [(n.position, n.mode) for n in ref.nodes],
-        [(e.a, e.b, e.kind, e.length, e.cost) for e in ref.edges],
+        [(n.position, n.mode) for n in ref.node_records],
+        [(e.a, e.b, e.kind, e.length, e.cost) for e in ref.edge_records],
         incident,
         export,
     )
@@ -692,15 +654,13 @@ def test_batched_build_matches_one_node_at_a_time_build():
             ref = _ref_build(env, params)
             roadmap = build_roadmap(env, CM, params)
             assert _snapshot(roadmap) == _ref_snapshot(ref), (world, seed)
-            views = (list(roadmap.nodes), list(roadmap.edges), list(roadmap.adjacency))
-            assert views == (ref.nodes, ref.edges, ref.adjacency), (world, seed)
-            assert ref.edges, (world, seed)
+            assert ref.edge_records, (world, seed)
             # Query pairs anywhere on the footprint, some on existing nodes.
             rng = SplitMix64(1000 + seed)
             for q in range(6):
-                start = (rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0)
-                goal = ref.nodes[q].position if q % 3 == 2 else (
-                    rng.uniform(lo[0], hi[0]), rng.uniform(lo[1], hi[1]), 0.0
+                start = (uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1]), 0.0)
+                goal = ref.node_records[q].position if q % 3 == 2 else (
+                    uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1]), 0.0
                 )
                 try:
                     _, *want, n_retries = _ref_insert(ref, start, goal, env, params)
@@ -716,6 +676,21 @@ def test_batched_build_matches_one_node_at_a_time_build():
     assert retries > 0  # the doubled-radius retry ran
 
 
+def test_record_views_match_columns():
+    # The nodes, edges and adjacency views and other_end remain for the
+    # benchmark alone, and no other test reads them. They must say what the
+    # columns and the CSR say, as the reference's records do.
+    roadmap = build_roadmap(walled_env(), CM, PrmParams(n_ground=60, n_air=60, seed=2))
+    nodes, edges, incident, _ = _snapshot(roadmap)
+    assert [(n.position, n.mode) for n in roadmap.nodes] == nodes
+    assert [n.id for n in roadmap.nodes] == list(range(len(nodes)))
+    assert [(e.a, e.b, e.kind, e.length, e.cost) for e in roadmap.edges] == edges
+    assert len(edges) > 100
+    views = [[(i, roadmap.other_end(i, u), roadmap.edges[i].cost) for i in adj]
+             for u, adj in enumerate(roadmap.adjacency)]
+    assert views == incident
+
+
 def test_build_memory_stays_flat():
     # Edge checks run in fixed-size numpy passes (env.SAMPLE_CHUNK,
     # PAIR_BLOCK, PAIR_GROUP). Making every sample of a walled-arena build at
@@ -729,7 +704,7 @@ def test_build_memory_stays_flat():
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(roadmap.edges) > 10000
+    assert len(roadmap.a) > 10000
     assert peak - retained < 2 * 2**20, (retained, peak)
 
 
@@ -748,7 +723,7 @@ def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
     env = load_environment(ARENA)
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=1)
     roadmap = build_roadmap(env, CM, params)
-    assert len(roadmap.edges) > 10000
+    assert len(roadmap.a) > 10000
     assert 0 < sum(sampled) < 3000, sum(sampled)
 
 
@@ -757,7 +732,7 @@ def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
 
 def test_roadmap_to_dict_shape():
     roadmap = build_roadmap(
-        _open_env(), CM, PrmParams(n_ground=30, n_air=30, radius=2.5, seed=1)
+        open_env(), CM, PrmParams(n_ground=30, n_air=30, radius=2.5, seed=1)
     )
     d = roadmap_to_dict(roadmap)
     assert len(d["nodes"]) == 60

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment, OccupancyGrid
+from morphnav.env import OccupancyGrid
 from morphnav.errors import ConfigError
 from morphnav.localnav import DwaParams, VelocityCommand
 from morphnav.sim import (
     LEGAL_PHASE_TRANSITIONS,
     EnergyLedger,
     LocomotionMode,
+    Mission,
     MissionPhase,
     RobotState,
     SimConfig,
@@ -21,20 +22,9 @@ from morphnav.sim import (
     step_ugv,
     trajectory_csv,
 )
+from reference import CM, open_env, walled_env
 
-CM = CostModel()
 DWA = DwaParams()
-
-
-def _open_env(x=20.0, y=20.0, z=5.0):
-    return Environment(Aabb((0.0, 0.0, 0.0), (x, y, z)))
-
-
-def _walled_env():
-    return Environment(
-        Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
-        obstacles=(Aabb((4.9, 0.0, 0.0), (5.1, 6.0, 1.0)),),
-    )
 
 
 _ARENA_WAYPOINTS = ((4.0, 3.0, 0.0), (6.0, 3.0, 0.0), (10.0, 3.0, 0.0))
@@ -45,7 +35,7 @@ def _arena_result(latency=0.0):
     """Cross-wall three-waypoint mission, memoized per latency setting."""
     if latency not in _ARENA_CACHE:
         _ARENA_CACHE[latency] = run_mission(
-            _walled_env(),
+            walled_env(),
             _ARENA_WAYPOINTS,
             CM,
             DWA,
@@ -59,7 +49,7 @@ def _arena_result(latency=0.0):
 
 
 def test_step_ugv_axis_aligned():
-    env = _open_env()
+    env = open_env()
     state = RobotState(1.0, 1.0, 0.0, 0.0)
     nxt = step_ugv(state, VelocityCommand(1.0, 0.0), env, 0.1)
     assert nxt.x == 1.1 and nxt.y == 1.0 and nxt.z == 0.0
@@ -71,7 +61,7 @@ def test_step_ugv_axis_aligned():
 def test_step_ugv_arc_matches_closed_form():
     # 100 Euler steps of (v=1, w=1); dt small enough that the first-order
     # error stays under a millimeter against the exact circular arc.
-    env = _open_env()
+    env = open_env()
     dt = 0.002
     state = RobotState(5.0, 5.0, 0.0, 0.0)
     for _ in range(100):
@@ -83,7 +73,7 @@ def test_step_ugv_arc_matches_closed_form():
 
 
 def test_step_ugv_pins_z_and_clamps_to_bounds():
-    env = _open_env(x=2.0, y=2.0)
+    env = open_env(x=2.0, y=2.0)
     state = RobotState(1.95, 1.0, 0.0, 0.0)
     for _ in range(5):
         state = step_ugv(state, VelocityCommand(1.0, 0.0), env, 0.1)
@@ -94,7 +84,7 @@ def test_step_ugv_pins_z_and_clamps_to_bounds():
 def test_step_ugv_requires_ground_mode():
     state = RobotState(1.0, 1.0, 1.0, 0.0, mode=LocomotionMode.UAS)
     with pytest.raises(ValueError):
-        step_ugv(state, VelocityCommand(0.0, 0.0), _open_env(), 0.1)
+        step_ugv(state, VelocityCommand(0.0, 0.0), open_env(), 0.1)
 
 
 # -- energy integration --------------------------------------------------------
@@ -158,7 +148,7 @@ def test_sim_config_validation():
 
 
 def test_mission_rejects_bad_setup():
-    env = _walled_env()
+    env = walled_env()
     with pytest.raises(ConfigError):
         run_mission(env, (), CM, DWA, SimConfig())
     with pytest.raises(ConfigError):
@@ -172,9 +162,14 @@ def test_mission_rejects_bad_setup():
     wps, start = ((6.0, 2.0, 0.0),), (2.0, 2.0, 0.0)
     for dwa_dt, sim_dt in ((0.1, 0.05), (0.05, 0.1)):
         with pytest.raises(ConfigError, match="must equal sim dt"):
-            run_mission(_open_env(), wps, CM, DwaParams(dt=dwa_dt), SimConfig(dt=sim_dt), start=start)
-    same = run_mission(_open_env(), wps, CM, DwaParams(dt=0.05), SimConfig(dt=0.05), start=start)
+            run_mission(open_env(), wps, CM, DwaParams(dt=dwa_dt), SimConfig(dt=sim_dt), start=start)
+    same = run_mission(open_env(), wps, CM, DwaParams(dt=0.05), SimConfig(dt=0.05), start=start)
     assert same.outcome == "Done"
+    # A morph whose tick count overflows is refused before any tick runs.
+    slow_morph = CostModel(morph_duration=1e306)
+    with pytest.raises(ConfigError) as info:
+        Mission(open_env(), wps, slow_morph, DwaParams(dt=0.001), SimConfig(dt=0.001), start=start)
+    assert str(info.value) == "cost parameter 'morph_duration' is too many ticks of dt 0.001 s"
 
 
 # -- missions ----------------------------------------------------------------------
@@ -182,7 +177,7 @@ def test_mission_rejects_bad_setup():
 
 def test_mission_immediate_done():
     result = run_mission(
-        _open_env(), ((2.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
+        open_env(), ((2.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
     )
     assert result.outcome == "Done"
     assert result.waypoints_reached == 1
@@ -192,7 +187,7 @@ def test_mission_immediate_done():
 
 def test_ground_only_mission():
     result = run_mission(
-        _open_env(), ((6.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
+        open_env(), ((6.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
     )
     assert result.outcome == "Done"
     assert result.morph_count == 0
@@ -296,15 +291,15 @@ def test_latency_sweep_overshoot_monotone():
 
 def test_mission_is_deterministic():
     kwargs = dict(start=(1.0, 3.0, 0.0))
-    a = run_mission(_walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
-    b = run_mission(_walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
+    a = run_mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
+    b = run_mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
     assert a.records == b.records
     assert a.timeline == b.timeline
     assert a.ledger == b.ledger
 
 
 def test_pose_noise_perturbs_but_completes():
-    env = _open_env()
+    env = open_env()
     wp = ((8.0, 2.0, 0.0),)
     clean = run_mission(env, wp, CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0))
     noisy = run_mission(
@@ -328,7 +323,7 @@ def test_noisy_and_delayed_arena_missions_are_pinned():
         (SimConfig(actuation_latency=0.3), 304, 6253.0),
     ):
         res = run_mission(
-            _walled_env(), _ARENA_WAYPOINTS, CM, DWA, cfg, seed=1, start=(1.0, 3.0, 0.0)
+            walled_env(), _ARENA_WAYPOINTS, CM, DWA, cfg, seed=1, start=(1.0, 3.0, 0.0)
         )
         assert res.outcome == "Done", cfg
         got = (len(res.records), round(res.ledger.total, 1), res.morph_count)
@@ -338,7 +333,7 @@ def test_noisy_and_delayed_arena_missions_are_pinned():
 def test_custom_grid_triggers_flight_over_phantom_wall():
     # A grid that claims a wall the 3D world does not have still forces the
     # executor into the air; the mission plans against the grid it is given.
-    env = _open_env()
+    env = open_env()
     cells = np.zeros((200, 200), dtype=bool)
     cells[:, 50] = True
     grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
@@ -351,7 +346,7 @@ def test_custom_grid_triggers_flight_over_phantom_wall():
 
 
 def test_flight_disabled_fails_cleanly():
-    env = _open_env()
+    env = open_env()
     cells = np.zeros((200, 200), dtype=bool)
     cells[:, 50] = True
     grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
@@ -370,7 +365,7 @@ def test_flight_disabled_fails_cleanly():
 
 def test_waypoint_inside_obstacle_fails():
     result = run_mission(
-        _walled_env(), ((5.0, 3.0, 0.5),), CM, DWA, SimConfig(), start=(1.0, 3.0, 0.0)
+        walled_env(), ((5.0, 3.0, 0.5),), CM, DWA, SimConfig(), start=(1.0, 3.0, 0.0)
     )
     assert result.outcome == "Failed"
     assert "waypoint 0" in result.reason
@@ -380,7 +375,7 @@ def test_waypoint_inside_obstacle_fails():
 def test_start_inside_inflated_region_fails():
     # Collision-free in 3D but inside the inflated driving costmap.
     result = run_mission(
-        _walled_env(), ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(), start=(4.7, 3.0, 0.0)
+        walled_env(), ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(), start=(4.7, 3.0, 0.0)
     )
     assert result.outcome == "Failed"
     assert "inflated" in result.reason
@@ -391,7 +386,7 @@ def test_time_limit_fails_mission():
     # the records are the start and one per tick.
     for max_time, dt, n_records in ((1.0, 0.1, 12), (0.7, 0.05, 15), (1e-3, 0.1, 2)):
         result = run_mission(
-            _walled_env(),
+            walled_env(),
             _ARENA_WAYPOINTS,
             CM,
             DwaParams(dt=dt),
