@@ -12,6 +12,7 @@ would reject every legal pose).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,8 @@ class Environment:
             self._obs_max = np.zeros((0, 3))
         self._bmin = np.array(bounds.min_corner)
         self._bmax = np.array(bounds.max_corner)
+        # Each obstacle's corners as (3, 1) columns, for (3, N) points.
+        self._box_columns = list(zip(self._obs_min[:, :, None], self._obs_max[:, :, None]))
         # No point at or above this height is below the ground (see
         # segments_in_collision).
         if heightmap is None:
@@ -197,17 +200,20 @@ class Environment:
         A point collides when the clearance sphere around it touches an
         obstacle (closed test: distance == clearance collides), when the
         point itself is below the local ground surface, or when the point
-        leaves the arena bounds.
+        leaves the arena bounds. The points are tested as x, y and z rows of
+        one (3, N) array, one obstacle at a time, so no temporary grows with
+        the obstacle count.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = (pts < self._bmin).any(axis=1) | (pts > self._bmax).any(axis=1)
-        ground = self.ground_heights(pts[:, 0], pts[:, 1])
-        below = pts[:, 2] < ground
-        hit = out | below
-        if len(self.obstacles):
-            q = np.clip(pts[:, None, :], self._obs_min[None], self._obs_max[None])
-            d2 = ((pts[:, None, :] - q) ** 2).sum(axis=2)
-            hit |= (d2 <= clearance * clearance).any(axis=1)
+        x, y, z = c = np.ascontiguousarray(_rows(pts).T)
+        out = (c < self._bmin[:, None]) | (c > self._bmax[:, None])
+        hit = out[0] | out[1] | out[2]
+        hit |= z < self.ground_heights(x, y)
+        for lo, hi in self._box_columns:
+            # Per-axis gap to the box, squared, summed in x, y, z order.
+            gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
+            gap *= gap
+            gx, gy, gz = gap
+            hit |= gx + gy + gz <= clearance * clearance
         return hit
 
     def point_in_collision(self, p, clearance: float) -> bool:
@@ -247,12 +253,11 @@ class Environment:
             gap = np.maximum(np.maximum(omin - hi, lo - omax), 0.0)
             clear &= (gap * gap).sum(axis=1) > reach * reach
         step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-        # points_in_collision makes (samples, obstacles, 3) temporaries.
-        chunk = max(1, SAMPLE_CHUNK // max(1, len(self.obstacles)))
         hit = np.zeros(len(a), dtype=bool)
         todo = ~clear
         hit[todo] = _any_sample(
-            a[todo], b[todo], step, chunk, lambda pts: self.points_in_collision(pts, clearance)
+            a[todo], b[todo], step, SAMPLE_CHUNK,
+            lambda pts: self.points_in_collision(pts, clearance),
         )
         return hit
 
@@ -280,21 +285,108 @@ class Environment:
         return on
 
 
-# Samples made and tested per pass of _any_sample (divided by the obstacle
-# count for collision tests). Keep the passes small and all the same size:
-# checking all of a walled-arena roadmap's segments at once holds about 9 MB
-# of samples, and arrays of many different small sizes are no better, because
-# numpy keeps freed buffers under 1 KB in a per-size cache (up to 7 per size)
-# that it never returns and that tracemalloc does not see, so RSS creeps up
-# over repeated builds. Only the segments the broad phases of
-# segments_in_collision and segments_on_ground leave undecided reach these
-# passes: about 1,800 of a seed-1 walled-arena plan's 19,600 segment checks.
+# Samples made and tested per pass of _any_sample, in every world:
+# points_in_collision's temporaries do not grow with the obstacle count. Keep
+# the passes small and all the same size: checking all of a walled-arena
+# roadmap's segments at once holds about 9 MB of samples, and arrays of many
+# different small sizes are no better, because numpy keeps freed buffers
+# under 1 KB in a per-size cache (up to 7 per size) that it never returns and
+# that tracemalloc does not see, so RSS creeps up over repeated builds. Only
+# the segments the broad phases of segments_in_collision and
+# segments_on_ground leave undecided reach these passes: about 1,800 of a
+# seed-1 walled-arena plan's 19,600 segment checks.
 SAMPLE_CHUNK = 2048
 
 
 def _rows(points) -> np.ndarray:
     """Points as a (K, 3) float array."""
     return np.asarray(points, dtype=float).reshape(-1, 3)
+
+
+# Differences below this have a frexp exponent under -1023, where CPython's
+# math.dist cannot scale by 2.0 ** -exponent (it overflows).
+_SUBNORMAL = 2.0**-1024
+_DBL_MIN = 2.0**-1022
+
+
+def distances(a, b) -> np.ndarray:
+    """math.dist(a[k], b[k]) for each row of two (K, 3) point arrays, bit for
+    bit when the coordinates are finite; either side may be one point.
+
+    CPython's math.dist (vector_norm for n = 3) scales the absolute
+    differences by a power of two so that the largest lies in [0.5, 1),
+    adds their Dekker-exact squares into a sum started at 1.0 by Fast2Sum,
+    keeps both rounding errors in two lossy sums, takes the square root and
+    makes one differential correction. This replays those operations in
+    that order on the x, y and z columns. As in CPython, no difference
+    gives 0.0, an overflowing one gives inf, and a largest difference below
+    2**-1024 takes the interpreter's subnormal branch.
+    """
+    a, b = _rows(a), _rows(b)
+    # Zero, infinite and subnormal rows compute garbage in the scaled path;
+    # _norm3 sets them after it.
+    with np.errstate(all="ignore"):
+        return _norm3([np.abs(a[:, k] - b[:, k]) for k in range(3)])
+
+
+def _norm3(d) -> np.ndarray:
+    """vector_norm of the non-negative columns d[0], d[1], d[2]."""
+    big = np.maximum(np.maximum(d[0], d[1]), d[2])
+    scale = np.ldexp(1.0, -np.frexp(big)[1])
+    csum, frac1, frac2 = 1.0, 0.0, 0.0
+    for x in d:
+        hi, lo = _square(x * scale)
+        csum, err = _fast_sum(csum, hi)
+        frac1 = frac1 + lo
+        frac2 = frac2 + err
+    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+    hi, lo = _square(h)  # the product -h * h is exactly -hi - lo
+    csum, err = _fast_sum(csum, -hi)
+    frac1 = frac1 - lo
+    frac2 = frac2 + err
+    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+    out = h / scale
+    out[big == 0.0] = 0.0
+    out[np.isinf(big)] = np.inf
+    tiny = (0.0 < big) & (big < _SUBNORMAL)
+    if tiny.any():
+        out[tiny] = _subnormal_norm3([x[tiny] for x in d], big[tiny])
+    return out
+
+
+def _subnormal_norm3(d, big) -> np.ndarray:
+    """_norm3 of rows whose largest difference `big` is below 2**-1024."""
+    if sys.version_info >= (3, 12):
+        # Exact rescaling to normal numbers, undone at the end.
+        return _DBL_MIN * _norm3([x / _DBL_MIN for x in d])
+    # Python 3.10 and 3.11 divide by the largest difference and make no
+    # correction.
+    csum, frac = 1.0, 0.0
+    for x in d:
+        x = x / big
+        csum, err = _fast_sum(csum, x * x)
+        frac = frac + err
+    return big * np.sqrt(csum - 1.0 + frac)
+
+
+def _square(x):
+    """Dekker's square: hi is x * x rounded and hi + lo == x * x exactly
+    unless it underflows, with x split in halves of 26 bits by Veltkamp's
+    constant 2**27 + 1."""
+    t = x * 134217729.0
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo
+    q += q
+    z = p + q
+    return z, p - z + q + lo * lo
+
+
+def _fast_sum(a, b):
+    """Fast2Sum for |a| >= |b|: x + err == a + b and x is a + b rounded."""
+    x = a + b
+    return x, (a - x) + b
 
 
 def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .costmodel import CostModel, check_fields
-from .env import Environment
+from .env import Environment, distances
 from .errors import ConfigError, QueryNodeIsolatedError, SamplingError
 from .rng import SplitMix64
 
@@ -34,7 +34,8 @@ SAMPLE_RETRY_BUDGET = 1000
 DUPLICATE_NODE_TOL = 1e-9
 # Sampling attempts tested together in one points_in_collision pass.
 SAMPLE_BLOCK = 512
-# Elements of one numpy pass of the candidate-pair search (rows x nodes x 3).
+# Squared distances of one numpy pass of the candidate-pair search (rows x
+# nodes).
 PAIR_BLOCK = 1 << 13
 # Candidate pairs validated together. Groups this large keep every
 # per-candidate array above numpy's 1 KB small-buffer cache (see
@@ -184,9 +185,11 @@ class Roadmap:
     def nearest_node(self, position) -> tuple[int, float] | None:
         """(id, distance) of the closest node, lowest id first on ties, or
         None when empty."""
-        pts = self.positions.tolist()
-        best = min(((math.dist(q, position), i) for i, q in enumerate(pts)), default=None)
-        return None if best is None else best[::-1]
+        if not len(self.positions):
+            return None
+        d = distances(self.positions, position)
+        i = int(np.argmin(d))
+        return i, float(d[i])
 
 
 def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
@@ -255,8 +258,10 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
 
     All ground nodes are sampled first, then all aerial nodes, from one
     stream; sampling never looks at edges. Every node is then connected to
-    the nodes before it in id order.
+    the nodes before it in id order. Raises ConfigError when the cost model
+    overflows pricing the world's worst edge.
     """
+    _check_worst_edge_price(env, cm)
     rng = SplitMix64(params.seed)
     ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
@@ -265,6 +270,27 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
         roadmap._append(positions=pts, mode=np.full(len(pts), NODE_MODES.index(mode)))
     _connect_edges(roadmap, 0, env, cm, params, params.radius)
     return roadmap
+
+
+def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
+    """Price an edge of every kind along the bounds diagonal, climbing and
+    descending the bounds' z extent. Every node lies inside the bounds, so
+    no edge is longer or climbs more, and each step of edge_costs grows in
+    magnitude with both; a model that prices this edge without overflow
+    prices every edge of the world without overflow."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    diagonal = math.hypot(*(b - a for a, b in zip(lo, hi)))
+    kind = np.repeat(np.arange(len(EDGE_KINDS), dtype=np.int8), 2)
+    z_a = np.tile([lo[2], hi[2]], len(EDGE_KINDS))
+    z_b = np.tile([hi[2], lo[2]], len(EDGE_KINDS))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            edge_costs(cm, kind, np.full(len(kind), diagonal), z_a, z_b)
+    except FloatingPointError as exc:
+        raise ConfigError(
+            f"cost model overflows pricing a {diagonal:g} m edge climbing "
+            f"{hi[2] - lo[2]:g} m ({exc})"
+        ) from None
 
 
 def insert_query_nodes(
@@ -320,17 +346,19 @@ def _connect_edges(
     from the older node toward the newer one.
     """
     pos = roadmap.positions
-    pl, n = pos.tolist(), len(pos)
-    # A margin for the numpy search, squared by a multiply (inf on overflow,
-    # where ** raises); math.dist makes the exact closed-radius decision.
+    n = len(pos)
+    cols = pos.T.copy()  # x, y and z, each contiguous
+    # A margin for the squared-distance search, squared by a multiply (inf on
+    # overflow, where ** raises); the exact lengths of env.distances make the
+    # closed-radius decision.
     reach2 = radius * radius * (1.0 + 2e-9)
-    rows = max(1, PAIR_BLOCK // (3 * n)) if n else 1
+    rows = max(1, PAIR_BLOCK // n) if n else 1
     new, old, added = [], [], 0
     for i0 in range(first, n, rows):
         i1 = min(i0 + rows, n)
-        diff = pos[i0:i1, None, :] - pos[None, :i1, :]
-        near = (diff * diff).sum(axis=2) <= reach2
-        near &= np.arange(i1)[None, :] < np.arange(i0, i1)[:, None]
+        dx, dy, dz = (c[i0:i1, None] - c[:i1] for c in cols)
+        near = dx * dx + dy * dy + dz * dz <= reach2
+        near &= np.arange(i1) < np.arange(i0, i1)[:, None]
         i, j = np.nonzero(near)
         new.append(i + i0)
         old.append(j)
@@ -339,7 +367,7 @@ def _connect_edges(
         # Validate the group's (newer, older) candidates in batched segment
         # checks, each from the older node to the newer one.
         new, old = np.concatenate(new), np.concatenate(old)
-        length = np.array([math.dist(pl[i], pl[j]) for i, j in zip(new.tolist(), old.tolist())])
+        length = distances(pos[new], pos[old])
         keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)
         new, old, length = new[keep], old[keep], length[keep]
         kind = roadmap.mode[old] + roadmap.mode[new]

@@ -71,6 +71,26 @@ def ref_step(clearance):
     return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
 
 
+def ref_point_in_collision(env, p, clearance):
+    """Collision of one point, in plain Python: outside the bounds, below
+    env.ground_height, or within `clearance` of a box, by the squared
+    distance to the point clamped into the box (closed test)."""
+    p = [float(v) for v in p]
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    if not all(lo[k] <= p[k] <= hi[k] for k in range(3)):
+        return True
+    if p[2] < env.ground_height(p[0], p[1]):
+        return True
+    for box in env.obstacles:
+        d2 = 0.0
+        for v, box_lo, box_hi in zip(p, box.min_corner, box.max_corner):
+            gap = v - min(max(v, box_lo), box_hi)
+            d2 += gap * gap
+        if d2 <= clearance * clearance:
+            return True
+    return False
+
+
 def ref_in_collision(env, a, b, clearance):
     pts = ref_segment_points(a, b, ref_step(clearance))
     return bool(env.points_in_collision(pts, clearance).any())

@@ -122,6 +122,12 @@ def test_bad_config_files_exit_one(tmp_path):
             {"morph_power": 1e308, "morph_duration": 10},
             "cost product 'morph_power * morph_duration' must be finite, got inf",
         ),
+        # Finite parameters whose edge prices overflow in the arena.
+        (
+            "plan-cost",
+            {"flight_power": 1e308, "mass": 1e307},
+            "cost model overflows pricing a 13.7477 m edge climbing 3 m",
+        ),
         ("latency", "nan", "sim parameter 'actuation_latency' must be finite, got nan"),
         ("latency", "inf", "sim parameter 'actuation_latency' must be finite, got inf"),
         ("latency", "1e308", "sim parameter 'actuation_latency' is too many ticks"),
@@ -142,9 +148,10 @@ def test_bad_config_files_exit_one(tmp_path):
             args = ("simulate", "--env", ARENA, "--latency", patch)
         elif kind == "oracle":
             args = ("oracle", "--n", 1, "--queries", 1, *patch)
-        elif kind == "cost":
+        elif kind in ("cost", "plan-cost"):
             path.write_text(json.dumps(patch))
-            args = ("simulate", "--env", ARENA, "--cost-config", path)
+            command = "simulate" if kind == "cost" else "plan"
+            args = (command, "--env", ARENA, "--cost-config", path)
         elif kind == "prm":
             path.write_text(json.dumps({**scenario, "prm": {**scenario["prm"], **patch}}))
             args = ("roadmap", "--env", path)
@@ -155,6 +162,7 @@ def test_bad_config_files_exit_one(tmp_path):
         assert proc.returncode == 1, patch
         assert f"config error: {fragment}" in proc.stderr, (patch, proc.stderr)
         assert "Traceback" not in proc.stderr, patch
+        assert "Warning" not in proc.stderr, patch
 
 
 def test_huge_finite_radius_plans(tmp_path):

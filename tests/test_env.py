@@ -1,5 +1,6 @@
 """World model: boxes, ground surfaces, collision tests, grid projection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from morphnav.env import (
     Heightmap,
     OccupancyGrid,
     _any_sample,
+    distances,
     edt,
     environment_from_dict,
     load_environment,
@@ -24,6 +26,7 @@ from reference import (
     ARENA,
     ref_in_collision,
     ref_on_ground,
+    ref_point_in_collision,
     ref_segment_points,
     ref_step,
     uniform,
@@ -149,18 +152,102 @@ def test_point_collision_ground_and_bounds():
     assert not env.point_in_collision((10.0, 10.0, 5.0), 0.0)  # boundary is inside
 
 
+def _collision_probes(env, rng):
+    """(point, clearance) pairs: random points in and around the bounds;
+    points exactly at the clearance from each box's faces, edges and
+    corners, and the same pushed 1/64 m farther out on each axis; points on
+    and just outside each bounds face; points on and just below the ground.
+    The boxes' corners and the offsets are dyadic, so the contact distances
+    are exact."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    probes = [
+        ([uniform(rng, lo[k] - 1.0, hi[k] + 1.0) for k in range(3)], clearance)
+        for clearance in (0.0, 0.35)
+        for _ in range(300)
+    ]
+    # Offsets in eighths whose squares sum to the clearance squared: one axis
+    # (a face), 3-4-5 (an edge) and 1-2-2-3 (a corner).
+    contacts = (((0.375,), 0.375), ((0.375, 0.5), 0.625), ((0.125, 0.25, 0.25), 0.375))
+    for box in env.obstacles:
+        mid = [(box.min_corner[k] + box.max_corner[k]) / 2.0 for k in range(3)]
+        for offsets, clearance in contacts:
+            for axes in itertools.combinations(range(3), len(offsets)):
+                for signs in itertools.product((-1.0, 1.0), repeat=len(axes)):
+                    for push in (0.0, 1.0 / 64.0):
+                        p = list(mid)
+                        for k, offset, sign in zip(axes, offsets, signs):
+                            side = box.max_corner if sign > 0 else box.min_corner
+                            p[k] = side[k] + sign * (offset + push)
+                        probes.append((p, clearance))
+    for k in range(3):
+        for face, outward in ((lo[k], -math.inf), (hi[k], math.inf)):
+            p = [uniform(rng, lo[j], hi[j]) for j in range(3)]
+            for v in (face, math.nextafter(face, outward)):
+                p[k] = v
+                probes.append((list(p), 0.1))
+    for _ in range(40):
+        x, y = uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1])
+        ground = env.ground_height(x, y)
+        probes += [((x, y, ground), 0.1), ((x, y, math.nextafter(ground, -math.inf)), 0.1)]
+    return probes
+
+
 def test_points_in_collision_matches_scalar():
-    env = _box_env()
-    rng = SplitMix64(5)
-    pts = np.array(
-        [
-            [uniform(rng, -1.0, 11.0), uniform(rng, -1.0, 11.0), uniform(rng, -1.0, 6.0)]
-            for _ in range(200)
-        ]
-    )
-    vec = env.points_in_collision(pts, 0.35)
-    for p, hit in zip(pts, vec):
-        assert env.point_in_collision(tuple(p), 0.35) == bool(hit)
+    # points_in_collision against a plain-Python oracle that shares no code
+    # with it, and its scalar form point_in_collision against both.
+    for env in (_box_env(), _several_boxes_env(), _stepped_heightmap_env()):
+        probes = _collision_probes(env, SplitMix64(5))
+        want = [ref_point_in_collision(env, p, c) for p, c in probes]
+        for clearance in sorted({c for _, c in probes}):
+            pick = [i for i, (_, c) in enumerate(probes) if c == clearance]
+            pts = np.array([probes[i][0] for i in pick])
+            got = env.points_in_collision(pts, clearance).tolist()
+            assert got == [want[i] for i in pick], clearance
+        for (p, clearance), hit in zip(probes, want):
+            assert env.point_in_collision(p, clearance) == hit
+        assert 0.1 < np.mean(want) < 0.9
+
+
+def test_distances_match_math_dist_bit_for_bit():
+    rng = np.random.default_rng(14)
+    n = 50_000
+    # One scale per row, 1e-300 to 1e300.
+    scale = 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+    rows = [(rng.uniform(-1.0, 1.0, (n, 3)) * scale, rng.uniform(-1.0, 1.0, (n, 3)) * scale)]
+    # A scale per coordinate, so each row mixes magnitudes.
+    mixed = [rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 3))
+             for _ in range(2)]
+    rows.append(tuple(mixed))
+    # One or two coordinates equal.
+    a = rng.uniform(0.0, 12.0, (6000, 3))
+    b = a + rng.uniform(-2.0, 2.0, (6000, 3))
+    b[:3000, 0] = a[:3000, 0]
+    b[3000:, 1:] = a[3000:, 1:]
+    b[:1000, 2] = a[:1000, 2]
+    rows.append((a, b))
+    # Every pair of points with coordinates in {0.0, -0.0, 1.5}.
+    corners = np.array(list(itertools.product((0.0, -0.0, 1.5), repeat=3)))
+    rows.append((np.repeat(corners, 27, axis=0), np.tile(corners, (27, 1))))
+    # Differences that are all subnormal, with the largest on either side of
+    # 2**-1024, where math.dist changes branch.
+    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324], (4000, 3))
+    subnormal = rng.uniform(-1.0, 1.0, (4000, 3)) * 2.0 ** rng.uniform(-1074, -1022, (4000, 3))
+    rows.append((tiny, subnormal))
+    # Differences that overflow to inf, and some near it that do not.
+    big = rng.uniform(-1.0, 1.0, (4000, 3)) * 1.7e308
+    rows.append((big, rng.uniform(-1.0, 1.0, (4000, 3)) * 1.7e308))
+    a, b = (np.concatenate(side) for side in zip(*rows))
+    got = distances(a, b)
+    want = np.array([math.dist(p, q) for p, q in zip(a.tolist(), b.tolist())])
+    assert len(want) >= 100_000
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not len(bad), (a[bad[:3]], b[bad[:3]], got[bad[:3]], want[bad[:3]])
+    assert np.isinf(want).sum() > 100 and (want == 0.0).sum() > 10
+    assert ((0.0 < want) & (want < 2.0**-1024)).sum() > 100
+    assert ((2.0**-1024 < want) & (want < 2.0**-1022)).sum() > 100
+    # One point against many, either way round.
+    assert distances(a[:50], b[7]).tolist() == [math.dist(p, b[7]) for p in a[:50].tolist()]
+    assert distances(b[7], a[:50]).tolist() == distances(a[:50], b[7]).tolist()
 
 
 # -- segment collision -------------------------------------------------------
@@ -446,8 +533,7 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
         rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
         env = _broad_phase_world(rng, ground)
         a, b = _broad_phase_segments(env, rng, 700, clearance)
-        chunk = max(1, SAMPLE_CHUNK // max(1, len(env.obstacles)))
-        want = _any_sample(a, b, step, chunk, lambda p: env.points_in_collision(p, clearance))
+        want = _any_sample(a, b, step, SAMPLE_CHUNK, lambda p: env.points_in_collision(p, clearance))
         got = env.segments_in_collision(a, b, clearance)
         assert got.tolist() == want.tolist(), (ground, clearance, seed)
 

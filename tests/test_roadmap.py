@@ -127,6 +127,20 @@ def test_prm_params_validation():
     assert PrmParams(n_air=0).n_air == 0
 
 
+def test_build_refuses_edge_prices_that_overflow():
+    # Finite cost parameters whose edge prices overflow in this world are
+    # refused before any edge is priced inf or NaN (a NaN descent price used
+    # to be floored to 0 J).
+    params = PrmParams(n_ground=5, n_air=5, seed=1)
+    for cm in (CostModel(flight_power=1e308, mass=1e307), CostModel(flight_power=5e307)):
+        with pytest.raises(ConfigError, match="overflows pricing a 13.7477 m edge climbing 3 m"):
+            build_roadmap(walled_env(), cm, params)
+    # In a world with a 1.5 m diagonal the same flight power prices finitely.
+    small = Environment(Aabb((0.0, 0.0, 0.0), (1.0, 1.0, 0.5)))
+    roadmap = build_roadmap(small, CostModel(flight_power=5e307), params)
+    assert len(roadmap.cost) and np.isfinite(roadmap.cost).all()
+
+
 # -- sampling ---------------------------------------------------------------------
 
 
@@ -362,6 +376,9 @@ def test_connect_edges_closed_radius_and_nearest():
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
         assert list(zip(roadmap.a.tolist(), roadmap.b.tolist())) == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
+    # Equally near nodes: the lowest id wins.
+    assert roadmap.nearest_node((0.25, 0.0, 0.0)) == (0, 0.25)
+    assert roadmap.nearest_node((0.5, 0.0, 1e-9)) == (1, 1e-9)
     assert Roadmap().nearest_node((0.0, 0.0, 0.0)) is None
 
 
