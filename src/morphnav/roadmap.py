@@ -280,12 +280,13 @@ def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
     prices every edge of the world without overflow."""
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
     diagonal = math.hypot(*(b - a for a, b in zip(lo, hi)))
-    kind = np.repeat(np.arange(len(EDGE_KINDS), dtype=np.int8), 2)
-    z_a = np.tile([lo[2], hi[2]], len(EDGE_KINDS))
-    z_b = np.tile([hi[2], lo[2]], len(EDGE_KINDS))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            edge_costs(cm, kind, np.full(len(kind), diagonal), z_a, z_b)
+            # np.select in edge_costs evaluates every branch, so each row
+            # prices every kind: one climbing and one descending row cover
+            # them all.
+            z = np.array([lo[2], hi[2]])
+            edge_costs(cm, np.zeros(2, np.int8), np.full(2, diagonal), z, z[::-1])
     except FloatingPointError as exc:
         raise ConfigError(
             f"cost model overflows pricing a {diagonal:g} m edge climbing "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from morphnav import env as env_module
 from morphnav.env import (
     SAMPLE_CHUNK,
     Aabb,
@@ -192,7 +193,7 @@ def _collision_probes(env, rng):
     return probes
 
 
-def test_points_in_collision_matches_scalar():
+def test_points_in_collision_matches_scalar(monkeypatch):
     # points_in_collision against a plain-Python oracle that shares no code
     # with it, and its scalar form point_in_collision against both.
     for env in (_box_env(), _several_boxes_env(), _stepped_heightmap_env()):
@@ -201,8 +202,12 @@ def test_points_in_collision_matches_scalar():
         for clearance in sorted({c for _, c in probes}):
             pick = [i for i, (_, c) in enumerate(probes) if c == clearance]
             pts = np.array([probes[i][0] for i in pick])
-            got = env.points_in_collision(pts, clearance).tolist()
-            assert got == [want[i] for i in pick], clearance
+            # Boxes one at a time, three at a time (the last block short),
+            # and all in one block.
+            for block in (1, 3, len(env.obstacles)):
+                monkeypatch.setattr(env_module, "BOX_BLOCK", block * len(pts))
+                got = env.points_in_collision(pts, clearance).tolist()
+                assert got == [want[i] for i in pick], (clearance, block)
         for (p, clearance), hit in zip(probes, want):
             assert env.point_in_collision(p, clearance) == hit
         assert 0.1 < np.mean(want) < 0.9
@@ -240,10 +245,18 @@ def test_distances_match_math_dist_bit_for_bit():
     got = distances(a, b)
     want = np.array([math.dist(p, q) for p, q in zip(a.tolist(), b.tolist())])
     assert len(want) >= 100_000
+    # Below a largest difference of 2**-1024 (and above 0) math.dist's
+    # branch differs by interpreter version; there a length need only be
+    # below the 1e-9 duplicate tolerance, which it is for every version.
+    with np.errstate(over="ignore"):
+        largest = np.abs(a - b).max(axis=1)
+    below = (0.0 < largest) & (largest < 2.0**-1024)
+    assert ((0.0 <= got[below]) & (got[below] <= 1e-9)).all()
+    got, want = got[~below], want[~below]
     bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert not len(bad), (a[bad[:3]], b[bad[:3]], got[bad[:3]], want[bad[:3]])
+    assert not len(bad), (a[~below][bad[:3]], b[~below][bad[:3]], got[bad[:3]], want[bad[:3]])
     assert np.isinf(want).sum() > 100 and (want == 0.0).sum() > 10
-    assert ((0.0 < want) & (want < 2.0**-1024)).sum() > 100
+    assert below.sum() > 100
     assert ((2.0**-1024 < want) & (want < 2.0**-1022)).sum() > 100
     # One point against many, either way round.
     assert distances(a[:50], b[7]).tolist() == [math.dist(p, b[7]) for p in a[:50].tolist()]

@@ -132,7 +132,11 @@ def test_build_refuses_edge_prices_that_overflow():
     # refused before any edge is priced inf or NaN (a NaN descent price used
     # to be floored to 0 J).
     params = PrmParams(n_ground=5, n_air=5, seed=1)
-    for cm in (CostModel(flight_power=1e308, mass=1e307), CostModel(flight_power=5e307)):
+    for cm in (
+        CostModel(flight_power=1e308, mass=1e307),
+        CostModel(flight_power=5e307),
+        CostModel(mass=1e307),  # only the climb's m * g * dz overflows
+    ):
         with pytest.raises(ConfigError, match="overflows pricing a 13.7477 m edge climbing 3 m"):
             build_roadmap(walled_env(), cm, params)
     # In a world with a 1.5 m diagonal the same flight power prices finitely.
