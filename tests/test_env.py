@@ -460,6 +460,54 @@ def test_batched_checks_report_each_segment_across_chunks():
         assert hits.tolist() == [False] * 6 + [True] + [False] * 6
 
 
+def test_samples_lie_in_the_hull_of_their_end_samples():
+    # The broad phase of segments_in_collision bounds each segment's samples
+    # by [min(a, e), max(a, e)], e = a + (b - a): the value at t = 1.
+    rng = SplitMix64(77)
+    rows = [
+        # (a, b): ascending, descending, mixed, and far from the origin.
+        ((0.1, 0.2, 0.3), (2.9, 1.7, 2.3)),
+        ((2.9, 1.7, 2.3), (0.1, 0.2, 0.3)),
+        ((0.3, 4.7, 0.05), (3.1, 0.7, 1.45)),
+        ((1234.5678, -987.6543, 0.1), (1236.1, -986.3, 2.7)),
+        # a == b on some axes.
+        ((1.0, 2.0, 0.3), (1.0, 2.0, 2.9)),
+        ((0.7, 3.3, 1.4), (4.1, 3.3, 1.4)),
+        # Ends exactly at 0 and on the faces of _box_env's bounds and box.
+        ((0.0, 0.0, 0.0), (4.0, 6.0, 2.0)),
+        ((10.0, 10.0, 5.0), (0.0, 4.0, 0.0)),
+        ((6.0, 0.0, 2.0), (6.0, 10.0, 0.0)),
+        ((4.0, 4.0, 0.0), (-0.0, 10.0, 5.0)),
+        # e != b: b_z - a_z rounds to -1.0, so e_z is 0.0 and not 1e-20.
+        ((0.5, 0.5, 1.0), (1.5, 0.5, 1e-20)),
+    ]
+    for i in range(200):
+        a = [uniform(rng, -3.0, 3.0) for _ in range(3)]
+        b = [uniform(rng, -3.0, 3.0) for _ in range(3)]
+        if i % 2:
+            axis = rng.randint(3)
+            b[axis] = a[axis]
+        rows.append((a, b))
+    a_all, b_all = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    e_all = a_all + (b_all - a_all)
+    assert e_all[10, 2] == 0.0 < b_all[10, 2]
+    for i, (a, b, e) in enumerate(zip(a_all, b_all, e_all)):
+        seen = []
+
+        def record(pts):
+            seen.append(pts.copy())
+            return np.zeros(len(pts), dtype=bool)
+
+        for step in (0.05, 0.0125):
+            _any_sample(a, b, step, 7, record)
+        pts = np.concatenate(seen)
+        assert (np.minimum(a, e) <= pts).all() and (pts <= np.maximum(a, e)).all(), (a, b)
+        assert (pts == a).all(axis=1).any() and (pts == e).all(axis=1).any()
+        if i == 10:
+            # The box [min(a, b), max(a, b)] misses the last sample here.
+            assert pts[:, 2].min() == 0.0 < min(a[2], b[2])
+
+
 def _broad_phase_world(rng, ground):
     """Bounds 8 x 6 x 3 m from a random origin, 0 to 5 random boxes, and
     flat ground at 0 or 0.2 or a random heightmap."""
@@ -535,9 +583,28 @@ def _broad_phase_segments(env, rng, n, clearance):
     return np.array(a_rows), np.array(b_rows)
 
 
+def _touching_segments(env, rng, n):
+    """n segments with one end inside the bounds and the other exactly on
+    the ground surface (i % 4 < 2) or on a bounds face; the touching end is
+    a for even i and b for odd i."""
+    lo, hi = env.bounds.min_corner, env.bounds.max_corner
+    a_rows, b_rows = [], []
+    for i in range(n):
+        ends = [[uniform(rng, lo[k], hi[k]) for k in range(3)] for _ in range(2)]
+        p = ends[i % 2]
+        if i % 4 < 2:
+            p[2] = env.ground_height(p[0], p[1])
+        else:
+            axis = rng.randint(3)
+            p[axis] = (lo, hi)[rng.randint(2)][axis]
+        a_rows.append(ends[0])
+        b_rows.append(ends[1])
+    return np.array(a_rows), np.array(b_rows)
+
+
 @pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
 @pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
-def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
+def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch):
     # segments_in_collision and segments_on_ground decide some segments
     # without sampling; their verdicts must equal sampling every segment.
     step = 0.05 if clearance == 0.0 else min(0.05, clearance / 2.0)
@@ -546,6 +613,10 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
         rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
         env = _broad_phase_world(rng, ground)
         a, b = _broad_phase_segments(env, rng, 700, clearance)
+        # Segments that touch the ground or a bounds face, drawn last so the
+        # draws above do not shift.
+        ta, tb = _touching_segments(env, rng, 300)
+        a, b = np.vstack([a, ta]), np.vstack([b, tb])
         want = _any_sample(a, b, step, SAMPLE_CHUNK, lambda p: env.points_in_collision(p, clearance))
         got = env.segments_in_collision(a, b, clearance)
         assert got.tolist() == want.tolist(), (ground, clearance, seed)
@@ -558,8 +629,24 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
         assert env.segments_on_ground(a, b).tolist() == want_on.tolist(), (ground, seed)
         hits += int(want.sum())
         on += int(want_on.sum())
-    assert 0 < hits < 8 * 700
-    assert 0 < on < 8 * 700
+    assert 0 < hits < 8 * 1000
+    assert 0 < on < 8 * 1000
+    if ground != "heightmap":
+        # A transition edge's ground end, far from every box, is decided
+        # without sampling. Landing on a ground of 0.2 from z = 1.4, the
+        # t = 1 sample is 0.19999999999999996: sampled, and a hit.
+        env = Environment(Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 5.0)), _box_env().obstacles, ground)
+        up = [1.0, 1.0, ground], [2.0, 1.5, 1.4]
+        down = up[::-1]
+        assert env.segments_in_collision(*down, clearance).tolist() == [ground == 0.2]
+        sampled = []
+        monkeypatch.setattr(
+            env_module, "_any_sample", lambda a, *args: sampled.append(len(a)) or np.zeros(len(a), bool)
+        )
+        assert not env.segments_in_collision(*up, clearance).any()
+        assert sum(sampled) == 0
+        env.segments_in_collision(*down, clearance)
+        assert sum(sampled) == (ground == 0.2)
 
 
 # -- occupancy grid -----------------------------------------------------------
