@@ -5,7 +5,8 @@ constant commanded speed, so a traversal of length d costs power * d / speed.
 Flight additionally pays the potential energy of any net climb and recovers
 it on descent, floored at zero per edge. Morphing is a fixed-duration,
 fixed-power maneuver. `roadmap.edge_costs` prices edges with these
-parameters; this module holds them, the morph cost and the A* heuristic.
+parameters and `roadmap.heuristic_costs` bounds them for A*; this module
+holds the parameters and the morph cost.
 
 Default power/speed numbers are calibration placeholders for a roughly
 6 kg morphing robot; only the mass is a measured value. Calibrate the
@@ -76,8 +77,8 @@ class CostModel:
         ):
             if not math.isfinite(value):
                 raise ConfigError(f"cost product '{name}' must be finite, got {value!r}")
-        # The lower-bound heuristic charges horizontal travel at the ground
-        # rate, which is only valid when flying a meter never beats driving it.
+        # roadmap.heuristic_costs charges horizontal travel at the ground
+        # rate, a lower bound only while flying a meter never beats driving it.
         if self.ground_power / self.ground_speed > self.flight_power / self.flight_speed:
             raise ConfigError(
                 "ground energy per meter must not exceed flight energy per "
@@ -87,21 +88,6 @@ class CostModel:
     def transition_cost(self) -> float:
         """Energy (J) for one reconfiguration."""
         return self.morph_power * self.morph_duration
-
-    # -- heuristics -----------------------------------------------------------
-
-    def heuristic(self, position, goal) -> float:
-        """Lower bound on remaining cost-to-goal.
-
-        Horizontal distance is charged at the ground rate (never above the
-        flight rate, by construction) and any net climb at pure potential
-        energy. Keeps A* admissible and consistent on flat-ground worlds.
-        """
-        dx = goal[0] - position[0]
-        dy = goal[1] - position[1]
-        d_xy = math.hypot(dx, dy)
-        climb = max(0.0, goal[2] - position[2])
-        return (self.ground_power / self.ground_speed) * d_xy + self.mass * self.gravity * climb
 
 
 def config_from_dict(cls, d, section: str):

@@ -1,10 +1,11 @@
 """Search: energy-optimal roadmap planning and an 8-connected grid
 cost-to-go field.
 
-The roadmap planner is A* with a consistent lower-bound heuristic and a
-closed set (no reopening); an independent uniform-cost implementation,
-dijkstra_oracle, exists purely to cross-check it and deliberately shares no
-search code with it. Both walk the roadmap's CSR adjacency.
+The roadmap planner is A* over a per-node lower bound on the cost to go
+(roadmap.heuristic_costs) with a closed set (no reopening); an independent
+uniform-cost implementation, dijkstra_oracle, exists purely to cross-check
+it and deliberately shares no search code with it. Both walk the roadmap's
+CSR adjacency.
 
 The grid side is CostToGo: one wavefront from a goal cell gives every
 cell's shortest-path length to it, and `descend` reads a shortest path off
@@ -19,14 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .costmodel import CostModel
 from .env import OccupancyGrid
 from .errors import NoPathError
-from .roadmap import EDGE_KINDS, EdgeKind, Roadmap
+from .roadmap import EDGE_KINDS, EdgeKind, Roadmap, heuristic_costs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -78,20 +78,16 @@ def _assemble_result(
 
 
 def astar_multimodal(
-    roadmap: Roadmap,
-    start_id: int,
-    goal_id: int,
-    cm: CostModel,
-    heuristic: Callable[[list, list], float] | None = None,
-    assume_consistent: bool | None = None,
+    roadmap: Roadmap, start_id: int, goal_id: int, cm: CostModel, h=None
 ) -> PlanResult:
     """Minimum-energy path between two roadmap nodes.
 
-    Uses the cost model's lower-bound heuristic by default; a custom
-    heuristic callable (position, goal_position) -> float may be supplied
-    for comparison runs, in which case optimality is not guaranteed and the
-    consistency guard is disabled unless requested. It is called once per
-    reached node, on [x, y, z] lists.
+    `h` holds a lower bound on the cost from each node to the goal, indexed
+    by node id. By default it is roadmap.heuristic_costs toward the goal,
+    built once per search, and a closed node whose cost would still drop
+    raises AssertionError: that bound is consistent, so only float noise
+    may improve a closed node. A given `h` (for comparison runs) skips that
+    check, and optimality then holds only if `h` is consistent.
 
     Raises NoPathError (carrying the count of explored nodes) when the goal
     is unreachable.
@@ -99,22 +95,20 @@ def astar_multimodal(
     n = len(roadmap.positions)
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
-    if assume_consistent is None:
-        assume_consistent = heuristic is None
-    if heuristic is None:
-        heuristic = cm.heuristic
     if start_id == goal_id:
         return _assemble_result(roadmap, cm, [], start_id, start_id, 0.0, 0)
+    guard = h is None
+    if guard:
+        h = heuristic_costs(cm, roadmap.positions, roadmap.positions[goal_id])
+    h = np.asarray(h, dtype=float).tolist()
+    if len(h) != n:
+        raise ValueError(f"h holds {len(h)} bounds for {n} nodes")
 
     indptr, neighbour, edge_id, edge_cost = roadmap.csr()
-    pos = roadmap.positions.tolist()
-    goal_pos = pos[goal_id]
     g = [math.inf] * n
     parent_edge = [-1] * n
     closed = [False] * n
-    h: list[float | None] = [None] * n
     g[start_id] = 0.0
-    h[start_id] = heuristic(pos[start_id], goal_pos)
     # Heap entries order by f, then lower g, then lower node id.
     heap: list[tuple[float, float, int]] = [(h[start_id], 0.0, start_id)]
     expanded = 0
@@ -135,17 +129,14 @@ def astar_multimodal(
                 if closed[v]:
                     # A consistent heuristic can never improve a closed node
                     # beyond float noise from summation order.
-                    if assume_consistent and new_g < g[v] - 1e-9 * max(1.0, g[v]):
+                    if guard and new_g < g[v] - 1e-9 * max(1.0, g[v]):
                         raise AssertionError(
                             f"closed node {v} key decreased; heuristic inconsistent"
                         )
                     continue
                 g[v] = new_g
                 parent_edge[v] = idx
-                hv = h[v]
-                if hv is None:
-                    hv = h[v] = heuristic(pos[v], goal_pos)
-                heapq.heappush(heap, (new_g + hv, new_g, v))
+                heapq.heappush(heap, (new_g + h[v], new_g, v))
     raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
 
 

@@ -205,6 +205,20 @@ def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
     )
 
 
+def heuristic_costs(cm: CostModel, positions, goal) -> np.ndarray:
+    """A* lower bound on the cost from each row of `positions` (K, 3) to
+    `goal`: horizontal distance at the ground rate, which CostModel keeps at
+    or below the flight rate, plus the potential energy of any net climb.
+    On flat ground the bound drops by at most the edge_costs price of any
+    edge, so A* with it is admissible and consistent."""
+    positions = np.asarray(positions, dtype=float)
+    flat = positions.copy()
+    flat[:, 2] = 0.0
+    climb = np.maximum(0.0, goal[2] - positions[:, 2])
+    d_xy = distances(flat, (goal[0], goal[1], 0.0))
+    return (cm.ground_power / cm.ground_speed) * d_xy + cm.mass * cm.gravity * climb
+
+
 # -- sampling ----------------------------------------------------------------
 
 

@@ -57,6 +57,16 @@ def ref_edge_cost(cm, kind, length, z_a, z_b):
     return flight if kind is EdgeKind.FLIGHT else cm.transition_cost() + flight
 
 
+def ref_heuristic(cm, position, goal):
+    """Lower bound (J) on the cost from `position` to `goal`, one point at a
+    time, as CostModel.heuristic computed it before roadmap.heuristic_costs."""
+    dx = goal[0] - position[0]
+    dy = goal[1] - position[1]
+    d_xy = math.hypot(dx, dy)
+    climb = max(0.0, goal[2] - position[2])
+    return (cm.ground_power / cm.ground_speed) * d_xy + cm.mass * cm.gravity * climb
+
+
 def ref_segment_points(a, b, step):
     """Samples of the segment a-b at most `step` apart, both ends included."""
     a = np.asarray(a, dtype=float)

@@ -22,7 +22,9 @@ from morphnav.errors import NoPathError
 from morphnav.localnav import DwaParams
 from morphnav.planner import CostToGo, astar_multimodal, dijkstra_all_costs, dijkstra_oracle
 from morphnav.rng import SplitMix64
-from morphnav.roadmap import NODE_MODES, NodeMode, PrmParams, build_roadmap, insert_query_nodes
+from morphnav.roadmap import (
+    NODE_MODES, NodeMode, PrmParams, build_roadmap, heuristic_costs, insert_query_nodes
+)
 from morphnav.sim import SimConfig, run_mission
 from reference import ARENA, CM, OPEN_FIELD, open_env, run_cli
 
@@ -101,27 +103,23 @@ def test_heuristic_admissible_and_consistent():
                 env, CM, PrmParams(seed=seed, n_ground=200, n_air=200, radius=2.0)
             )
             rng = SplitMix64(20_000 + seed)
-            positions = rm.positions.tolist()
-            n = len(positions)
+            n = len(rm.positions)
             for _ in range(5):
                 g = rng.randint(n)
-                gpos = positions[g]
+                h = heuristic_costs(CM, rm.positions, rm.positions[g])
                 truth = dijkstra_all_costs(rm, g)
                 for _ in range(10):
                     a = rng.randint(n)
                     while a == g:
                         a = rng.randint(n)
-                    h = CM.heuristic(positions[a], gpos)
                     if math.isfinite(truth[a]):
-                        assert h <= truth[a] + REL * max(1.0, truth[a])
+                        assert h[a] <= truth[a] + REL * max(1.0, truth[a])
                     pairs += 1
                 # consistency across every stored edge, both orientations
-                for ea, eb, cost in zip(rm.a.tolist(), rm.b.tolist(), rm.cost.tolist()):
-                    ha = CM.heuristic(positions[ea], gpos)
-                    hb = CM.heuristic(positions[eb], gpos)
-                    slack = REL * max(1.0, cost)
-                    assert ha <= cost + hb + slack
-                    assert hb <= cost + ha + slack
+                ha, hb = h[rm.a], h[rm.b]
+                slack = REL * np.maximum(1.0, rm.cost)
+                assert (ha <= rm.cost + hb + slack).all()
+                assert (hb <= rm.cost + ha + slack).all()
         assert pairs == 1000
 
 

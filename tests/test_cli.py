@@ -1,8 +1,9 @@
 """Subprocess-level checks of the command line interface.
 
-Every test shells out to ``python -m morphnav.cli`` so the documented exit
-codes, output files, and determinism guarantees are checked exactly the way
-a user would hit them.
+Tests shell out to ``python -m morphnav.cli`` so the documented exit codes,
+output files, and determinism guarantees are checked exactly the way a user
+would hit them. The bad-config sweep runs most of its cases in process
+through ``cli.main``, which the entry point wraps in ``sys.exit``.
 """
 
 import json
@@ -12,6 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from morphnav import cli
 from reference import ARENA, CM, OPEN_FIELD, REPO, run_cli
 
 DEFAULT_COSTS = str(REPO / "scenarios" / "default_costs.json")
@@ -50,7 +54,8 @@ def test_usage_problems_exit_one():
         assert fragment in proc.stderr, args
 
 
-def test_bad_config_files_exit_one(tmp_path):
+@pytest.mark.filterwarnings("error")
+def test_bad_config_files_exit_one(tmp_path, capsys):
     # bad keys and values in a cost config, a scenario prm block or the
     # scenario's own keys are config errors, never tracebacks or silently
     # dropped settings
@@ -158,11 +163,18 @@ def test_bad_config_files_exit_one(tmp_path):
         else:
             path.write_text(json.dumps({**scenario, **patch}))
             args = ("plan", "--env", path)
-        proc = run_cli(*args, "--out", tmp_path / "out")
-        assert proc.returncode == 1, patch
-        assert f"config error: {fragment}" in proc.stderr, (patch, proc.stderr)
-        assert "Traceback" not in proc.stderr, patch
-        assert "Warning" not in proc.stderr, patch
+        argv = [str(a) for a in (*args, "--out", tmp_path / "out")]
+        if i == 0:
+            # One case through the installed entry point's sys.exit(main()).
+            proc = run_cli(*argv)
+            code, stderr = proc.returncode, proc.stderr
+        else:
+            # The rest in process: a warning raises here, so it fails the test.
+            code, stderr = cli.main(argv), capsys.readouterr().err
+        assert code == 1, patch
+        assert f"config error: {fragment}" in stderr, (patch, stderr)
+        assert "Traceback" not in stderr, patch
+        assert "Warning" not in stderr, patch
 
 
 def test_huge_finite_radius_plans(tmp_path):

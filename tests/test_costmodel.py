@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from morphnav.costmodel import CostModel, config_from_dict, cost_section
+from morphnav.env import load_environment
 from morphnav.errors import ConfigError
 from morphnav.localnav import DwaParams
 from morphnav.rng import SplitMix64
-from morphnav.roadmap import EDGE_KINDS, EdgeKind, PrmParams, edge_costs
+from morphnav.roadmap import (
+    EDGE_KINDS, EdgeKind, PrmParams, build_roadmap, edge_costs, heuristic_costs
+)
 from morphnav.sim import SimConfig
-from reference import CM, REPO, uniform
+from reference import ARENA, CM, REPO, ref_heuristic, uniform
 
 
 def test_default_parameters():
@@ -120,11 +123,45 @@ def test_rejects_ground_travel_dearer_than_flight():
 # -- heuristic -------------------------------------------------------------------
 
 
+def _bound(starts, goals):
+    """roadmap.heuristic_costs from each start to the goal of its row."""
+    return np.array([heuristic_costs(CM, [p], g)[0] for p, g in zip(starts, goals)])
+
+
 def test_heuristic_frozen_values():
-    assert abs(CM.heuristic((0.0, 0.0, 0.0), (3.0, 4.0, 1.0)) - 658.86) < 1e-9
+    assert abs(heuristic_costs(CM, [(0.0, 0.0, 0.0)], (3.0, 4.0, 1.0))[0] - 658.86) < 1e-9
     # Descent earns no credit in the bound.
-    assert CM.heuristic((0.0, 0.0, 1.0), (3.0, 4.0, 0.0)) == 600.0
-    assert CM.heuristic((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)) == 0.0
+    assert heuristic_costs(CM, [(0.0, 0.0, 1.0)], (3.0, 4.0, 0.0))[0] == 600.0
+    assert heuristic_costs(CM, [(1.0, 2.0, 3.0)], (1.0, 2.0, 3.0))[0] == 0.0
+
+
+def _assert_bits_match_reference(positions, goal):
+    """heuristic_costs toward `goal` equals ref_heuristic bit for bit on
+    every row whose largest horizontal difference is zero or at least
+    2**-1024: below that, env.distances and math.dist may differ in the last
+    bits on Python 3.10 and 3.11."""
+    goal = list(goal)
+    got = heuristic_costs(CM, positions, goal)
+    want = np.array([ref_heuristic(CM, p, goal) for p in positions.tolist()])
+    big = np.abs(positions[:, :2] - goal[:2]).max(axis=1)
+    keep = (big == 0.0) | (big >= 2.0**-1024)
+    assert got[keep].tobytes() == want[keep].tobytes()
+
+
+def test_heuristic_costs_match_scalar_reference_bit_for_bit():
+    rng = SplitMix64(9)
+    for scale in (1e-300, 1e-3, 1.0, 1e3, 1e8, 1e150):
+        rows = np.array([[uniform(rng, -scale, scale) for _ in range(3)] for _ in range(2000)])
+        for goal in rows[:10].tolist():
+            _assert_bits_match_reference(rows, goal)
+    env = load_environment(ARENA)
+    for seed in (1, 2, 3):
+        rm = build_roadmap(env, CM, PrmParams(
+            seed=seed, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4
+        ))
+        for _ in range(17):
+            goal = rm.positions[rng.randint(len(rm.positions))]
+            _assert_bits_match_reference(rm.positions, goal)
 
 
 def test_heuristic_never_exceeds_any_edge_cost():
@@ -135,7 +172,7 @@ def test_heuristic_never_exceeds_any_edge_cost():
 
     pairs = [(point(5.0), point(5.0)) for _ in range(500)]
     a, b = np.array(pairs).transpose(1, 2, 0)
-    h = np.array([CM.heuristic(p, q) for p, q in pairs])
+    h = _bound(*zip(*pairs))
     d = np.array([math.dist(p, q) for p, q in pairs])
     assert (h >= 0.0).all()
     assert (h <= _price(EdgeKind.FLIGHT, d, a[2], b[2]) + 1e-9).all()
@@ -143,7 +180,7 @@ def test_heuristic_never_exceeds_any_edge_cost():
     # Coplanar pairs exercise the ground-edge bound.
     pairs = [((uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0),
               (uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0)) for _ in range(200)]
-    h = np.array([CM.heuristic(p, q) for p, q in pairs])
+    h = _bound(*zip(*pairs))
     d = np.array([math.dist(p, q) for p, q in pairs])
     assert (h <= _price(EdgeKind.GROUND, d) + 1e-9).all()
 
@@ -161,8 +198,8 @@ def test_heuristic_triangle_inequality():
     d = np.array([math.dist(a, b) for a, b, _ in triples])
     za, zb = np.array([(a[2], b[2]) for a, b, _ in triples]).T
     edge = _price(EdgeKind.FLIGHT, d, za, zb)
-    ha = np.array([CM.heuristic(a, g) for a, _, g in triples])
-    hb = np.array([CM.heuristic(b, g) for _, b, g in triples])
+    a, b, g = zip(*triples)
+    ha, hb = _bound(a, g), _bound(b, g)
     assert (ha <= edge + hb + 1e-9).all()
     assert (hb <= edge + ha + 1e-9).all()
 

@@ -26,11 +26,10 @@ from morphnav.roadmap import (
     PrmParams,
     Roadmap,
     build_roadmap,
+    heuristic_costs,
     insert_query_nodes,
 )
-from reference import ARENA, CM, ref_edge_cost, walled_env
-
-_ZERO_H = lambda p, g: 0.0  # noqa: E731 - handy for fake-cost graphs
+from reference import ARENA, CM, ref_edge_cost, ref_heuristic, walled_env
 
 
 def _line_graph(costs, spacing=1.0):
@@ -53,7 +52,7 @@ def _line_graph(costs, spacing=1.0):
 
 def test_astar_picks_cheapest_route_on_manual_graph():
     roadmap = _line_graph({(0, 1): 1.0, (1, 2): 2.0, (0, 2): 10.0})
-    plan = astar_multimodal(roadmap, 0, 2, CM, heuristic=_ZERO_H)
+    plan = astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(3))
     assert plan.node_ids == (0, 1, 2)
     assert plan.total_cost == 3.0
     assert plan.n_transitions == 0
@@ -85,26 +84,30 @@ def test_no_path_reports_explored_count():
     roadmap = _line_graph({(0, 1): 1.0})
     roadmap.add_node((50.0, 0.0, 0.0), NodeMode.GROUND)  # disconnected
     with pytest.raises(NoPathError) as info:
-        astar_multimodal(roadmap, 0, 2, CM, heuristic=_ZERO_H)
+        astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(3))
     assert info.value.explored == 2
     with pytest.raises(NoPathError):
         dijkstra_oracle(roadmap, 0, 2, CM)
     with pytest.raises(ValueError):
         astar_multimodal(roadmap, 0, 99, CM)
+    with pytest.raises(ValueError, match="h holds 2 bounds for 3 nodes"):
+        astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(2))
 
 
 def test_inconsistent_heuristic_trips_the_guard():
-    # 0-2-1-3 is optimal (12), but an inflated h at node 2 makes the search
-    # close node 1 early at cost 10. With the consistency guard on, the
-    # later improvement of a closed node must raise; with it off, the
-    # search keeps the inflated route and reports 20.
-    roadmap = _line_graph({(0, 1): 10.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 10.0})
-    bad_h = lambda p, g: {0.0: 0.0, 1.0: 0.0, 2.0: 15.0, 3.0: 0.0}[p[0]]  # noqa: E731
-    with pytest.raises(AssertionError):
-        astar_multimodal(roadmap, 0, 3, CM, heuristic=bad_h, assume_consistent=True)
-    plan = astar_multimodal(roadmap, 0, 3, CM, heuristic=bad_h)
-    assert plan.total_cost == 20.0
-    assert dijkstra_oracle(roadmap, 0, 3, CM).total_cost == 12.0
+    # Stored costs of 1 J per meter undercut the shipped bound's 120 J/m
+    # (h = 360, 240, 120, 0), so 0-1-2-3 (202) is optimal but the search
+    # closes node 2 first at cost 100 and reaches it again at cost 2. With
+    # the shipped bound the consistency guard must raise; with the same
+    # bound given as h it is off, and the search keeps the route via node 2.
+    roadmap = _line_graph({(0, 1): 1.0, (0, 2): 100.0, (1, 2): 1.0, (2, 3): 200.0})
+    with pytest.raises(AssertionError, match="closed node 2 key decreased"):
+        astar_multimodal(roadmap, 0, 3, CM)
+    h = heuristic_costs(CM, roadmap.positions, roadmap.positions[3])
+    plan = astar_multimodal(roadmap, 0, 3, CM, h=h)
+    assert plan.total_cost == 300.0
+    assert plan.node_ids == (0, 2, 3)
+    assert dijkstra_oracle(roadmap, 0, 3, CM).total_cost == 202.0
 
 
 # -- randomized cross-check -----------------------------------------------------
@@ -173,15 +176,14 @@ def test_all_costs_agrees_with_single_queries():
 # -- the CSR search against the adjacency-list search it replaced ------------------
 
 
-def _list_search(edges, positions, adjacency, source, goal, h):
+def _list_search(edges, adjacency, source, goal, h):
     """Best-first search over per-node adjacency lists of (a, b, cost)
-    edges, as the roadmap was searched before its CSR: keys (g + h(position),
-    g, id), h called on every push, no reopening. Returns (g, parent edge,
-    expansions)."""
-    n = len(positions)
+    edges, as the roadmap was searched before its CSR: keys (g + h[id], g,
+    id), no reopening. Returns (g, parent edge, expansions)."""
+    n = len(h)
     g, parent, closed = [math.inf] * n, [-1] * n, [False] * n
     g[source] = 0.0
-    heap = [(h(positions[source]), 0.0, source)]
+    heap = [(h[source], 0.0, source)]
     expanded = 0
     while heap:
         _, gu, u = heapq.heappop(heap)
@@ -198,7 +200,7 @@ def _list_search(edges, positions, adjacency, source, goal, h):
             if new_g < g[v] and not closed[v]:
                 g[v] = new_g
                 parent[v] = idx
-                heapq.heappush(heap, (new_g + h(positions[v]), new_g, v))
+                heapq.heappush(heap, (new_g + h[v], new_g, v))
     return g, parent, expanded
 
 
@@ -230,6 +232,7 @@ def test_csr_search_matches_adjacency_list_search():
     ground = np.flatnonzero(on_ground & np.isfinite(reach)).tolist()
     west = [i for i in ground if positions[i][0] < 5.0]
     east = [i for i in ground if positions[i][0] > 5.0]
+    zeros = [0.0] * len(positions)
     rng = SplitMix64(40)
     for q in range(40):
         # Two queries in three cross the wall.
@@ -237,23 +240,21 @@ def test_csr_search_matches_adjacency_list_search():
         b = a
         while b == a:
             b = side[rng.randint(len(side))]
-        goal = positions[b]
-        g, parent, expanded = _list_search(
-            edges, positions, adjacency, a, b, lambda p: CM.heuristic(p, goal)
-        )
+        h = [ref_heuristic(CM, p, positions[b]) for p in positions]
+        g, parent, expanded = _list_search(edges, adjacency, a, b, h)
         plan = astar_multimodal(roadmap, a, b, CM)
         assert plan.total_cost == g[b], q
         assert (plan.node_ids, plan.edge_ids) == _list_path(edges, parent, a, b), q
         assert plan.expanded == expanded, q
         if q % 3:
             assert plan.n_transitions == 2, q
-        g, parent, expanded = _list_search(edges, positions, adjacency, a, b, lambda p: 0.0)
+        g, parent, expanded = _list_search(edges, adjacency, a, b, zeros)
         ref = dijkstra_oracle(roadmap, a, b, CM)
         assert ref.total_cost == g[b], q
         assert (ref.node_ids, ref.edge_ids) == _list_path(edges, parent, a, b), q
         assert ref.expanded == expanded, q
         if q % 10 == 0:
-            full = _list_search(edges, positions, adjacency, b, None, lambda p: 0.0)[0]
+            full = _list_search(edges, adjacency, b, None, zeros)[0]
             assert dijkstra_all_costs(roadmap, b) == full, q
 
 
