@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costmodel import json_finite, json_number, load_config_file
+from .costmodel import json_finite, load_config_file
 from .errors import ConfigError
 
 # Footprint inflation: half the 0.70 m vehicle length.
@@ -205,7 +205,7 @@ class Environment:
         hit = out[0] | out[1] | out[2]
         hit |= z < self.ground_heights(x, y)
         c = c[:, None, :]
-        block = max(1, BOX_BLOCK // len(x))
+        block = max(1, BOX_BLOCK // max(1, len(x)))
         for k in range(0, len(self.obstacles), block):
             lo, hi = self._box_lo[:, k : k + block], self._box_hi[:, k : k + block]
             # Per-axis gap to each box, squared, summed in x, y, z order.
@@ -225,25 +225,21 @@ class Environment:
 
         The step is min(0.05 m, clearance / 2) so thin obstacles larger than
         the step cannot slip between samples; both endpoints are always
-        included. A degenerate segment reduces to a point test.
+        included, exactly (see _any_sample). A degenerate segment reduces to
+        a point test. The verdict is the same for b-a as for a-b.
 
-        A broad phase first clears, without sampling, each segment whose
-        sample hull [min(a, e), max(a, e)], e = a + (b - a), lies inside the
-        bounds, at or above the highest ground and farther than
-        clearance + 1e-9 from every obstacle (the 1e-9 absorbs the rounding
-        of the squared distances). The hull is exact: _any_sample makes each
-        sample as (b - a) * t + a with 0 <= t <= 1, both steps rounded, and
-        rounding is monotone, so on every axis each sample lies between its
-        t = 0 value a and its t = 1 value e. It is e, not b, because e can
-        differ from b (a = 1.0, b = 1e-20 gives e = 0.0). On a heightmap the
-        highest ground is the largest elevation plus a margin, since a
-        bilinear blend can round past its inputs. So the broad phase clears
-        no segment that sampling would reject; only the rest are sampled.
+        A broad phase first clears, without sampling, each segment whose box
+        [min(a, b), max(a, b)] lies inside the bounds, at or above the
+        highest ground and farther than clearance + 1e-9 from every obstacle
+        (the 1e-9 absorbs the rounding of the squared distances). Every
+        sample lies in that box (see _any_sample). On a heightmap the highest
+        ground is the largest elevation plus a margin, since a bilinear blend
+        can round past its inputs. So the broad phase clears no segment that
+        sampling would reject; only the rest are sampled.
         """
         a, b = _rows(a), _rows(b)
-        at = np.ascontiguousarray(a.T)
-        e = at + (b.T - at)
-        lo, hi = np.minimum(at, e), np.maximum(at, e)
+        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        lo, hi = np.minimum(at, bt), np.maximum(at, bt)
         inside = (lo >= self._bmin[:, None]) & (hi <= self._bmax[:, None])
         clear = inside[0] & inside[1] & inside[2] & (lo[2] >= self._floor_top)
         reach = clearance + 1e-9
@@ -263,24 +259,20 @@ class Environment:
         """True for each segment a[k]-b[k] whose samples, 0.05 m apart, all
         lie on the ground surface.
 
-        On flat ground a level segment (a_z == b_z) is decided without
-        sampling: every sample's z is exactly a_z, so it is on the ground
-        when |a_z - ground| <= tol. Other segments are sampled.
+        On flat ground only the endpoints are tested: they are samples, every
+        other sample's z lies between theirs (see _any_sample), and
+        z - ground rounds monotonically in z. Heightmaps are sampled.
         """
         a, b = _rows(a), _rows(b)
-        on = np.zeros(len(a), dtype=bool)
-        todo = np.ones(len(a), dtype=bool)
         if self.ground_const is not None:
-            level = a[:, 2] == b[:, 2]
-            on[level] = np.abs(a[level, 2] - self.ground_const) <= tol
-            todo = ~level
+            g = self.ground_const
+            return np.maximum(np.abs(a[:, 2] - g), np.abs(b[:, 2] - g)) <= tol
 
         def off_ground(pts):
             ground = self.ground_heights(pts[:, 0], pts[:, 1])
             return ~(np.abs(pts[:, 2] - ground) <= tol)
 
-        on[todo] = ~_any_sample(a[todo], b[todo], 0.05, SAMPLE_CHUNK, off_ground)
-        return on
+        return ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
 
 
 # Point-box pairs of one obstacle pass of points_in_collision. A pass makes
@@ -296,9 +288,9 @@ BOX_BLOCK = 1 << 12
 # different small sizes are no better, because numpy keeps freed buffers
 # under 1 KB in a per-size cache (up to 7 per size) that it never returns and
 # that tracemalloc does not see, so RSS creeps up over repeated builds. Only
-# the segments the broad phases of segments_in_collision and
-# segments_on_ground leave undecided reach these passes: 276 of a seed-1
-# walled-arena plan's 19,625 segment checks.
+# the segments that the broad phase of segments_in_collision leaves
+# undecided, and segments_on_ground's over a heightmap, reach these passes:
+# 276 of a seed-1 walled-arena plan's 19,625 segment checks.
 SAMPLE_CHUNK = 2048
 
 
@@ -385,25 +377,31 @@ def _fast_sum(a, b):
 def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
     """For each segment a[k]-b[k], whether `test` holds at any of its samples.
 
-    A segment of length L has n = ceil(L / step) + 1 samples (2 or more
-    unless L == 0) at the parameters np.linspace(0, 1, n) gives:
-    k * (1 / (n - 1)), the last exactly 1.0. `test` maps a (chunk, 3) array
-    of points to chunk booleans; the samples are made `chunk` at a time, in
-    segment order, and the last pass repeats the final sample to fill up.
+    A segment of length L = distances(a, b) has n = ceil(L / step) + 1
+    samples (2 or more unless L == 0), each made from the nearer end: with
+    d = b - a and inv = 1 / (n - 1), sample k is a + d * (k * inv) in the
+    first half, b - d * ((n - 1 - k) * inv) in the second, and (a + b) * 0.5
+    in the middle of an odd count. So a and b are exact, b-a has the samples
+    of a-b, and on each axis every sample lies in [min(a, b), max(a, b)]:
+    d * t with t at most about 1/2 stays short of b - a, and rounding is
+    monotone.
+
+    `test` maps a (chunk, 3) array of points to chunk booleans; the samples
+    are made `chunk` at a time, in segment order, and the last pass repeats
+    the final sample to fill up.
     """
     a, b = _rows(a), _rows(b)
     if not len(a):
         return np.zeros(0, dtype=bool)
-    d = b - a
-    # np.linalg.norm of each row, bit for bit: the stacked (1, 3) @ (3, 1)
-    # product runs numpy's dot kernel per row, as norm does. A plain sum of
-    # squares can round differently (the kernel may fuse multiply-adds) and
-    # move a sample count at a step boundary.
-    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
     # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m.
-    n = np.ceil(length / step).astype(np.int64) + 1
-    inv = 1.0 / np.maximum(n - 1, 1)
-    last = np.where(n > 1, n - 1, -1)
+    n = np.ceil(distances(a, b) / step).astype(np.int64) + 1
+    last = n - 1
+    inv = 1.0 / np.maximum(last, 1)
+    # x, y and z rows: np.take gathers their columns about 4x faster than
+    # indexing gathers (K, 3) rows. Segment s has its base points a, the
+    # midpoint and b in columns s, K + s and 2K + s.
+    d = (b - a).T
+    base = np.concatenate((a, (a + b) * 0.5, b)).T
     ends = np.cumsum(n)
     starts = ends - n
     total = int(ends[-1])
@@ -414,12 +412,13 @@ def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
         np.minimum(idx, total - 1, out=idx)
         seg = np.searchsorted(ends, idx, side="right")
         k = idx - starts[seg]
-        t = k * inv[seg]
-        t[k == last[seg]] = 1.0
-        pts = d[seg]
-        pts *= t[:, None]
-        pts += a[seg]
-        hit[s0 : s0 + chunk] = test(pts)
+        m = last[seg] - k
+        # +1 in the first half, -1 in the second, 0 in the middle.
+        side = np.sign(m - k)
+        pts = np.take(d, seg, axis=1)
+        pts *= side * np.minimum(k, m) * inv[seg]
+        pts += np.take(base, seg + (1 - side) * len(a), axis=1)
+        hit[s0 : s0 + chunk] = test(pts.T)
     return np.logical_or.reduceat(hit, starts)
 
 
@@ -625,11 +624,11 @@ def project_to_grid(
 
 
 def point_from_json(value, field: str) -> tuple[float, float, float]:
-    """A scenario point: a JSON array of exactly three numbers. Raises
-    ConfigError naming `field` on anything else."""
+    """A scenario point: a JSON array of exactly three finite numbers.
+    Raises ConfigError naming `field` on anything else."""
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{field} must be a list of three numbers, got {value!r}")
-    return tuple(json_number(v, f"{field}[{i}]") for i, v in enumerate(value))
+    return tuple(json_finite(v, f"{field}[{i}]") for i, v in enumerate(value))
 
 
 def _heightmap_from_json(hm) -> Heightmap:
@@ -675,7 +674,7 @@ def environment_from_dict(d: dict) -> Environment:
     ground_const = None
     heightmap = None
     if "const" in ground:
-        ground_const = json_number(ground["const"], "ground const")
+        ground_const = json_finite(ground["const"], "ground const")
     elif "heightmap" in ground:
         heightmap = _heightmap_from_json(ground["heightmap"])
     else:

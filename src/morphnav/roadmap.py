@@ -380,7 +380,7 @@ def _connect_edges(
         if sum(map(len, new)) < PAIR_GROUP and i1 < n:
             continue
         # Validate the group's (newer, older) candidates in batched segment
-        # checks, each from the older node to the newer one.
+        # checks.
         new, old = np.concatenate(new), np.concatenate(old)
         length = distances(pos[new], pos[old])
         keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)

@@ -68,13 +68,25 @@ def ref_heuristic(cm, position, goal):
 
 
 def ref_segment_points(a, b, step):
-    """Samples of the segment a-b at most `step` apart, both ends included."""
+    """Samples of the segment a-b at most `step` apart, one at a time: each
+    from the nearer end, a + d * t in the first half and b - d * t' in the
+    second (d = b - a, t' the mirrored parameter), and an odd count's middle
+    sample (a + b) * 0.5."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    length = float(np.linalg.norm(b - a))
-    n = max(2, int(math.ceil(length / step)) + 1) if length > 0.0 else 1
-    ts = np.linspace(0.0, 1.0, n)
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
+    d = b - a
+    n = math.ceil(math.dist(a, b) / step) + 1
+    inv = 1.0 / max(n - 1, 1)
+    pts = []
+    for k in range(n):
+        m = n - 1 - k
+        if k < m:
+            pts.append(a + d * (k * inv))
+        elif k > m:
+            pts.append(b - d * (m * inv))
+        else:
+            pts.append((a + b) * 0.5)
+    return np.array(pts)
 
 
 def ref_step(clearance):

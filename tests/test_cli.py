@@ -108,6 +108,17 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("cost", {"ground_speed": -math.inf}, "cost parameter 'ground_speed' must be finite"),
         ("cost", {"dwa": {"d_sat": math.nan}}, "dwa parameter 'd_sat' must be finite, got nan"),
         ("cost", {"sim": {"dt": math.inf}}, "sim parameter 'dt' must be finite, got inf"),
+        (
+            "top",
+            {"bounds": {**bounds, "max": [math.inf, 6, 3]}},
+            "bounds max[0] must be finite, got inf",
+        ),
+        (
+            "top",
+            {"obstacles": [{**wall, "max": [5.1, 6, math.inf]}]},
+            "obstacle 0 max[2] must be finite, got inf",
+        ),
+        ("top", {"ground": {"const": math.nan}}, "ground const must be finite, got nan"),
         # Finite times whose tick counts overflow.
         (
             "cost",

@@ -211,6 +211,9 @@ def test_points_in_collision_matches_scalar(monkeypatch):
         for (p, clearance), hit in zip(probes, want):
             assert env.point_in_collision(p, clearance) == hit
         assert 0.1 < np.mean(want) < 0.9
+        # No points, no verdicts, as the segment checks and distances give.
+        none = env.points_in_collision(np.empty((0, 3)), 0.35)
+        assert none.dtype == bool and none.shape == (0,)
 
 
 def test_distances_match_math_dist_bit_for_bit():
@@ -414,24 +417,26 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     assert 0 < sum(ref_on) < len(ref_on)
 
 
-# Segments from the origin whose length np.linalg.norm and a plain sum of
-# squares round to opposite sides of a multiple of 0.05 m where numpy's dot
-# kernel fuses multiply-adds (found by search on x86-64).
-NORM_BOUNDARY_ENDS = [
+# Segments from the origin whose length math.dist rounds to the other side
+# of a multiple of 0.05 m or 0.125 m from np.linalg.norm (the first two and
+# the last) or from a plain sum of squares (the third), so a sample count
+# read from either would differ (found by search on x86-64, numpy 2.4).
+DIST_BOUNDARY_ENDS = [
     (2.2171749992639307, 1.0931508576725728, -1.3149738495531804),
     (0.47056836881740827, 0.4946798623900629, 0.9253957229284522),
     (0.48667817132617164, 0.32328833237559473, -1.3270753602205192),
+    (0.9044615613690893, 2.462693137502245, 0.8243735770299405),
 ]
 
 
 @pytest.mark.parametrize("chunk", [5, 64, SAMPLE_CHUNK])
-def test_batched_samples_equal_linspace_samples(chunk):
+def test_batched_samples_equal_ref_segment_points(chunk):
     # Bit for bit, in segment order, whatever the chunk; chunks straddle
     # segment boundaries and the last one is padded.
     env = _stepped_heightmap_env()
     a, b = _random_segments(env, SplitMix64(chunk), 2000, 0.25)
-    a = np.vstack([np.zeros((len(NORM_BOUNDARY_ENDS), 3)), a])
-    b = np.vstack([NORM_BOUNDARY_ENDS, b])
+    a = np.vstack([np.zeros((len(DIST_BOUNDARY_ENDS), 3)), a])
+    b = np.vstack([DIST_BOUNDARY_ENDS, b])
     seen = []
 
     def record(pts):
@@ -462,7 +467,8 @@ def test_batched_checks_report_each_segment_across_chunks():
 
 def test_samples_lie_in_the_hull_of_their_end_samples():
     # The broad phase of segments_in_collision bounds each segment's samples
-    # by [min(a, e), max(a, e)], e = a + (b - a): the value at t = 1.
+    # by [min(a, b), max(a, b)]; a and b are sampled exactly, and b-a gives
+    # the same samples as a-b.
     rng = SplitMix64(77)
     rows = [
         # (a, b): ascending, descending, mixed, and far from the origin.
@@ -478,8 +484,11 @@ def test_samples_lie_in_the_hull_of_their_end_samples():
         ((10.0, 10.0, 5.0), (0.0, 4.0, 0.0)),
         ((6.0, 0.0, 2.0), (6.0, 10.0, 0.0)),
         ((4.0, 4.0, 0.0), (-0.0, 10.0, 5.0)),
-        # e != b: b_z - a_z rounds to -1.0, so e_z is 0.0 and not 1e-20.
+        # a + (b - a) is not b: b_z - a_z rounds to -1.0, and 1.0 - 1.0 is
+        # 0.0, not 1e-20.
         ((0.5, 0.5, 1.0), (1.5, 0.5, 1e-20)),
+        # Down onto a ground of 0.2, where 1.4 + (0.2 - 1.4) is below 0.2.
+        ((2.0, 1.5, 1.4), (1.0, 1.0, 0.2)),
     ]
     for i in range(200):
         a = [uniform(rng, -3.0, 3.0) for _ in range(3)]
@@ -490,22 +499,25 @@ def test_samples_lie_in_the_hull_of_their_end_samples():
         rows.append((a, b))
     a_all, b_all = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
     e_all = a_all + (b_all - a_all)
-    assert e_all[10, 2] == 0.0 < b_all[10, 2]
-    for i, (a, b, e) in enumerate(zip(a_all, b_all, e_all)):
+    assert e_all[10, 2] == 0.0 < b_all[10, 2] and e_all[11, 2] < b_all[11, 2]
+
+    def samples(a, b, step):
         seen = []
 
         def record(pts):
             seen.append(pts.copy())
             return np.zeros(len(pts), dtype=bool)
 
+        _any_sample(a, b, step, 7, record)
+        # The last pass is padded with repeats of the final sample.
+        return np.unique(np.concatenate(seen), axis=0)
+
+    for a, b in zip(a_all, b_all):
         for step in (0.05, 0.0125):
-            _any_sample(a, b, step, 7, record)
-        pts = np.concatenate(seen)
-        assert (np.minimum(a, e) <= pts).all() and (pts <= np.maximum(a, e)).all(), (a, b)
-        assert (pts == a).all(axis=1).any() and (pts == e).all(axis=1).any()
-        if i == 10:
-            # The box [min(a, b), max(a, b)] misses the last sample here.
-            assert pts[:, 2].min() == 0.0 < min(a[2], b[2])
+            pts = samples(a, b, step)
+            assert (np.minimum(a, b) <= pts).all() and (pts <= np.maximum(a, b)).all(), (a, b)
+            assert (pts == a).all(axis=1).any() and (pts == b).all(axis=1).any(), (a, b)
+            assert np.array_equal(samples(b, a, step), pts), (a, b)
 
 
 def _broad_phase_world(rng, ground):
@@ -633,20 +645,19 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch
     assert 0 < on < 8 * 1000
     if ground != "heightmap":
         # A transition edge's ground end, far from every box, is decided
-        # without sampling. Landing on a ground of 0.2 from z = 1.4, the
-        # t = 1 sample is 0.19999999999999996: sampled, and a hit.
+        # without sampling, flown up from the ground or down onto it (where
+        # 1.4 + (ground - 1.4) is below a ground of 0.2).
         env = Environment(Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 5.0)), _box_env().obstacles, ground)
         up = [1.0, 1.0, ground], [2.0, 1.5, 1.4]
         down = up[::-1]
-        assert env.segments_in_collision(*down, clearance).tolist() == [ground == 0.2]
+        assert not env.segments_in_collision(*down, clearance).any()
         sampled = []
         monkeypatch.setattr(
             env_module, "_any_sample", lambda a, *args: sampled.append(len(a)) or np.zeros(len(a), bool)
         )
         assert not env.segments_in_collision(*up, clearance).any()
+        assert not env.segments_in_collision(*down, clearance).any()
         assert sum(sampled) == 0
-        env.segments_in_collision(*down, clearance)
-        assert sum(sampled) == (ground == 0.2)
 
 
 # -- occupancy grid -----------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from morphnav import env as env_module
 from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment, Heightmap, load_environment
+from morphnav.env import Aabb, Environment, Heightmap, distances, load_environment
 from morphnav.errors import (
     ConfigError,
     NoPathError,
@@ -497,6 +497,42 @@ def test_insert_query_isolation_and_bad_positions():
         insert_query_nodes(
             fresh(), (10.0, 10.0, 0.0), (5.5, 5.0, 0.0), blocked, CM, params
         )
+
+
+def test_query_transition_verdicts_do_not_depend_on_orientation():
+    # The walled arena raised to a ground of 0.2. Flown down onto that
+    # ground from an aerial node, 1.4 + (0.2 - 1.4) lands below it, so a
+    # sample made that way would reject every aerial-to-query candidate from
+    # the aerial end and clear it from the query end.
+    arena = load_environment(ARENA)
+
+    def raised(box):
+        lo, hi = (np.add(c, (0.0, 0.0, 0.2)) for c in (box.min_corner, box.max_corner))
+        return Aabb(tuple(lo), tuple(hi))
+
+    env = Environment(raised(arena.bounds), map(raised, arena.obstacles), ground_const=0.2)
+    aerial_code = NODE_MODES.index(NodeMode.AERIAL)
+    candidates = kept = 0
+    for seed in range(1, 11):
+        params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.6, seed=seed)
+        roadmap = build_roadmap(env, CM, params)
+        aerial = np.flatnonzero(roadmap.mode == aerial_code)
+        roadmap, sid, gid = insert_query_nodes(
+            roadmap, (1.0, 3.0, 0.0), (10.0, 3.0, 0.0), env, CM, params
+        )
+        pos = roadmap.positions
+        for q in (sid, gid):
+            near = aerial[distances(pos[aerial], pos[q]) <= params.radius]
+            air, ground = pos[near], np.repeat(pos[q : q + 1], len(near), axis=0)
+            down = env.segments_in_collision(air, ground, params.clearance)
+            up = env.segments_in_collision(ground, air, params.clearance)
+            assert down.tolist() == up.tolist(), seed
+            ends = roadmap.a[roadmap.b == q]
+            assert sorted(ends[roadmap.mode[ends] == aerial_code]) == near[~down].tolist(), seed
+            candidates += len(near)
+            kept += int((~down).sum())
+    # Both query nodes are over 2 m from the wall, so every candidate stays.
+    assert kept == candidates >= 40, (candidates, kept)
 
 
 # -- reference: the one-node-at-a-time build -------------------------------------
