@@ -63,18 +63,22 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_point(text: str) -> tuple[float, float, float]:
+def _parse_point(text: str, field: str) -> tuple[float, float, float]:
+    """'x,y,z' as three finite floats, the rule scenario points follow;
+    ConfigError naming `field` otherwise."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"expected 'x,y,z', got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad coordinate in {text!r}: {exc}") from None
+    return point_from_json(values, field)
 
 
 def _parse_waypoints(text: str) -> list[tuple[float, float, float]]:
-    points = [_parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
+    chunks = [chunk for chunk in text.split(";") if chunk.strip()]
+    points = [_parse_point(chunk, f"--waypoints[{i}]") for i, chunk in enumerate(chunks)]
     if not points:
         raise ConfigError("waypoint list is empty")
     return points
@@ -157,11 +161,11 @@ def _plan_leg(env, cost, params, start, goal):
 def cmd_plan(args) -> int:
     env, scn_start, scn_waypoints, scn_prm = _load_scenario(args.env)
     cost, _, _ = _load_configs(args.cost_config)
-    start = _parse_point(args.start) if args.start else scn_start
+    start = _parse_point(args.start, "--start") if args.start else scn_start
     if start is None:
         raise ConfigError("no start point: give --start or put 'start' in the scenario")
     if args.goal:
-        goal = _parse_point(args.goal)
+        goal = _parse_point(args.goal, "--goal")
     elif scn_waypoints:
         goal = scn_waypoints[-1]
     else:
@@ -220,7 +224,7 @@ def cmd_simulate(args) -> int:
     cost, dwa, cfg = _load_configs(args.cost_config)
     if args.latency is not None:
         cfg = dataclasses.replace(cfg, actuation_latency=args.latency)
-    start = _parse_point(args.start) if args.start else scn_start
+    start = _parse_point(args.start, "--start") if args.start else scn_start
     waypoints = (
         _parse_waypoints(args.waypoints) if args.waypoints else scn_waypoints
     )

@@ -195,14 +195,15 @@ class Environment:
         A point collides when the clearance sphere around it touches an
         obstacle (closed test: distance == clearance collides), when the
         point itself is below the local ground surface, or when the point
-        leaves the arena bounds. The points are tested as x, y and z rows of
-        one (3, N) array, against as many obstacles per pass as keep the
-        pass's point-box pairs within BOX_BLOCK: one point meets every
-        obstacle in one pass, and no temporary grows with the obstacle count.
+        leaves the arena bounds (a nan coordinate is outside them). The
+        points are tested as x, y and z rows of one (3, N) array, against
+        as many obstacles per pass as keep the pass's point-box pairs within
+        BOX_BLOCK: one point meets every obstacle in one pass, and no
+        temporary grows with the obstacle count.
         """
         x, y, z = c = np.ascontiguousarray(_rows(pts).T)
-        out = (c < self._bmin[:, None]) | (c > self._bmax[:, None])
-        hit = out[0] | out[1] | out[2]
+        inside = (c >= self._bmin[:, None]) & (c <= self._bmax[:, None])
+        hit = ~(inside[0] & inside[1] & inside[2])
         hit |= z < self.ground_heights(x, y)
         c = c[:, None, :]
         block = max(1, BOX_BLOCK // max(1, len(x)))
@@ -216,8 +217,31 @@ class Environment:
         return hit
 
     def point_in_collision(self, p, clearance: float) -> bool:
-        """Scalar form of points_in_collision; total over all of R^3."""
-        return bool(self.points_in_collision(np.asarray(p, dtype=float), clearance)[0])
+        """Scalar form of points_in_collision, in plain Python with its
+        float expressions: the bounds test, z below the ground (from
+        heightmap.elevations on a heightmap), then per box
+        max(max(lo - c, c - hi), 0)**2 summed x + y + z against
+        clearance**2. Total over all of R^3; a nan coordinate lies outside
+        the bounds."""
+        x, y, z = (float(v) for v in p)
+        lo, hi = self.bounds.min_corner, self.bounds.max_corner
+        if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
+            return True
+        if self.heightmap is None:
+            ground = self.ground_const
+        else:
+            ground = float(self.heightmap.elevations(x, y))
+        if z < ground:
+            return True
+        reach = clearance * clearance
+        for box in self.obstacles:
+            (lx, ly, lz), (hx, hy, hz) = box.min_corner, box.max_corner
+            gx = max(max(lx - x, x - hx), 0.0)
+            gy = max(max(ly - y, y - hy), 0.0)
+            gz = max(max(lz - z, z - hz), 0.0)
+            if gx * gx + gy * gy + gz * gz <= reach:
+                return True
+        return False
 
     def segments_in_collision(self, a, b, clearance: float) -> np.ndarray:
         """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays,
@@ -441,7 +465,7 @@ class OccupancyGrid:
             raise ConfigError("grid cells must be a non-empty 2-D array")
         arr.flags.writeable = False
         self.cells = arr
-        self._distance_cells: np.ndarray | None = None
+        self._clearance: np.ndarray | None = None
 
     @property
     def height(self) -> int:
@@ -489,13 +513,22 @@ class OccupancyGrid:
     def clearance_at(self, rows, cols) -> np.ndarray:
         """Clearance by cell: meters from each cell center to the nearest
         occupied cell center. Infinite on an empty grid; zero on occupied
-        and off-grid cells."""
-        if self._distance_cells is None:
-            dist = edt(self.cells)
-            dist.flags.writeable = False
-            self._distance_cells = dist
-        inside, r, c = self._clip(rows, cols)
-        return np.where(inside, self._distance_cells[r, c] * self.resolution, 0.0)
+        and off-grid cells.
+
+        The first call caches the distance transform, already in meters,
+        padded with one row and one column of 0.0 after the last: index H
+        (W) reads the pad, and so does -1, from the end. A lookup clips
+        rows to [-1, H] and columns to [-1, W], so every off-grid index
+        reads 0.0.
+        """
+        if self._clearance is None:
+            clear = np.zeros((self.height + 1, self.width + 1))
+            clear[:-1, :-1] = edt(self.cells) * self.resolution
+            clear.flags.writeable = False
+            self._clearance = clear
+        rows = np.minimum(np.maximum(rows, -1), self.height)
+        cols = np.minimum(np.maximum(cols, -1), self.width)
+        return self._clearance[rows, cols]
 
     def _clip(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(inside mask, rows, cols) with off-grid indices clipped onto the

@@ -8,8 +8,19 @@ is a stationary spin.
 
 Each control period rolls out and scores the whole window at once: poses
 are (steps + 1, samples_v, samples_omega) arrays, and occupancy and
-clearance are read from the grid's cached distance transform by array
+clearance are read from the grid's cached clearance raster by array
 indexing: a rollout collides where its clearance reaches 0.
+
+Every float of the pick is the one a one-candidate-at-a-time controller
+computes with `math`. Rollout poses, clearance and velocity are exact for
+every candidate. The heading term is first bounded for every candidate
+with numpy's arctan2, which differs from math.atan2 by a few ulp, and then
+computed exactly, with math.atan2, only for the candidates whose bounded
+score lies within HEADING_MARGIN of the best bounded score. |wrap(a)| is
+1-Lipschitz, so a bounded score is within about 1e-15 of the exact one; a
+candidate outside the margin therefore scores exactly below the best, and
+the pick (best score, then smallest |omega|, then the first in v-major
+order) is the one exact scoring of every candidate makes.
 """
 
 from __future__ import annotations
@@ -27,6 +38,11 @@ from .errors import ConfigError
 # (ceil(horizon / dt) + 1) * samples_v * samples_omega: the default window is
 # 2,541 poses, a 100 s horizon at the default sampling 231,231.
 MAX_WINDOW_POSES = 1 << 18
+
+# Bounded scores within this of the best bounded score are scored exactly.
+# A bounded score differs from the exact one by a few ulp of pi, times
+# w_heading <= 1, so far less than half of this.
+HEADING_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -109,18 +125,16 @@ def _rollouts(
     a one-at-a-time integration bit for bit.
     """
     steps = int(math.ceil(p.horizon / p.dt))
-    table = []
-    for omega in ws:
-        yaw = pose[2]
-        seq = [yaw]
-        for _ in range(steps):
-            yaw += omega * p.dt
-            seq.append(yaw)
-        table.append(seq)
-    yaws = np.array(table).T
+    # One row per step: yaw0, then omega * dt added in order, which is the
+    # scalar integration's sum bit for bit.
+    turns = np.empty((steps + 1, len(ws)))
+    turns[0] = pose[2]
+    turns[1:] = np.multiply(ws, p.dt)
+    yaws = np.cumsum(turns, axis=0)
     pre = yaws[:-1].ravel().tolist()
-    cos = np.array([math.cos(a) for a in pre]).reshape(steps, 1, len(ws))
-    sin = np.array([math.sin(a) for a in pre]).reshape(steps, 1, len(ws))
+    n = len(pre)
+    cos = np.fromiter(map(math.cos, pre), float, n).reshape(steps, 1, len(ws))
+    sin = np.fromiter(map(math.sin, pre), float, n).reshape(steps, 1, len(ws))
     v = np.asarray(vs, dtype=float)[:, None]
     shape = (1, len(vs), len(ws))
     xs = np.cumsum(np.concatenate([np.full(shape, pose[0]), v * cos * p.dt]), axis=0)
@@ -145,25 +159,41 @@ def _scores(
     clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
     velocity: commanded speed over v_max, recovered from the first step,
     which is shared by every omega of one v.
+
+    Every candidate whose score can reach the best holds its exact score,
+    with the heading from math.atan2; every other candidate holds its
+    bounded score (numpy's arctan2), which lies strictly below the best
+    (see the module docstring). So the maximum, and which candidates reach
+    it, are those of exact scoring.
     """
     rows, cols = grid.world_to_cells(xs, ys)
     d_min = grid.clearance_at(rows, cols).min(axis=0)
     hit = d_min == 0.0
     clearance = np.minimum(1.0, d_min / p.d_sat)
+    fx, fy = xs[-1], ys[-1]
     fyaw = np.broadcast_to(final_yaw, hit.shape)
-    heading = np.array(
-        [
-            1.0 - abs(_wrap_angle(math.atan2(goal[1] - fy, goal[0] - fx) - yaw)) / math.pi
-            for fx, fy, yaw in zip(
-                xs[-1].ravel().tolist(), ys[-1].ravel().tolist(), fyaw.ravel().tolist()
-            )
-        ]
-    ).reshape(hit.shape)
+    bearing = np.arctan2(goal[1] - fy, goal[0] - fx)
+    heading = 1.0 - np.abs((bearing - fyaw + math.pi) % (2.0 * math.pi) - math.pi) / math.pi
     first = np.stack([xs[:2, :, 0], ys[:2, :, 0]], axis=-1).tolist()
     speed = [[math.dist(a, b) / p.dt] for a, b in zip(*first)] if len(first) > 1 else 0.0
-    velocity = np.minimum(1.0, np.divide(speed, p.v_max))
-    score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
-    return np.where(hit, -np.inf, score)
+    velocity = np.broadcast_to(np.minimum(1.0, np.divide(speed, p.v_max)), hit.shape)
+    w_clear = p.w_clearance * clearance
+    w_speed = p.w_velocity * velocity
+    score = np.where(hit, -np.inf, p.w_heading * heading + w_clear + w_speed)
+    best = score.max()
+    if best == -math.inf:
+        return score
+    near = np.flatnonzero(score >= best - HEADING_MARGIN)
+    exact = np.array(
+        [
+            1.0 - abs(_wrap_angle(math.atan2(goal[1] - y, goal[0] - x) - yaw)) / math.pi
+            for x, y, yaw in zip(
+                fx.ravel()[near].tolist(), fy.ravel()[near].tolist(), fyaw.ravel()[near].tolist()
+            )
+        ]
+    )
+    score.flat[near] = p.w_heading * exact + w_clear.flat[near] + w_speed.flat[near]
+    return score
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:

@@ -5,15 +5,18 @@ kept for tests to compare against. Whatever more than one test file uses is
 defined here once.
 """
 
+import functools
 import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from morphnav.costmodel import CostModel
 from morphnav.env import Aabb, Environment
+from morphnav.localnav import VelocityCommand, dynamic_window
 from morphnav.roadmap import EdgeKind
 
 REPO = Path(__file__).resolve().parents[1]
@@ -122,3 +125,84 @@ def ref_on_ground(env, a, b, tol=1e-6):
     pts = ref_segment_points(a, b, 0.05)
     ground = env.ground_heights(pts[:, 0], pts[:, 1])
     return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+
+
+# The one-candidate-at-a-time dynamic-window controller, with its own cell
+# lookup and scipy's distance transform, kept independent of the batched
+# localnav under test.
+
+
+def ref_cell(grid, x, y):
+    col = int(math.floor((x - grid.origin[0]) / grid.resolution))
+    row = int(math.floor((y - grid.origin[1]) / grid.resolution))
+    if col == grid.width and abs((x - grid.origin[0]) - grid.width * grid.resolution) < 1e-9:
+        col -= 1
+    if row == grid.height and abs((y - grid.origin[1]) - grid.height * grid.resolution) < 1e-9:
+        row -= 1
+    return row, col
+
+
+@functools.lru_cache(maxsize=8)
+def ref_cell_distances(grid):
+    """scipy's distance transform of the grid's free cells, in cells, once
+    per grid; None on an empty grid."""
+    return ndimage.distance_transform_edt(~grid.cells) if grid.cells.any() else None
+
+
+def ref_rollout(pose, cmd, p):
+    steps = int(math.ceil(p.horizon / p.dt))
+    x, y, yaw = pose
+    poses = [(x, y, yaw)]
+    for _ in range(steps):
+        x += cmd.v * math.cos(yaw) * p.dt
+        y += cmd.v * math.sin(yaw) * p.dt
+        yaw += cmd.omega * p.dt
+        poses.append((x, y, yaw))
+    return poses
+
+
+def ref_score(traj, goal, grid, p):
+    """Score of one rollout given as poses; None if it collides."""
+    dist = ref_cell_distances(grid)
+    d_min = math.inf
+    for x, y, _ in traj:
+        row, col = ref_cell(grid, x, y)
+        if not (0 <= row < grid.height and 0 <= col < grid.width) or grid.cells[row, col]:
+            return None
+        d = math.inf if dist is None else float(dist[row, col]) * grid.resolution
+        d_min = min(d_min, d)
+    fx, fy, fyaw = traj[-1]
+    bearing = math.atan2(goal[1] - fy, goal[0] - fx)
+    dtheta = abs((bearing - fyaw + math.pi) % (2.0 * math.pi) - math.pi)
+    heading = 1.0 - dtheta / math.pi
+    clearance = 1.0 if math.isinf(d_min) else min(1.0, d_min / p.d_sat)
+    v = math.dist(traj[0][:2], traj[1][:2]) / p.dt if len(traj) > 1 else 0.0
+    velocity = min(1.0, v / p.v_max)
+    return p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
+
+
+def select_like_dwa(pose, current, goal, grid, p):
+    """Independent re-statement of the documented selection rule:
+    v-major sample grid, best score wins, ties prefer smaller |omega|."""
+    v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
+
+    def samples(lo, hi, n):
+        # Same arithmetic as the implementation so candidate floats match
+        # bit for bit; otherwise ulp drift could flip a near-tie.
+        if n == 1:
+            return [lo]
+        step = (hi - lo) / (n - 1)
+        return [0.0 if abs(lo + i * step) < 1e-12 else lo + i * step for i in range(n)]
+
+    best, best_score = None, -1.0
+    for v in samples(v_lo, v_hi, p.samples_v):
+        for omega in samples(w_lo, w_hi, p.samples_omega):
+            cmd = VelocityCommand(v, omega)
+            score = ref_score(ref_rollout(pose, cmd, p), goal, grid, p)
+            if score is None:
+                continue
+            if best is None or score > best_score or (
+                score == best_score and abs(omega) < abs(best.omega)
+            ):
+                best, best_score = cmd, score
+    return best if best is not None else VelocityCommand(0.0, p.omega_max / 2.0)

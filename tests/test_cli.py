@@ -157,6 +157,15 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("oracle", ("--queries", -5), "--queries must be positive"),
         # Queries pick random nodes, so an empty roadmap has none to pick.
         ("oracle", ("--nw", 0, "--nf", 0), "--nw plus --nf must be positive"),
+        # Points on the command line follow the scenario file's rule.
+        ("args", ("plan", "--goal", "10,3,nan"), "--goal[2] must be finite, got nan"),
+        (
+            "args",
+            ("simulate", "--waypoints", "4,3,0;4,3,inf"),
+            "--waypoints[1][2] must be finite, got inf",
+        ),
+        ("args", ("simulate", "--start", "nan,1,0"), "--start[0] must be finite, got nan"),
+        ("args", ("plan", "--start", "1,-inf,0"), "--start[1] must be finite, got -inf"),
     ]
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
@@ -164,6 +173,8 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
             args = ("simulate", "--env", ARENA, "--latency", patch)
         elif kind == "oracle":
             args = ("oracle", "--n", 1, "--queries", 1, *patch)
+        elif kind == "args":
+            args = (patch[0], "--env", ARENA, *patch[1:])
         elif kind in ("cost", "plan-cost"):
             path.write_text(json.dumps(patch))
             command = "simulate" if kind == "cost" else "plan"

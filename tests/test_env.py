@@ -153,6 +153,27 @@ def test_point_collision_ground_and_bounds():
     assert not env.point_in_collision((10.0, 10.0, 5.0), 0.0)  # boundary is inside
 
 
+def test_point_collision_non_finite_coordinates():
+    # An infinite coordinate is outside the bounds and so is a nan one, in
+    # the scalar form, the batched form and the plain-Python oracle alike.
+    for env in (_box_env(), _stepped_heightmap_env()):
+        probes = []
+        for k in range(3):
+            for v in (math.inf, -math.inf, math.nan):
+                p = [1.0, 1.0, 3.0]
+                p[k] = v
+                probes.append(p)
+        probes.append([math.nan] * 3)
+        for p in probes:
+            assert env.point_in_collision(p, 0.0), p
+            assert env.point_in_collision(p, 0.35), p
+            assert ref_point_in_collision(env, p, 0.35), p
+        # nan reaches the heightmap's integer cast, whose warning is moot
+        # for a point already outside the bounds.
+        with np.errstate(invalid="ignore"):
+            assert env.points_in_collision(np.array(probes), 0.35).all()
+
+
 def _collision_probes(env, rng):
     """(point, clearance) pairs: random points in and around the bounds;
     points exactly at the clearance from each box's faces, edges and
@@ -697,6 +718,24 @@ def test_clearance_at():
     assert clearance(grid, -1.0, 0.5) == 0.0  # off-grid
     empty = OccupancyGrid(1.0, (0.0, 0.0), np.zeros((3, 3), dtype=bool))
     assert math.isinf(clearance(empty, 1.5, 1.5))
+
+
+def test_clearance_at_far_off_grid():
+    # Indices far past every side, -5 and H + 7 (W + 7), read 0.0, the
+    # cached raster's padding; every cell of an empty grid reads inf.
+    wall = np.zeros((4, 6), dtype=bool)
+    wall[1, 2] = True
+    for cells, on_grid in (
+        (wall, ndimage.distance_transform_edt(~wall) * 0.5),
+        (np.zeros((4, 6), dtype=bool), np.full((4, 6), math.inf)),
+    ):
+        grid = OccupancyGrid(0.5, (0.0, 0.0), cells)
+        rows, cols = np.meshgrid(np.arange(-5, 4 + 8), np.arange(-5, 6 + 8), indexing="ij")
+        want = np.zeros(rows.shape)
+        want[5:9, 5:11] = on_grid
+        assert np.array_equal(grid.clearance_at(rows, cols), want)
+        for row, col in ((-5, 0), (11, 0), (0, -5), (0, 13), (-5, 13), (11, -5)):
+            assert grid.clearance_at(row, col) == 0.0
 
 
 def test_edt_matches_scipy():

@@ -1,24 +1,25 @@
 """Local controller: dynamic window, rollouts, scoring, command selection."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 from morphnav.costmodel import config_from_dict
-from morphnav.env import OccupancyGrid
+from morphnav.env import OccupancyGrid, load_environment, project_to_grid
 from morphnav.errors import ConfigError
 from morphnav.localnav import (
     DwaParams,
     VelocityCommand,
     _rollouts,
+    _samples,
     _scores,
     dwa_step,
     dynamic_window,
 )
 from morphnav.rng import SplitMix64
-from reference import uniform
+from reference import ARENA, ref_rollout, ref_score, select_like_dwa, uniform
 
 P = DwaParams()
 
@@ -220,79 +221,6 @@ def test_dwa_is_deterministic():
     assert dwa_step(*args) == dwa_step(*args)
 
 
-# Scalar reference: the one-candidate-at-a-time controller, with its own
-# cell lookup and scipy's distance transform, kept independent of the
-# batched implementation under test.
-
-
-def _ref_cell(grid, x, y):
-    col = int(math.floor((x - grid.origin[0]) / grid.resolution))
-    row = int(math.floor((y - grid.origin[1]) / grid.resolution))
-    if col == grid.width and abs((x - grid.origin[0]) - grid.width * grid.resolution) < 1e-9:
-        col -= 1
-    if row == grid.height and abs((y - grid.origin[1]) - grid.height * grid.resolution) < 1e-9:
-        row -= 1
-    return row, col
-
-
-def _ref_rollout(pose, cmd, p):
-    steps = int(math.ceil(p.horizon / p.dt))
-    x, y, yaw = pose
-    poses = [(x, y, yaw)]
-    for _ in range(steps):
-        x += cmd.v * math.cos(yaw) * p.dt
-        y += cmd.v * math.sin(yaw) * p.dt
-        yaw += cmd.omega * p.dt
-        poses.append((x, y, yaw))
-    return poses
-
-
-def _ref_score(traj, goal, grid, p):
-    dist = ndimage.distance_transform_edt(~grid.cells) if grid.cells.any() else None
-    d_min = math.inf
-    for x, y, _ in traj:
-        row, col = _ref_cell(grid, x, y)
-        if not (0 <= row < grid.height and 0 <= col < grid.width) or grid.cells[row, col]:
-            return None
-        d = math.inf if dist is None else float(dist[row, col]) * grid.resolution
-        d_min = min(d_min, d)
-    fx, fy, fyaw = traj[-1]
-    bearing = math.atan2(goal[1] - fy, goal[0] - fx)
-    dtheta = abs((bearing - fyaw + math.pi) % (2.0 * math.pi) - math.pi)
-    heading = 1.0 - dtheta / math.pi
-    clearance = 1.0 if math.isinf(d_min) else min(1.0, d_min / p.d_sat)
-    v = math.dist(traj[0][:2], traj[1][:2]) / p.dt if len(traj) > 1 else 0.0
-    velocity = min(1.0, v / p.v_max)
-    return p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
-
-
-def _select_like_dwa(pose, current, goal, grid, p):
-    """Independent re-statement of the documented selection rule:
-    v-major sample grid, best score wins, ties prefer smaller |omega|."""
-    v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
-
-    def samples(lo, hi, n):
-        # Same arithmetic as the implementation so candidate floats match
-        # bit for bit; otherwise ulp drift could flip a near-tie.
-        if n == 1:
-            return [lo]
-        step = (hi - lo) / (n - 1)
-        return [0.0 if abs(lo + i * step) < 1e-12 else lo + i * step for i in range(n)]
-
-    best, best_score = None, -1.0
-    for v in samples(v_lo, v_hi, p.samples_v):
-        for omega in samples(w_lo, w_hi, p.samples_omega):
-            cmd = VelocityCommand(v, omega)
-            score = _ref_score(_ref_rollout(pose, cmd, p), goal, grid, p)
-            if score is None:
-                continue
-            if best is None or score > best_score or (
-                score == best_score and abs(omega) < abs(best.omega)
-            ):
-                best, best_score = cmd, score
-    return best if best is not None else VelocityCommand(0.0, p.omega_max / 2.0)
-
-
 def _random_case(rng, i):
     """Random grid, pose, current command, goal and parameters for case i.
     The residues of i pick the edge cases: a fully blocked grid
@@ -342,13 +270,90 @@ def test_dwa_selection_matches_reference_argmax():
     rng = SplitMix64(77)
     for i in range(300):
         grid, pose, current, goal, p = _random_case(rng, i)
-        assert dwa_step(pose, current, goal, grid, p) == _select_like_dwa(
+        assert dwa_step(pose, current, goal, grid, p) == select_like_dwa(
             pose, current, goal, grid, p
         ), i
         cmd = VelocityCommand(uniform(rng, 0.0, 1.0), uniform(rng, -1.5, 1.5))
         traj = _rollout(pose, cmd, p)
-        assert traj == _ref_rollout(pose, cmd, p)
-        assert _score(traj, goal, grid, p) == _ref_score(traj, goal, grid, p)
+        assert traj == ref_rollout(pose, cmd, p)
+        assert _score(traj, goal, grid, p) == ref_score(traj, goal, grid, p)
+
+
+def test_numpy_arctan2_is_within_1e_12_of_math_atan2():
+    """The premise of the heading bound: numpy's arctan2 and math.atan2
+    differ by a few ulp at most, over random directions at magnitudes
+    from 1e-300 to 1e300, the axes and signed zeros."""
+    rng = SplitMix64(2024)
+    n = 100_000
+    u = rng.peek_random(4 * n).reshape(4, n)
+    scale = 10.0 ** np.round(600.0 * u[2] - 300.0)
+    y = (2.0 * u[0] - 1.0) * scale
+    x = (2.0 * u[1] - 1.0) * np.where(u[3] < 0.5, scale, 1.0)
+    edges = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300, math.inf, -math.inf]
+    ey, ex = zip(*itertools.product(edges, repeat=2))
+    y = np.concatenate([y, ey])
+    x = np.concatenate([x, ex])
+    exact = np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+    assert np.abs(np.arctan2(y, x) - exact).max() < 1e-12
+
+
+def _arena_grid():
+    return project_to_grid(load_environment(ARENA))
+
+
+def _window_scores(pose, current, goal, grid, p):
+    """_scores over dwa_step's window, and the reference's exact score of
+    each candidate, -inf where it collides."""
+    v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
+    vs, ws = _samples(v_lo, v_hi, p.samples_v), _samples(w_lo, w_hi, p.samples_omega)
+    xs, ys, yaws = _rollouts(pose, vs, ws, p)
+    got = _scores(xs, ys, yaws[-1], goal, grid, p)
+    exact = [
+        [ref_score(ref_rollout(pose, VelocityCommand(v, w), p), goal, grid, p) for w in ws]
+        for v in vs
+    ]
+    return got, np.array([[-math.inf if e is None else e for e in row] for row in exact])
+
+
+@pytest.mark.parametrize(
+    "pose, current, goal",
+    [
+        # Goal dead ahead: +omega and -omega tie exactly on heading.
+        ((2.0, 3.0, 0.0), VelocityCommand(0.5, 0.0), (4.0, 3.0)),
+        ((2.0, 3.0, 0.0), VelocityCommand(0.0, 0.0), (3.0, 3.0)),
+        # Dead ahead, where one bounded score falls an ulp short of the best
+        # bounded score while its exact score ties the best.
+        ((2.0, 1.5, math.pi / 2.0), VelocityCommand(1.0, 0.0), (2.0, 2.0)),
+        # Goal dead behind: the bearing is pi, at the wrap.
+        ((2.0, 3.0, 0.0), VelocityCommand(0.0, 0.0), (0.5, 3.0)),
+        ((3.0, 3.0, math.pi), VelocityCommand(0.3, 0.0), (4.0, 3.0)),
+        ((3.0, 3.0, -math.pi), VelocityCommand(0.0, 0.2), (4.0, 3.0)),
+        # Goal at the pose: a standing candidate's bearing is atan2(0, 0).
+        ((2.0, 3.0, 0.0), VelocityCommand(0.0, 0.0), (2.0, 3.0)),
+        ((2.0, 3.0, 1.0), VelocityCommand(0.1, -0.1), (2.0, 3.0)),
+        # Poses on cell edges, beside the inflated wall and on the outer
+        # boundary.
+        ((2.5, 3.0, 0.0), VelocityCommand(0.2, 0.0), (6.0, 3.0)),
+        ((4.2, 2.9, 0.0), VelocityCommand(0.4, 0.0), (6.0, 3.0)),
+        ((0.0, 0.0, math.pi / 4.0), VelocityCommand(0.0, 0.0), (2.0, 2.0)),
+        ((12.0, 6.0, -3.0 * math.pi / 4.0), VelocityCommand(0.0, 0.0), (10.0, 4.0)),
+    ],
+)
+def test_exact_heading_ties(pose, current, goal):
+    """The pick is the reference's, and every candidate within 1e-12 of
+    the best exact score holds its exact score; with heading alone, every
+    speed of one omega ties too."""
+    for p in (P, DwaParams(w_clearance=0.0, w_velocity=0.0)):
+        for grid in (_arena_grid(), _empty_grid(n=130)):
+            assert dwa_step(pose, current, goal, grid, p) == select_like_dwa(
+                pose, current, goal, grid, p
+            )
+            got, exact = _window_scores(pose, current, goal, grid, p)
+            best = exact.max()
+            top = exact >= best - 1e-12
+            assert got.max() == best
+            assert np.array_equal(got[top], exact[top])
+            assert (got[~top] < best).all()
 
 
 # -- config parsing ----------------------------------------------------------------

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from morphnav.costmodel import CostModel
-from morphnav.env import OccupancyGrid
+from morphnav import sim
+from morphnav.costmodel import CostModel, load_config_file
+from morphnav.env import OccupancyGrid, load_environment
 from morphnav.errors import ConfigError
 from morphnav.localnav import DwaParams, VelocityCommand
 from morphnav.sim import (
@@ -22,7 +23,7 @@ from morphnav.sim import (
     step_ugv,
     trajectory_csv,
 )
-from reference import CM, open_env, walled_env
+from reference import ARENA, CM, open_env, select_like_dwa, walled_env
 
 DWA = DwaParams()
 
@@ -287,6 +288,34 @@ def test_latency_sweep_overshoot_monotone():
         overshoots.append(result.descend_overshoot)
     assert overshoots == sorted(overshoots)
     assert overshoots[2] > overshoots[0]
+
+
+def test_dwa_matches_reference_on_every_tick_of_the_arena_mission(monkeypatch):
+    """`simulate --seed 1` on the walled arena, plain and with latency 0.2:
+    on every ground tick the batched controller returns exactly the
+    command of the one-candidate-at-a-time reference."""
+    scenario = load_config_file(ARENA)
+    env = load_environment(ARENA)
+    dwa_step = sim.dwa_step
+    ticks = []
+
+    def checked(pose, current, goal, grid, p):
+        cmd = dwa_step(pose, current, goal, grid, p)
+        assert cmd == select_like_dwa(pose, current, goal, grid, p), len(ticks)
+        ticks.append(cmd)
+        return cmd
+
+    monkeypatch.setattr(sim, "dwa_step", checked)
+    figures = []
+    for latency in (0.0, 0.2):
+        res = run_mission(
+            env, scenario["waypoints"], CM, DWA, SimConfig(actuation_latency=latency),
+            seed=1, start=scenario["start"],
+        )
+        figures.append((res.outcome, round(res.duration, 1), round(res.ledger.total, 1)))
+    # The figures `simulate` prints for these two runs.
+    assert figures == [("Done", 23.1, 4904.3), ("Done", 23.5, 5311.1)]
+    assert len(ticks) > 150
 
 
 def test_mission_is_deterministic():
