@@ -12,15 +12,9 @@ clearance are read from the grid's cached clearance raster by array
 indexing: a rollout collides where its clearance reaches 0.
 
 Every float of the pick is the one a one-candidate-at-a-time controller
-computes with `math`. Rollout poses, clearance and velocity are exact for
-every candidate. The heading term is first bounded for every candidate
-with numpy's arctan2, which differs from math.atan2 by a few ulp, and then
-computed exactly, with math.atan2, only for the candidates whose bounded
-score lies within HEADING_MARGIN of the best bounded score. |wrap(a)| is
-1-Lipschitz, so a bounded score is within about 1e-15 of the exact one; a
-candidate outside the margin therefore scores exactly below the best, and
-the pick (best score, then smallest |omega|, then the first in v-major
-order) is the one exact scoring of every candidate makes.
+computes with `math`: rollout trig and every bearing go through math.cos,
+math.sin and math.atan2 on Python floats, and the rest is elementwise
+IEEE arithmetic, which numpy rounds as Python does.
 """
 
 from __future__ import annotations
@@ -38,11 +32,6 @@ from .errors import ConfigError
 # (ceil(horizon / dt) + 1) * samples_v * samples_omega: the default window is
 # 2,541 poses, a 100 s horizon at the default sampling 231,231.
 MAX_WINDOW_POSES = 1 << 18
-
-# Bounded scores within this of the best bounded score are scored exactly.
-# A bounded score differs from the exact one by a few ulp of pi, times
-# w_heading <= 1, so far less than half of this.
-HEADING_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -91,10 +80,6 @@ class DwaParams:
 class VelocityCommand:
     v: float
     omega: float
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def dynamic_window(
@@ -159,41 +144,22 @@ def _scores(
     clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
     velocity: commanded speed over v_max, recovered from the first step,
     which is shared by every omega of one v.
-
-    Every candidate whose score can reach the best holds its exact score,
-    with the heading from math.atan2; every other candidate holds its
-    bounded score (numpy's arctan2), which lies strictly below the best
-    (see the module docstring). So the maximum, and which candidates reach
-    it, are those of exact scoring.
     """
     rows, cols = grid.world_to_cells(xs, ys)
     d_min = grid.clearance_at(rows, cols).min(axis=0)
     hit = d_min == 0.0
     clearance = np.minimum(1.0, d_min / p.d_sat)
-    fx, fy = xs[-1], ys[-1]
-    fyaw = np.broadcast_to(final_yaw, hit.shape)
-    bearing = np.arctan2(goal[1] - fy, goal[0] - fx)
-    heading = 1.0 - np.abs((bearing - fyaw + math.pi) % (2.0 * math.pi) - math.pi) / math.pi
+    dy = (goal[1] - ys[-1]).ravel().tolist()
+    dx = (goal[0] - xs[-1]).ravel().tolist()
+    bearing = np.fromiter(map(math.atan2, dy, dx), float, len(dx)).reshape(hit.shape)
+    # numpy's float % is Python's (fmod, then the divisor's sign).
+    error = (bearing - final_yaw + math.pi) % (2.0 * math.pi) - math.pi
+    heading = 1.0 - np.abs(error) / math.pi
     first = np.stack([xs[:2, :, 0], ys[:2, :, 0]], axis=-1).tolist()
     speed = [[math.dist(a, b) / p.dt] for a, b in zip(*first)] if len(first) > 1 else 0.0
-    velocity = np.broadcast_to(np.minimum(1.0, np.divide(speed, p.v_max)), hit.shape)
-    w_clear = p.w_clearance * clearance
-    w_speed = p.w_velocity * velocity
-    score = np.where(hit, -np.inf, p.w_heading * heading + w_clear + w_speed)
-    best = score.max()
-    if best == -math.inf:
-        return score
-    near = np.flatnonzero(score >= best - HEADING_MARGIN)
-    exact = np.array(
-        [
-            1.0 - abs(_wrap_angle(math.atan2(goal[1] - y, goal[0] - x) - yaw)) / math.pi
-            for x, y, yaw in zip(
-                fx.ravel()[near].tolist(), fy.ravel()[near].tolist(), fyaw.ravel()[near].tolist()
-            )
-        ]
-    )
-    score.flat[near] = p.w_heading * exact + w_clear.flat[near] + w_speed.flat[near]
-    return score
+    velocity = np.minimum(1.0, np.divide(speed, p.v_max))
+    score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
+    return np.where(hit, -np.inf, score)
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:
