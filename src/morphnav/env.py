@@ -92,13 +92,16 @@ class Heightmap:
         return self.data.shape[1]
 
     def elevations(self, x, y) -> np.ndarray:
-        """Vectorized bilinear interpolation with edge clamping."""
+        """Vectorized bilinear interpolation with edge clamping; nan where
+        x or y is nan."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         u = (x - self.origin[0]) / self.resolution
         v = (y - self.origin[1]) / self.resolution
-        j0 = np.clip(np.floor(u).astype(int), 0, max(self.cols - 2, 0))
-        i0 = np.clip(np.floor(v).astype(int), 0, max(self.rows - 2, 0))
+        # Clamp in float before the integer cast, so no nan, inf or huge
+        # coordinate reaches it; fmax maps nan to the first cell.
+        j0 = np.fmin(np.fmax(np.floor(u), 0.0), max(self.cols - 2, 0)).astype(int)
+        i0 = np.fmin(np.fmax(np.floor(v), 0.0), max(self.rows - 2, 0)).astype(int)
         j1 = np.minimum(j0 + 1, self.cols - 1)
         i1 = np.minimum(i0 + 1, self.rows - 1)
         fx = np.clip(u - j0, 0.0, 1.0)
@@ -456,7 +459,7 @@ class OccupancyGrid:
     """
 
     def __init__(self, resolution: float, origin: tuple[float, float], cells: np.ndarray):
-        if resolution <= 0.0:
+        if not resolution > 0.0:  # nan too: CostToGo bands are this wide
             raise ConfigError("grid resolution must be positive")
         self.resolution = float(resolution)
         self.origin = (float(origin[0]), float(origin[1]))
@@ -604,10 +607,10 @@ def project_to_grid(
         OccupancyGrid covering the bounds footprint.
 
     Raises:
-        ConfigError: non-positive resolution, resolution exceeding the
+        ConfigError: non-positive or nan resolution, resolution exceeding the
             bounds extent, negative inflation, or an inverted height band.
     """
-    if resolution <= 0.0:
+    if not resolution > 0.0:
         raise ConfigError("grid resolution must be positive")
     if inflation < 0.0:
         raise ConfigError("inflation must be non-negative")

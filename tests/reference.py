@@ -6,6 +6,7 @@ defined here once.
 """
 
 import functools
+import heapq
 import math
 import subprocess
 import sys
@@ -125,6 +126,41 @@ def ref_on_ground(env, a, b, tol=1e-6):
     pts = ref_segment_points(a, b, 0.05)
     ground = env.ground_heights(pts[:, 0], pts[:, 1])
     return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+
+
+def ref_grid_length(grid, start, goal=None):
+    """Heap Dijkstra over the free cells of an 8-connected grid, with a
+    dict for costs and tuples for cells, independent of planner.CostToGo:
+    the shortest-path length from start to goal, or None; with no goal,
+    the lengths from start to every cell it reaches, as a dict. Started
+    at a field's goal, it adds steps in the field's order, so its lengths
+    equal the field's bit for bit."""
+    if goal is not None and grid.occupied(*goal):
+        return None
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    done = set()
+    while heap:
+        d, cell = heapq.heappop(heap)
+        if cell in done:
+            continue
+        if cell == goal:
+            return d
+        done.add(cell)
+        r, c = cell
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                if dr == dc == 0:
+                    continue
+                nxt = (r + dr, c + dc)
+                if grid.occupied(*nxt) or nxt in done:
+                    continue
+                step = grid.resolution * (math.sqrt(2.0) if dr and dc else 1.0)
+                nd = d + step
+                if nd < dist.get(nxt, math.inf):
+                    dist[nxt] = nd
+                    heapq.heappush(heap, (nd, nxt))
+    return None if goal is not None else dist
 
 
 # The one-candidate-at-a-time dynamic-window controller, with its own cell

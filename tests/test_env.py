@@ -74,6 +74,19 @@ def test_heightmap_bilinear_and_clamp():
     assert float(hm.elevations(-5.0, 0.0)) == 0.0
 
 
+def test_heightmap_clamps_infinite_huge_and_nan_coordinates():
+    # Indices are clamped in float before the integer cast, so no
+    # coordinate raises numpy's invalid-cast warning: an infinite or huge
+    # one reads the border like any far one, and a nan one reads nan.
+    hm = Heightmap((0.0, 0.0), 1.0, [[0.0, 1.0], [2.0, 3.0]])
+    with np.errstate(all="raise"):
+        got = hm.elevations([math.inf, 1e300, -math.inf, -1e300], [9.0, 9.0, 0.0, 0.0])
+        assert got.tolist() == [3.0, 3.0, 0.0, 0.0]
+        assert hm.elevations(0.5, -1e300) == 0.5 and hm.elevations(1e300, 0.5) == 2.0
+    with np.errstate(invalid="raise"):
+        assert np.isnan(hm.elevations([math.nan, 0.5], [0.5, math.nan])).all()
+
+
 def test_heightmap_vectorized_matches_scalar():
     rng = SplitMix64(11)
     data = [[uniform(rng, 0.0, 2.0) for _ in range(5)] for _ in range(4)]
@@ -168,10 +181,7 @@ def test_point_collision_non_finite_coordinates():
             assert env.point_in_collision(p, 0.0), p
             assert env.point_in_collision(p, 0.35), p
             assert ref_point_in_collision(env, p, 0.35), p
-        # nan reaches the heightmap's integer cast, whose warning is moot
-        # for a point already outside the bounds.
-        with np.errstate(invalid="ignore"):
-            assert env.points_in_collision(np.array(probes), 0.35).all()
+        assert env.points_in_collision(np.array(probes), 0.35).all()
 
 
 def _collision_probes(env, rng):
@@ -764,6 +774,14 @@ def test_grid_rejects_empty_raster():
         OccupancyGrid(1.0, (0.0, 0.0), np.zeros((0, 4), dtype=bool))
 
 
+def test_grid_rejects_non_positive_or_nan_resolution():
+    # A cost-to-go band is one resolution wide, so a nan one would never
+    # settle a cell.
+    for res in (0.0, -0.1, math.nan):
+        with pytest.raises(ConfigError, match="grid resolution must be positive"):
+            OccupancyGrid(res, (0.0, 0.0), np.zeros((2, 2), dtype=bool))
+
+
 def test_array_lookups_match_scalar_forms():
     cells = np.zeros((4, 6), dtype=bool)
     cells[1, 2] = cells[3, 5] = True
@@ -796,8 +814,9 @@ def test_grid_cells_immutable():
 
 def test_project_to_grid_validation():
     env = _box_env()
-    with pytest.raises(ConfigError):
-        project_to_grid(env, resolution=0.0)
+    for res in (0.0, math.nan):
+        with pytest.raises(ConfigError):
+            project_to_grid(env, resolution=res)
     with pytest.raises(ConfigError):
         project_to_grid(env, resolution=11.0)
     with pytest.raises(ConfigError):

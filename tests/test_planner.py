@@ -1,13 +1,16 @@
 """Graph search: A* vs a reference Dijkstra, grid cost-to-go, plan segmentation."""
 
 import heapq
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from morphnav.env import OccupancyGrid, load_environment
+from morphnav.costmodel import load_config_file
+from morphnav.env import OccupancyGrid, load_environment, project_to_grid
 from morphnav.errors import NoPathError
 from morphnav.planner import (
     CostToGo,
@@ -29,7 +32,7 @@ from morphnav.roadmap import (
     heuristic_costs,
     insert_query_nodes,
 )
-from reference import ARENA, CM, ref_edge_cost, ref_heuristic, walled_env
+from reference import ARENA, CM, ref_edge_cost, ref_grid_length, ref_heuristic, walled_env
 
 
 def _line_graph(costs, spacing=1.0):
@@ -306,37 +309,6 @@ def test_cost_to_go_routes_through_the_gap():
     assert math.isinf(CostToGo(_grid(cells), (0, 9)).cost(0, 0))
 
 
-def _dijkstra_grid_length(grid, start, goal=None):
-    """Independent shortest-path length over free cells, or None; with no
-    goal, the lengths from start to every cell it reaches, as a dict."""
-    if goal is not None and grid.occupied(*goal):
-        return None
-    dist = {start: 0.0}
-    heap = [(0.0, start)]
-    done = set()
-    while heap:
-        d, cell = heapq.heappop(heap)
-        if cell in done:
-            continue
-        if cell == goal:
-            return d
-        done.add(cell)
-        r, c = cell
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if dr == dc == 0:
-                    continue
-                nxt = (r + dr, c + dc)
-                if grid.occupied(*nxt) or nxt in done:
-                    continue
-                step = grid.resolution * (math.sqrt(2.0) if dr and dc else 1.0)
-                nd = d + step
-                if nd < dist.get(nxt, math.inf):
-                    dist[nxt] = nd
-                    heapq.heappush(heap, (nd, nxt))
-    return None if goal is not None else dist
-
-
 def _path_is_valid(grid, path, start, goal, length):
     assert path[0] == start and path[-1] == goal
     total = 0.0
@@ -374,15 +346,16 @@ def test_cost_to_go_matches_flood_fill_and_is_optimal():
         assert math.isfinite(length) == reachable
         if reachable:
             _path_is_valid(grid, field.descend(start), start, goal, length)
-            want = _dijkstra_grid_length(grid, start, goal)
-            assert length == pytest.approx(want, rel=1e-9, abs=1e-12)
+            # Searched from the goal, the reference adds its steps in the
+            # field's order, so the lengths agree bit for bit.
+            assert length == ref_grid_length(grid, goal, start)
 
 
 def test_cost_to_go_matches_reference_on_every_cell():
     # The grid graph is undirected, so the reference lengths from the goal
     # are every cell's cost to reach it.
     for cells, grid, labels, _, goal in _random_grids():
-        want = _dijkstra_grid_length(grid, goal)
+        want = ref_grid_length(grid, goal)
         field = CostToGo(grid, goal)
         for r in range(25):
             for c in range(25):
@@ -391,7 +364,7 @@ def test_cost_to_go_matches_reference_on_every_cell():
                 assert math.isinf(got) == (not reachable), (r, c)
                 assert reachable == ((r, c) in want)
                 if reachable:
-                    assert got == pytest.approx(want[(r, c)], rel=1e-9, abs=1e-12)
+                    assert got == want[(r, c)], (r, c)
                     # Descent walks a shortest path over cells of finite cost.
                     path = field.descend((r, c))
                     steps = [math.dist(a, b) for a, b in zip(path, path[1:])]
@@ -401,6 +374,70 @@ def test_cost_to_go_matches_reference_on_every_cell():
                     assert 0.1 * sum(steps) == pytest.approx(got, rel=1e-9, abs=1e-12)
         for off_grid in ((-1, 0), (0, -1), (25, 3), (3, 25), (-2, -2), (40, 40)):
             assert math.isinf(field.cost(*off_grid))
+
+
+def _assert_field_is_reference(grid, goal):
+    """The field equals the heap reference bit for bit on every cell: the
+    reference's lengths where it reaches, inf everywhere else."""
+    field = CostToGo(grid, goal)
+    rows, cols = grid.cells.shape
+    got = {(r, c): field.cost(r, c) for r in range(rows) for c in range(cols)}
+    assert {cell: d for cell, d in got.items() if d < math.inf} == ref_grid_length(grid, goal)
+    return field
+
+
+def _serpentine(rows, cols):
+    """A one-cell corridor that winds through every even row, turning at
+    alternate ends through one gap in each odd row."""
+    cells = np.zeros((rows, cols), dtype=bool)
+    cells[1::2] = True
+    for i, r in enumerate(range(1, rows, 2)):
+        cells[r, cols - 1 if i % 2 == 0 else 0] = False
+    return cells
+
+
+def test_cost_to_go_is_reference_at_odd_resolutions():
+    # Widths of a band and the sums it settles change with the resolution;
+    # a banded cell is final at any positive one.
+    for cells, *_, goal in itertools.islice(_random_grids(), 6):
+        for res in (1e-3, 0.07, 123.4):
+            _assert_field_is_reference(_grid(cells, res), goal)
+
+
+def test_cost_to_go_on_a_single_cell_and_a_serpentine_corridor():
+    field = _assert_field_is_reference(_grid(np.zeros((1, 1))), (0, 0))
+    assert field.cost(0, 0) == 0.0 and field.descend((0, 0)) == [(0, 0)]
+    # One round settles one corridor cell: the longest wavefront there is.
+    grid = _grid(_serpentine(15, 21))
+    field = _assert_field_is_reference(grid, (0, 0))
+    # From the far end: 20 cells in each end row and 19 in each of the six
+    # between (the corners are cut diagonally), and the 7 gaps.
+    path = field.descend((14, 0))
+    assert len(path) == 2 * 20 + 6 * 19 + 7 and path[-1] == (0, 0)
+
+
+def test_cost_to_go_is_reference_on_the_arena_waypoint_fields():
+    env = load_environment(ARENA)
+    grid = project_to_grid(env)
+    for x, y, _ in load_config_file(ARENA)["waypoints"]:
+        _assert_field_is_reference(grid, grid.world_to_cell(x, y))
+
+
+def test_cost_to_go_retains_one_float_per_padded_cell():
+    # The field keeps one float64 array over the padded raster and nothing
+    # else of its build: 8 bytes a cell plus a few small objects.
+    grid = project_to_grid(load_environment(ARENA))
+    padded = (grid.height + 2) * (grid.width + 2)
+    for x, y, _ in load_config_file(ARENA)["waypoints"]:
+        goal = grid.world_to_cell(x, y)
+        tracemalloc.start()
+        try:
+            field = CostToGo(grid, goal)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.cost(*goal) == 0.0
+        assert retained <= 8 * padded + 4096, (goal, retained, padded)
 
 
 def test_cost_to_go_infinite_for_blocked_or_off_grid_goal():
