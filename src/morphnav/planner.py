@@ -5,7 +5,9 @@ The roadmap planner is A* over a per-node lower bound on the cost to go
 (roadmap.heuristic_costs) with a closed set (no reopening); an independent
 uniform-cost implementation, dijkstra_oracle, exists purely to cross-check
 it and deliberately shares no search code with it. Both walk the roadmap's
-CSR adjacency.
+CSR adjacency. A* reads it through memoryviews, so an expansion builds no
+lists, and keeps parent nodes, recovering the path's edges at the goal; the
+oracle keeps parent edges, so it checks that recovery independently.
 
 The grid side is CostToGo: one wavefront from a goal cell gives every
 cell's shortest-path length to it, and `descend` reads a shortest path off
@@ -59,15 +61,12 @@ class PlanResult:
 
 
 def _assemble_result(
-    roadmap: Roadmap, cm: CostModel, parent_edge: list[int], start_id: int, goal_id: int,
+    roadmap: Roadmap, cm: CostModel, node_ids: list[int], edge_ids: list[int],
     total: float, expanded: int,
 ) -> PlanResult:
-    """The path the parent edges trace from goal_id back to start_id, with
-    its cost split summed in path order."""
-    node_ids, edge_ids = [goal_id], []
-    while node_ids[-1] != start_id:
-        edge_ids.append(e := parent_edge[node_ids[-1]])
-        node_ids.append(int(roadmap.a[e] + roadmap.b[e]) - node_ids[-1])
+    """The path of node_ids joined by edge_ids, both listed from the goal
+    back to the start, with its cost split summed in path order."""
+    node_ids.reverse()
     edge_ids.reverse()
     kinds = [EDGE_KINDS[k] for k in roadmap.kind[edge_ids].tolist()]
     c_t = cm.transition_cost()
@@ -79,7 +78,7 @@ def _assemble_result(
             flight += cost if kind is EdgeKind.FLIGHT else cost - c_t
     n_t = kinds.count(EdgeKind.TRANSITION)
     return PlanResult(
-        tuple(reversed(node_ids)), tuple(edge_ids), total, ground, flight, n_t * c_t, n_t, expanded
+        tuple(node_ids), tuple(edge_ids), total, ground, flight, n_t * c_t, n_t, expanded
     )
 
 
@@ -95,6 +94,12 @@ def astar_multimodal(
     may improve a closed node. A given `h` (for comparison runs) skips that
     check, and optimality then holds only if `h` is consistent.
 
+    The search keeps parent nodes. At the goal, the edge from parent u to w
+    is the first entry of u's CSR slice with neighbour w and fl(g[u] + cost)
+    == g[w]: an earlier entry at that sum would have set g[w] first, and a
+    later one cannot strictly improve on it, so this is the edge that set
+    g[w], parallel and equal-cost edges included.
+
     Raises NoPathError (carrying the count of explored nodes) when the goal
     is unreachable.
     """
@@ -102,7 +107,7 @@ def astar_multimodal(
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
     if start_id == goal_id:
-        return _assemble_result(roadmap, cm, [], start_id, start_id, 0.0, 0)
+        return _assemble_result(roadmap, cm, [start_id], [], 0.0, 0)
     guard = h is None
     if guard:
         h = heuristic_costs(cm, roadmap.positions, roadmap.positions[goal_id])
@@ -111,8 +116,10 @@ def astar_multimodal(
         raise ValueError(f"h holds {len(h)} bounds for {n} nodes")
 
     indptr, neighbour, edge_id, edge_cost = roadmap.csr()
+    indptr = indptr.tolist()
+    nb, eid, ec = memoryview(neighbour), memoryview(edge_id), memoryview(edge_cost)
     g = [math.inf] * n
-    parent_edge = [-1] * n
+    parent = [-1] * n
     closed = [False] * n
     g[start_id] = 0.0
     # Heap entries order by f, then lower g, then lower node id.
@@ -125,11 +132,18 @@ def astar_multimodal(
         closed[u] = True
         expanded += 1
         if u == goal_id:
-            return _assemble_result(roadmap, cm, parent_edge, start_id, u, g[u], expanded)
+            # Recover the path edges (see the docstring).
+            node_ids, edge_ids = [u], []
+            while u != start_id:
+                w, u = u, parent[u]
+                k, gu = indptr[u], g[u]
+                while nb[k] != w or gu + ec[k] != g[w]:
+                    k += 1
+                node_ids.append(u)
+                edge_ids.append(eid[k])
+            return _assemble_result(roadmap, cm, node_ids, edge_ids, g[goal_id], expanded)
         lo, hi = indptr[u], indptr[u + 1]
-        for v, idx, cost in zip(
-            neighbour[lo:hi].tolist(), edge_id[lo:hi].tolist(), edge_cost[lo:hi].tolist()
-        ):
+        for v, cost in zip(nb[lo:hi], ec[lo:hi]):
             new_g = gu + cost
             if new_g < g[v]:
                 if closed[v]:
@@ -141,7 +155,7 @@ def astar_multimodal(
                         )
                     continue
                 g[v] = new_g
-                parent_edge[v] = idx
+                parent[v] = u
                 heapq.heappush(heap, (new_g + h[v], new_g, v))
     raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
 
@@ -191,11 +205,15 @@ def dijkstra_oracle(
     if not (0 <= start_id < n and 0 <= goal_id < n):
         raise ValueError("start/goal id out of range")
     if start_id == goal_id:
-        return _assemble_result(roadmap, cm, [], start_id, start_id, 0.0, 0)
+        return _assemble_result(roadmap, cm, [start_id], [], 0.0, 0)
     dist, parent_edge, expanded = _uniform_cost(roadmap, start_id, goal_id)
     if math.isinf(dist[goal_id]):
         raise NoPathError(f"no path from node {start_id} to {goal_id}", explored=expanded)
-    return _assemble_result(roadmap, cm, parent_edge, start_id, goal_id, dist[goal_id], expanded)
+    node_ids, edge_ids = [goal_id], []
+    while node_ids[-1] != start_id:
+        edge_ids.append(e := parent_edge[node_ids[-1]])
+        node_ids.append(int(roadmap.a[e] + roadmap.b[e]) - node_ids[-1])
+    return _assemble_result(roadmap, cm, node_ids, edge_ids, dist[goal_id], expanded)
 
 
 def dijkstra_all_costs(roadmap: Roadmap, source_id: int) -> list[float]:

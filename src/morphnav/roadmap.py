@@ -149,7 +149,9 @@ class Roadmap:
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbour, edge_id, cost): node u's incident edges are
         entries indptr[u]:indptr[u + 1], by ascending edge id, with the
-        node at their other end and their stored cost."""
+        node at their other end and their stored cost. Searches read these
+        arrays through memoryviews, so each is contiguous, and an edit
+        replaces the tuple; no array is resized or written in place."""
         if self._csr is None:
             # Interleaved ends a0, b0, a1, b1, ...: entry k belongs to edge
             # k >> 1 and its other end is entry k ^ 1. A stable sort by node

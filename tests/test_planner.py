@@ -35,17 +35,18 @@ from morphnav.roadmap import (
 from reference import ARENA, CM, ref_edge_cost, ref_grid_length, ref_heuristic, walled_env
 
 
-def _line_graph(costs, spacing=1.0):
+def _line_graph(edges, spacing=1.0):
     """Ground nodes at x = 0, spacing, 2 * spacing, ... with ground edges
-    of explicit costs {(a, b): cost}, a < b, appended to the columns;
-    lengths are set to the node distance."""
-    n = 1 + max(b for _, b in costs)
-    a, b = zip(*costs)
+    of explicit costs appended to the columns, from a list of (a, b, cost)
+    with a < b that may join one pair more than once. Lengths are set to
+    the node distance."""
+    a, b, cost = zip(*edges)
+    n = 1 + max(b)
     roadmap = Roadmap()
     roadmap._append(positions=[(spacing * i, 0.0, 0.0) for i in range(n)], mode=[0] * n)
     roadmap._append(
         a=a, b=b, kind=[EDGE_KINDS.index(EdgeKind.GROUND)] * len(a),
-        length=[spacing * (j - i) for i, j in costs], cost=list(costs.values()),
+        length=[spacing * (j - i) for i, j in zip(a, b)], cost=cost,
     )
     return roadmap
 
@@ -54,7 +55,7 @@ def _line_graph(costs, spacing=1.0):
 
 
 def test_astar_picks_cheapest_route_on_manual_graph():
-    roadmap = _line_graph({(0, 1): 1.0, (1, 2): 2.0, (0, 2): 10.0})
+    roadmap = _line_graph([(0, 1, 1.0), (1, 2, 2.0), (0, 2, 10.0)])
     plan = astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(3))
     assert plan.node_ids == (0, 1, 2)
     assert plan.total_cost == 3.0
@@ -66,7 +67,7 @@ def test_astar_picks_cheapest_route_on_manual_graph():
 
 
 def test_start_equals_goal():
-    roadmap = _line_graph({(0, 1): 1.0})
+    roadmap = _line_graph([(0, 1, 1.0)])
     for search in (astar_multimodal, dijkstra_oracle):
         plan = search(roadmap, 1, 1, CM)
         assert plan.node_ids == (1,)
@@ -75,7 +76,8 @@ def test_start_equals_goal():
 
 
 def test_two_node_ground_plan_costs_drive_energy():
-    roadmap = _line_graph({(0, 1): ref_edge_cost(CM, EdgeKind.GROUND, 3.0, 0.0, 0.0)}, spacing=3.0)
+    cost = ref_edge_cost(CM, EdgeKind.GROUND, 3.0, 0.0, 0.0)
+    roadmap = _line_graph([(0, 1, cost)], spacing=3.0)
     plan = astar_multimodal(roadmap, 0, 1, CM)
     assert plan.total_cost == 360.0
     assert plan.cost_ground == 360.0
@@ -84,7 +86,7 @@ def test_two_node_ground_plan_costs_drive_energy():
 
 
 def test_no_path_reports_explored_count():
-    roadmap = _line_graph({(0, 1): 1.0})
+    roadmap = _line_graph([(0, 1, 1.0)])
     roadmap.add_node((50.0, 0.0, 0.0), NodeMode.GROUND)  # disconnected
     with pytest.raises(NoPathError) as info:
         astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(3))
@@ -103,7 +105,7 @@ def test_inconsistent_heuristic_trips_the_guard():
     # closes node 2 first at cost 100 and reaches it again at cost 2. With
     # the shipped bound the consistency guard must raise; with the same
     # bound given as h it is off, and the search keeps the route via node 2.
-    roadmap = _line_graph({(0, 1): 1.0, (0, 2): 100.0, (1, 2): 1.0, (2, 3): 200.0})
+    roadmap = _line_graph([(0, 1, 1.0), (0, 2, 100.0), (1, 2, 1.0), (2, 3, 200.0)])
     with pytest.raises(AssertionError, match="closed node 2 key decreased"):
         astar_multimodal(roadmap, 0, 3, CM)
     h = heuristic_costs(CM, roadmap.positions, roadmap.positions[3])
@@ -218,17 +220,23 @@ def _list_path(edges, parent, source, goal):
     return tuple(reversed(node_ids)), tuple(reversed(path))
 
 
+def _edge_lists(roadmap):
+    """(a, b, cost) of every edge, and each node's incident edge ids."""
+    edges = list(zip(roadmap.a.tolist(), roadmap.b.tolist(), roadmap.cost.tolist()))
+    adjacency = [[] for _ in range(len(roadmap.positions))]
+    for idx, (a, b, _) in enumerate(edges):
+        adjacency[a].append(idx)
+        adjacency[b].append(idx)
+    return edges, adjacency
+
+
 def test_csr_search_matches_adjacency_list_search():
     env = load_environment(ARENA)
     roadmap = build_roadmap(
         env, CM, PrmParams(seed=1, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4)
     )
-    edges = list(zip(roadmap.a.tolist(), roadmap.b.tolist(), roadmap.cost.tolist()))
+    edges, adjacency = _edge_lists(roadmap)
     positions = roadmap.positions.tolist()
-    adjacency = [[] for _ in positions]
-    for idx, (a, b, _) in enumerate(edges):
-        adjacency[a].append(idx)
-        adjacency[b].append(idx)
     # Ground nodes connected to node 0, west and east of the wall at x = 5.
     reach = dijkstra_all_costs(roadmap, 0)
     on_ground = roadmap.mode == NODE_MODES.index(NodeMode.GROUND)
@@ -259,6 +267,76 @@ def test_csr_search_matches_adjacency_list_search():
         if q % 10 == 0:
             full = _list_search(edges, adjacency, b, None, zeros)[0]
             assert dijkstra_all_costs(roadmap, b) == full, q
+
+
+@pytest.mark.parametrize(
+    "edges, via",
+    [
+        # Pair (0, 1) twice, the cheaper edge second: it replaces the first.
+        ([(0, 1, 500.0), (1, 2, 300.0), (0, 1, 200.0), (2, 3, 150.0)], (2, 1, 3)),
+        # An exact tie: the second edge cannot improve on the first.
+        ([(0, 1, 200.0), (1, 2, 300.0), (1, 2, 300.0), (2, 3, 150.0)], (0, 1, 3)),
+        # Different costs whose sums round to one float (2**60 + 256) tie too.
+        ([(0, 1, 2.0**60), (1, 2, 200.0), (1, 2, 150.0), (2, 3, 2.0**60)], (0, 1, 3)),
+    ],
+)
+def test_parallel_and_equal_cost_edges(edges, via):
+    # A* keeps parent nodes and recovers each path edge as the first of the
+    # parent's entries that reaches the child at its cost. That must be the
+    # edge a parent-edge search keeps, whichever way the pair is crossed.
+    roadmap = _line_graph(edges)
+    adjacency = _edge_lists(roadmap)[1]
+    for a, b, want in ((0, 3, via), (3, 0, via[::-1])):
+        h = heuristic_costs(CM, roadmap.positions, roadmap.positions[b]).tolist()
+        g, parent, expanded = _list_search(edges, adjacency, a, b, h)
+        plan = astar_multimodal(roadmap, a, b, CM)
+        assert plan.edge_ids == want
+        assert (plan.node_ids, plan.edge_ids) == _list_path(edges, parent, a, b)
+        assert (plan.total_cost, plan.expanded) == (g[b], expanded)
+        assert dijkstra_oracle(roadmap, a, b, CM).edge_ids == want
+
+
+def test_search_with_wide_node_ids():
+    # Above 65,536 nodes the CSR holds neighbours as intp, not uint16. On a
+    # ladder of two 33,000-node rails with random rail and rung costs at or
+    # above the ground rate, a query between the rails runs through ids
+    # past 65,535 and must find the oracle's path.
+    r = 33_000
+    x = np.arange(r)
+    a = np.concatenate((x[:-1], x[:-1] + r, x))
+    b = np.concatenate((x[1:], x[1:] + r, x + r))
+    roadmap = Roadmap()
+    roadmap._append(
+        positions=np.column_stack((np.tile(x, 2), np.repeat([0, 1], r), np.zeros(2 * r))),
+        mode=np.full(2 * r, NODE_MODES.index(NodeMode.GROUND)),
+    )
+    rate = CM.ground_power / CM.ground_speed
+    roadmap._append(
+        a=a, b=b, kind=np.full(a.size, EDGE_KINDS.index(EdgeKind.GROUND)),
+        length=np.ones(a.size), cost=rate * (1.0 + SplitMix64(5).peek_random(a.size)),
+    )
+    assert roadmap.csr()[1].dtype == np.intp
+    plan = astar_multimodal(roadmap, r - 600, 2 * r - 50, CM)
+    ref = dijkstra_oracle(roadmap, r - 600, 2 * r - 50, CM)
+    assert max(plan.node_ids) > 65_535
+    assert (plan.node_ids, plan.edge_ids, plan.total_cost) == (
+        ref.node_ids, ref.edge_ids, ref.total_cost
+    )
+    assert plan.expanded < ref.expanded
+
+
+def test_readme_arena_plan():
+    # The README's quick-start plan: the scenario's roadmap at seed 1, its
+    # start and last waypoint inserted, A* with the shipped bound.
+    raw = load_config_file(ARENA)
+    env, params = load_environment(ARENA), PrmParams(seed=1, **raw["prm"])
+    roadmap, s, g = insert_query_nodes(
+        build_roadmap(env, CM, params), raw["start"], raw["waypoints"][-1], env, CM, params
+    )
+    plan = astar_multimodal(roadmap, s, g, CM)
+    assert repr(plan.total_cost) == "4185.967970070673"
+    assert (plan.n_transitions, plan.expanded) == (2, 329)
+    assert plan.edge_ids == (13018, 593, 690, 5998, 11923, 11921, 2503, 1014, 13065)
 
 
 # -- grid cost-to-go ------------------------------------------------------------
@@ -509,6 +587,6 @@ def test_segments_for_cross_wall_plan():
 
 
 def test_segments_empty_for_trivial_plan():
-    roadmap = _line_graph({(0, 1): 1.0})
+    roadmap = _line_graph([(0, 1, 1.0)])
     plan = astar_multimodal(roadmap, 0, 0, CM)
     assert path_to_waypoints(plan, roadmap) == []
