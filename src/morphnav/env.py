@@ -148,6 +148,11 @@ class Environment:
 
     def _validate(self):
         lo, hi = self.bounds.min_corner, self.bounds.max_corner
+        # Every pair of in-bounds points then has a finite squared distance,
+        # in the pair search of the roadmap build and in distances.
+        dx, dy, dz = (h - l for l, h in zip(lo, hi))
+        if not math.isfinite(dx * dx + dy * dy + dz * dz):
+            raise ConfigError("bounds too large: the squared diagonal overflows")
         if self.ground_const is not None:
             if not (lo[2] <= self.ground_const <= hi[2]):
                 raise ConfigError(
@@ -251,9 +256,10 @@ class Environment:
         sampled at a fixed spatial step.
 
         The step is min(0.05 m, clearance / 2) so thin obstacles larger than
-        the step cannot slip between samples; both endpoints are always
-        included, exactly (see _any_sample). A degenerate segment reduces to
-        a point test. The verdict is the same for b-a as for a-b.
+        the step cannot slip between samples. Both endpoints are always
+        included, exactly, also where the squared length underflows (see
+        _any_sample). A degenerate segment (a == b) reduces to a point test.
+        The verdict is the same for b-a as for a-b.
 
         A broad phase first clears, without sampling, each segment whose box
         [min(a, b), max(a, b)] lies inside the bounds, at or above the
@@ -326,87 +332,25 @@ def _rows(points) -> np.ndarray:
     return np.asarray(points, dtype=float).reshape(-1, 3)
 
 
-# Differences below this have a frexp exponent under -1023, where CPython's
-# math.dist cannot scale by 2.0 ** -exponent (it overflows).
-_SUBNORMAL = 2.0**-1024
-_DBL_MIN = 2.0**-1022
-
-
 def distances(a, b) -> np.ndarray:
-    """math.dist(a[k], b[k]) for each row of two (K, 3) point arrays, bit for
-    bit when the coordinates are finite and the largest difference is at
-    least 2**-1024; either side may be one point.
-
-    CPython's math.dist (vector_norm for n = 3) scales the absolute
-    differences by a power of two so that the largest lies in [0.5, 1),
-    adds their Dekker-exact squares into a sum started at 1.0 by Fast2Sum,
-    keeps both rounding errors in two lossy sums, takes the square root and
-    makes one differential correction. This replays those operations in
-    that order on the x, y and z columns. As in CPython, no difference
-    gives 0.0 and an overflowing one gives inf. A largest difference below
-    2**-1024 is divided by DBL_MIN and the result multiplied back, as
-    CPython 3.12 does (3.10 and 3.11 take another path there and may differ
-    in the last bits); no edge or duplicate test looks at lengths that small.
+    """Euclidean length of each row a[k] - b[k] of two (K, 3) point arrays;
+    either side may be one point. One rule: the squared x, y and z
+    differences summed in that order, then one square root, so a scalar
+    math.sqrt(dx * dx + dy * dy + dz * dz) equals it bit for bit. A length
+    whose square underflows reads 0.0 and one whose square overflows inf.
     """
-    a, b = _rows(a), _rows(b)
-    # Zero, infinite and subnormal rows compute garbage in the scaled path;
-    # _norm3 sets them after it.
-    with np.errstate(all="ignore"):
-        return _norm3([np.abs(a[:, k] - b[:, k]) for k in range(3)])
-
-
-def _norm3(d) -> np.ndarray:
-    """vector_norm of the non-negative columns d[0], d[1], d[2]."""
-    big = np.maximum(np.maximum(d[0], d[1]), d[2])
-    scale = np.ldexp(1.0, -np.frexp(big)[1])
-    csum, frac1, frac2 = 1.0, 0.0, 0.0
-    for x in d:
-        hi, lo = _square(x * scale)
-        csum, err = _fast_sum(csum, hi)
-        frac1 = frac1 + lo
-        frac2 = frac2 + err
-    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-    hi, lo = _square(h)  # the product -h * h is exactly -hi - lo
-    csum, err = _fast_sum(csum, -hi)
-    frac1 = frac1 - lo
-    frac2 = frac2 + err
-    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-    out = h / scale
-    out[big == 0.0] = 0.0
-    out[np.isinf(big)] = np.inf
-    tiny = (0.0 < big) & (big < _SUBNORMAL)
-    if tiny.any():
-        # Exact rescaling to normal numbers, undone at the end.
-        out[tiny] = _DBL_MIN * _norm3([x[tiny] / _DBL_MIN for x in d])
-    return out
-
-
-def _square(x):
-    """Dekker's square: hi is x * x rounded and hi + lo == x * x exactly
-    unless it underflows, with x split in halves of 26 bits by Veltkamp's
-    constant 2**27 + 1."""
-    t = x * 134217729.0
-    hi = t - (t - x)
-    lo = x - hi
-    p = hi * hi
-    q = hi * lo
-    q += q
-    z = p + q
-    return z, p - z + q + lo * lo
-
-
-def _fast_sum(a, b):
-    """Fast2Sum for |a| >= |b|: x + err == a + b and x is a + b rounded."""
-    x = a + b
-    return x, (a - x) + b
+    d = _rows(a) - _rows(b)
+    d *= d
+    return np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
 def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
     """For each segment a[k]-b[k], whether `test` holds at any of its samples.
 
     A segment of length L = distances(a, b) has n = ceil(L / step) + 1
-    samples (2 or more unless L == 0), each made from the nearer end: with
-    d = b - a and inv = 1 / (n - 1), sample k is a + d * (k * inv) in the
+    samples, but at least 2 whenever a != b, also where L underflows to 0.0.
+    Each is made from the nearer end: with d = b - a and
+    inv = 1 / (n - 1), sample k is a + d * (k * inv) in the
     first half, b - d * ((n - 1 - k) * inv) in the second, and (a + b) * 0.5
     in the middle of an odd count. So a and b are exact, b-a has the samples
     of a-b, and on each axis every sample lies in [min(a, b), max(a, b)]:
@@ -420,8 +364,10 @@ def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
     a, b = _rows(a), _rows(b)
     if not len(a):
         return np.zeros(0, dtype=bool)
-    # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m.
+    # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m; the maximum
+    # keeps both ends of a segment whose squared length underflows.
     n = np.ceil(distances(a, b) / step).astype(np.int64) + 1
+    np.maximum(n, 1 + (a != b).any(axis=1), out=n)
     last = n - 1
     inv = 1.0 / np.maximum(last, 1)
     # x, y and z rows: np.take gathers their columns about 4x faster than
@@ -506,12 +452,8 @@ class OccupancyGrid:
 
     def occupied(self, row: int, col: int) -> bool:
         """Occupancy at a cell; anything outside the raster counts occupied."""
-        return bool(self.occupied_at(row, col))
-
-    def occupied_at(self, rows, cols) -> np.ndarray:
-        """Array form of occupied: True where a cell is occupied or off-grid."""
-        inside, r, c = self._clip(rows, cols)
-        return ~inside | self.cells[r, c]
+        inside = 0 <= row < self.height and 0 <= col < self.width
+        return not inside or bool(self.cells[row, col])
 
     def clearance_at(self, rows, cols) -> np.ndarray:
         """Clearance by cell: meters from each cell center to the nearest
@@ -532,18 +474,6 @@ class OccupancyGrid:
         rows = np.minimum(np.maximum(rows, -1), self.height)
         cols = np.minimum(np.maximum(cols, -1), self.width)
         return self._clearance[rows, cols]
-
-    def _clip(self, rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(inside mask, rows, cols) with off-grid indices clipped onto the
-        raster so they can index it; callers mask them with `inside`."""
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        inside = (rows >= 0) & (rows < self.height) & (cols >= 0) & (cols < self.width)
-        return (
-            inside,
-            np.clip(rows, 0, self.height - 1),
-            np.clip(cols, 0, self.width - 1),
-        )
 
 
 # Target element count of edt()'s row-pass temporary: 2 MB of float64.

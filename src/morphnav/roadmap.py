@@ -18,7 +18,6 @@ parameters are bit-identical.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -209,15 +208,16 @@ def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
 
 def heuristic_costs(cm: CostModel, positions, goal) -> np.ndarray:
     """A* lower bound on the cost from each row of `positions` (K, 3) to
-    `goal`: horizontal distance at the ground rate, which CostModel keeps at
-    or below the flight rate, plus the potential energy of any net climb.
-    On flat ground the bound drops by at most the edge_costs price of any
-    edge, so A* with it is admissible and consistent."""
+    `goal`: horizontal distance sqrt(dx * dx + dy * dy) at the ground rate,
+    which CostModel keeps at or below the flight rate, plus the potential
+    energy of any net climb. The distance is env.distances' rule without
+    the dz term, so it never exceeds the length of an edge between the same
+    points. On flat ground the bound drops by at most the edge_costs price
+    of any edge, so A* with it is admissible and consistent."""
     positions = np.asarray(positions, dtype=float)
-    flat = positions.copy()
-    flat[:, 2] = 0.0
+    dx, dy = positions[:, 0] - goal[0], positions[:, 1] - goal[1]
     climb = np.maximum(0.0, goal[2] - positions[:, 2])
-    d_xy = distances(flat, (goal[0], goal[1], 0.0))
+    d_xy = np.sqrt(dx * dx + dy * dy)
     return (cm.ground_power / cm.ground_speed) * d_xy + cm.mass * cm.gravity * climb
 
 
@@ -295,7 +295,7 @@ def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
     magnitude with both; a model that prices this edge without overflow
     prices every edge of the world without overflow."""
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
-    diagonal = math.hypot(*(b - a for a, b in zip(lo, hi)))
+    diagonal = float(distances(lo, hi)[0])
     try:
         with np.errstate(over="raise", invalid="raise"):
             # np.select in edge_costs evaluates every branch, so each row
@@ -366,8 +366,8 @@ def _connect_edges(
     n = len(pos)
     cols = pos.T.copy()  # x, y and z, each contiguous
     # A margin for the squared-distance search, squared by a multiply (inf on
-    # overflow, where ** raises); the exact lengths of env.distances make the
-    # closed-radius decision.
+    # overflow, where ** raises); the lengths from env.distances, rounded
+    # square roots of the same sums, make the closed-radius decision.
     reach2 = radius * radius * (1.0 + 2e-9)
     rows = max(1, PAIR_BLOCK // n) if n else 1
     new, old, added = [], [], 0

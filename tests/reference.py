@@ -61,25 +61,36 @@ def ref_edge_cost(cm, kind, length, z_a, z_b):
     return flight if kind is EdgeKind.FLIGHT else cm.transition_cost() + flight
 
 
+def ref_length(p, q):
+    """Euclidean length from p to q by env.distances' rule: the squared
+    differences summed in coordinate order, then one square root. Points of
+    two coordinates give the horizontal distance of heuristic_costs."""
+    total = 0.0
+    for a, b in zip(p, q):
+        d = float(b) - float(a)
+        total += d * d
+    return math.sqrt(total)
+
+
 def ref_heuristic(cm, position, goal):
     """Lower bound (J) on the cost from `position` to `goal`, one point at a
-    time, as CostModel.heuristic computed it before roadmap.heuristic_costs."""
-    dx = goal[0] - position[0]
-    dy = goal[1] - position[1]
-    d_xy = math.hypot(dx, dy)
+    time, with the operations of roadmap.heuristic_costs."""
+    d_xy = ref_length(position[:2], goal[:2])
     climb = max(0.0, goal[2] - position[2])
     return (cm.ground_power / cm.ground_speed) * d_xy + cm.mass * cm.gravity * climb
 
 
 def ref_segment_points(a, b, step):
-    """Samples of the segment a-b at most `step` apart, one at a time: each
-    from the nearer end, a + d * t in the first half and b - d * t' in the
-    second (d = b - a, t' the mirrored parameter), and an odd count's middle
-    sample (a + b) * 0.5."""
+    """Samples of the segment a-b at most `step` apart, one at a time, and
+    at least both ends when a != b: each from the nearer end, a + d * t in
+    the first half and b - d * t' in the second (d = b - a, t' the mirrored
+    parameter), and an odd count's middle sample (a + b) * 0.5."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a
-    n = math.ceil(math.dist(a, b) / step) + 1
+    n = math.ceil(ref_length(a, b) / step) + 1
+    if (a != b).any():
+        n = max(n, 2)
     inv = 1.0 / max(n - 1, 1)
     pts = []
     for k in range(n):

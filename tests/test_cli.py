@@ -119,6 +119,12 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
             "obstacle 0 max[2] must be finite, got inf",
         ),
         ("top", {"ground": {"const": math.nan}}, "ground const must be finite, got nan"),
+        # Finite bounds whose squared diagonal overflows.
+        (
+            "top",
+            {"bounds": {**bounds, "max": [1e200, 1e200, 3]}},
+            "bounds too large: the squared diagonal overflows",
+        ),
         # Finite times whose tick counts overflow.
         (
             "cost",

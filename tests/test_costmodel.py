@@ -16,7 +16,7 @@ from morphnav.roadmap import (
     EDGE_KINDS, EdgeKind, PrmParams, build_roadmap, edge_costs, heuristic_costs
 )
 from morphnav.sim import SimConfig
-from reference import ARENA, CM, REPO, ref_heuristic, uniform
+from reference import ARENA, CM, REPO, ref_heuristic, ref_length, uniform
 
 
 def test_default_parameters():
@@ -137,15 +137,11 @@ def test_heuristic_frozen_values():
 
 def _assert_bits_match_reference(positions, goal):
     """heuristic_costs toward `goal` equals ref_heuristic bit for bit on
-    every row whose largest horizontal difference is zero or at least
-    2**-1024: below that, env.distances and math.dist may differ in the last
-    bits on Python 3.10 and 3.11."""
+    every row."""
     goal = list(goal)
     got = heuristic_costs(CM, positions, goal)
     want = np.array([ref_heuristic(CM, p, goal) for p in positions.tolist()])
-    big = np.abs(positions[:, :2] - goal[:2]).max(axis=1)
-    keep = (big == 0.0) | (big >= 2.0**-1024)
-    assert got[keep].tobytes() == want[keep].tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_heuristic_costs_match_scalar_reference_bit_for_bit():
@@ -173,7 +169,7 @@ def test_heuristic_never_exceeds_any_edge_cost():
     pairs = [(point(5.0), point(5.0)) for _ in range(500)]
     a, b = np.array(pairs).transpose(1, 2, 0)
     h = _bound(*zip(*pairs))
-    d = np.array([math.dist(p, q) for p, q in pairs])
+    d = np.array([ref_length(p, q) for p, q in pairs])
     assert (h >= 0.0).all()
     assert (h <= _price(EdgeKind.FLIGHT, d, a[2], b[2]) + 1e-9).all()
     assert (h <= _price(EdgeKind.TRANSITION, d, a[2], b[2]) + 1e-9).all()
@@ -181,7 +177,7 @@ def test_heuristic_never_exceeds_any_edge_cost():
     pairs = [((uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0),
               (uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0)) for _ in range(200)]
     h = _bound(*zip(*pairs))
-    d = np.array([math.dist(p, q) for p, q in pairs])
+    d = np.array([ref_length(p, q) for p, q in pairs])
     assert (h <= _price(EdgeKind.GROUND, d) + 1e-9).all()
 
 
@@ -195,7 +191,7 @@ def test_heuristic_triangle_inequality():
          for _ in range(3)]
         for _ in range(300)
     ]
-    d = np.array([math.dist(a, b) for a, b, _ in triples])
+    d = np.array([ref_length(a, b) for a, b, _ in triples])
     za, zb = np.array([(a[2], b[2]) for a, b, _ in triples]).T
     edge = _price(EdgeKind.FLIGHT, d, za, zb)
     a, b, g = zip(*triples)

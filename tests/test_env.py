@@ -26,6 +26,7 @@ from morphnav.rng import SplitMix64
 from reference import (
     ARENA,
     ref_in_collision,
+    ref_length,
     ref_on_ground,
     ref_point_in_collision,
     ref_segment_points,
@@ -247,14 +248,14 @@ def test_points_in_collision_matches_scalar(monkeypatch):
         assert none.dtype == bool and none.shape == (0,)
 
 
-def test_distances_match_math_dist_bit_for_bit():
+def test_distances_match_ref_length_bit_for_bit():
     rng = np.random.default_rng(14)
-    n = 50_000
-    # One scale per row, 1e-300 to 1e300.
-    scale = 10.0 ** rng.uniform(-300.0, 300.0, (n, 1))
+    n = 20_000
+    # One scale per row, 1e-150 to 1e150.
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, (n, 1))
     rows = [(rng.uniform(-1.0, 1.0, (n, 3)) * scale, rng.uniform(-1.0, 1.0, (n, 3)) * scale)]
     # A scale per coordinate, so each row mixes magnitudes.
-    mixed = [rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 3))
+    mixed = [rng.uniform(-1.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-150.0, 150.0, (n, 3))
              for _ in range(2)]
     rows.append(tuple(mixed))
     # One or two coordinates equal.
@@ -267,33 +268,18 @@ def test_distances_match_math_dist_bit_for_bit():
     # Every pair of points with coordinates in {0.0, -0.0, 1.5}.
     corners = np.array(list(itertools.product((0.0, -0.0, 1.5), repeat=3)))
     rows.append((np.repeat(corners, 27, axis=0), np.tile(corners, (27, 1))))
-    # Differences that are all subnormal, with the largest on either side of
-    # 2**-1024, where math.dist changes branch.
-    tiny = rng.choice([0.0, -0.0, 5e-324, -5e-324], (4000, 3))
-    subnormal = rng.uniform(-1.0, 1.0, (4000, 3)) * 2.0 ** rng.uniform(-1074, -1022, (4000, 3))
-    rows.append((tiny, subnormal))
-    # Differences that overflow to inf, and some near it that do not.
-    big = rng.uniform(-1.0, 1.0, (4000, 3)) * 1.7e308
-    rows.append((big, rng.uniform(-1.0, 1.0, (4000, 3)) * 1.7e308))
     a, b = (np.concatenate(side) for side in zip(*rows))
     got = distances(a, b)
-    want = np.array([math.dist(p, q) for p, q in zip(a.tolist(), b.tolist())])
-    assert len(want) >= 100_000
-    # Below a largest difference of 2**-1024 (and above 0) math.dist's
-    # branch differs by interpreter version; there a length need only be
-    # below the 1e-9 duplicate tolerance, which it is for every version.
-    with np.errstate(over="ignore"):
-        largest = np.abs(a - b).max(axis=1)
-    below = (0.0 < largest) & (largest < 2.0**-1024)
-    assert ((0.0 <= got[below]) & (got[below] <= 1e-9)).all()
-    got, want = got[~below], want[~below]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    want = np.array([ref_length(p, q) for p, q in pairs])
     bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-    assert not len(bad), (a[~below][bad[:3]], b[~below][bad[:3]], got[bad[:3]], want[bad[:3]])
-    assert np.isinf(want).sum() > 100 and (want == 0.0).sum() > 10
-    assert below.sum() > 100
-    assert ((2.0**-1024 < want) & (want < 2.0**-1022)).sum() > 100
+    assert not len(bad), (a[bad[:3]], b[bad[:3]], got[bad[:3]], want[bad[:3]])
+    assert (want == 0.0).sum() > 10
+    # The plain sum of squares stays within 1 ulp of math.dist here.
+    dist = np.array([math.dist(p, q) for p, q in pairs])
+    assert (np.abs(got - dist) <= np.spacing(dist)).all()
     # One point against many, either way round.
-    assert distances(a[:50], b[7]).tolist() == [math.dist(p, b[7]) for p in a[:50].tolist()]
+    assert distances(a[:50], b[7]).tolist() == [ref_length(p, b[7]) for p in a[:50].tolist()]
     assert distances(b[7], a[:50]).tolist() == distances(a[:50], b[7]).tolist()
 
 
@@ -448,15 +434,17 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     assert 0 < sum(ref_on) < len(ref_on)
 
 
-# Segments from the origin whose length math.dist rounds to the other side
-# of a multiple of 0.05 m or 0.125 m from np.linalg.norm (the first two and
-# the last) or from a plain sum of squares (the third), so a sample count
-# read from either would differ (found by search on x86-64, numpy 2.4).
+# Segments from the origin whose length under another norm rounds to the
+# other side of a multiple of 0.05 m or 0.125 m from the plain sum of
+# squares, so a sample count read from that norm would differ: math.dist
+# (the first and the third), np.linalg.norm of the vector (the second and
+# the third) and np.hypot taken twice (the third and the last). Found by
+# search on x86-64, Python 3.11, numpy 2.4.
 DIST_BOUNDARY_ENDS = [
-    (2.2171749992639307, 1.0931508576725728, -1.3149738495531804),
-    (0.47056836881740827, 0.4946798623900629, 0.9253957229284522),
-    (0.48667817132617164, 0.32328833237559473, -1.3270753602205192),
-    (0.9044615613690893, 2.462693137502245, 0.8243735770299405),
+    (-0.046923653809572335, -0.7933248058745228, -0.7962781694215347),
+    (0.12491030886988197, -0.13452130050121572, -3.119603570078976),
+    (2.413022465359577, -0.4645011833767912, -0.6812203992186029),
+    (-1.7416987108082087, 2.406160376811408, -0.9708258555641209),
 ]
 
 
@@ -494,6 +482,30 @@ def test_batched_checks_report_each_segment_across_chunks():
     for chunk in (1, 2, 3, 5, 11, 13, 1000):
         hits = _any_sample(a, b, 0.05, chunk, lambda p: env.points_in_collision(p, 0.0))
         assert hits.tolist() == [False] * 6 + [True] + [False] * 6
+
+
+def test_segment_whose_squared_length_underflows_keeps_both_ends():
+    # |b - a| = 1e-170 squares to 0.0, so its length reads 0.0; the samples
+    # are still a and b, not their midpoint alone.
+    a = np.array([(5e-171, 1.0, 1.0)])
+    b = np.array([(-5e-171, 1.0, 1.0)])
+    assert distances(a, b).tolist() == [0.0]
+    seen = []
+
+    def record(pts):
+        seen.append(pts.copy())
+        return np.zeros(len(pts), dtype=bool)
+
+    assert not _any_sample(a, b, 0.05, 2, record).any()
+    assert np.concatenate(seen).tobytes() == np.concatenate((a, b)).tobytes()
+    # b lies just outside the bounds and the midpoint on them, at x = 0.0,
+    # so only a sample at b rejects the segment, from either end.
+    env = _box_env()
+    assert env.point_in_collision(b[0], 0.0)
+    assert not env.point_in_collision((0.0, 1.0, 1.0), 0.0)
+    for clearance in (0.0, 0.35):
+        assert env.segments_in_collision(a, b, clearance).tolist() == [True]
+        assert env.segments_in_collision(b, a, clearance).tolist() == [True]
 
 
 def test_samples_lie_in_the_hull_of_their_end_samples():
@@ -790,17 +802,20 @@ def test_array_lookups_match_scalar_forms():
     ys = np.linspace(-1.5, 1.5, 13)
     gx, gy = np.meshgrid(xs, ys)
     rows, cols = grid.world_to_cells(gx, gy)
-    occ = grid.occupied_at(rows, cols)
     clear = grid.clearance_at(rows, cols)
     dist = ndimage.distance_transform_edt(~cells) * grid.resolution
+    seen = set()
     for idx in np.ndindex(gx.shape):
         x, y = float(gx[idx]), float(gy[idx])
         row, col = grid.world_to_cell(x, y)
         assert (rows[idx], cols[idx]) == (row, col)
         inside = 0 <= row < grid.height and 0 <= col < grid.width
-        assert occ[idx] == (not inside or cells[row, col])
-        assert grid.occupied(row, col) == occ[idx]
+        # Off-grid cells, at index -1 too, count as occupied.
+        occupied = not inside or bool(cells[row, col])
+        assert grid.occupied(row, col) is occupied
+        seen.add((inside, occupied))
         assert clear[idx] == (dist[row, col] if inside else 0.0)
+    assert seen == {(False, True), (True, False), (True, True)}
 
 
 def test_grid_cells_immutable():

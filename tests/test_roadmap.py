@@ -39,6 +39,7 @@ from reference import (
     open_env,
     ref_edge_cost,
     ref_in_collision,
+    ref_length,
     ref_on_ground,
     uniform,
     walled_env,
@@ -322,7 +323,7 @@ def test_edge_invariants():
         assert a < b
         assert (a, b) not in seen
         seen.add((a, b))
-        assert length == math.dist(positions[a], positions[b])
+        assert length == ref_length(positions[a], positions[b])
         assert length <= params.radius
         assert kind is _ref_kind(modes[a], modes[b])
         assert cost == ref_edge_cost(CM, kind, length, positions[a][2], positions[b][2])
@@ -566,19 +567,19 @@ class _RefRoadmap:
     def nearest_node(self, position):
         if not self.node_records:
             return None
-        d, nid = min((math.dist(n.position, position), n.id) for n in self.node_records)
+        d, nid = min((ref_length(n.position, position), n.id) for n in self.node_records)
         return nid, d
 
 
 def _ref_connect(roadmap, nid, env, params, radius):
     # Linear-scan neighbours in ascending id order, one segment at a time.
     node = roadmap.node_records[nid]
-    near = [n.id for n in roadmap.node_records if math.dist(n.position, node.position) <= radius]
+    near = [n.id for n in roadmap.node_records if ref_length(n.position, node.position) <= radius]
     for other_id in near:
         if other_id == nid:
             continue
         other = roadmap.node_records[other_id]
-        length = math.dist(node.position, other.position)
+        length = ref_length(node.position, other.position)
         if length <= 1e-9:
             continue
         kind = _ref_kind(other.mode, node.mode)
