@@ -231,7 +231,7 @@ class Environment:
         max(max(lo - c, c - hi), 0)**2 summed x + y + z against
         clearance**2. Total over all of R^3; a nan coordinate lies outside
         the bounds."""
-        x, y, z = (float(v) for v in p)
+        x, y, z = map(float, p)
         lo, hi = self.bounds.min_corner, self.bounds.max_corner
         if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1] and lo[2] <= z <= hi[2]):
             return True
@@ -429,20 +429,14 @@ class OccupancyGrid:
     def world_to_cell(self, x: float, y: float) -> tuple[int, int]:
         """Cell containing world point (x, y); points on a shared edge fall
         into the higher-index cell, except the outer boundary which maps
-        inward so the whole footprint is covered."""
-        row, col = self.world_to_cells(x, y)
-        return int(row), int(col)
-
-    def world_to_cells(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """Array form of world_to_cell: (rows, cols) for arrays of world
-        coordinates. Off-grid points get indices outside the raster."""
-        dx = np.asarray(x, dtype=float) - self.origin[0]
-        dy = np.asarray(y, dtype=float) - self.origin[1]
-        col = np.floor(dx / self.resolution).astype(np.int64)
-        row = np.floor(dy / self.resolution).astype(np.int64)
-        col -= (col == self.width) & (np.abs(dx - self.width * self.resolution) < 1e-9)
-        row -= (row == self.height) & (np.abs(dy - self.height * self.resolution) < 1e-9)
-        return row, col
+        inward, within 1e-9, so the whole footprint is covered. A nan or
+        infinite coordinate maps to index -1, off the grid."""
+        cell = []
+        for d, n in ((y - self.origin[1], self.height), (x - self.origin[0], self.width)):
+            q = d / self.resolution
+            i = math.floor(q) if abs(q) < math.inf else -1
+            cell.append(i - 1 if i == n and abs(d - n * self.resolution) < 1e-9 else i)
+        return cell[0], cell[1]
 
     def cell_center(self, row: int, col: int) -> tuple[float, float]:
         return (
@@ -455,25 +449,30 @@ class OccupancyGrid:
         inside = 0 <= row < self.height and 0 <= col < self.width
         return not inside or bool(self.cells[row, col])
 
-    def clearance_at(self, rows, cols) -> np.ndarray:
-        """Clearance by cell: meters from each cell center to the nearest
-        occupied cell center. Infinite on an empty grid; zero on occupied
-        and off-grid cells.
-
-        The first call caches the distance transform, already in meters,
-        padded with one row and one column of 0.0 after the last: index H
-        (W) reads the pad, and so does -1, from the end. A lookup clips
-        rows to [-1, H] and columns to [-1, W], so every off-grid index
-        reads 0.0.
-        """
+    def clearances(self, x, y) -> np.ndarray:
+        """Clearance at world points, for arrays x and y of one shape: meters
+        from the center of each point's cell (as world_to_cell finds it) to
+        the nearest occupied cell center. Infinite on an empty grid; 0.0 on
+        occupied and off-grid cells, non-finite coordinates included. The
+        distance transform is cached flat, padded by one 0.0 cell a side."""
         if self._clearance is None:
-            clear = np.zeros((self.height + 1, self.width + 1))
-            clear[:-1, :-1] = edt(self.cells) * self.resolution
+            clear = np.zeros((self.height + 2, self.width + 2))
+            clear[1:-1, 1:-1] = edt(self.cells) * self.resolution
             clear.flags.writeable = False
-            self._clearance = clear
-        rows = np.minimum(np.maximum(rows, -1), self.height)
-        cols = np.minimum(np.maximum(cols, -1), self.width)
-        return self._clearance[rows, cols]
+            self._clearance = clear.ravel()
+        w, h = self.width, self.height
+        d = np.empty((2,) + np.shape(x))
+        np.subtract(x, self.origin[0], out=d[0])
+        np.subtract(y, self.origin[1], out=d[1])
+        col, row = idx = np.floor(d / self.resolution)
+        # Only an index at W (H) or off the raster needs the outer-edge snap
+        # and the clip to the pad; nan fails every test, and fmax makes it -1.
+        if not (idx.min() >= 0.0 and col.max() < w and row.max() < h):
+            for i, e, n in zip(idx, d, (w, h)):
+                i -= (i == n) & (np.abs(e - n * self.resolution) < 1e-9)
+                np.fmin(np.fmax(i, -1.0, out=i), n, out=i)
+        # Flat index of padded cell (row + 1, col + 1).
+        return self._clearance.take((row * (w + 2) + col + (w + 3)).astype(np.intp))
 
 
 # Target element count of edt()'s row-pass temporary: 2 MB of float64.

@@ -6,10 +6,10 @@ grid, and scored on goal heading, obstacle clearance, and speed. Reverse
 driving is not sampled; the recovery behavior when every candidate collides
 is a stationary spin.
 
-Each control period rolls out and scores the whole window at once: poses
-are (steps + 1, samples_v, samples_omega) arrays, and occupancy and
-clearance are read from the grid's cached clearance raster by array
-indexing: a rollout collides where its clearance reaches 0.
+Each control period rolls out and scores the whole window at once: positions
+are one (steps + 1, 2, samples_v, samples_omega) array of step offsets summed
+a step row at a time, and clearance is read from the grid's padded raster by
+one take (OccupancyGrid.clearances): a rollout collides where it reaches 0.
 
 Every float of the pick is the one a one-candidate-at-a-time controller
 computes with `math`: rollout trig and every bearing go through math.cos,
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -98,16 +99,16 @@ def dynamic_window(
 
 def _rollouts(
     pose: tuple[float, float, float], vs: list[float], ws: list[float], p: DwaParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Unicycle forward simulation of every (v, omega) command pair, each
     held for the horizon.
 
-    Returns xs and ys of shape (steps + 1, len(vs), len(ws)) and yaws of
-    shape (steps + 1, len(ws)), steps = ceil(horizon / dt), start pose
+    Returns xy of shape (steps + 1, 2, len(vs), len(ws)), x then y, and yaws
+    of shape (steps + 1, len(ws)), steps = ceil(horizon / dt), start pose
     included; yaw depends on omega alone. Position integrates with the
-    pre-step yaw, then yaw advances. Trig goes through `math` on Python
-    floats, and positions add up step by step, so every candidate matches
-    a one-at-a-time integration bit for bit.
+    pre-step yaw, then yaw advances. With `math` trig on Python floats, steps
+    of (v * cos) * dt and sums one step row at a time, every candidate
+    matches a one-at-a-time integration bit for bit.
     """
     steps = int(math.ceil(p.horizon / p.dt))
     # One row per step: yaw0, then omega * dt added in order, which is the
@@ -117,26 +118,26 @@ def _rollouts(
     turns[1:] = np.multiply(ws, p.dt)
     yaws = np.cumsum(turns, axis=0)
     pre = yaws[:-1].ravel().tolist()
-    n = len(pre)
-    cos = np.fromiter(map(math.cos, pre), float, n).reshape(steps, 1, len(ws))
-    sin = np.fromiter(map(math.sin, pre), float, n).reshape(steps, 1, len(ws))
-    v = np.asarray(vs, dtype=float)[:, None]
-    shape = (1, len(vs), len(ws))
-    xs = np.cumsum(np.concatenate([np.full(shape, pose[0]), v * cos * p.dt]), axis=0)
-    ys = np.cumsum(np.concatenate([np.full(shape, pose[1]), v * sin * p.dt]), axis=0)
-    return xs, ys, yaws
+    trig = np.fromiter(chain(map(math.cos, pre), map(math.sin, pre)), float, 2 * len(pre))
+    xy = np.empty((steps + 1, 2, len(vs), len(ws)))
+    xy[0] = np.reshape(pose[:2], (2, 1, 1))
+    trig = trig.reshape(2, steps, 1, len(ws)).swapaxes(0, 1)
+    np.multiply(trig, np.asarray(vs, dtype=float)[:, None], out=xy[1:])
+    xy[1:] *= p.dt
+    for prev, row in zip(xy, xy[1:]):
+        row += prev
+    return xy, yaws
 
 
 def _scores(
-    xs: np.ndarray,
-    ys: np.ndarray,
+    xy: np.ndarray,
     final_yaw: np.ndarray,
     goal: tuple[float, float],
     grid: OccupancyGrid,
     p: DwaParams,
 ) -> np.ndarray:
-    """Scores in [0, 1] of rollouts laid out as by _rollouts: xs and ys of
-    shape (poses, n_v, n_omega), final_yaw of shape (n_omega,). A rollout
+    """Scores in [0, 1] of rollouts laid out as by _rollouts: xy of shape
+    (poses, 2, n_v, n_omega), final_yaw of shape (n_omega,). A rollout
     that enters an occupied or off-grid cell, where clearance is 0 (it is
     at least one cell width on a free cell), scores -inf.
 
@@ -145,21 +146,19 @@ def _scores(
     velocity: commanded speed over v_max, recovered from the first step,
     which is shared by every omega of one v.
     """
-    rows, cols = grid.world_to_cells(xs, ys)
-    d_min = grid.clearance_at(rows, cols).min(axis=0)
-    hit = d_min == 0.0
+    d_min = grid.clearances(xy[:, 0], xy[:, 1]).min(axis=0)
     clearance = np.minimum(1.0, d_min / p.d_sat)
-    dy = (goal[1] - ys[-1]).ravel().tolist()
-    dx = (goal[0] - xs[-1]).ravel().tolist()
-    bearing = np.fromiter(map(math.atan2, dy, dx), float, len(dx)).reshape(hit.shape)
+    dx, dy = (np.array(goal)[:, None] - xy[-1].reshape(2, -1)).tolist()
+    bearing = np.fromiter(map(math.atan2, dy, dx), float, len(dx)).reshape(d_min.shape)
     # numpy's float % is Python's (fmod, then the divisor's sign).
     error = (bearing - final_yaw + math.pi) % (2.0 * math.pi) - math.pi
     heading = 1.0 - np.abs(error) / math.pi
-    first = np.stack([xs[:2, :, 0], ys[:2, :, 0]], axis=-1).tolist()
+    first = xy[:2, :, :, 0].swapaxes(1, 2).tolist()
     speed = [[math.dist(a, b) / p.dt] for a, b in zip(*first)] if len(first) > 1 else 0.0
     velocity = np.minimum(1.0, np.divide(speed, p.v_max))
     score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
-    return np.where(hit, -np.inf, score)
+    score[d_min == 0.0] = -np.inf
+    return score
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:
@@ -188,13 +187,13 @@ def dwa_step(
     v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
     vs = _samples(v_lo, v_hi, p.samples_v)
     ws = _samples(w_lo, w_hi, p.samples_omega)
-    xs, ys, yaws = _rollouts(pose, vs, ws, p)
-    score = _scores(xs, ys, yaws[-1], goal, grid, p)
+    xy, yaws = _rollouts(pose, vs, ws, p)
+    score = _scores(xy, yaws[-1], goal, grid, p)
     best = score.max()
     if best == -math.inf:
         return VelocityCommand(0.0, p.omega_max / 2.0)
     # Among the best scores, the smallest |omega|; argmin keeps the first of
     # equal keys, which is the earliest candidate in v-major order.
     key = np.where(score == best, np.abs(np.asarray(ws)), np.inf)
-    i, j = np.unravel_index(int(np.argmin(key)), key.shape)
+    i, j = divmod(int(np.argmin(key)), len(ws))
     return VelocityCommand(vs[i], ws[j])

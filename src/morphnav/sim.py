@@ -310,7 +310,7 @@ class Mission:
         self._morph_ticks_needed = max(1, int(math.ceil(cm.morph_duration / cfg.dt - 1e-9)))
         self._land_z = 0.0
         self._failure_pending = self._preflight_check()
-        self._record()  # initial condition row at t = 0
+        self._record(self.env.point_in_collision((sx, sy, sz), 0.0))  # row at t = 0
 
     # -- setup helpers ---------------------------------------------------
 
@@ -463,7 +463,7 @@ class Mission:
             self._fail(self._failure_pending)
             self._failure_pending = ""
             self.tick += 1
-            self._record()
+            self._record(self.records[-1].collided)
             return
 
         if self.phase is MissionPhase.GROUND_NAV:
@@ -492,14 +492,16 @@ class Mission:
             self.descend_overshoot = max(
                 self.descend_overshoot, self._land_z - self.state.z
             )
-        if (
-            self.t > self.cfg.max_mission_time
-            and self.phase not in (MissionPhase.DONE, MissionPhase.FAILED)
-        ):
-            self._fail("mission time limit exceeded")
-        self._record()
+        s = self.state
+        collided = self.env.point_in_collision((s.x, s.y, s.z), 0.0)
+        if self.phase not in (MissionPhase.DONE, MissionPhase.FAILED):
+            if collided:
+                self._fail(f"collision at tick {self.tick} at ({s.x:.3f}, {s.y:.3f}, {s.z:.3f})")
+            elif self.t > self.cfg.max_mission_time:
+                self._fail("mission time limit exceeded")
+        self._record(collided)
 
-    def _record(self) -> None:
+    def _record(self, collided: bool) -> None:
         s = self.state
         led = self.ledger
         self.records.append(
@@ -517,12 +519,12 @@ class Mission:
                 led.flight,
                 led.transition,
                 led.total,
-                self.env.point_in_collision((s.x, s.y, s.z), 0.0),
+                collided,
             )
         )
 
     def run(self) -> MissionResult:
-        # step() fails the mission at the first tick past max_mission_time.
+        # step() fails the mission at a collided tick or past max_mission_time.
         while self.phase not in (MissionPhase.DONE, MissionPhase.FAILED):
             self.step()
         self.timeline.append((self.phase.value, self._phase_start_t, self.t))

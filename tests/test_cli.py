@@ -236,6 +236,31 @@ def test_failed_mission_exits_three(tmp_path):
     assert "waypoint 0" in doc["reason"]
 
 
+def test_collided_tick_fails_the_mission(tmp_path):
+    # With the arena wall raised to 2.0 m, the fixed 1.5 m cruise flies into
+    # it. Both pipelines fail at their first collided tick, and the reason
+    # names that tick and the position.
+    scenario = json.loads(Path(ARENA).read_text())
+    scenario["obstacles"][0]["max"][2] = 2.0
+    tall = tmp_path / "tall_wall.json"
+    tall.write_text(json.dumps(scenario))
+    for flags in ((), ("--pipeline", "mmprm")):
+        out = tmp_path / ("mmprm" if flags else "plain")
+        proc = run_cli("simulate", "--env", tall, "--seed", 1, *flags, "--out", out)
+        assert proc.returncode == 3, proc.stderr
+        doc = read_json(out, "mission.json")
+        assert doc["outcome"] == "Failed"
+        assert f"failure: {doc['reason']}" in proc.stderr
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        collided = [i for i, row in enumerate(rows) if row.endswith(",1")]
+        assert collided == [len(rows) - 1]
+        x, y, z = (float(v) for v in rows[-1].split(",")[1:4])
+        assert doc["reason"] == (
+            f"collision at tick {len(rows) - 1} at ({x:.3f}, {y:.3f}, {z:.3f})"
+        )
+        assert z == 1.5 and rows[-1].split(",")[6] == "Failed"
+
+
 # -- roadmap command ---------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -728,7 +729,7 @@ def test_cell_center_round_trip():
 
 def test_clearance_at():
     def clearance(grid, x, y):
-        return float(grid.clearance_at(*grid.world_to_cells(x, y)))
+        return float(grid.clearances(np.array([x]), np.array([y]))[0])
 
     cells = np.zeros((5, 5), dtype=bool)
     cells[2, 2] = True
@@ -743,21 +744,39 @@ def test_clearance_at():
 
 
 def test_clearance_at_far_off_grid():
-    # Indices far past every side, -5 and H + 7 (W + 7), read 0.0, the
-    # cached raster's padding; every cell of an empty grid reads inf.
+    # Cells far past every side, -5 and H + 7 (W + 7), read 0.0, the cached
+    # raster's padding; every cell of an empty grid reads inf. Off-grid
+    # points take the lookup's edge snap and clip, points on the far edges
+    # or within 1e-9 of them snap inward, and a window wholly on the grid
+    # skips the fix-up and reads the same cells.
     wall = np.zeros((4, 6), dtype=bool)
     wall[1, 2] = True
     for cells, on_grid in (
         (wall, ndimage.distance_transform_edt(~wall) * 0.5),
         (np.zeros((4, 6), dtype=bool), np.full((4, 6), math.inf)),
     ):
-        grid = OccupancyGrid(0.5, (0.0, 0.0), cells)
+        grid = OccupancyGrid(0.5, (1.0, -1.0), cells)
+        assert np.array_equal(edt(cells) * grid.resolution, on_grid)
         rows, cols = np.meshgrid(np.arange(-5, 4 + 8), np.arange(-5, 6 + 8), indexing="ij")
         want = np.zeros(rows.shape)
         want[5:9, 5:11] = on_grid
-        assert np.array_equal(grid.clearance_at(rows, cols), want)
-        for row, col in ((-5, 0), (11, 0), (0, -5), (0, 13), (-5, 13), (11, -5)):
-            assert grid.clearance_at(row, col) == 0.0
+        x, y = grid.cell_center(rows, cols)
+        assert np.array_equal(grid.clearances(x, y), want)
+        assert np.array_equal(grid.clearances(x[5:9, 5:11], y[5:9, 5:11]), on_grid)
+        far = np.array([(-5, 0), (11, 0), (0, -5), (0, 13), (-5, 13), (11, -5)]).T
+        assert grid.clearances(*grid.cell_center(*far)).tolist() == [0.0] * 6
+        # The far edges, x = 4.0 and y = 1.0, and the 1e-9 band past them.
+        for dx in (0.0, 5e-10):
+            ex, ey = 4.0 + dx, 1.0 + dx
+            edge_x = grid.clearances(np.full(4, ex), y[5:9, 10])
+            edge_y = grid.clearances(x[8, 5:11], np.full(6, ey))
+            assert np.array_equal(edge_x, on_grid[:, 5]) and np.array_equal(edge_y, on_grid[3])
+            assert grid.clearances(np.array([ex]), np.array([ey]))[0] == on_grid[3, 5]
+        # Just past each edge: off the grid, beside a point on it.
+        past = ((4.0 + 2e-9, 0.25), (2.5, 1.0 + 2e-9), (1.0 - 1e-12, 0.25), (2.5, -1.0 - 1e-12))
+        for ex, ey in past:
+            got = grid.clearances(np.array([ex, 2.5]), np.array([ey, 0.25]))
+            assert got.tolist() == [0.0, on_grid[2, 3]]
 
 
 def test_edt_matches_scipy():
@@ -795,20 +814,25 @@ def test_grid_rejects_non_positive_or_nan_resolution():
 
 
 def test_array_lookups_match_scalar_forms():
+    """clearances reads, at every point, the cell world_to_cell gives: its
+    scipy distance on the grid, 0.0 off it. The points cover the 1e-9 snap
+    band of the far edges, just past each of the four edges, and huge and
+    non-finite coordinates, which map off the grid without a warning."""
     cells = np.zeros((4, 6), dtype=bool)
     cells[1, 2] = cells[3, 5] = True
     grid = OccupancyGrid(0.5, (1.0, -1.0), cells)
-    xs = np.linspace(0.5, 4.5, 17)
-    ys = np.linspace(-1.5, 1.5, 13)
+    odd = [1e300, -1e300, math.inf, -math.inf, math.nan]
+    # Far edges x = 4.0 and y = 1.0; near edges x = 1.0 and y = -1.0.
+    xs = [*np.linspace(0.5, 4.5, 17), 4.0 - 5e-10, 4.0 + 5e-10, 4.0 + 2e-9, 1.0 - 1e-12, *odd]
+    ys = [*np.linspace(-1.5, 1.5, 13), 1.0 - 5e-10, 1.0 + 5e-10, 1.0 + 2e-9, -1.0 - 1e-12, *odd]
     gx, gy = np.meshgrid(xs, ys)
-    rows, cols = grid.world_to_cells(gx, gy)
-    clear = grid.clearance_at(rows, cols)
     dist = ndimage.distance_transform_edt(~cells) * grid.resolution
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clear = grid.clearances(gx, gy)
+        cells_seen = [grid.world_to_cell(float(x), float(y)) for x, y in zip(gx.flat, gy.flat)]
     seen = set()
-    for idx in np.ndindex(gx.shape):
-        x, y = float(gx[idx]), float(gy[idx])
-        row, col = grid.world_to_cell(x, y)
-        assert (rows[idx], cols[idx]) == (row, col)
+    for idx, (row, col) in zip(np.ndindex(gx.shape), cells_seen):
         inside = 0 <= row < grid.height and 0 <= col < grid.width
         # Off-grid cells, at index -1 too, count as occupied.
         occupied = not inside or bool(cells[row, col])
@@ -816,6 +840,12 @@ def test_array_lookups_match_scalar_forms():
         seen.add((inside, occupied))
         assert clear[idx] == (dist[row, col] if inside else 0.0)
     assert seen == {(False, True), (True, False), (True, True)}
+    assert grid.world_to_cell(4.0 + 5e-10, 1.0 - 5e-10) == (3, 5)
+    assert grid.world_to_cell(4.0 + 2e-9, 1.0 + 2e-9) == (4, 6)
+    assert grid.world_to_cell(1.0 - 1e-12, -1.0 - 1e-12) == (-1, -1)
+    for v in odd:
+        assert grid.occupied(*grid.world_to_cell(v, 0.0))
+        assert grid.occupied(*grid.world_to_cell(2.0, v))
 
 
 def test_grid_cells_immutable():

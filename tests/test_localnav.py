@@ -25,15 +25,14 @@ P = DwaParams()
 
 def _rollout(pose, cmd, p):
     """Poses of one command's rollout: the (v, omega) window of size one."""
-    xs, ys, yaws = _rollouts(pose, [cmd.v], [cmd.omega], p)
-    return list(zip(xs[:, 0, 0].tolist(), ys[:, 0, 0].tolist(), yaws[:, 0].tolist()))
+    xy, yaws = _rollouts(pose, [cmd.v], [cmd.omega], p)
+    return list(zip(*xy[:, :, 0, 0].T.tolist(), yaws[:, 0].tolist()))
 
 
 def _score(traj, goal, grid, p):
     """dwa_step's score of one rollout given as poses; None if it collides."""
-    xs = np.array([[[x]] for x, _, _ in traj])
-    ys = np.array([[[y]] for _, y, _ in traj])
-    score = float(_scores(xs, ys, np.array([traj[-1][2]]), goal, grid, p)[0, 0])
+    xy = np.array([[[[x]], [[y]]] for x, y, _ in traj])
+    score = float(_scores(xy, np.array([traj[-1][2]]), goal, grid, p)[0, 0])
     return None if score == -math.inf else score
 
 
@@ -287,8 +286,8 @@ def _window_scores(pose, current, goal, grid, p):
     each candidate, -inf where it collides."""
     v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
     vs, ws = _samples(v_lo, v_hi, p.samples_v), _samples(w_lo, w_hi, p.samples_omega)
-    xs, ys, yaws = _rollouts(pose, vs, ws, p)
-    got = _scores(xs, ys, yaws[-1], goal, grid, p)
+    xy, yaws = _rollouts(pose, vs, ws, p)
+    got = _scores(xy, yaws[-1], goal, grid, p)
     exact = [
         [ref_score(ref_rollout(pose, VelocityCommand(v, w), p), goal, grid, p) for w in ws]
         for v in vs
