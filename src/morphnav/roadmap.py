@@ -12,12 +12,16 @@ the program reads the columns. No record is stored.
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
 aerial ones, and the edges and their order are those of connecting each node
-to the older nodes in ascending id order. Two builds from the same
-parameters are bit-identical.
+to the older nodes in ascending id order. Candidate edges come from a sweep
+over the nodes sorted by x, so a build computes distances only between nodes
+within the connection radius in x, not between every pair. Two builds from
+the same parameters are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -33,10 +37,10 @@ SAMPLE_RETRY_BUDGET = 1000
 DUPLICATE_NODE_TOL = 1e-9
 # Sampling attempts tested together in one points_in_collision pass.
 SAMPLE_BLOCK = 512
-# Squared distances of one numpy pass of the candidate-pair search (rows x
-# nodes).
+# Squared distances of one numpy pass of the candidate-pair sweep (rows x
+# their x-windows); also the newer ids of one validation block, PAIR_BLOCK // n.
 PAIR_BLOCK = 1 << 13
-# Candidate pairs validated together. Groups this large keep every
+# Candidate pairs validated together, at least. Groups this large keep every
 # per-candidate array above numpy's 1 KB small-buffer cache (see
 # env.SAMPLE_CHUNK) while bounding the memory one group holds.
 PAIR_GROUP = 2048
@@ -134,15 +138,19 @@ class Roadmap:
     # Incident edge ids of each node, by ascending edge id.
     adjacency = property(lambda self: _Rows(len(self.positions), self._incident))
 
-    def _append(self, **columns) -> None:
-        for name, values in columns.items():
+    def _append(self, **chunks: list) -> None:
+        """Append rows: each keyword names a column and gives a list of row
+        chunks. Each list is emptied once its column is copied, so chunks
+        held nowhere else are freed one column at a time."""
+        for name, values in chunks.items():
             col = getattr(self, name)
-            setattr(self, name, np.concatenate((col, values), dtype=col.dtype))
+            setattr(self, name, np.concatenate((col, *values), dtype=col.dtype))
+            values.clear()
         self._csr = None
 
     def add_node(self, position, mode: NodeMode) -> int:
         """Append one node; returns its id."""
-        self._append(positions=[position], mode=[NODE_MODES.index(mode)])
+        self._append(positions=[[position]], mode=[[NODE_MODES.index(mode)]])
         return len(self.positions) - 1
 
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -201,8 +209,8 @@ def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
     ground = cm.ground_power * length / cm.ground_speed
     raw = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
     flight = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw), -0.0 included
-    return np.select(
-        [kind == _GROUND, kind == _FLIGHT], [ground, flight], cm.transition_cost() + flight
+    return np.where(
+        kind == _GROUND, ground, np.where(kind == _FLIGHT, flight, cm.transition_cost() + flight)
     )
 
 
@@ -283,8 +291,8 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
     roadmap = Roadmap()
     for mode, pts in ((NodeMode.GROUND, ground), (NodeMode.AERIAL, air)):
-        roadmap._append(positions=pts, mode=np.full(len(pts), NODE_MODES.index(mode)))
-    _connect_edges(roadmap, 0, env, cm, params, params.radius)
+        roadmap._append(positions=[pts], mode=[np.full(len(pts), NODE_MODES.index(mode))])
+    roadmap._append(**_connect_edges(roadmap, 0, env, cm, params, params.radius))
     return roadmap
 
 
@@ -298,7 +306,7 @@ def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
     diagonal = float(distances(lo, hi)[0])
     try:
         with np.errstate(over="raise", invalid="raise"):
-            # np.select in edge_costs evaluates every branch, so each row
+            # np.where in edge_costs evaluates every branch, so each row
             # prices every kind: one climbing and one descending row cover
             # them all.
             z = np.array([lo[2], hi[2]])
@@ -323,23 +331,32 @@ def insert_query_nodes(
     A query position within 1e-9 of an existing node reuses that node
     instead of inserting a duplicate. A query node that gains no edges at
     the build radius is retried once at double the radius; if it is still
-    isolated, QueryNodeIsolatedError is raised.
+    isolated, QueryNodeIsolatedError is raised. The query nodes' edges are
+    appended together at the end, the start's also when the goal is
+    refused.
     """
-    ids = []
-    for label, pos in (("start", start), ("goal", goal)):
-        snapped = env.snap_to_ground(pos, label)
-        if env.point_in_collision(snapped, params.clearance):
-            raise ConfigError(f"{label} position is in collision")
-        nearest = roadmap.nearest_node(snapped)
-        if nearest is not None and nearest[1] <= DUPLICATE_NODE_TOL:
-            ids.append(nearest[0])
-            continue
-        nid = roadmap.add_node(snapped, NodeMode.GROUND)
-        # any() stops at the first radius that gains the node an edge.
-        radii = (params.radius, 2.0 * params.radius)
-        if not any(_connect_edges(roadmap, nid, env, cm, params, r) for r in radii):
-            raise QueryNodeIsolatedError(f"query node '{label}' isolated")
-        ids.append(nid)
+    ids, edges = [], {}
+    try:
+        for label, pos in (("start", start), ("goal", goal)):
+            snapped = env.snap_to_ground(pos, label)
+            if env.point_in_collision(snapped, params.clearance):
+                raise ConfigError(f"{label} position is in collision")
+            nearest = roadmap.nearest_node(snapped)
+            if nearest is not None and nearest[1] <= DUPLICATE_NODE_TOL:
+                ids.append(nearest[0])
+                continue
+            nid = roadmap.add_node(snapped, NodeMode.GROUND)
+            for radius in (params.radius, 2.0 * params.radius):
+                new = _connect_edges(roadmap, nid, env, cm, params, radius)
+                if len(new["a"][0]):
+                    break
+            else:
+                raise QueryNodeIsolatedError(f"query node '{label}' isolated")
+            for name, chunks in new.items():
+                edges.setdefault(name, []).extend(chunks)
+            ids.append(nid)
+    finally:
+        roadmap._append(**edges)
     return roadmap, ids[0], ids[1]
 
 
@@ -350,40 +367,45 @@ def _connect_edges(
     cm: CostModel,
     params: PrmParams,
     radius: float,
-) -> int:
-    """Add every valid edge between a node with id >= `first` and an older
-    node within `radius` of it, in the order that inserting the nodes one
-    at a time would: by newer id, then by older id. Returns the number of
-    edges added.
+) -> dict[str, list[np.ndarray]]:
+    """Every valid edge between a node with id >= `first` and an older node
+    within `radius` of it, in the order that inserting the nodes one at a
+    time would: by newer id, then by older id. Returns the edge columns a,
+    b, kind, length and cost as one-chunk lists for Roadmap._append.
 
     An edge is valid when the straight segment is collision-free at the
     build clearance; driving edges additionally require every sample of the
     segment to lie on the ground surface (flat-ground traversal). Edges are
     stored with the lower node id first, so the stored cost orientation is
     from the older node toward the newer one.
+
+    Candidates (_candidate_keys) are validated in groups by batched segment
+    checks. Keep the group shape: the sorted keys are cut only where a block
+    of PAIR_BLOCK // n newer ids ends, and a group is validated once it
+    holds PAIR_GROUP pairs or the last block is in. Groups of exactly
+    PAIR_GROUP pairs validate the same edges, but the resident peak of
+    repeated arena plans then creeps about 1.3 MB higher over 900 plans.
+    The edges go into buffers of one entry per candidate, not per-group
+    arrays: freed per-group arrays stay in the heap, so a 21,600-node build
+    peaked about 15% higher with them.
     """
     pos = roadmap.positions
     n = len(pos)
-    cols = pos.T.copy()  # x, y and z, each contiguous
     # A margin for the squared-distance search, squared by a multiply (inf on
     # overflow, where ** raises); the lengths from env.distances, rounded
     # square roots of the same sums, make the closed-radius decision.
-    reach2 = radius * radius * (1.0 + 2e-9)
+    keys = _candidate_keys(pos, first, radius * radius * (1.0 + 2e-9))
     rows = max(1, PAIR_BLOCK // n) if n else 1
-    new, old, added = [], [], 0
-    for i0 in range(first, n, rows):
-        i1 = min(i0 + rows, n)
-        dx, dy, dz = (c[i0:i1, None] - c[:i1] for c in cols)
-        near = dx * dx + dy * dy + dz * dz <= reach2
-        near &= np.arange(i1) < np.arange(i0, i1)[:, None]
-        i, j = np.nonzero(near)
-        new.append(i + i0)
-        old.append(j)
-        if sum(map(len, new)) < PAIR_GROUP and i1 < n:
-            continue
-        # Validate the group's (newer, older) candidates in batched segment
-        # checks.
-        new, old = np.concatenate(new), np.concatenate(old)
+    cuts = [0]
+    for end in np.searchsorted(keys, np.arange(first + rows, n, rows) * n).tolist():
+        if end - cuts[-1] >= PAIR_GROUP:
+            cuts.append(end)
+    cuts.append(len(keys))
+    names = ("a", "b", "kind", "length", "cost")
+    columns = [np.empty(len(keys), getattr(roadmap, name).dtype) for name in names]
+    m = 0
+    for i, j in zip(cuts, cuts[1:]):
+        new, old = np.divmod(keys[i:j], n)
         length = distances(pos[new], pos[old])
         keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)
         new, old, length = new[keep], old[keep], length[keep]
@@ -394,10 +416,66 @@ def _connect_edges(
         ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
         a, b, kind, length = old[ok], new[ok], kind[ok], length[ok]
         cost = edge_costs(cm, kind, length, pos[a, 2], pos[b, 2])
-        roadmap._append(a=a, b=b, kind=kind, length=length, cost=cost)
-        added += len(a)
-        new, old = [], []
-    return added
+        for col, values in zip(columns, (a, b, kind, length, cost)):
+            col[m : m + len(a)] = values
+        m += len(a)
+    return {name: [col[:m]] for name, col in zip(names, columns)}
+
+
+def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:
+    """Ascending keys newer * n + older of every pair of nodes, one of them
+    a row (id >= `first`), whose squared distance dx*dx + dy*dy + dz*dz is
+    at most `reach2`.
+
+    A sweep over the nodes sorted by x (Bentley, Stanat & Williams, "The
+    complexity of finding fixed-radius near neighbors", IPL 1977). A row's
+    columns are the nodes within `half` of it in x, a contiguous window of
+    the sorted order: in a full build the nodes after the row, and for a
+    row of an insertion also the older nodes before it. Squared distances
+    are computed only in rectangles of consecutive rows by the union of
+    their windows, each of at most PAIR_BLOCK entries, or one row. A window
+    may hold more than the pairs within reach2; the squared-distance test
+    decides.
+    """
+    n = len(pos)
+    if first >= n:
+        return np.empty(0, dtype=np.intp)
+    order = np.argsort(pos[:, 0])
+    cols = np.take(pos.T, order, axis=1)  # x, y and z by ascending x, each contiguous
+    xs = cols[0]
+    older = order < first
+    rows = np.flatnonzero(~older)  # sorted positions of the rows
+    # Nodes farther apart than half in x have fl(dx)**2 > reach2, as half
+    # exceeds sqrt(reach2) by far more than rounding can take back; nodes
+    # within half lie within x +- half rounded, as rounding is monotone.
+    half = math.sqrt(reach2) * (1.0 + 1e-9)
+    x_rows = xs[rows]
+    hi = np.searchsorted(xs, x_rows + half, side="right").tolist()
+    lo = (np.searchsorted(xs, x_rows - half) if first else rows + 1).tolist()
+    # Column q pairs with row p when q > p, so a pair of rows is found once,
+    # or with every row when q is older than all rows: colkey[q] > p.
+    colkey = np.where(older, n, np.arange(n))
+    row_cols, row_ids = cols[:, rows], order[rows]
+    keys, k0 = [], 0
+    while k0 < len(rows):
+        c0 = lo[k0]
+        # The most rows, at least one, whose rectangle fits PAIR_BLOCK; its
+        # area only grows with the row count.
+        fit = bisect_right(
+            range(k0 + 1, len(rows) + 1), PAIR_BLOCK, key=lambda k: (k - k0) * (hi[k - 1] - c0)
+        )
+        k1 = k0 + max(1, fit)
+        c1 = hi[k1 - 1]
+        dx, dy, dz = (r[k0:k1, None] - c[c0:c1] for r, c in zip(row_cols, cols))
+        near = dx * dx + dy * dy + dz * dz <= reach2
+        near &= colkey[c0:c1] > rows[k0:k1, None]
+        i, j = np.nonzero(near)
+        a, b = row_ids[k0:k1][i], order[c0:c1][j]
+        keys.append(np.maximum(a, b) * n + np.minimum(a, b))
+        k0 = k1
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys
 
 
 # -- export -------------------------------------------------------------------

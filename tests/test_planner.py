@@ -43,10 +43,10 @@ def _line_graph(edges, spacing=1.0):
     a, b, cost = zip(*edges)
     n = 1 + max(b)
     roadmap = Roadmap()
-    roadmap._append(positions=[(spacing * i, 0.0, 0.0) for i in range(n)], mode=[0] * n)
+    roadmap._append(positions=[[(spacing * i, 0.0, 0.0) for i in range(n)]], mode=[[0] * n])
     roadmap._append(
-        a=a, b=b, kind=[EDGE_KINDS.index(EdgeKind.GROUND)] * len(a),
-        length=[spacing * (j - i) for i, j in zip(a, b)], cost=cost,
+        a=[a], b=[b], kind=[[EDGE_KINDS.index(EdgeKind.GROUND)] * len(a)],
+        length=[[spacing * (j - i) for i, j in zip(a, b)]], cost=[cost],
     )
     return roadmap
 
@@ -307,13 +307,13 @@ def test_search_with_wide_node_ids():
     b = np.concatenate((x[1:], x[1:] + r, x + r))
     roadmap = Roadmap()
     roadmap._append(
-        positions=np.column_stack((np.tile(x, 2), np.repeat([0, 1], r), np.zeros(2 * r))),
-        mode=np.full(2 * r, NODE_MODES.index(NodeMode.GROUND)),
+        positions=[np.column_stack((np.tile(x, 2), np.repeat([0, 1], r), np.zeros(2 * r)))],
+        mode=[np.full(2 * r, NODE_MODES.index(NodeMode.GROUND))],
     )
     rate = CM.ground_power / CM.ground_speed
     roadmap._append(
-        a=a, b=b, kind=np.full(a.size, EDGE_KINDS.index(EdgeKind.GROUND)),
-        length=np.ones(a.size), cost=rate * (1.0 + SplitMix64(5).peek_random(a.size)),
+        a=[a], b=[b], kind=[np.full(a.size, EDGE_KINDS.index(EdgeKind.GROUND))],
+        length=[np.ones(a.size)], cost=[rate * (1.0 + SplitMix64(5).peek_random(a.size))],
     )
     assert roadmap.csr()[1].dtype == np.intp
     plan = astar_multimodal(roadmap, r - 600, 2 * r - 50, CM)

@@ -377,7 +377,7 @@ def test_connect_edges_closed_radius_and_nearest():
         roadmap = Roadmap()
         for x in (0.0, 0.5, 3.0):
             roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
-        _connect_edges(roadmap, 0, env, CM, params, radius)
+        roadmap._append(**_connect_edges(roadmap, 0, env, CM, params, radius))
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
         assert list(zip(roadmap.a.tolist(), roadmap.b.tolist())) == pairs
     assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
@@ -391,9 +391,11 @@ def test_csr_lists_each_nodes_edges_by_id():
     # Up to 2^16 nodes the CSR sorts 16-bit keys; beyond, 64-bit ones.
     for n in (5, 70_000):
         roadmap = Roadmap()
-        roadmap._append(positions=np.zeros((n, 3)), mode=np.zeros(n, dtype=np.int8))
+        roadmap._append(positions=[np.zeros((n, 3))], mode=[np.zeros(n, dtype=np.int8)])
         a, b = [0, 1, 0, 2, 0], [n - 1, 2, 2, n - 1, 1]
-        roadmap._append(a=a, b=b, kind=[0] * 5, length=[1.0] * 5, cost=np.add(a, b, dtype=float))
+        roadmap._append(
+            a=[a], b=[b], kind=[[0] * 5], length=[[1.0] * 5], cost=[np.add(a, b, dtype=float)]
+        )
         indptr, neighbour, edge_id, cost = roadmap.csr()
         for u, ids in ((0, [0, 2, 4]), (2, [1, 2, 3]), (n - 2, []), (n - 1, [0, 3])):
             assert edge_id[indptr[u] : indptr[u + 1]].tolist() == ids
@@ -734,6 +736,119 @@ def test_batched_build_matches_one_node_at_a_time_build():
     assert retries > 0  # the doubled-radius retry ran
 
 
+# -- the sorted sweep against the one-node-at-a-time build ---------------------------
+
+
+def _hand_roadmaps(points, modes, env, params, radius):
+    """The same hand-placed nodes connected by _connect_edges in one full
+    pass and one node at a time (each call with one row), and by the
+    reference."""
+    full, incremental = Roadmap(), Roadmap()
+    ref = _RefRoadmap(radius)
+    for point, mode in zip(points, modes):
+        full.add_node(point, mode)
+        nid = incremental.add_node(point, mode)
+        incremental._append(**_connect_edges(incremental, nid, env, CM, params, radius))
+        ref.add_node(point, mode)
+        _ref_connect(ref, nid, env, params, radius)
+    full._append(**_connect_edges(full, 0, env, CM, params, radius))
+    return full, incremental, ref
+
+
+def _assert_sweep_matches_reference(points, modes, env, params, radius):
+    full, incremental, ref = _hand_roadmaps(points, modes, env, params, radius)
+    assert ref.edge_records
+    assert _snapshot(full) == _ref_snapshot(ref)
+    assert _snapshot(incremental) == _ref_snapshot(ref)
+    return full
+
+
+def test_sweep_on_shared_x_and_pairs_exactly_radius_apart_in_x():
+    # Thirty nodes on one x, ground and aerial, and nodes exactly 2.0 from
+    # them along x: the closed radius keeps those pairs at the window's edge.
+    # Decimal x values make the same test with rounded differences.
+    env = open_env()
+    params = PrmParams(n_ground=0, n_air=0, radius=2.0)
+    points, modes = [], []
+    for k in range(30):
+        aerial = k % 3 == 2
+        points.append((5.0, 1.0 + 0.25 * k, 1.5 if aerial else 0.0))
+        modes.append(NodeMode.AERIAL if aerial else NodeMode.GROUND)
+    for x in (3.0, 7.0, 0.1, 2.1, 10.3, 12.3, 12.3 + 2.0):
+        for y in (1.0, 3.5, 8.0):
+            points.append((x, y, 0.0))
+            modes.append(NodeMode.GROUND)
+    roadmap = _assert_sweep_matches_reference(points, modes, env, params, params.radius)
+    pairs = set(zip(roadmap.a.tolist(), roadmap.b.tolist()))
+    assert (0, 30) in pairs  # (5, 1, 0) and (3, 1, 0), exactly 2.0 apart
+
+
+def test_sweep_over_a_strip_of_many_band_blocks():
+    # A rectangle of the sweep holds at most PAIR_BLOCK squared distances,
+    # and k consecutive rows of a full build span at least k - 1 columns, so
+    # one rectangle holds at most 91 rows and 400 nodes take 5 or more.
+    env = Environment(
+        Aabb((0.0, 0.0, 0.0), (100.0, 2.0, 3.0)),
+        obstacles=tuple(Aabb((x, 0.0, 0.0), (x + 0.2, 2.0, 1.0)) for x in (20.0, 55.0, 80.0)),
+    )
+    params = PrmParams(n_ground=0, n_air=0, radius=2.0)
+    rng = SplitMix64(11)
+    points, modes = [], []
+    while len(points) < 400:
+        aerial = len(points) % 2 == 1
+        point = (uniform(rng, 0.0, 100.0), uniform(rng, 0.0, 2.0), 1.6 if aerial else 0.0)
+        if not env.point_in_collision(point, params.clearance):
+            points.append(point)
+            modes.append(NodeMode.AERIAL if aerial else NodeMode.GROUND)
+    _assert_sweep_matches_reference(points, modes, env, params, params.radius)
+
+
+def test_sweep_with_a_huge_finite_radius():
+    # radius * radius overflows to inf: every pair is a candidate, and every
+    # window is the whole sorted order.
+    env = open_env()
+    params = PrmParams(n_ground=0, n_air=0, radius=1e308)
+    rng = SplitMix64(3)
+    points = [(uniform(rng, 0.0, 20.0), uniform(rng, 0.0, 20.0), 0.0) for _ in range(25)]
+    roadmap = _assert_sweep_matches_reference(
+        points, [NodeMode.GROUND] * 25, env, params, params.radius
+    )
+    assert len(roadmap.a) == 25 * 24 // 2
+
+
+def test_sweep_inserts_query_nodes_at_the_x_extremes_and_on_a_shared_x():
+    env = walled_env()
+    params = PrmParams(n_ground=120, n_air=80, radius=2.0, seed=5)
+    ref = _ref_build(env, params)
+    roadmap = build_roadmap(env, CM, params)
+    x_node, y_node = ref.node_records[17].position[:2]
+    queries = (
+        ((0.0, 3.0, 0.0), (12.0, 3.0, 0.0)),  # the world's smallest and largest x
+        ((x_node, (y_node + 3.0) % 6.0, 0.0), (12.0, 0.5, 0.0)),  # an existing node's x
+    )
+    for start, goal in queries:
+        _, *want, _ = _ref_insert(ref, start, goal, env, params)
+        _, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
+        assert got == want
+        assert _snapshot(roadmap) == _ref_snapshot(ref)
+
+
+def test_connect_edges_with_no_rows_or_no_nodes():
+    env = open_env()
+    params = PrmParams(n_ground=0, n_air=0, radius=2.0)
+    roadmap, _, _ = _hand_roadmaps(
+        [(1.0, 1.0, 0.0), (2.0, 1.0, 0.0)], [NodeMode.GROUND] * 2, env, params, 2.0
+    )
+    for rm, first in ((roadmap, len(roadmap.positions)), (Roadmap(), 0)):
+        before = [c.copy() for c in (rm.a, rm.b, rm.kind, rm.length, rm.cost)]
+        rm._append(**_connect_edges(rm, first, env, CM, params, 2.0))
+        after = (rm.a, rm.b, rm.kind, rm.length, rm.cost)
+        for old, new in zip(before, after):
+            assert new.dtype == old.dtype and np.array_equal(new, old)
+    empty = build_roadmap(env, CM, params)
+    assert len(empty.positions) == len(empty.a) == 0
+
+
 def test_record_views_match_columns():
     # The nodes, edges and adjacency views and other_end remain for the
     # benchmark alone, and no other test reads them. They must say what the
@@ -750,10 +865,12 @@ def test_record_views_match_columns():
 
 
 def test_build_memory_stays_flat():
-    # Edge checks run in fixed-size numpy passes (env.SAMPLE_CHUNK,
-    # PAIR_BLOCK, PAIR_GROUP). Making every sample of a walled-arena build at
-    # once would hold about 9 MB of samples alone; the passes keep the build's
-    # transient memory, above what the finished roadmap retains, under 2 MB.
+    # Edge checks run in fixed-size numpy passes: sweep rectangles of at most
+    # PAIR_BLOCK squared distances, validation groups of about PAIR_GROUP
+    # candidates and sample chunks of env.SAMPLE_CHUNK. Making every sample
+    # of a walled-arena build at once would hold about 9 MB of samples alone;
+    # the passes keep the build's transient memory, above what the finished
+    # roadmap retains, under 2 MB.
     env = load_environment(ARENA)
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=7)
     tracemalloc.start()
@@ -764,6 +881,26 @@ def test_build_memory_stays_flat():
         tracemalloc.stop()
     assert len(roadmap.a) > 10000
     assert peak - retained < 2 * 2**20, (retained, peak)
+
+
+def test_build_memory_scales_with_edges():
+    # The arena tiled 2 x 2, a 1 m wall every 12 m, at the arena's density.
+    # The build holds one key per candidate pair and one buffer entry per
+    # candidate edge column, so its transient memory stays within what the
+    # finished roadmap retains plus 1 MB (about 1.5 MB against 1.9 MB). A key
+    # buffer sized to the rectangles' area, or every candidate validated at
+    # once, holds several MB more.
+    walls = tuple(Aabb((12.0 * k + 4.9, 0.0, 0.0), (12.0 * k + 5.1, 12.0, 1.0)) for k in range(2))
+    env = Environment(Aabb((0.0, 0.0, 0.0), (24.0, 12.0, 3.0)), obstacles=walls)
+    params = PrmParams(n_ground=1200, n_air=1200, radius=2.0, min_air_clearance=1.4, seed=7)
+    tracemalloc.start()
+    try:
+        roadmap = build_roadmap(env, CM, params)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(roadmap.a) > 50000
+    assert peak - retained <= retained + 2**20, (retained, peak)
 
 
 def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
