@@ -43,11 +43,11 @@ SQRT2 = math.sqrt(2.0)
 class PlanResult:
     """A roadmap path with its energy breakdown.
 
-    node_ids/edge_ids index the roadmap's columns (its record views serve
-    only the benchmark). total_cost is the accumulated edge cost, split into
-    driving, flying (including the flight share of transition edges), and
-    n_transitions reconfigurations at fixed cost each. `expanded` counts
-    search expansions, for diagnostics.
+    node_ids/edge_ids index the columns of the roadmap it searched, the one
+    insert_query_nodes returned, not the roadmap that was built. total_cost
+    is the accumulated edge cost, split into driving, flying (including the
+    flight share of transition edges), and n_transitions reconfigurations at
+    fixed cost each. `expanded` counts search expansions, for diagnostics.
     """
 
     node_ids: tuple[int, ...]

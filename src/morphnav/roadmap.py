@@ -4,7 +4,9 @@ mode transitions.
 
 A roadmap is numpy columns: nodes `positions (n, 3)` and `mode`, edges `a`,
 `b` (a < b), `kind`, `length` and `cost`, with modes and kinds as codes into
-NODE_MODES and EDGE_KINDS. Searches walk a CSR (compressed sparse rows)
+NODE_MODES and EDGE_KINDS. The columns are fixed once a roadmap is made:
+insert_query_nodes returns a new roadmap and leaves its input as it was, so
+one build serves many queries. Searches walk a CSR (compressed sparse rows)
 adjacency built on first use. `nodes`, `edges` and `adjacency` are
 read-only views that build records on access, kept only for the benchmark;
 the program reads the columns. No record is stored.
@@ -124,13 +126,14 @@ class _Rows(Sequence):
 
 
 class Roadmap:
-    """Growable node and edge columns with an on-demand CSR adjacency."""
+    """Node and edge columns, each empty by default, taken as its dtype and
+    fixed once the roadmap is made, with a CSR adjacency built on first use."""
 
-    def __init__(self):
-        self.positions = np.empty((0, 3))
-        self.a = self.b = np.empty(0, dtype=np.intp)
-        self.mode = self.kind = np.empty(0, dtype=np.int8)
-        self.length = self.cost = np.empty(0)
+    def __init__(self, positions=(), mode=(), a=(), b=(), kind=(), length=(), cost=()):
+        self.positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+        self.mode, self.kind = (np.asarray(c, dtype=np.int8) for c in (mode, kind))
+        self.a, self.b = (np.asarray(c, dtype=np.intp) for c in (a, b))
+        self.length, self.cost = (np.asarray(c, dtype=float) for c in (length, cost))
         self._csr = None
 
     nodes = property(lambda self: _Rows(len(self.positions), self._node))
@@ -138,27 +141,12 @@ class Roadmap:
     # Incident edge ids of each node, by ascending edge id.
     adjacency = property(lambda self: _Rows(len(self.positions), self._incident))
 
-    def _append(self, **chunks: list) -> None:
-        """Append rows: each keyword names a column and gives a list of row
-        chunks. Each list is emptied once its column is copied, so chunks
-        held nowhere else are freed one column at a time."""
-        for name, values in chunks.items():
-            col = getattr(self, name)
-            setattr(self, name, np.concatenate((col, *values), dtype=col.dtype))
-            values.clear()
-        self._csr = None
-
-    def add_node(self, position, mode: NodeMode) -> int:
-        """Append one node; returns its id."""
-        self._append(positions=[[position]], mode=[[NODE_MODES.index(mode)]])
-        return len(self.positions) - 1
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(indptr, neighbour, edge_id, cost): node u's incident edges are
         entries indptr[u]:indptr[u + 1], by ascending edge id, with the
-        node at their other end and their stored cost. Searches read these
-        arrays through memoryviews, so each is contiguous, and an edit
-        replaces the tuple; no array is resized or written in place."""
+        node at their other end and their stored cost. Built once, on first
+        use; searches read these arrays through memoryviews, so each is
+        contiguous."""
         if self._csr is None:
             # Interleaved ends a0, b0, a1, b1, ...: entry k belongs to edge
             # k >> 1 and its other end is entry k ^ 1. A stable sort by node
@@ -190,15 +178,6 @@ class Roadmap:
     def _incident(self, u: int) -> list[int]:
         indptr, _, edge_id, _ = self.csr()
         return edge_id[indptr[u] : indptr[u + 1]].tolist()
-
-    def nearest_node(self, position) -> tuple[int, float] | None:
-        """(id, distance) of the closest node, lowest id first on ties, or
-        None when empty."""
-        if not len(self.positions):
-            return None
-        d = distances(self.positions, position)
-        i = int(np.argmin(d))
-        return i, float(d[i])
 
 
 def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
@@ -289,11 +268,9 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     rng = SplitMix64(params.seed)
     ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
-    roadmap = Roadmap()
-    for mode, pts in ((NodeMode.GROUND, ground), (NodeMode.AERIAL, air)):
-        roadmap._append(positions=[pts], mode=[np.full(len(pts), NODE_MODES.index(mode))])
-    roadmap._append(**_connect_edges(roadmap, 0, env, cm, params, params.radius))
-    return roadmap
+    pos = np.concatenate((ground, air))
+    mode = np.repeat(np.arange(2, dtype=np.int8), (len(ground), len(air)))  # NODE_MODES codes
+    return Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, cm, params, params.radius))
 
 
 def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
@@ -326,52 +303,55 @@ def insert_query_nodes(
     cm: CostModel,
     params: PrmParams,
 ) -> tuple[Roadmap, int, int]:
-    """Insert start and goal as ground nodes snapped to the surface.
+    """A new roadmap: `roadmap` with start and goal as ground nodes snapped
+    to the surface, and their ids in it. `roadmap` itself is left as it
+    was, also when a query is refused, so one build serves many queries.
 
-    A query position within 1e-9 of an existing node reuses that node
-    instead of inserting a duplicate. A query node that gains no edges at
-    the build radius is retried once at double the radius; if it is still
-    isolated, QueryNodeIsolatedError is raised. The query nodes' edges are
-    appended together at the end, the start's also when the goal is
-    refused.
+    A query position within 1e-9 of a node reuses the nearest such node,
+    the lowest id on ties, instead of inserting a duplicate. The start
+    connects to the roadmap's nodes, the goal also to the start. A query
+    node that gains no edges at the build radius is retried once at double
+    the radius; if it is still isolated, QueryNodeIsolatedError is raised.
+    The query nodes' edges follow the roadmap's, the start's first.
     """
-    ids, edges = [], {}
-    try:
-        for label, pos in (("start", start), ("goal", goal)):
-            snapped = env.snap_to_ground(pos, label)
-            if env.point_in_collision(snapped, params.clearance):
-                raise ConfigError(f"{label} position is in collision")
-            nearest = roadmap.nearest_node(snapped)
-            if nearest is not None and nearest[1] <= DUPLICATE_NODE_TOL:
-                ids.append(nearest[0])
-                continue
-            nid = roadmap.add_node(snapped, NodeMode.GROUND)
-            for radius in (params.radius, 2.0 * params.radius):
-                new = _connect_edges(roadmap, nid, env, cm, params, radius)
-                if len(new["a"][0]):
-                    break
-            else:
-                raise QueryNodeIsolatedError(f"query node '{label}' isolated")
-            for name, chunks in new.items():
-                edges.setdefault(name, []).extend(chunks)
-            ids.append(nid)
-    finally:
-        roadmap._append(**edges)
-    return roadmap, ids[0], ids[1]
+    pos, mode = roadmap.positions, roadmap.mode
+    ids, edges = [], []
+    for label, point in (("start", start), ("goal", goal)):
+        snapped = env.snap_to_ground(point, label)
+        if env.point_in_collision(snapped, params.clearance):
+            raise ConfigError(f"{label} position is in collision")
+        d = distances(pos, snapped)
+        if len(d) and d.min() <= DUPLICATE_NODE_TOL:
+            ids.append(int(d.argmin()))
+            continue
+        nid = len(pos)
+        pos = np.concatenate((pos, [snapped]))
+        mode = np.concatenate((mode, [NODE_MODES.index(NodeMode.GROUND)]), dtype=np.int8)
+        for radius in (params.radius, 2.0 * params.radius):
+            new = _connect_edges(pos, mode, nid, env, cm, params, radius)
+            if len(new[0]):
+                break
+        else:
+            raise QueryNodeIsolatedError(f"query node '{label}' isolated")
+        edges.append(new)
+        ids.append(nid)
+    columns = zip((roadmap.a, roadmap.b, roadmap.kind, roadmap.length, roadmap.cost), *edges)
+    return Roadmap(pos, mode, *map(np.concatenate, columns)), ids[0], ids[1]
 
 
 def _connect_edges(
-    roadmap: Roadmap,
+    pos: np.ndarray,
+    mode: np.ndarray,
     first: int,
     env: Environment,
     cm: CostModel,
     params: PrmParams,
     radius: float,
-) -> dict[str, list[np.ndarray]]:
+) -> tuple[np.ndarray, ...]:
     """Every valid edge between a node with id >= `first` and an older node
     within `radius` of it, in the order that inserting the nodes one at a
-    time would: by newer id, then by older id. Returns the edge columns a,
-    b, kind, length and cost as one-chunk lists for Roadmap._append.
+    time would: by newer id, then by older id. Returns new edge columns a,
+    b, kind, length and cost from node columns pos and mode; no roadmap changes.
 
     An edge is valid when the straight segment is collision-free at the
     build clearance; driving edges additionally require every sample of the
@@ -389,7 +369,6 @@ def _connect_edges(
     arrays: freed per-group arrays stay in the heap, so a 21,600-node build
     peaked about 15% higher with them.
     """
-    pos = roadmap.positions
     n = len(pos)
     # A margin for the squared-distance search, squared by a multiply (inf on
     # overflow, where ** raises); the lengths from env.distances, rounded
@@ -401,15 +380,14 @@ def _connect_edges(
         if end - cuts[-1] >= PAIR_GROUP:
             cuts.append(end)
     cuts.append(len(keys))
-    names = ("a", "b", "kind", "length", "cost")
-    columns = [np.empty(len(keys), getattr(roadmap, name).dtype) for name in names]
+    columns = [np.empty(len(keys), dtype) for dtype in (np.intp, np.intp, np.int8, float, float)]
     m = 0
     for i, j in zip(cuts, cuts[1:]):
         new, old = np.divmod(keys[i:j], n)
         length = distances(pos[new], pos[old])
         keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)
         new, old, length = new[keep], old[keep], length[keep]
-        kind = roadmap.mode[old] + roadmap.mode[new]
+        kind = mode[old] + mode[new]
         ok = np.ones(len(new), dtype=bool)
         drive = kind == _GROUND
         ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]])
@@ -419,7 +397,9 @@ def _connect_edges(
         for col, values in zip(columns, (a, b, kind, length, cost)):
             col[m : m + len(a)] = values
         m += len(a)
-    return {name: [col[:m]] for name, col in zip(names, columns)}
+    # Copies, not views that keep the candidate buffers: with views the
+    # resident peak of 900 arena plans was 0.9 MB higher.
+    return tuple(col[:m].copy() for col in columns)
 
 
 def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:

@@ -37,18 +37,15 @@ from reference import ARENA, CM, ref_edge_cost, ref_grid_length, ref_heuristic, 
 
 def _line_graph(edges, spacing=1.0):
     """Ground nodes at x = 0, spacing, 2 * spacing, ... with ground edges
-    of explicit costs appended to the columns, from a list of (a, b, cost)
-    with a < b that may join one pair more than once. Lengths are set to
-    the node distance."""
+    of explicit costs, from a list of (a, b, cost) with a < b that may join
+    one pair more than once. Lengths are set to the node distance."""
     a, b, cost = zip(*edges)
     n = 1 + max(b)
-    roadmap = Roadmap()
-    roadmap._append(positions=[[(spacing * i, 0.0, 0.0) for i in range(n)]], mode=[[0] * n])
-    roadmap._append(
-        a=[a], b=[b], kind=[[EDGE_KINDS.index(EdgeKind.GROUND)] * len(a)],
-        length=[[spacing * (j - i) for i, j in zip(a, b)]], cost=[cost],
+    return Roadmap(
+        [(spacing * i, 0.0, 0.0) for i in range(n)], [0] * n,
+        a, b, [EDGE_KINDS.index(EdgeKind.GROUND)] * len(a),
+        [spacing * (j - i) for i, j in zip(a, b)], cost,
     )
-    return roadmap
 
 
 # -- basic search -------------------------------------------------------------
@@ -86,8 +83,9 @@ def test_two_node_ground_plan_costs_drive_energy():
 
 
 def test_no_path_reports_explored_count():
-    roadmap = _line_graph([(0, 1, 1.0)])
-    roadmap.add_node((50.0, 0.0, 0.0), NodeMode.GROUND)  # disconnected
+    # One ground edge 0-1, and node 2 disconnected.
+    roadmap = Roadmap([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (50.0, 0.0, 0.0)], [0] * 3,
+                      [0], [1], [EDGE_KINDS.index(EdgeKind.GROUND)], [1.0], [1.0])
     with pytest.raises(NoPathError) as info:
         astar_multimodal(roadmap, 0, 2, CM, h=np.zeros(3))
     assert info.value.explored == 2
@@ -305,15 +303,12 @@ def test_search_with_wide_node_ids():
     x = np.arange(r)
     a = np.concatenate((x[:-1], x[:-1] + r, x))
     b = np.concatenate((x[1:], x[1:] + r, x + r))
-    roadmap = Roadmap()
-    roadmap._append(
-        positions=[np.column_stack((np.tile(x, 2), np.repeat([0, 1], r), np.zeros(2 * r)))],
-        mode=[np.full(2 * r, NODE_MODES.index(NodeMode.GROUND))],
-    )
     rate = CM.ground_power / CM.ground_speed
-    roadmap._append(
-        a=[a], b=[b], kind=[np.full(a.size, EDGE_KINDS.index(EdgeKind.GROUND))],
-        length=[np.ones(a.size)], cost=[rate * (1.0 + SplitMix64(5).peek_random(a.size))],
+    roadmap = Roadmap(
+        np.column_stack((np.tile(x, 2), np.repeat([0, 1], r), np.zeros(2 * r))),
+        np.full(2 * r, NODE_MODES.index(NodeMode.GROUND)),
+        a, b, np.full(a.size, EDGE_KINDS.index(EdgeKind.GROUND)),
+        np.ones(a.size), rate * (1.0 + SplitMix64(5).peek_random(a.size)),
     )
     assert roadmap.csr()[1].dtype == np.intp
     plan = astar_multimodal(roadmap, r - 600, 2 * r - 50, CM)

@@ -373,29 +373,32 @@ def test_no_ground_edge_crosses_the_wall():
 def test_connect_edges_closed_radius_and_nearest():
     env = open_env()
     params = PrmParams(n_ground=3, n_air=0, radius=0.5, seed=0)
+    pos = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (3.0, 0.0, 0.0)])
+    mode = np.zeros(3, dtype=np.int8)
     for radius, pairs in ((1.0, [(0, 1)]), (0.5, [(0, 1)]), (0.5 - 1e-10, [])):
-        roadmap = Roadmap()
-        for x in (0.0, 0.5, 3.0):
-            roadmap.add_node((x, 0.0, 0.0), NodeMode.GROUND)
-        roadmap._append(**_connect_edges(roadmap, 0, env, CM, params, radius))
+        a, b, *_ = _connect_edges(pos, mode, 0, env, CM, params, radius)
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
-        assert list(zip(roadmap.a.tolist(), roadmap.b.tolist())) == pairs
-    assert roadmap.nearest_node((2.8, 0.0, 0.0)) == (2, pytest.approx(0.2))
-    # Equally near nodes: the lowest id wins.
-    assert roadmap.nearest_node((0.25, 0.0, 0.0)) == (0, 0.25)
-    assert roadmap.nearest_node((0.5, 0.0, 1e-9)) == (1, 1e-9)
-    assert Roadmap().nearest_node((0.0, 0.0, 0.0)) is None
+        assert list(zip(a.tolist(), b.tolist())) == pairs
+    # A query within 1e-9 of a node reuses the nearest one, the lowest id
+    # of coincident nodes. By env.distances (0.5, 1e-9, 0) is exactly 1e-9
+    # from node 1, so it is reused; with the next float above 1e-9 for y,
+    # the query is a new node.
+    pos, mode = np.concatenate((pos, pos[1:2])), np.zeros(4, dtype=np.int8)  # node 3 on node 1
+    roadmap = Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, CM, params, 1.0))
+    for start, sid in (((0.5, 0.0, 0.0), 1), ((0.5, 1e-9, 0.0), 1), ((3.0, 0.0, 0.0), 2)):
+        rm, *ids = insert_query_nodes(roadmap, start, (0.0, 0.0, 0.0), env, CM, params)
+        assert ids == [sid, 0] and len(rm.positions) == 4
+    above = (0.5, np.nextafter(1e-9, 1.0), 0.0)
+    rm, sid, gid = insert_query_nodes(roadmap, above, (0.0, 0.0, 0.0), env, CM, params)
+    assert (sid, gid, len(rm.positions)) == (4, 0, 5)
+    assert rm.positions[4].tolist() == list(above)
 
 
 def test_csr_lists_each_nodes_edges_by_id():
     # Up to 2^16 nodes the CSR sorts 16-bit keys; beyond, 64-bit ones.
     for n in (5, 70_000):
-        roadmap = Roadmap()
-        roadmap._append(positions=[np.zeros((n, 3))], mode=[np.zeros(n, dtype=np.int8)])
         a, b = [0, 1, 0, 2, 0], [n - 1, 2, 2, n - 1, 1]
-        roadmap._append(
-            a=[a], b=[b], kind=[[0] * 5], length=[[1.0] * 5], cost=[np.add(a, b, dtype=float)]
-        )
+        roadmap = Roadmap(np.zeros((n, 3)), np.zeros(n), a, b, [0] * 5, [1.0] * 5, np.add(a, b))
         indptr, neighbour, edge_id, cost = roadmap.csr()
         for u, ids in ((0, [0, 2, 4]), (2, [1, 2, 3]), (n - 2, []), (n - 1, [0, 3])):
             assert edge_id[indptr[u] : indptr[u + 1]].tolist() == ids
@@ -466,8 +469,7 @@ def test_insert_query_reuses_coincident_node():
 def test_insert_query_escalates_radius_once():
     env = open_env()
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
-    roadmap = Roadmap()
-    roadmap.add_node((5.0, 5.0, 0.0), NodeMode.GROUND)
+    roadmap = Roadmap([(5.0, 5.0, 0.0)], [NODE_MODES.index(NodeMode.GROUND)])
     # Start is 1.5 m out: outside the build radius, inside the doubled retry
     # radius. Goal sits on the far side so the two queries cannot pair up.
     roadmap, sid, gid = insert_query_nodes(
@@ -483,23 +485,78 @@ def test_insert_query_isolation_and_bad_positions():
     env = open_env()
     params = PrmParams(n_ground=1, n_air=0, radius=1.0, seed=0)
 
-    def fresh():
-        r = Roadmap()
-        r.add_node((5.0, 5.0, 0.0), NodeMode.GROUND)
-        return r
-
+    roadmap = Roadmap([(5.0, 5.0, 0.0)], [NODE_MODES.index(NodeMode.GROUND)])
     with pytest.raises(QueryNodeIsolatedError):
-        insert_query_nodes(fresh(), (15.0, 15.0, 0.0), (5.5, 5.0, 0.0), env, CM, params)
+        insert_query_nodes(roadmap, (15.0, 15.0, 0.0), (5.5, 5.0, 0.0), env, CM, params)
     with pytest.raises(ConfigError):
-        insert_query_nodes(fresh(), (-1.0, 5.0, 0.0), (5.5, 5.0, 0.0), env, CM, params)
+        insert_query_nodes(roadmap, (-1.0, 5.0, 0.0), (5.5, 5.0, 0.0), env, CM, params)
     blocked = Environment(
         Aabb((0.0, 0.0, 0.0), (20.0, 20.0, 5.0)),
         obstacles=(Aabb((9.0, 9.0, 0.0), (11.0, 11.0, 1.0)),),
     )
     with pytest.raises(ConfigError):
         insert_query_nodes(
-            fresh(), (10.0, 10.0, 0.0), (5.5, 5.0, 0.0), blocked, CM, params
+            roadmap, (10.0, 10.0, 0.0), (5.5, 5.0, 0.0), blocked, CM, params
         )
+
+
+def _columns(roadmap):
+    return (roadmap.positions, roadmap.mode, roadmap.a, roadmap.b, roadmap.kind,
+            roadmap.length, roadmap.cost)
+
+
+def test_refused_query_leaves_the_roadmap_unchanged():
+    # Refused before the start is placed, and after: a goal in collision or
+    # isolated at both radii must not leave the start's node and edges behind.
+    env = Environment(
+        Aabb((0.0, 0.0, 0.0), (20.0, 20.0, 5.0)),
+        obstacles=(Aabb((9.0, 9.0, 0.0), (11.0, 11.0, 1.0)),),
+    )
+    params = PrmParams(n_ground=0, n_air=0, radius=1.0)
+    pos = np.array([(5.0, 5.0, 0.0), (6.0, 5.0, 0.0), (5.0, 6.0, 0.0), (5.5, 5.5, 0.6)])
+    mode = np.array([NODE_MODES.index(m) for m in [NodeMode.GROUND] * 3 + [NodeMode.AERIAL]])
+    roadmap = Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, CM, params, params.radius))
+    before, csr = [c.copy() for c in _columns(roadmap)], roadmap.csr()
+    assert len(roadmap.a) == 5
+    near, blocked, far = (5.5, 5.0, 0.0), (10.0, 10.0, 0.0), (15.0, 15.0, 0.0)
+    for start, goal, error in (
+        ((-1.0, 5.0, 0.0), near, ConfigError),  # start off the footprint
+        (blocked, near, ConfigError),  # start in collision
+        (near, blocked, ConfigError),  # goal in collision
+        (near, far, QueryNodeIsolatedError),  # goal isolated at both radii
+    ):
+        with pytest.raises(error):
+            insert_query_nodes(roadmap, start, goal, env, CM, params)
+        assert all(map(np.array_equal, _columns(roadmap), before)), (start, goal)
+        assert roadmap.csr() is csr
+    # The same start with a goal that connects is inserted.
+    rm, sid, gid = insert_query_nodes(roadmap, near, (6.5, 5.5, 0.0), env, CM, params)
+    assert (sid, gid) == (4, 5) and rm is not roadmap
+
+
+def test_one_arena_roadmap_serves_many_queries():
+    # Ten query pairs into one seed-1 arena roadmap: each result equals a
+    # fresh build with that one insertion, and the base is never changed.
+    env = load_environment(ARENA)
+    params = PrmParams(seed=1, n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4)
+    base = build_roadmap(env, CM, params)
+    before, csr = [c.copy() for c in _columns(base)], base.csr()
+    rng = SplitMix64(24)
+    pairs = []
+    while len(pairs) < 10:
+        x0, y0, x1, y1 = (uniform(rng, 0.0, hi) for hi in (12.0, 6.0, 12.0, 6.0))
+        start, goal = (x0, y0, 0.0), (x1, y1, 0.0)
+        if not any(env.point_in_collision(p, params.clearance) for p in (start, goal)):
+            pairs.append((start, goal))
+    for start, goal in pairs:
+        rm, *ids = insert_query_nodes(base, start, goal, env, CM, params)
+        fresh, *fresh_ids = insert_query_nodes(
+            build_roadmap(env, CM, params), start, goal, env, CM, params
+        )
+        assert ids == fresh_ids and _snapshot(rm) == _snapshot(fresh), (start, goal)
+        assert len(rm.positions) == 602
+    assert all(map(np.array_equal, _columns(base), before))
+    assert base.csr() is csr
 
 
 def test_query_transition_verdicts_do_not_depend_on_orientation():
@@ -561,6 +618,12 @@ class _RefRoadmap:
         self.incident[a].append(len(self.edge_records))
         self.incident[b].append(len(self.edge_records))
         self.edge_records.append(_RefEdge(min(a, b), max(a, b), kind, length, cost))
+
+    def copy(self):
+        twin = _RefRoadmap(self.radius)
+        twin.node_records, twin.edge_records = list(self.node_records), list(self.edge_records)
+        twin.incident = [list(adj) for adj in self.incident]
+        return twin
 
     def far_end(self, idx, nid):
         e = self.edge_records[idx]
@@ -705,7 +768,7 @@ def _ref_snapshot(ref):
 
 
 def test_batched_build_matches_one_node_at_a_time_build():
-    retries = 0
+    retries = refused = 0
     for world, (make_env, prm) in REFERENCE_WORLDS.items():
         env = make_env()
         lo, hi = env.bounds.min_corner, env.bounds.max_corner
@@ -715,7 +778,10 @@ def test_batched_build_matches_one_node_at_a_time_build():
             roadmap = build_roadmap(env, CM, params)
             assert _snapshot(roadmap) == _ref_snapshot(ref), (world, seed)
             assert ref.edge_records, (world, seed)
-            # Query pairs anywhere on the footprint, some on existing nodes.
+            # Query pairs anywhere on the footprint, some on existing nodes,
+            # each into the roadmap of the queries before it that succeeded.
+            # The reference inserts into a copy, kept only on success; a
+            # refused query must leave the program's roadmap as it was.
             rng = SplitMix64(1000 + seed)
             for q in range(6):
                 start = (uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1]), 0.0)
@@ -723,17 +789,21 @@ def test_batched_build_matches_one_node_at_a_time_build():
                     uniform(rng, lo[0], hi[0]), uniform(rng, lo[1], hi[1]), 0.0
                 )
                 try:
-                    _, *want, n_retries = _ref_insert(ref, start, goal, env, params)
+                    ref, *want, n_retries = _ref_insert(ref.copy(), start, goal, env, params)
                     retries += n_retries
                 except (ConfigError, QueryNodeIsolatedError) as exc:
                     want = type(exc)
+                before = _snapshot(roadmap)
                 try:
-                    _, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
+                    roadmap, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
                 except (ConfigError, QueryNodeIsolatedError) as exc:
                     got = type(exc)
+                    refused += 1
+                    assert _snapshot(roadmap) == before, (world, seed, q)
                 assert got == want, (world, seed, q)
                 assert _snapshot(roadmap) == _ref_snapshot(ref), (world, seed, q)
     assert retries > 0  # the doubled-radius retry ran
+    assert refused > 0  # and some queries were refused
 
 
 # -- the sorted sweep against the one-node-at-a-time build ---------------------------
@@ -741,17 +811,18 @@ def test_batched_build_matches_one_node_at_a_time_build():
 
 def _hand_roadmaps(points, modes, env, params, radius):
     """The same hand-placed nodes connected by _connect_edges in one full
-    pass and one node at a time (each call with one row), and by the
-    reference."""
-    full, incremental = Roadmap(), Roadmap()
+    pass and one node at a time (each call with one row, node k over nodes
+    0..k), and by the reference."""
+    pos = np.array(points, dtype=float).reshape(-1, 3)
+    code = np.array([NODE_MODES.index(m) for m in modes], dtype=np.int8)
+    full = Roadmap(pos, code, *_connect_edges(pos, code, 0, env, CM, params, radius))
+    rows = [_connect_edges(pos[: k + 1], code[: k + 1], k, env, CM, params, radius)
+            for k in range(len(pos))]
+    incremental = Roadmap(pos, code, *map(np.concatenate, zip(*rows)))
     ref = _RefRoadmap(radius)
-    for point, mode in zip(points, modes):
-        full.add_node(point, mode)
-        nid = incremental.add_node(point, mode)
-        incremental._append(**_connect_edges(incremental, nid, env, CM, params, radius))
+    for nid, (point, mode) in enumerate(zip(points, modes)):
         ref.add_node(point, mode)
         _ref_connect(ref, nid, env, params, radius)
-    full._append(**_connect_edges(full, 0, env, CM, params, radius))
     return full, incremental, ref
 
 
@@ -828,7 +899,7 @@ def test_sweep_inserts_query_nodes_at_the_x_extremes_and_on_a_shared_x():
     )
     for start, goal in queries:
         _, *want, _ = _ref_insert(ref, start, goal, env, params)
-        _, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
+        roadmap, *got = insert_query_nodes(roadmap, start, goal, env, CM, params)
         assert got == want
         assert _snapshot(roadmap) == _ref_snapshot(ref)
 
@@ -839,12 +910,12 @@ def test_connect_edges_with_no_rows_or_no_nodes():
     roadmap, _, _ = _hand_roadmaps(
         [(1.0, 1.0, 0.0), (2.0, 1.0, 0.0)], [NodeMode.GROUND] * 2, env, params, 2.0
     )
-    for rm, first in ((roadmap, len(roadmap.positions)), (Roadmap(), 0)):
-        before = [c.copy() for c in (rm.a, rm.b, rm.kind, rm.length, rm.cost)]
-        rm._append(**_connect_edges(rm, first, env, CM, params, 2.0))
-        after = (rm.a, rm.b, rm.kind, rm.length, rm.cost)
-        for old, new in zip(before, after):
-            assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert len(roadmap.a) == 1
+    empty = Roadmap()
+    for rm, first in ((roadmap, len(roadmap.positions)), (empty, 0)):
+        columns = _connect_edges(rm.positions, rm.mode, first, env, CM, params, 2.0)
+        for col, like in zip(columns, (empty.a, empty.b, empty.kind, empty.length, empty.cost)):
+            assert col.dtype == like.dtype and len(col) == 0
     empty = build_roadmap(env, CM, params)
     assert len(empty.positions) == len(empty.a) == 0
 
