@@ -43,7 +43,7 @@ from .roadmap import (
     PrmParams, build_roadmap, edge_dicts, heuristic_costs, insert_query_nodes, node_dicts,
     roadmap_to_dict,
 )
-from .sim import SimConfig, run_mission, trajectory_csv
+from .sim import Mission, SimConfig, trajectory_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,9 +249,7 @@ def cmd_simulate(args) -> int:
             mission_wps = [waypoints[-1]]
         waypoints = mission_wps
 
-    result = run_mission(
-        env, waypoints, cost, dwa, cfg, seed=args.seed, start=start
-    )
+    result = Mission(env, waypoints, cost, dwa, cfg, seed=args.seed, start=start).run()
     os.makedirs(args.out, exist_ok=True)
     _write_text(
         os.path.join(args.out, "trajectory.csv"), trajectory_csv(result.records)

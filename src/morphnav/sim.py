@@ -14,6 +14,8 @@ estimate once; a flight phase that ends hands over within the tick, and the
 next phase reads a fresh estimate, so with pose noise on, the order of the
 noise draws is part of a seeded mission's outcome.
 
+Each tick is one control period of the dynamic window, `dwa.dt`.
+
 Actuation latency is modeled as a FIFO delay line on all velocity commands:
 the vehicle executes the command issued `latency` seconds ago, which is what
 produces the altitude overshoot seen when a controller keeps commanding
@@ -94,7 +96,6 @@ class RobotState:
 class SimConfig:
     """Executor parameters. Times in seconds, distances in meters."""
 
-    dt: float = 0.1
     goal_tolerance: float = 0.2
     cruise_altitude: float = 1.5
     climb_rate: float = 1.0
@@ -107,12 +108,9 @@ class SimConfig:
     def __post_init__(self):
         check_fields(
             self, "sim",
-            positive=("dt", "goal_tolerance", "cruise_altitude", "max_mission_time"),
+            positive=("goal_tolerance", "cruise_altitude", "max_mission_time"),
             non_negative=("actuation_latency", "landing_tolerance", "pose_noise_sigma"),
         )
-        for key in ("actuation_latency", "max_mission_time"):
-            if not math.isfinite(getattr(self, key) / self.dt):
-                raise ConfigError(f"sim parameter '{key}' is too many ticks of dt {self.dt} s")
         if not 0.0 < self.climb_rate <= MAX_CLIMB_RATE:
             raise ConfigError(f"climb_rate must be in (0, {MAX_CLIMB_RATE}] m/s")
 
@@ -252,7 +250,7 @@ _ZERO_CMD = (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class Mission:
-    """Stateful mission executor; run() drives it to Done or Failed."""
+    """Mission executor ticking at `dwa.dt`; run() drives it once to Done or Failed."""
 
     def __init__(
         self,
@@ -277,20 +275,22 @@ class Mission:
         ]
         if not (env.bounds.min_corner[2] < cfg.cruise_altitude <= env.bounds.max_corner[2]):
             raise ConfigError("cruise_altitude outside bounds z range")
-        if dwa.dt != cfg.dt:
-            # The dynamic window allows dwa.dt of acceleration per tick.
-            raise ConfigError(f"dwa dt ({dwa.dt}) must equal sim dt ({cfg.dt})")
-        if not math.isfinite(cm.morph_duration / cfg.dt):
-            raise ConfigError(
-                f"cost parameter 'morph_duration' is too many ticks of dt {cfg.dt} s"
-            )
+        # The dynamic window allows dwa.dt of acceleration per tick.
+        self.dt = dwa.dt
+        for name, value in (
+            ("sim parameter 'actuation_latency'", cfg.actuation_latency),
+            ("sim parameter 'max_mission_time'", cfg.max_mission_time),
+            ("cost parameter 'morph_duration'", cm.morph_duration),
+        ):
+            if not math.isfinite(value / self.dt):
+                raise ConfigError(f"{name} is too many ticks of dt {self.dt} s")
         if start is None:
             start = self.waypoints[0]
         sx, sy, sz = env.snap_to_ground(start, "start")
         self.grid = grid if grid is not None else project_to_grid(env)
         self.state = RobotState(sx, sy, sz, float(start_yaw))
         self._rng = SplitMix64(seed)
-        self._n_delay = int(round(cfg.actuation_latency / cfg.dt))
+        self._n_delay = int(round(cfg.actuation_latency / self.dt))
         self._queue: deque[tuple[float, float, float, float, float]] = deque()
         self.phase = MissionPhase.GROUND_NAV
         self.ledger = EnergyLedger()
@@ -307,7 +307,7 @@ class Mission:
         # not the delayed plant response, or latency destabilizes the loop.
         self._intent = VelocityCommand(0.0, 0.0)
         self._morph_ticks = 0
-        self._morph_ticks_needed = max(1, int(math.ceil(cm.morph_duration / cfg.dt - 1e-9)))
+        self._morph_ticks_needed = max(1, int(math.ceil(cm.morph_duration / self.dt - 1e-9)))
         self._land_z = 0.0
         self._failure_pending = self._preflight_check()
         self._record(self.env.point_in_collision((sx, sy, sz), 0.0))  # row at t = 0
@@ -324,7 +324,7 @@ class Mission:
 
     @property
     def t(self) -> float:
-        return self.tick * self.cfg.dt
+        return self.tick * self.dt
 
     def _view(self) -> tuple[float, float, float, float]:
         """Controller's pose estimate; optionally noisy, never fed back
@@ -440,20 +440,10 @@ class Mission:
             return _ZERO_CMD
         else:
             target, h_speed = (x, y, self._land_z), 0.0
-        vel = _flight_velocity_toward((x, y, z), target, h_speed, cfg.climb_rate, cfg.dt)
+        vel = _flight_velocity_toward((x, y, z), target, h_speed, cfg.climb_rate, self.dt)
         return (0.0, 0.0, *vel)
 
     # -- tick loop -----------------------------------------------------------
-
-    def _apply_latency(
-        self, cmd: tuple[float, float, float, float, float]
-    ) -> tuple[float, float, float, float, float]:
-        if self._n_delay == 0:
-            return cmd
-        self._queue.append(cmd)
-        if len(self._queue) > self._n_delay:
-            return self._queue.popleft()
-        return _ZERO_CMD
 
     def step(self) -> None:
         """Advance the mission by one control period."""
@@ -472,20 +462,23 @@ class Mission:
             desired = self._control_morph()
         else:
             desired = self._control_flight()
-        applied = self._apply_latency(desired)
+        # The line fills as ticks run; until it holds more than the delay,
+        # the vehicle executes zero commands.
+        self._queue.append(desired)
+        applied = self._queue.popleft() if len(self._queue) > self._n_delay else _ZERO_CMD
 
         prev_z = self.state.z
         if self.state.mode is LocomotionMode.UGV:
             self.state = step_ugv(
-                self.state, VelocityCommand(applied[0], applied[1]), self.env, self.cfg.dt
+                self.state, VelocityCommand(applied[0], applied[1]), self.env, self.dt
             )
         elif self.state.mode is LocomotionMode.UAS:
             self.state = _apply_flight_velocity(
-                self.state, applied[2:], self.env, self.cfg.dt
+                self.state, applied[2:], self.env, self.dt
             )
         # Morphing: stationary by definition.
 
-        accumulate_energy(self.ledger, self.state, self.cm, self.cfg.dt, self.state.z - prev_z)
+        accumulate_energy(self.ledger, self.state, self.cm, self.dt, self.state.z - prev_z)
         self.tick += 1
 
         if self.phase is MissionPhase.DESCEND:
@@ -524,37 +517,23 @@ class Mission:
         )
 
     def run(self) -> MissionResult:
+        """Execute the mission to completion; fully deterministic for a given
+        argument set. A mission runs once: a later call steps nothing and
+        returns a result equal to the first."""
         # step() fails the mission at a collided tick or past max_mission_time.
         while self.phase not in (MissionPhase.DONE, MissionPhase.FAILED):
             self.step()
-        self.timeline.append((self.phase.value, self._phase_start_t, self.t))
         return MissionResult(
             outcome="Done" if self.phase is MissionPhase.DONE else "Failed",
             reason=self.reason,
             records=self.records,
             ledger=self.ledger,
-            timeline=self.timeline,
+            timeline=[*self.timeline, (self.phase.value, self._phase_start_t, self.t)],
             morph_count=self.morph_count,
             descend_overshoot=max(0.0, self.descend_overshoot),
             waypoints_reached=self.wp_idx,
             final_state=self.state,
         )
-
-
-def run_mission(
-    env: Environment,
-    waypoints,
-    cm: CostModel,
-    dwa: DwaParams,
-    cfg: SimConfig,
-    seed: int = 0,
-    start=None,
-    start_yaw: float = 0.0,
-    grid: OccupancyGrid | None = None,
-) -> MissionResult:
-    """Execute a waypoint mission to completion; fully deterministic for a
-    given argument set."""
-    return Mission(env, waypoints, cm, dwa, cfg, seed, start, start_yaw, grid).run()
 
 
 def trajectory_csv(records) -> str:

@@ -25,7 +25,7 @@ from morphnav.rng import SplitMix64
 from morphnav.roadmap import (
     NODE_MODES, NodeMode, PrmParams, build_roadmap, heuristic_costs, insert_query_nodes
 )
-from morphnav.sim import SimConfig, run_mission
+from morphnav.sim import Mission, SimConfig
 from reference import ARENA, CM, OPEN_FIELD, open_env, run_cli
 
 REL = 1e-9
@@ -158,10 +158,10 @@ def test_wall_forces_exactly_two_transitions():
             if NODE_MODES[rm.mode[nid]] is NodeMode.AERIAL:
                 assert rm.positions[nid, 2] > wall_top
 
-        res = run_mission(
+        res = Mission(
             env, [tuple(w) for w in raw["waypoints"]], CM, DwaParams(),
             SimConfig(), seed=1, start=start,
-        )
+        ).run()
         assert res.outcome == "Done"
         assert res.morph_count == 2
         final = (res.final_state.x, res.final_state.y, res.final_state.z)
@@ -193,10 +193,10 @@ def test_executed_energy_tracks_plan():
             plan.cost_ground + plan.cost_flight + plan.cost_transition,
         )
 
-        res = run_mission(
+        res = Mission(
             env, [tuple(w) for w in raw["waypoints"]], CM, DwaParams(),
             SimConfig(), seed=1, start=start,
-        )
+        ).run()
         assert res.outcome == "Done"
         led = res.ledger
         for part in (led.ground, led.flight, led.transition):
@@ -242,11 +242,11 @@ def test_actuation_latency_degrades_landing():
         waypoints = [tuple(w) for w in raw["waypoints"]]
         overshoots = []
         for latency in (0.0, 0.5, 1.0):
-            res = run_mission(
+            res = Mission(
                 env, waypoints, CM, DwaParams(),
                 SimConfig(actuation_latency=latency), seed=1,
                 start=tuple(raw["start"]),
-            )
+            ).run()
             assert res.outcome == "Done"
             overshoots.append(res.descend_overshoot)
         assert overshoots == sorted(overshoots)
@@ -309,9 +309,9 @@ def test_open_field_goals_reached_cleanly():
             if 1.0 <= math.dist((x, y), start[:2]) <= 10.0:
                 goals.append((x, y, 0.0))
         for goal in goals:
-            res = run_mission(
+            res = Mission(
                 env, [goal], CM, DwaParams(), SimConfig(), seed=5, start=start
-            )
+            ).run()
             assert res.outcome == "Done", res.reason
             assert res.duration <= 60.0
             assert all(not rec.collided for rec in res.records)

@@ -69,10 +69,11 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
 
     cases = [
         ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
-        ("cost", {"sim": {"dt": "fast"}}, "sim parameter 'dt' must be a number"),
+        ("cost", {"dwa": {"dt": "fast"}}, "dwa parameter 'dt' must be a number"),
         ("cost", {"flight_pwr": 900}, "unknown cost parameter(s): ['flight_pwr']"),
-        ("cost", {"sim": {"dt": 0.05}}, "dwa dt (0.1) must equal sim dt (0.05)"),
         ("cost", {"sim": {"replan_interval": 1.0}}, "unknown sim parameter(s)"),
+        # The tick is dwa.dt; the sim section has no dt of its own.
+        ("cost", {"sim": {"dt": 0.1}}, "unknown sim parameter(s): ['dt']"),
         ("prm", {"n_ground": "300"}, "prm parameter 'n_ground' must be an integer"),
         ("prm", {"seed": 3}, "'prm' must not set 'seed'"),
         ("top", {"start": "abc"}, "start must be a list of three numbers"),
@@ -107,7 +108,7 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("cost", {"mass": math.nan}, "cost parameter 'mass' must be finite, got nan"),
         ("cost", {"ground_speed": -math.inf}, "cost parameter 'ground_speed' must be finite"),
         ("cost", {"dwa": {"d_sat": math.nan}}, "dwa parameter 'd_sat' must be finite, got nan"),
-        ("cost", {"sim": {"dt": math.inf}}, "sim parameter 'dt' must be finite, got inf"),
+        ("cost", {"dwa": {"dt": math.inf}}, "dwa parameter 'dt' must be finite, got inf"),
         (
             "top",
             {"bounds": {**bounds, "max": [math.inf, 6, 3]}},
@@ -134,7 +135,7 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("cost", {"dwa": {"horizon": 1e308}}, "dwa parameter 'horizon' is too many ticks"),
         (
             "cost",
-            {"morph_duration": 1e306, "sim": {"dt": 0.001}, "dwa": {"dt": 0.001}},
+            {"morph_duration": 1e306, "dwa": {"dt": 0.001}},
             "cost parameter 'morph_duration' is too many ticks of dt 0.001 s",
         ),
         # Finite parameters whose products overflow (m*g = inf prices as NaN).

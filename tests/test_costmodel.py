@@ -225,7 +225,7 @@ def test_config_values_take_field_types():
         (DwaParams, {"samples_v": True}),
         (PrmParams, {"n_ground": "300"}),
         (SimConfig, {"assume_flyable": 1}),
-        (SimConfig, {"dt": 10**400}),
+        (DwaParams, {"dt": 10**400}),
     ):
         with pytest.raises(ConfigError):
             config_from_dict(cls, d, "section")

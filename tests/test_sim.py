@@ -19,7 +19,6 @@ from morphnav.sim import (
     RobotState,
     SimConfig,
     accumulate_energy,
-    run_mission,
     step_ugv,
     trajectory_csv,
 )
@@ -35,14 +34,14 @@ _ARENA_CACHE = {}
 def _arena_result(latency=0.0):
     """Cross-wall three-waypoint mission, memoized per latency setting."""
     if latency not in _ARENA_CACHE:
-        _ARENA_CACHE[latency] = run_mission(
+        _ARENA_CACHE[latency] = Mission(
             walled_env(),
             _ARENA_WAYPOINTS,
             CM,
             DWA,
             SimConfig(actuation_latency=latency),
             start=(1.0, 3.0, 0.0),
-        )
+        ).run()
     return _ARENA_CACHE[latency]
 
 
@@ -124,7 +123,6 @@ def test_hover_costs_hover_power():
 
 def test_sim_config_validation():
     for kwargs in (
-        {"dt": 0.0},
         {"goal_tolerance": 0.0},
         {"cruise_altitude": -1.0},
         {"climb_rate": 0.0},
@@ -133,53 +131,66 @@ def test_sim_config_validation():
         {"landing_tolerance": -0.01},
         {"max_mission_time": 0.0},
         {"pose_noise_sigma": -1.0},
-        # Every float is finite, and so is every duration in ticks.
-        {"dt": math.nan},
+        # Every float is finite.
         {"pose_noise_sigma": math.nan},
         {"landing_tolerance": math.inf},
         {"actuation_latency": math.nan},
         {"actuation_latency": math.inf},
-        {"actuation_latency": 1e308},
-        {"max_mission_time": 1e308},
-        {"dt": 1e-310},
     ):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs)
+    # The tick is dwa.dt, checked where the controller's parameters are.
+    for dt in (0.0, math.nan, 1e-310):
+        with pytest.raises(ConfigError):
+            DwaParams(dt=dt)
     assert SimConfig(climb_rate=4.9).climb_rate == 4.9
 
 
 def test_mission_rejects_bad_setup():
     env = walled_env()
     with pytest.raises(ConfigError):
-        run_mission(env, (), CM, DWA, SimConfig())
+        Mission(env, (), CM, DWA, SimConfig())
     with pytest.raises(ConfigError):
-        run_mission(env, ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(), start=(-5.0, 3.0, 0.0))
+        Mission(env, ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(), start=(-5.0, 3.0, 0.0))
     with pytest.raises(ConfigError):
-        run_mission(env, ((50.0, 3.0, 0.0),), CM, DWA, SimConfig())
+        Mission(env, ((50.0, 3.0, 0.0),), CM, DWA, SimConfig())
     with pytest.raises(ConfigError):
-        run_mission(env, ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(cruise_altitude=10.0))
-    # The dynamic window's acceleration step is dwa.dt; a shorter tick would
-    # let the vehicle accelerate faster than its configured limits.
+        Mission(env, ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(cruise_altitude=10.0))
+    # The mission ticks at the dynamic window's dwa.dt, so a shorter window
+    # step is a shorter tick.
+    short = Mission(
+        open_env(), ((6.0, 2.0, 0.0),), CM, DwaParams(dt=0.05), SimConfig(), start=(2.0, 2.0, 0.0)
+    )
+    assert short.dt == 0.05
+    assert short.run().outcome == "Done"
+
+
+def test_mission_refuses_durations_of_too_many_ticks():
+    # Every duration counted in ticks of dwa.dt must come to a finite count;
+    # each is refused before any tick runs.
     wps, start = ((6.0, 2.0, 0.0),), (2.0, 2.0, 0.0)
-    for dwa_dt, sim_dt in ((0.1, 0.05), (0.05, 0.1)):
-        with pytest.raises(ConfigError, match="must equal sim dt"):
-            run_mission(open_env(), wps, CM, DwaParams(dt=dwa_dt), SimConfig(dt=sim_dt), start=start)
-    same = run_mission(open_env(), wps, CM, DwaParams(dt=0.05), SimConfig(dt=0.05), start=start)
-    assert same.outcome == "Done"
-    # A morph whose tick count overflows is refused before any tick runs.
-    slow_morph = CostModel(morph_duration=1e306)
-    with pytest.raises(ConfigError) as info:
-        Mission(open_env(), wps, slow_morph, DwaParams(dt=0.001), SimConfig(dt=0.001), start=start)
-    assert str(info.value) == "cost parameter 'morph_duration' is too many ticks of dt 0.001 s"
+    for cm, dwa, cfg, message in (
+        (CM, DWA, SimConfig(actuation_latency=1e308),
+         "sim parameter 'actuation_latency' is too many ticks of dt 0.1 s"),
+        (CM, DWA, SimConfig(max_mission_time=1e308),
+         "sim parameter 'max_mission_time' is too many ticks of dt 0.1 s"),
+        (CM, DwaParams(dt=1e-307, horizon=1e-307), SimConfig(),
+         "sim parameter 'max_mission_time' is too many ticks of dt 1e-307 s"),
+        (CostModel(morph_duration=1e306), DwaParams(dt=0.001), SimConfig(),
+         "cost parameter 'morph_duration' is too many ticks of dt 0.001 s"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            Mission(open_env(), wps, cm, dwa, cfg, start=start)
+        assert str(info.value) == message
 
 
 # -- missions ----------------------------------------------------------------------
 
 
 def test_mission_immediate_done():
-    result = run_mission(
+    result = Mission(
         open_env(), ((2.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
-    )
+    ).run()
     assert result.outcome == "Done"
     assert result.waypoints_reached == 1
     assert result.duration <= 0.2
@@ -187,9 +198,9 @@ def test_mission_immediate_done():
 
 
 def test_ground_only_mission():
-    result = run_mission(
+    result = Mission(
         open_env(), ((6.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
-    )
+    ).run()
     assert result.outcome == "Done"
     assert result.morph_count == 0
     assert result.ledger.flight == 0.0 and result.ledger.transition == 0.0
@@ -308,10 +319,10 @@ def test_dwa_matches_reference_on_every_tick_of_the_arena_mission(monkeypatch):
     monkeypatch.setattr(sim, "dwa_step", checked)
     figures = []
     for latency in (0.0, 0.2):
-        res = run_mission(
+        res = Mission(
             env, scenario["waypoints"], CM, DWA, SimConfig(actuation_latency=latency),
             seed=1, start=scenario["start"],
-        )
+        ).run()
         figures.append((res.outcome, round(res.duration, 1), round(res.ledger.total, 1)))
     # The figures `simulate` prints for these two runs.
     assert figures == [("Done", 23.1, 4904.3), ("Done", 23.5, 5311.1)]
@@ -320,8 +331,8 @@ def test_dwa_matches_reference_on_every_tick_of_the_arena_mission(monkeypatch):
 
 def test_mission_is_deterministic():
     kwargs = dict(start=(1.0, 3.0, 0.0))
-    a = run_mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
-    b = run_mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs)
+    a = Mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs).run()
+    b = Mission(walled_env(), _ARENA_WAYPOINTS, CM, DWA, SimConfig(), **kwargs).run()
     assert a.records == b.records
     assert a.timeline == b.timeline
     assert a.ledger == b.ledger
@@ -330,15 +341,15 @@ def test_mission_is_deterministic():
 def test_pose_noise_perturbs_but_completes():
     env = open_env()
     wp = ((8.0, 2.0, 0.0),)
-    clean = run_mission(env, wp, CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0))
-    noisy = run_mission(
+    clean = Mission(env, wp, CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)).run()
+    noisy = Mission(
         env, wp, CM, DWA, SimConfig(pose_noise_sigma=0.02), seed=3, start=(2.0, 2.0, 0.0)
-    )
+    ).run()
     assert noisy.outcome == "Done"
     assert [r.x for r in noisy.records] != [r.x for r in clean.records]
-    again = run_mission(
+    again = Mission(
         env, wp, CM, DWA, SimConfig(pose_noise_sigma=0.02), seed=3, start=(2.0, 2.0, 0.0)
-    )
+    ).run()
     assert again.records == noisy.records
 
 
@@ -351,9 +362,9 @@ def test_noisy_and_delayed_arena_missions_are_pinned():
         (SimConfig(pose_noise_sigma=0.03), 239, 5299.0),
         (SimConfig(actuation_latency=0.3), 304, 6253.0),
     ):
-        res = run_mission(
+        res = Mission(
             walled_env(), _ARENA_WAYPOINTS, CM, DWA, cfg, seed=1, start=(1.0, 3.0, 0.0)
-        )
+        ).run()
         assert res.outcome == "Done", cfg
         got = (len(res.records), round(res.ledger.total, 1), res.morph_count)
         assert got == (records, energy, 2), cfg
@@ -366,9 +377,9 @@ def test_custom_grid_triggers_flight_over_phantom_wall():
     cells = np.zeros((200, 200), dtype=bool)
     cells[:, 50] = True
     grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
-    result = run_mission(
+    result = Mission(
         env, ((10.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0), grid=grid
-    )
+    ).run()
     assert result.outcome == "Done"
     assert result.morph_count == 2
     assert result.ledger.flight > 0.0
@@ -379,7 +390,7 @@ def test_flight_disabled_fails_cleanly():
     cells = np.zeros((200, 200), dtype=bool)
     cells[:, 50] = True
     grid = OccupancyGrid(0.1, (0.0, 0.0), cells)
-    result = run_mission(
+    result = Mission(
         env,
         ((10.0, 2.0, 0.0),),
         CM,
@@ -387,15 +398,15 @@ def test_flight_disabled_fails_cleanly():
         SimConfig(assume_flyable=False),
         start=(2.0, 2.0, 0.0),
         grid=grid,
-    )
+    ).run()
     assert result.outcome == "Failed"
     assert "flight disabled" in result.reason
 
 
 def test_waypoint_inside_obstacle_fails():
-    result = run_mission(
+    result = Mission(
         walled_env(), ((5.0, 3.0, 0.5),), CM, DWA, SimConfig(), start=(1.0, 3.0, 0.0)
-    )
+    ).run()
     assert result.outcome == "Failed"
     assert "waypoint 0" in result.reason
     assert len(result.records) >= 2
@@ -403,9 +414,9 @@ def test_waypoint_inside_obstacle_fails():
 
 def test_start_inside_inflated_region_fails():
     # Collision-free in 3D but inside the inflated driving costmap.
-    result = run_mission(
+    result = Mission(
         walled_env(), ((1.0, 3.0, 0.0),), CM, DWA, SimConfig(), start=(4.7, 3.0, 0.0)
-    )
+    ).run()
     assert result.outcome == "Failed"
     assert "inflated" in result.reason
 
@@ -414,19 +425,48 @@ def test_time_limit_fails_mission():
     # step() fails the mission at the first tick past max_mission_time;
     # the records are the start and one per tick.
     for max_time, dt, n_records in ((1.0, 0.1, 12), (0.7, 0.05, 15), (1e-3, 0.1, 2)):
-        result = run_mission(
+        result = Mission(
             walled_env(),
             _ARENA_WAYPOINTS,
             CM,
             DwaParams(dt=dt),
-            SimConfig(max_mission_time=max_time, dt=dt),
+            SimConfig(max_mission_time=max_time),
             start=(1.0, 3.0, 0.0),
-        )
+        ).run()
         assert result.outcome == "Failed"
         assert "time limit" in result.reason
         assert result.duration <= max_time + dt + 1e-9
         assert len(result.records) == n_records, (max_time, dt)
         assert result.records[-1].t == result.duration == (n_records - 1) * dt
+
+
+def test_delay_line_fills_as_ticks_run():
+    # 1e5 s of latency is 10**6 ticks. The line holds only the commands of
+    # the ticks run so far, so the time limit ends the mission at once, and
+    # no issued command reaches the vehicle.
+    mission = Mission(
+        open_env(), ((8.0, 2.0, 0.0),), CM, DWA,
+        SimConfig(actuation_latency=1e5, max_mission_time=1.0), start=(2.0, 2.0, 0.0),
+    )
+    while mission.phase is not MissionPhase.FAILED:
+        mission.step()
+        assert len(mission._queue) <= mission.tick
+    result = mission.run()
+    assert (result.outcome, result.reason) == ("Failed", "mission time limit exceeded")
+    assert all(r.v == 0.0 for r in result.records)
+
+
+def test_run_runs_a_mission_once():
+    # A second run() steps nothing and appends nothing, so both results
+    # are equal and the first is left as it was.
+    mission = Mission(
+        open_env(), ((4.0, 2.0, 0.0),), CM, DWA, SimConfig(), start=(2.0, 2.0, 0.0)
+    )
+    first = mission.run()
+    timeline = [("GroundNav", 0.0, 3.1), ("Done", 3.1, 3.2)]
+    assert first.timeline == timeline
+    assert mission.run() == first
+    assert first.timeline == timeline
 
 
 def test_phase_machine_terminal_states():
