@@ -139,7 +139,7 @@ class Environment:
         corners = corners.reshape(-1, 2, 3).transpose(1, 2, 0)[..., None]
         self._box_lo, self._box_hi = np.ascontiguousarray(corners)
         # No point at or above this height is below the ground (see
-        # segments_in_collision).
+        # segments_undecided).
         if heightmap is None:
             self._floor_top = self.ground_const
         else:
@@ -252,23 +252,26 @@ class Environment:
         return False
 
     def segments_in_collision(self, a, b, clearance: float) -> np.ndarray:
-        """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays,
-        sampled at a fixed spatial step.
+        """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays:
+        the broad phase, then the narrow phase on the segments it leaves
+        undecided. The verdict is the same for b-a as for a-b."""
+        a, b = _rows(a), _rows(b)
+        hit = self.segments_undecided(a, b, clearance)
+        hit[hit] = self.segments_sampled_in_collision(a[hit], b[hit], clearance)
+        return hit
 
-        The step is min(0.05 m, clearance / 2) so thin obstacles larger than
-        the step cannot slip between samples. Both endpoints are always
-        included, exactly, also where the squared length underflows (see
-        _any_sample). A degenerate segment (a == b) reduces to a point test.
-        The verdict is the same for b-a as for a-b.
+    def segments_undecided(self, a, b, clearance: float) -> np.ndarray:
+        """Broad phase of the swept test: False for each segment a[k]-b[k]
+        that it clears without sampling, True for the rest.
 
-        A broad phase first clears, without sampling, each segment whose box
-        [min(a, b), max(a, b)] lies inside the bounds, at or above the
-        highest ground and farther than clearance + 1e-9 from every obstacle
-        (the 1e-9 absorbs the rounding of the squared distances). Every
-        sample lies in that box (see _any_sample). On a heightmap the highest
-        ground is the largest elevation plus a margin, since a bilinear blend
-        can round past its inputs. So the broad phase clears no segment that
-        sampling would reject; only the rest are sampled.
+        A segment is cleared when its box [min(a, b), max(a, b)] lies inside
+        the bounds, at or above the highest ground and farther than
+        clearance + 1e-9 from every obstacle (the 1e-9 absorbs the rounding
+        of the squared distances). Every sample lies in that box (see
+        _any_sample). On a heightmap the highest ground is the largest
+        elevation plus a margin, since a bilinear blend can round past its
+        inputs. So the broad phase clears no segment that sampling would
+        reject.
         """
         a, b = _rows(a), _rows(b)
         at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -279,14 +282,19 @@ class Environment:
         for olo, ohi in zip(self._box_lo.swapaxes(0, 1), self._box_hi.swapaxes(0, 1)):
             gx, gy, gz = np.square(np.maximum(np.maximum(olo - hi, lo - ohi), 0.0))
             clear &= gx + gy + gz > reach * reach
-        step = 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-        hit = np.zeros(len(a), dtype=bool)
-        todo = ~clear
-        hit[todo] = _any_sample(
-            a[todo], b[todo], step, SAMPLE_CHUNK,
+        return ~clear
+
+    def segments_sampled_in_collision(self, a, b, clearance: float) -> np.ndarray:
+        """Narrow phase of the swept test: True for each segment a[k]-b[k]
+        with a sample in collision (points_in_collision), the samples
+        sample_step(clearance) apart in one _any_sample pass over all the
+        segments. Both endpoints are always included, exactly, also where
+        the squared length underflows, so a degenerate segment (a == b)
+        reduces to a point test."""
+        return _any_sample(
+            a, b, sample_step(clearance), SAMPLE_CHUNK,
             lambda pts: self.points_in_collision(pts, clearance),
         )
-        return hit
 
     def segments_on_ground(self, a, b, tol: float = 1e-6) -> np.ndarray:
         """True for each segment a[k]-b[k] whose samples, 0.05 m apart, all
@@ -321,10 +329,40 @@ BOX_BLOCK = 1 << 12
 # different small sizes are no better, because numpy keeps freed buffers
 # under 1 KB in a per-size cache (up to 7 per size) that it never returns and
 # that tracemalloc does not see, so RSS creeps up over repeated builds. Only
-# the segments that the broad phase of segments_in_collision leaves
-# undecided, and segments_on_ground's over a heightmap, reach these passes:
-# 276 of a seed-1 walled-arena plan's 19,625 segment checks.
+# the segments that the broad phase (segments_undecided) leaves undecided,
+# and segments_on_ground's over a heightmap, reach these passes: 276 of a
+# seed-1 walled-arena plan's 19,625 segment checks, sampled in one pass per
+# roadmap._connect_edges call, so only its last chunk is padded.
 SAMPLE_CHUNK = 2048
+
+# Cap on the samples of one segment, ceil(length / step) + 1: a
+# bounds-diagonal segment of the walled arena makes 276 at the default
+# clearance, and at the 0.05 m step the cap admits segments up to 52 km.
+MAX_SEGMENT_SAMPLES = 1 << 20
+
+
+def sample_step(clearance: float) -> float:
+    """Spacing of a swept collision test's samples: min(0.05 m,
+    clearance / 2), so thin obstacles larger than the step cannot slip
+    between samples, and 0.05 m at clearance 0."""
+    return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
+
+
+def sample_gaps(length, step: float) -> np.ndarray:
+    """ceil(length / step) for each segment length: one fewer than the
+    segment's samples. Raises ConfigError when a segment would have more
+    than MAX_SEGMENT_SAMPLES samples, or no count at all (a nan length, or
+    a step that rounds to 0), where casting the count would overflow."""
+    length = np.asarray(length, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.ceil(length / step)
+    over = ~(gaps < MAX_SEGMENT_SAMPLES)  # nan and inf included
+    if over.any():
+        raise ConfigError(
+            f"a {float(length[over][0]):g} m segment needs more than "
+            f"{MAX_SEGMENT_SAMPLES} samples {step:g} m apart"
+        )
+    return gaps
 
 
 def _rows(points) -> np.ndarray:
@@ -359,14 +397,15 @@ def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
 
     `test` maps a (chunk, 3) array of points to chunk booleans; the samples
     are made `chunk` at a time, in segment order, and the last pass repeats
-    the final sample to fill up.
+    the final sample to fill up. Raises ConfigError, from sample_gaps, when
+    a segment would have more than MAX_SEGMENT_SAMPLES samples.
     """
     a, b = _rows(a), _rows(b)
     if not len(a):
         return np.zeros(0, dtype=bool)
     # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m; the maximum
     # keeps both ends of a segment whose squared length underflows.
-    n = np.ceil(distances(a, b) / step).astype(np.int64) + 1
+    n = sample_gaps(distances(a, b), step).astype(np.int64) + 1
     np.maximum(n, 1 + (a != b).any(axis=1), out=n)
     last = n - 1
     inv = 1.0 / np.maximum(last, 1)

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .costmodel import CostModel, check_fields
-from .env import Environment, distances
+from .env import Environment, distances, sample_gaps, sample_step
 from .errors import ConfigError, QueryNodeIsolatedError, SamplingError
 from .rng import SplitMix64
 
@@ -262,9 +262,11 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     All ground nodes are sampled first, then all aerial nodes, from one
     stream; sampling never looks at edges. Every node is then connected to
     the nodes before it in id order. Raises ConfigError when the cost model
-    overflows pricing the world's worst edge.
+    overflows pricing the world's worst edge, or when the clearance samples
+    it at too many points.
     """
     _check_worst_edge_price(env, cm)
+    _check_worst_edge_samples(env, params.clearance)
     rng = SplitMix64(params.seed)
     ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
@@ -292,6 +294,21 @@ def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
         raise ConfigError(
             f"cost model overflows pricing a {diagonal:g} m edge climbing "
             f"{hi[2] - lo[2]:g} m ({exc})"
+        ) from None
+
+
+def _check_worst_edge_samples(env: Environment, clearance: float) -> None:
+    """Count the collision samples of an edge along the bounds diagonal.
+    Every node lies inside the bounds, so no edge is longer, and its length,
+    rounded as env.distances rounds, is no longer either; a clearance whose
+    step samples this edge within MAX_SEGMENT_SAMPLES samples every edge of
+    the world within it."""
+    diagonal = distances(env.bounds.min_corner, env.bounds.max_corner)
+    try:
+        sample_gaps(diagonal, sample_step(clearance))
+    except ConfigError as exc:
+        raise ConfigError(
+            f"prm clearance {clearance:g} is too small for this world: {exc}"
         ) from None
 
 
@@ -359,53 +376,58 @@ def _connect_edges(
     stored with the lower node id first, so the stored cost orientation is
     from the older node toward the newer one.
 
-    Candidates (_candidate_keys) are validated in groups by batched segment
-    checks. Keep the group shape: the sorted keys are cut only where a block
-    of PAIR_BLOCK // n newer ids ends, and a group is validated once it
-    holds PAIR_GROUP pairs or the last block is in. Groups of exactly
-    PAIR_GROUP pairs validate the same edges, but the resident peak of
-    repeated arena plans then creeps about 1.3 MB higher over 900 plans.
-    The edges go into buffers of one entry per candidate, not per-group
-    arrays: freed per-group arrays stay in the heap, so a 21,600-node build
-    peaked about 15% higher with them.
+    Broad phase per group, one narrow pass per call. Candidates
+    (_candidate_keys, with their squared lengths) are priced and put through
+    the on-ground check and the collision broad phase
+    (env.segments_undecided) in groups; the segments that the broad phase
+    leaves undecided in every group are sampled together in one
+    env.segments_sampled_in_collision pass at the end. Keep the group shape:
+    the sorted keys are cut only where a block of PAIR_BLOCK // n newer ids
+    ends, and a group is validated once it holds PAIR_GROUP pairs or the
+    last block is in. Groups of exactly PAIR_GROUP pairs validate the same
+    edges, but the resident peak of repeated arena plans then creeps about
+    1.3 MB higher over 900 plans. Verdicts and costs go into arrays of one
+    entry per candidate, and the edge columns are taken from them once, not
+    gathered from per-group arrays: freed per-group arrays stay in the heap,
+    so a 21,600-node build peaked about 15% higher with them.
     """
     n = len(pos)
     # A margin for the squared-distance search, squared by a multiply (inf on
-    # overflow, where ** raises); the lengths from env.distances, rounded
-    # square roots of the same sums, make the closed-radius decision.
-    keys = _candidate_keys(pos, first, radius * radius * (1.0 + 2e-9))
+    # overflow, where ** raises); the lengths, rounded square roots of the
+    # sweep's sums, make the closed-radius decision.
+    keys, sums = _candidate_keys(pos, first, radius * radius * (1.0 + 2e-9))
     rows = max(1, PAIR_BLOCK // n) if n else 1
     cuts = [0]
     for end in np.searchsorted(keys, np.arange(first + rows, n, rows) * n).tolist():
         if end - cuts[-1] >= PAIR_GROUP:
             cuts.append(end)
     cuts.append(len(keys))
-    columns = [np.empty(len(keys), dtype) for dtype in (np.intp, np.intp, np.int8, float, float)]
-    m = 0
+    # One entry per candidate: whether it is an edge, whether the broad
+    # phase left it to sampling, and its cost.
+    valid, undecided = np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=bool)
+    costs = np.empty(len(keys))
     for i, j in zip(cuts, cuts[1:]):
         new, old = np.divmod(keys[i:j], n)
-        length = distances(pos[new], pos[old])
-        keep = (DUPLICATE_NODE_TOL < length) & (length <= radius)
-        new, old, length = new[keep], old[keep], length[keep]
+        # env.distances' rule: the same sums, in the same order.
+        length = np.sqrt(sums[i:j])
         kind = mode[old] + mode[new]
-        ok = np.ones(len(new), dtype=bool)
-        drive = kind == _GROUND
+        costs[i:j] = edge_costs(cm, kind, length, pos[old, 2], pos[new, 2])
+        ok = (DUPLICATE_NODE_TOL < length) & (length <= radius)
+        drive = ok & (kind == _GROUND)
         ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]])
-        ok[ok] = ~env.segments_in_collision(pos[old[ok]], pos[new[ok]], params.clearance)
-        a, b, kind, length = old[ok], new[ok], kind[ok], length[ok]
-        cost = edge_costs(cm, kind, length, pos[a, 2], pos[b, 2])
-        for col, values in zip(columns, (a, b, kind, length, cost)):
-            col[m : m + len(a)] = values
-        m += len(a)
-    # Copies, not views that keep the candidate buffers: with views the
-    # resident peak of 900 arena plans was 0.9 MB higher.
-    return tuple(col[:m].copy() for col in columns)
+        undecided[i:j][ok] = env.segments_undecided(pos[old[ok]], pos[new[ok]], params.clearance)
+        valid[i:j] = ok
+    sampled = np.flatnonzero(undecided)
+    new, old = np.divmod(keys[sampled], n)
+    valid[sampled] = ~env.segments_sampled_in_collision(pos[old], pos[new], params.clearance)
+    new, old = np.divmod(keys[valid], n)
+    return old, new, mode[old] + mode[new], np.sqrt(sums[valid]), costs[valid]
 
 
-def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:
+def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending keys newer * n + older of every pair of nodes, one of them
     a row (id >= `first`), whose squared distance dx*dx + dy*dy + dz*dz is
-    at most `reach2`.
+    at most `reach2`, and those squared distances, in key order.
 
     A sweep over the nodes sorted by x (Bentley, Stanat & Williams, "The
     complexity of finding fixed-radius near neighbors", IPL 1977). A row's
@@ -419,7 +441,7 @@ def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:
     """
     n = len(pos)
     if first >= n:
-        return np.empty(0, dtype=np.intp)
+        return np.empty(0, dtype=np.intp), np.empty(0)
     order = np.argsort(pos[:, 0])
     cols = np.take(pos.T, order, axis=1)  # x, y and z by ascending x, each contiguous
     xs = cols[0]
@@ -436,7 +458,7 @@ def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:
     # or with every row when q is older than all rows: colkey[q] > p.
     colkey = np.where(older, n, np.arange(n))
     row_cols, row_ids = cols[:, rows], order[rows]
-    keys, k0 = [], 0
+    keys, sums, k0 = [], [], 0
     while k0 < len(rows):
         c0 = lo[k0]
         # The most rows, at least one, whose rectangle fits PAIR_BLOCK; its
@@ -447,15 +469,18 @@ def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> np.ndarray:
         k1 = k0 + max(1, fit)
         c1 = hi[k1 - 1]
         dx, dy, dz = (r[k0:k1, None] - c[c0:c1] for r, c in zip(row_cols, cols))
-        near = dx * dx + dy * dy + dz * dz <= reach2
+        d2 = dx * dx + dy * dy + dz * dz
+        near = d2 <= reach2
         near &= colkey[c0:c1] > rows[k0:k1, None]
         i, j = np.nonzero(near)
         a, b = row_ids[k0:k1][i], order[c0:c1][j]
         keys.append(np.maximum(a, b) * n + np.minimum(a, b))
+        sums.append(d2[near])
         k0 = k1
-    keys = np.concatenate(keys)
-    keys.sort()
-    return keys
+    keys, sums = np.concatenate(keys), np.concatenate(sums)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    return keys, sums[by_key]
 
 
 # -- export -------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy import ndimage
 
 from morphnav import env as env_module
 from morphnav.env import (
+    MAX_SEGMENT_SAMPLES,
     SAMPLE_CHUNK,
     Aabb,
     Environment,
@@ -21,6 +22,7 @@ from morphnav.env import (
     environment_from_dict,
     load_environment,
     project_to_grid,
+    sample_gaps,
 )
 from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
@@ -507,6 +509,28 @@ def test_segment_whose_squared_length_underflows_keeps_both_ends():
     for clearance in (0.0, 0.35):
         assert env.segments_in_collision(a, b, clearance).tolist() == [True]
         assert env.segments_in_collision(b, a, clearance).tolist() == [True]
+
+
+def test_sample_counts_over_the_cap_are_refused_not_cast():
+    # At clearance 1e-300 the step is 5e-301, and ceil(2 / step) cast to
+    # int64 used to overflow to the 2-sample minimum: a segment through the
+    # arena's wall tested only its ends and passed.
+    env = load_environment(ARENA)
+    a, b = [(4.0, 3.0, 0.0)], [(6.0, 3.0, 0.0)]
+    assert env.segments_in_collision(a, b, 0.35).tolist() == [True]
+    for clearance in (1e-300, 1e-12, 5e-324):  # the last step rounds to 0.0
+        with pytest.raises(ConfigError, match="a 2 m segment needs more than 1048576 samples"):
+            env.segments_in_collision(a, b, clearance)
+    # The cap is on samples, ceil(L / step) + 1; 0.0625 divides exactly.
+    assert sample_gaps([(MAX_SEGMENT_SAMPLES - 1) * 0.0625], 0.0625).tolist() == [
+        MAX_SEGMENT_SAMPLES - 1
+    ]
+    for length in (MAX_SEGMENT_SAMPLES * 0.0625, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="needs more than"):
+            sample_gaps([1.0, length], 0.0625)
+    # A nan end has no sample count either.
+    with pytest.raises(ConfigError, match="a nan m segment"):
+        _any_sample(np.zeros((1, 3)), [(math.nan, 0.0, 0.0)], 0.05, 8, lambda p: p[:, 0] > 0)
 
 
 def test_samples_lie_in_the_hull_of_their_end_samples():

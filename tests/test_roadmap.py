@@ -146,6 +146,22 @@ def test_build_refuses_edge_prices_that_overflow():
     assert len(roadmap.cost) and np.isfinite(roadmap.cost).all()
 
 
+def test_build_refuses_a_clearance_that_samples_too_finely():
+    # The swept check samples min(0.05, clearance / 2) apart. At clearance
+    # 1e-300 the sample count of a segment used to overflow its int64 cast
+    # and fall back to the two endpoints, so 568 ground edges crossed the
+    # arena's wall. A clearance that samples the bounds diagonal (13.7477 m)
+    # at more than MAX_SEGMENT_SAMPLES points is refused before sampling.
+    env = walled_env()
+    for clearance in (1e-300, 1e-12, 2e-5, 5e-324):
+        params = PrmParams(n_ground=5, n_air=5, seed=1, clearance=clearance)
+        with pytest.raises(ConfigError, match=f"prm clearance {clearance:g} is too small"):
+            build_roadmap(env, CM, params)
+    # 916,517 samples along the diagonal at 3e-5: within the cap.
+    roadmap = build_roadmap(env, CM, PrmParams(n_ground=5, n_air=5, seed=1, clearance=3e-5))
+    assert len(roadmap.a)
+
+
 # -- sampling ---------------------------------------------------------------------
 
 
@@ -904,6 +920,42 @@ def test_sweep_inserts_query_nodes_at_the_x_extremes_and_on_a_shared_x():
         assert _snapshot(roadmap) == _ref_snapshot(ref)
 
 
+@pytest.mark.parametrize("world", ["walled arena", "heightmap, 7 obstacles"])
+def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch):
+    # 300 + 300 nodes make several validation groups of about PAIR_GROUP
+    # candidates, each through the broad phase, and one narrow pass over
+    # what they leave undecided. The edges must be those of one call per
+    # node, each a single group with its own narrow pass.
+    if world == "walled arena":
+        env, air_clearance = load_environment(ARENA), 1.4
+    else:
+        env, air_clearance = _heightmap_obstacles_env(), 0.4
+    params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=air_clearance, seed=1)
+    built = build_roadmap(env, CM, params)
+    pos, mode = built.positions, built.mode
+    calls = {"segments_undecided": 0, "segments_sampled_in_collision": 0}
+    for name in calls:
+        method = getattr(Environment, name)
+
+        def counting(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Environment, name, counting)
+    full = _connect_edges(pos, mode, 0, env, CM, params, params.radius)
+    assert calls["segments_undecided"] > 3, calls
+    assert calls["segments_sampled_in_collision"] == 1, calls
+    rows = [_connect_edges(pos[: k + 1], mode[: k + 1], k, env, CM, params, params.radius)
+            for k in range(len(pos))]
+    assert calls["segments_sampled_in_collision"] == 1 + len(pos)
+    joined = map(np.concatenate, zip(*rows))
+    for col, want, got in zip(("a", "b", "kind", "length", "cost"), full, joined):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (world, col)
+    for want, got in zip(full, (built.a, built.b, built.kind, built.length, built.cost)):
+        assert got.tobytes() == want.tobytes(), world
+    assert len(full[0]) > 5000
+
+
 def test_connect_edges_with_no_rows_or_no_nodes():
     env = open_env()
     params = PrmParams(n_ground=0, n_air=0, radius=2.0)
@@ -937,11 +989,12 @@ def test_record_views_match_columns():
 
 def test_build_memory_stays_flat():
     # Edge checks run in fixed-size numpy passes: sweep rectangles of at most
-    # PAIR_BLOCK squared distances, validation groups of about PAIR_GROUP
-    # candidates and sample chunks of env.SAMPLE_CHUNK. Making every sample
-    # of a walled-arena build at once would hold about 9 MB of samples alone;
-    # the passes keep the build's transient memory, above what the finished
-    # roadmap retains, under 2 MB.
+    # PAIR_BLOCK squared distances, broad-phase groups of about PAIR_GROUP
+    # candidates, and one narrow pass per build in sample chunks of
+    # env.SAMPLE_CHUNK. Making every sample of a walled-arena build at once
+    # would hold about 9 MB of samples alone; the passes keep the build's
+    # transient memory, above what the finished roadmap retains, under 2 MB
+    # (about 0.5 MB).
     env = load_environment(ARENA)
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=7)
     tracemalloc.start()
@@ -956,11 +1009,11 @@ def test_build_memory_stays_flat():
 
 def test_build_memory_scales_with_edges():
     # The arena tiled 2 x 2, a 1 m wall every 12 m, at the arena's density.
-    # The build holds one key per candidate pair and one buffer entry per
-    # candidate edge column, so its transient memory stays within what the
-    # finished roadmap retains plus 1 MB (about 1.5 MB against 1.9 MB). A key
-    # buffer sized to the rectangles' area, or every candidate validated at
-    # once, holds several MB more.
+    # The build holds a key, a squared length, a cost and two flags per
+    # candidate pair, so its transient memory stays within what the finished
+    # roadmap retains plus 1 MB (about 1.6 MB against 2.0 MB). A key buffer
+    # sized to the rectangles' area, or every candidate validated at once,
+    # holds several MB more.
     walls = tuple(Aabb((12.0 * k + 4.9, 0.0, 0.0), (12.0 * k + 5.1, 12.0, 1.0)) for k in range(2))
     env = Environment(Aabb((0.0, 0.0, 0.0), (24.0, 12.0, 3.0)), obstacles=walls)
     params = PrmParams(n_ground=1200, n_air=1200, radius=2.0, min_air_clearance=1.4, seed=7)
@@ -992,6 +1045,8 @@ def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
     roadmap = build_roadmap(env, CM, params)
     assert len(roadmap.a) > 10000
     assert 0 < sum(sampled) < 500, sum(sampled)
+    # The build's several validation groups share one sampler pass.
+    assert len(sampled) == 1, sampled
 
 
 # -- export ------------------------------------------------------------------------
