@@ -6,7 +6,8 @@ of axis-aligned box obstacles. Collision queries treat the robot as a sphere
 whose radius is the requested clearance; the clearance inflates obstacles
 only, while the ground and the arena bounds are tested at the query point
 itself (a ground vehicle sits exactly on the surface, so inflating the ground
-would reject every legal pose).
+would reject every legal pose). Swept segment checks are exact: a segment is
+tested where it comes closest to the bounds, the ground and each box.
 """
 
 from __future__ import annotations
@@ -253,25 +254,25 @@ class Environment:
 
     def segments_in_collision(self, a, b, clearance: float) -> np.ndarray:
         """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays:
-        the broad phase, then the narrow phase on the segments it leaves
-        undecided. The verdict is the same for b-a as for a-b."""
+        the broad phase, then the exact narrow phase on the segments it
+        leaves undecided. The verdict is the same for b-a as for a-b."""
         a, b = _rows(a), _rows(b)
         hit = self.segments_undecided(a, b, clearance)
-        hit[hit] = self.segments_sampled_in_collision(a[hit], b[hit], clearance)
+        hit[hit] = self.segments_hit(a[hit], b[hit], clearance)
         return hit
 
     def segments_undecided(self, a, b, clearance: float) -> np.ndarray:
         """Broad phase of the swept test: False for each segment a[k]-b[k]
-        that it clears without sampling, True for the rest.
+        that it clears, True for the rest.
 
         A segment is cleared when its box [min(a, b), max(a, b)] lies inside
         the bounds, at or above the highest ground and farther than
         clearance + 1e-9 from every obstacle (the 1e-9 absorbs the rounding
-        of the squared distances). Every sample lies in that box (see
-        _any_sample). On a heightmap the highest ground is the largest
+        of the squared distances). Every point that segments_hit tests lies
+        in that box. On a heightmap the highest ground is the largest
         elevation plus a margin, since a bilinear blend can round past its
-        inputs. So the broad phase clears no segment that sampling would
-        reject.
+        inputs. So the broad phase clears no segment that the narrow phase
+        would reject.
         """
         a, b = _rows(a), _rows(b)
         at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
@@ -284,36 +285,94 @@ class Environment:
             clear &= gx + gy + gz > reach * reach
         return ~clear
 
-    def segments_sampled_in_collision(self, a, b, clearance: float) -> np.ndarray:
-        """Narrow phase of the swept test: True for each segment a[k]-b[k]
-        with a sample in collision (points_in_collision), the samples
-        sample_step(clearance) apart in one _any_sample pass over all the
-        segments. Both endpoints are always included, exactly, also where
-        the squared length underflows, so a degenerate segment (a == b)
-        reduces to a point test."""
-        return _any_sample(
-            a, b, sample_step(clearance), SAMPLE_CHUNK,
-            lambda pts: self.points_in_collision(pts, clearance),
-        )
+    def segments_hit(self, a, b, clearance: float) -> np.ndarray:
+        """Exact narrow phase of the swept test: True for each segment
+        a[k]-b[k] in collision at a candidate parameter t, where it comes
+        closest to what it can hit: points_in_collision at t = 0 and 1, as
+        the bounds and a flat ground are convex, and at _box_params for each
+        obstacle within clearance + 1e-9 of the segment's box; z < ground at
+        _ground_range's parameters where it dips below the highest ground."""
+        return self._in_passes(a, b, lambda *ends: self._hit_pass(*ends, clearance))
+
+    def _hit_pass(self, a, b, d, clearance: float) -> np.ndarray:
+        k = np.arange(a.shape[1])
+        seg, pts = [k, k], [a.T, b.T]
+        lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
+        gx, gy, gz = np.square(np.maximum(np.maximum(self._box_lo - hi, lo - self._box_hi), 0.0))
+        box, near = np.nonzero(gx + gy + gz <= (clearance + 1e-9) * (clearance + 1e-9))
+        pa, pb, pd = (np.take(c, near, axis=1) for c in (a, b, d))
+        t = _box_params(pa, pd, self._box_lo[:, box, 0], self._box_hi[:, box, 0])
+        seg.append(np.tile(near, len(t)))
+        pts.append(_points(pa, pb, pd, t).reshape(3, -1).T)
+        hits = self.points_in_collision(np.concatenate(pts), clearance)
+        hit = np.bincount(np.concatenate(seg), hits, len(k)) > 0
+        if self.heightmap is not None:
+            low = np.flatnonzero(lo[2, 0] < self._floor_top)
+            hit[low] |= self._ground_range(*(c[:, low] for c in (a, b, d)))[0] < 0.0
+        return hit
 
     def segments_on_ground(self, a, b, tol: float = 1e-6) -> np.ndarray:
-        """True for each segment a[k]-b[k] whose samples, 0.05 m apart, all
-        lie on the ground surface.
-
-        On flat ground only the endpoints are tested: they are samples, every
-        other sample's z lies between theirs (see _any_sample), and
-        z - ground rounds monotonically in z. Heightmaps are sampled.
-        """
+        """True for each segment a[k]-b[k] with |z - ground| <= tol all along
+        it: at its ends on flat ground, where z - ground is linear along it,
+        and at _ground_range's parameters on a heightmap."""
         a, b = _rows(a), _rows(b)
         if self.ground_const is not None:
-            g = self.ground_const
-            return np.maximum(np.abs(a[:, 2] - g), np.abs(b[:, 2] - g)) <= tol
+            return np.abs(np.stack((a[:, 2], b[:, 2])) - self.ground_const).max(axis=0) <= tol
+        return self._in_passes(
+            a, b, lambda *ends: np.abs(self._ground_range(*ends)).max(axis=0) <= tol
+        )
 
-        def off_ground(pts):
-            ground = self.ground_heights(pts[:, 0], pts[:, 1])
-            return ~(np.abs(pts[:, 2] - ground) <= tol)
+    def _in_passes(self, a, b, test) -> np.ndarray:
+        """test(a, b, d) on x, y and z rows of the segments a[k]-b[k], their
+        ends put in lexicographic order so that b-a gets a-b's verdict bit
+        for bit, and d = b - a, in passes of at most BOX_BLOCK segment-box
+        pairs and heightmap parameters. Non-finite ends, which lie outside
+        the bounds, make nan parameters."""
+        a, b = _rows(a), _rows(b)
+        eq, lt = a == b, b < a
+        swap = (lt[:, 0] | eq[:, 0] & (lt[:, 1] | eq[:, 1] & lt[:, 2]))[:, None]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        out = np.zeros(len(a), dtype=bool)
+        with np.errstate(all="ignore"):
+            ends = a.T, b.T, (b - a).T
+            width = len(self.obstacles)
+            if self.heightmap is not None:  # 2 parameters a lattice line crossed, 5 more
+                hm = self.heightmap
+                span = np.fmax.reduce(np.abs(ends[2][:2]).sum(axis=0), initial=0.0)
+                width += 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
+            block = max(1, BOX_BLOCK // max(1, width))
+            for i in range(0, len(a), block):
+                out[i : i + block] = test(*(c[:, i : i + block] for c in ends))
+        return out
 
-        return ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
+    def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray]:
+        """The least and the greatest z - ground along segments a + t d over
+        the heightmap, given as (3, K) x, y and z rows: at 0, 1, the
+        crossings of the lattice lines (Amanatides & Woo, "A fast voxel
+        traversal algorithm for ray tracing", 1987) and the clamped vertex
+        of each piece between them, where the bilinear, edge-clamped ground
+        is quadratic in t and its values at the piece's ends and midpoint
+        give the vertex. Rows with fewer crossings repeat t = 0.
+        """
+        hm = self.heightmap
+        cross = [np.zeros_like(a[:1]), np.ones_like(a[:1])]
+        for axis, n in ((0, hm.cols), (1, hm.rows)):
+            u0, u1 = ((c[axis] - hm.origin[axis]) / hm.resolution for c in (a, b))
+            first = np.fmax(np.ceil(np.minimum(u0, u1)), 0.0)
+            count = np.fmin(np.floor(np.maximum(u0, u1)), n - 1.0) - first + 1.0
+            lines = np.arange(int(count.max(initial=0.0)))[:, None]
+            cross.append(np.where(lines < count, (first + lines - u0) / (u1 - u0), 0.0))
+        ends = np.sort(np.fmin(np.fmax(np.concatenate(cross), 0.0), 1.0), axis=0)
+        t0, t1 = ends[:-1], ends[1:]
+        tm, w = (t0 + t1) * 0.5, t1 - t0
+        x, y, z = _points(a, b, d, ends)
+        g, gm = self.ground_heights(x, y), self.ground_heights(*_points(a[:2], b[:2], d[:2], tm))
+        # On a piece, ground' = (g1 - g0) / w at tm and ground'' = curv / w**2.
+        curv = 4.0 * (g[:-1] - 2.0 * gm + g[1:])
+        s = np.divide((d[2] * w - g[1:] + g[:-1]) * w, curv, out=np.zeros_like(w), where=curv != 0)
+        xv, yv, zv = _points(a, b, d, np.fmin(np.fmax(tm + s, t0), t1))
+        h = np.concatenate((z - g, zv - self.ground_heights(xv, yv)))
+        return h.min(axis=0), h.max(axis=0)
 
 
 # Point-box pairs of one obstacle pass of points_in_collision. A pass makes
@@ -321,48 +380,6 @@ class Environment:
 # 4,096 timed best overall at 512 and 2,048 points in worlds of 4 to 50
 # boxes; one point still meets up to 4,096 boxes in one pass.
 BOX_BLOCK = 1 << 12
-
-# Samples made and tested per pass of _any_sample, in every world:
-# points_in_collision's temporaries do not grow with the obstacle count. Keep
-# the passes small and all the same size: checking all of a walled-arena
-# roadmap's segments at once holds about 9 MB of samples, and arrays of many
-# different small sizes are no better, because numpy keeps freed buffers
-# under 1 KB in a per-size cache (up to 7 per size) that it never returns and
-# that tracemalloc does not see, so RSS creeps up over repeated builds. Only
-# the segments that the broad phase (segments_undecided) leaves undecided,
-# and segments_on_ground's over a heightmap, reach these passes: 276 of a
-# seed-1 walled-arena plan's 19,625 segment checks, sampled in one pass per
-# roadmap._connect_edges call, so only its last chunk is padded.
-SAMPLE_CHUNK = 2048
-
-# Cap on the samples of one segment, ceil(length / step) + 1: a
-# bounds-diagonal segment of the walled arena makes 276 at the default
-# clearance, and at the 0.05 m step the cap admits segments up to 52 km.
-MAX_SEGMENT_SAMPLES = 1 << 20
-
-
-def sample_step(clearance: float) -> float:
-    """Spacing of a swept collision test's samples: min(0.05 m,
-    clearance / 2), so thin obstacles larger than the step cannot slip
-    between samples, and 0.05 m at clearance 0."""
-    return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
-
-
-def sample_gaps(length, step: float) -> np.ndarray:
-    """ceil(length / step) for each segment length: one fewer than the
-    segment's samples. Raises ConfigError when a segment would have more
-    than MAX_SEGMENT_SAMPLES samples, or no count at all (a nan length, or
-    a step that rounds to 0), where casting the count would overflow."""
-    length = np.asarray(length, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.ceil(length / step)
-    over = ~(gaps < MAX_SEGMENT_SAMPLES)  # nan and inf included
-    if over.any():
-        raise ConfigError(
-            f"a {float(length[over][0]):g} m segment needs more than "
-            f"{MAX_SEGMENT_SAMPLES} samples {step:g} m apart"
-        )
-    return gaps
 
 
 def _rows(points) -> np.ndarray:
@@ -382,56 +399,37 @@ def distances(a, b) -> np.ndarray:
     return np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
-def _any_sample(a, b, step: float, chunk: int, test) -> np.ndarray:
-    """For each segment a[k]-b[k], whether `test` holds at any of its samples.
+def _points(a, b, d, t) -> np.ndarray:
+    """(3, W, K) x, y and z rows of the points at (W, K) parameters t of
+    segments with (3, K) rows a, b and d = b - a, each from its nearer end:
+    a + d t up to t = 1/2, else b + d (t - 1). So t = 0 and 1 give a and b
+    exactly, and every point lies in [min(a, b), max(a, b)]."""
+    near = t <= 0.5
+    return np.where(near, a[:, None], b[:, None]) + d[:, None] * np.where(near, t, t - 1.0)
 
-    A segment of length L = distances(a, b) has n = ceil(L / step) + 1
-    samples, but at least 2 whenever a != b, also where L underflows to 0.0.
-    Each is made from the nearer end: with d = b - a and
-    inv = 1 / (n - 1), sample k is a + d * (k * inv) in the
-    first half, b - d * ((n - 1 - k) * inv) in the second, and (a + b) * 0.5
-    in the middle of an odd count. So a and b are exact, b-a has the samples
-    of a-b, and on each axis every sample lies in [min(a, b), max(a, b)]:
-    d * t with t at most about 1/2 stays short of b - a, and rounding is
-    monotone.
 
-    `test` maps a (chunk, 3) array of points to chunk booleans; the samples
-    are made `chunk` at a time, in segment order, and the last pass repeats
-    the final sample to fill up. Raises ConfigError, from sample_gaps, when
-    a segment would have more than MAX_SEGMENT_SAMPLES samples.
+def _box_params(a, d, lo, hi) -> np.ndarray:
+    """(7, P) parameters t of segments a + t d, each against its box lo-hi,
+    all (3, P) x, y and z rows: on each piece between 0, 1 and the 6 slab
+    crossings, the vertex of the squared distance to the box, a quadratic
+    there (Ericson, Real-Time Collision Detection, 2005, 5.5.7), clamped
+    into the piece. An axis along which a segment does not move crosses at
+    t = 0 or 1 (fmax takes 0 / 0 to 0).
     """
-    a, b = _rows(a), _rows(b)
-    if not len(a):
-        return np.zeros(0, dtype=bool)
-    # ceil(L / step) >= 1 for any L > 0, as step <= 0.05 m; the maximum
-    # keeps both ends of a segment whose squared length underflows.
-    n = sample_gaps(distances(a, b), step).astype(np.int64) + 1
-    np.maximum(n, 1 + (a != b).any(axis=1), out=n)
-    last = n - 1
-    inv = 1.0 / np.maximum(last, 1)
-    # x, y and z rows: np.take gathers their columns about 4x faster than
-    # indexing gathers (K, 3) rows. Segment s has its base points a, the
-    # midpoint and b in columns s, K + s and 2K + s.
-    d = (b - a).T
-    base = np.concatenate((a, (a + b) * 0.5, b)).T
-    ends = np.cumsum(n)
-    starts = ends - n
-    total = int(ends[-1])
-    # Padding with the final sample leaves the last segment's result as is.
-    hit = np.empty(-(-total // chunk) * chunk, dtype=bool)
-    for s0 in range(0, total, chunk):
-        idx = np.arange(s0, s0 + chunk)
-        np.minimum(idx, total - 1, out=idx)
-        seg = np.searchsorted(ends, idx, side="right")
-        k = idx - starts[seg]
-        m = last[seg] - k
-        # +1 in the first half, -1 in the second, 0 in the middle.
-        side = np.sign(m - k)
-        pts = np.take(d, seg, axis=1)
-        pts *= side * np.minimum(k, m) * inv[seg]
-        pts += np.take(base, seg + (1 - side) * len(a), axis=1)
-        hit[s0 : s0 + chunk] = test(pts.T)
-    return np.logical_or.reduceat(hit, starts)
+    cross = np.minimum(np.fmax(np.concatenate(((lo - a) / d, (hi - a) / d)), 0.0), 1.0)
+    ends = np.sort(np.concatenate((np.zeros_like(a[:1]), np.ones_like(a[:1]), cross)), axis=0)
+    t0, t1 = ends[:-1], ends[1:]
+    tm = (t0 + t1) * 0.5
+    a, d = a[:, None], d[:, None]
+    # Per axis, the gap to the slab on the piece is g + slope * (t - tm).
+    mid = a + d * tm
+    g = mid - np.minimum(np.maximum(mid, lo[:, None]), hi[:, None])
+    slope = d * (g != 0.0)
+    gx, gy, gz = g * slope
+    sx, sy, sz = slope * slope
+    den = sx + sy + sz
+    s = np.divide(gx + gy + gz, den, out=np.zeros_like(tm), where=den > 0.0)
+    return np.minimum(np.maximum(tm - s, t0), t1)
 
 
 class OccupancyGrid:

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .costmodel import CostModel, check_fields
-from .env import Environment, distances, sample_gaps, sample_step
+from .env import Environment, distances
 from .errors import ConfigError, QueryNodeIsolatedError, SamplingError
 from .rng import SplitMix64
 
@@ -43,8 +43,9 @@ SAMPLE_BLOCK = 512
 # their x-windows); also the newer ids of one validation block, PAIR_BLOCK // n.
 PAIR_BLOCK = 1 << 13
 # Candidate pairs validated together, at least. Groups this large keep every
-# per-candidate array above numpy's 1 KB small-buffer cache (see
-# env.SAMPLE_CHUNK) while bounding the memory one group holds.
+# per-candidate array above numpy's 1 KB small-buffer cache, which keeps up
+# to 7 freed buffers of each size below 1 KB and never returns them, while
+# bounding the memory one group holds.
 PAIR_GROUP = 2048
 
 
@@ -262,11 +263,9 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     All ground nodes are sampled first, then all aerial nodes, from one
     stream; sampling never looks at edges. Every node is then connected to
     the nodes before it in id order. Raises ConfigError when the cost model
-    overflows pricing the world's worst edge, or when the clearance samples
-    it at too many points.
+    overflows pricing the world's worst edge.
     """
     _check_worst_edge_price(env, cm)
-    _check_worst_edge_samples(env, params.clearance)
     rng = SplitMix64(params.seed)
     ground = _sample_nodes(env, params, rng, params.n_ground, air=False)
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
@@ -294,21 +293,6 @@ def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
         raise ConfigError(
             f"cost model overflows pricing a {diagonal:g} m edge climbing "
             f"{hi[2] - lo[2]:g} m ({exc})"
-        ) from None
-
-
-def _check_worst_edge_samples(env: Environment, clearance: float) -> None:
-    """Count the collision samples of an edge along the bounds diagonal.
-    Every node lies inside the bounds, so no edge is longer, and its length,
-    rounded as env.distances rounds, is no longer either; a clearance whose
-    step samples this edge within MAX_SEGMENT_SAMPLES samples every edge of
-    the world within it."""
-    diagonal = distances(env.bounds.min_corner, env.bounds.max_corner)
-    try:
-        sample_gaps(diagonal, sample_step(clearance))
-    except ConfigError as exc:
-        raise ConfigError(
-            f"prm clearance {clearance:g} is too small for this world: {exc}"
         ) from None
 
 
@@ -371,8 +355,8 @@ def _connect_edges(
     b, kind, length and cost from node columns pos and mode; no roadmap changes.
 
     An edge is valid when the straight segment is collision-free at the
-    build clearance; driving edges additionally require every sample of the
-    segment to lie on the ground surface (flat-ground traversal). Edges are
+    build clearance; driving edges additionally require the whole segment
+    to lie on the ground surface (flat-ground traversal). Edges are
     stored with the lower node id first, so the stored cost orientation is
     from the older node toward the newer one.
 
@@ -380,8 +364,10 @@ def _connect_edges(
     (_candidate_keys, with their squared lengths) are priced and put through
     the on-ground check and the collision broad phase
     (env.segments_undecided) in groups; the segments that the broad phase
-    leaves undecided in every group are sampled together in one
-    env.segments_sampled_in_collision pass at the end. Keep the group shape:
+    leaves undecided in every group go through the exact narrow phase
+    (env.segments_hit) together at the end. A narrow-phase call costs about
+    a hundred numpy operations whatever its size, so one per group made an
+    arena build about 1 ms slower. Keep the group shape:
     the sorted keys are cut only where a block of PAIR_BLOCK // n newer ids
     ends, and a group is validated once it holds PAIR_GROUP pairs or the
     last block is in. Groups of exactly PAIR_GROUP pairs validate the same
@@ -403,7 +389,7 @@ def _connect_edges(
             cuts.append(end)
     cuts.append(len(keys))
     # One entry per candidate: whether it is an edge, whether the broad
-    # phase left it to sampling, and its cost.
+    # phase left it to the narrow phase, and its cost.
     valid, undecided = np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=bool)
     costs = np.empty(len(keys))
     for i, j in zip(cuts, cuts[1:]):
@@ -417,9 +403,9 @@ def _connect_edges(
         ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]])
         undecided[i:j][ok] = env.segments_undecided(pos[old[ok]], pos[new[ok]], params.clearance)
         valid[i:j] = ok
-    sampled = np.flatnonzero(undecided)
-    new, old = np.divmod(keys[sampled], n)
-    valid[sampled] = ~env.segments_sampled_in_collision(pos[old], pos[new], params.clearance)
+    narrow = np.flatnonzero(undecided)
+    new, old = np.divmod(keys[narrow], n)
+    valid[narrow] = ~env.segments_hit(pos[old], pos[new], params.clearance)
     new, old = np.divmod(keys[valid], n)
     return old, new, mode[old] + mode[new], np.sqrt(sums[valid]), costs[valid]
 

@@ -81,10 +81,10 @@ def ref_heuristic(cm, position, goal):
 
 
 def ref_segment_points(a, b, step):
-    """Samples of the segment a-b at most `step` apart, one at a time, and
-    at least both ends when a != b: each from the nearer end, a + d * t in
-    the first half and b - d * t' in the second (d = b - a, t' the mirrored
-    parameter), and an odd count's middle sample (a + b) * 0.5."""
+    """Dense samples of the segment a-b at most `step` apart, one at a time,
+    and at least both ends when a != b: each from the nearer end, a + d * t
+    in the first half and b - d * t' in the second (d = b - a, t' the
+    mirrored parameter), and an odd count's middle sample (a + b) * 0.5."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     d = b - a
@@ -102,10 +102,6 @@ def ref_segment_points(a, b, step):
         else:
             pts.append((a + b) * 0.5)
     return np.array(pts)
-
-
-def ref_step(clearance):
-    return 0.05 if clearance <= 0.0 else min(0.05, clearance / 2.0)
 
 
 def ref_point_in_collision(env, p, clearance):
@@ -128,15 +124,124 @@ def ref_point_in_collision(env, p, clearance):
     return False
 
 
+# The exact swept tests one segment at a time: the candidate parameters of
+# env.Environment.segments_hit and segments_on_ground, with their float
+# operations in their order. A candidate that the program adds twice, or on
+# a piece of zero length, is made once here.
+
+
+def _ref_ordered(a, b):
+    """The ends in lexicographic order, as the swept tests order them."""
+    a, b = [float(v) for v in a], [float(v) for v in b]
+    for p, q in zip(a, b):
+        if p != q:
+            return (b, a) if q < p else (a, b)
+    return a, b
+
+
+def _ref_point(a, b, d, t):
+    """The point at t, made from the nearer end as env._points makes it."""
+    if t <= 0.5:
+        return [p + s * t for p, s in zip(a, d)]
+    return [q + s * (t - 1.0) for q, s in zip(b, d)]
+
+
+def _ref_clamp(t, lo, hi):
+    """np.fmin(np.fmax(t, lo), hi): nan goes to lo."""
+    return lo if t != t else min(max(t, lo), hi)
+
+
+def _ref_pieces(cross):
+    """Consecutive pairs of the sorted parameters 0, 1 and `cross`."""
+    ends = sorted(set([0.0, 1.0] + cross))
+    return list(zip(ends, ends[1:]))
+
+
+def _ref_box_params(a, d, box):
+    """The clamped vertex of the squared distance to `box` on each piece
+    between the slab crossings of the segment a + t d."""
+    cross = []
+    for k in range(3):
+        if d[k] != 0.0:
+            for c in (box.min_corner[k], box.max_corner[k]):
+                cross.append(_ref_clamp((c - a[k]) / d[k], 0.0, 1.0))
+    params = []
+    for t0, t1 in _ref_pieces(cross):
+        tm = (t0 + t1) * 0.5
+        num = den = 0.0
+        for k in range(3):
+            mid = a[k] + d[k] * tm
+            g = mid - min(max(mid, box.min_corner[k]), box.max_corner[k])
+            slope = d[k] if g != 0.0 else 0.0
+            num, den = num + g * slope, den + slope * slope
+        s = num / den if den > 0.0 else 0.0
+        params.append(min(max(tm - s, t0), t1))
+    return params
+
+
+def _ref_ground_gaps(env, a, b, d):
+    """z - ground at the ends of the pieces between the segment's crossings
+    of the heightmap's lattice lines, and at each piece's clamped vertex of
+    z - ground, from the ground at the piece's ends and midpoint."""
+    hm = env.heightmap
+    cross = []
+    for axis, n in ((0, hm.cols), (1, hm.rows)):
+        u0, u1 = ((c[axis] - hm.origin[axis]) / hm.resolution for c in (a, b))
+        line = max(float(math.ceil(min(u0, u1))), 0.0)
+        while line <= min(float(math.floor(max(u0, u1))), n - 1.0):
+            # Where u0 == u1 the program divides 0 by 0 and takes t = 0.
+            cross.append(_ref_clamp((line - u0) / (u1 - u0), 0.0, 1.0) if u1 != u0 else 0.0)
+            line += 1.0
+    params = [0.0, 1.0]
+    for t0, t1 in _ref_pieces(cross):
+        tm, w = (t0 + t1) * 0.5, t1 - t0
+        g0, gm, g1 = (float(env.ground_heights(*_ref_point(a, b, d, t)[:2])) for t in (t0, tm, t1))
+        curv = 4.0 * (g0 - 2.0 * gm + g1)
+        s = (d[2] * w - g1 + g0) * w / curv if curv != 0.0 else 0.0
+        params += [t1, min(max(tm + s, t0), t1)]
+    gaps = []
+    for t in params:
+        x, y, z = _ref_point(a, b, d, t)
+        gaps.append(z - float(env.ground_heights(x, y)))
+    return gaps
+
+
 def ref_in_collision(env, a, b, clearance):
-    pts = ref_segment_points(a, b, ref_step(clearance))
-    return bool(env.points_in_collision(pts, clearance).any())
+    """Swept collision of the segment a-b: a point in collision
+    (ref_point_in_collision) at its ends or its box candidates, or below a
+    heightmap at one of _ref_ground_gaps' parameters."""
+    a, b = _ref_ordered(a, b)
+    d = [q - p for p, q in zip(a, b)]
+    params = [0.0, 1.0]
+    reach = clearance + 1e-9
+    for box in env.obstacles:
+        g = [max(max(box_lo - max(p, q), min(p, q) - box_hi), 0.0)
+             for p, q, box_lo, box_hi in zip(a, b, box.min_corner, box.max_corner)]
+        if g[0] * g[0] + g[1] * g[1] + g[2] * g[2] <= reach * reach:
+            params += _ref_box_params(a, d, box)
+    if any(ref_point_in_collision(env, _ref_point(a, b, d, t), clearance) for t in params):
+        return True
+    if env.heightmap is None:
+        return False
+    # Below the ground: only where the segment dips below the highest ground,
+    # with the margin that env.Environment adds.
+    data = env.heightmap.data
+    if min(a[2], b[2]) >= float(data.max()) + 1e-9 * max(1.0, float(np.abs(data).max())):
+        return False
+    return min(_ref_ground_gaps(env, a, b, d)) < 0.0
 
 
 def ref_on_ground(env, a, b, tol=1e-6):
-    pts = ref_segment_points(a, b, 0.05)
-    ground = env.ground_heights(pts[:, 0], pts[:, 1])
-    return bool(np.all(np.abs(pts[:, 2] - ground) <= tol))
+    """Whether |z - ground| <= tol at every candidate parameter of the
+    segment a-b: its ends on flat ground, _ref_ground_gaps' on a
+    heightmap."""
+    a, b = _ref_ordered(a, b)
+    d = [q - p for p, q in zip(a, b)]
+    if env.heightmap is None:
+        gaps = [p[2] - env.ground_const for p in (a, b)]
+    else:
+        gaps = _ref_ground_gaps(env, a, b, d)
+    return all(abs(h) <= tol for h in gaps)
 
 
 def ref_grid_length(grid, start, goal=None):

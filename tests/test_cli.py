@@ -104,8 +104,6 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("prm", {"clearance": math.nan}, "prm parameter 'clearance' must be finite, got nan"),
         ("prm", {"radius": math.nan}, "prm parameter 'radius' must be finite, got nan"),
         ("prm", {"z_max": math.inf}, "prm parameter 'z_max' must be finite, got inf"),
-        # A clearance whose sample step is too fine for the arena's diagonal.
-        ("prm", {"clearance": 1e-300}, "prm clearance 1e-300 is too small for this world"),
         ("cost", {"flight_power": math.nan}, "cost parameter 'flight_power' must be finite"),
         ("cost", {"mass": math.nan}, "cost parameter 'mass' must be finite, got nan"),
         ("cost", {"ground_speed": -math.inf}, "cost parameter 'ground_speed' must be finite"),

@@ -6,23 +6,21 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from morphnav import env as env_module
 from morphnav.env import (
-    MAX_SEGMENT_SAMPLES,
-    SAMPLE_CHUNK,
     Aabb,
     Environment,
     Heightmap,
     OccupancyGrid,
-    _any_sample,
     distances,
     edt,
     environment_from_dict,
     load_environment,
     project_to_grid,
-    sample_gaps,
 )
 from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
@@ -33,7 +31,6 @@ from reference import (
     ref_on_ground,
     ref_point_in_collision,
     ref_segment_points,
-    ref_step,
     uniform,
 )
 
@@ -310,11 +307,28 @@ def test_segment_collision_catches_thin_wall():
         Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
         obstacles=(Aabb((4.9, 0.0, 0.0), (5.1, 6.0, 1.0)),),
     )
-    # Sampling step is at most 0.05 m, so a 0.2 m wall cannot slip through.
+    # The ends lie on either side of the wall: only the narrow phase sees it.
     a = [(1.0, 3.0, 0.5), (1.0, 3.0, 0.0), (1.0, 3.0, 2.0)]
     b = [(11.0, 3.0, 0.5), (11.0, 3.0, 0.0), (11.0, 3.0, 2.0)]
     assert env.segments_in_collision(a, b, 0.0)[0]
     assert env.segments_in_collision(a, b, 0.35).tolist() == [True, True, False]
+
+
+def test_thin_plate_collides_at_zero_clearance():
+    # A 1 cm plate. Samples 0.05 m apart from x = 4 to 6.013 all miss it,
+    # and the segment to x = 6 has one in it; the exact test hits both.
+    env = Environment(
+        Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 3.0)),
+        obstacles=(Aabb((5.0, 0.0, 0.0), (5.01, 10.0, 3.0)),),
+    )
+    a, b = [(4.0, 5.0, 1.0)] * 2, [(6.013, 5.0, 1.0), (6.0, 5.0, 1.0)]
+    assert not env.points_in_collision(ref_segment_points(a[0], b[0], 0.05), 0.0).any()
+    assert env.segments_in_collision(a, b, 0.0).tolist() == [True, True]
+    assert env.segments_in_collision(b, a, 0.0).tolist() == [True, True]
+    # Stopping 0.01 m short of the plate: the clearance decides.
+    short = [(4.99, 5.0, 1.0)]
+    assert env.segments_in_collision(a[:1], short, 0.0099).tolist() == [False]
+    assert env.segments_in_collision(a[:1], short, 0.0101).tolist() == [True]
 
 
 def test_segment_degenerate_reduces_to_point():
@@ -370,8 +384,8 @@ def _several_boxes_env():
 def _random_segments(env, rng, n, clearance):
     """n segments; i % 6 picks the case: anywhere in (and just beyond) the
     bounds, degenerate, both ends on the ground surface, axis-aligned with a
-    length a whole number of sampling steps, ends on the bounds faces, and
-    level runs exactly `clearance` above an obstacle top."""
+    length a whole number of 0.05 m, ends on the bounds faces, and level
+    runs exactly `clearance` above an obstacle top."""
     lo, hi = env.bounds.min_corner, env.bounds.max_corner
 
     def point(margin=0.0):
@@ -397,7 +411,7 @@ def _random_segments(env, rng, n, clearance):
             a = point()
             axis = rng.randint(3)
             b = list(a)
-            b[axis] += (1 + rng.randint(40)) * ref_step(clearance) * (-1) ** (i // 6)
+            b[axis] += (1 + rng.randint(40)) * 0.05 * (-1) ** (i // 6)
         elif case == 4:
             a, b = point(), point()
             axis = rng.randint(3)
@@ -437,106 +451,47 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     assert 0 < sum(ref_on) < len(ref_on)
 
 
-# Segments from the origin whose length under another norm rounds to the
-# other side of a multiple of 0.05 m or 0.125 m from the plain sum of
-# squares, so a sample count read from that norm would differ: math.dist
-# (the first and the third), np.linalg.norm of the vector (the second and
-# the third) and np.hypot taken twice (the third and the last). Found by
-# search on x86-64, Python 3.11, numpy 2.4.
-DIST_BOUNDARY_ENDS = [
-    (-0.046923653809572335, -0.7933248058745228, -0.7962781694215347),
-    (0.12491030886988197, -0.13452130050121572, -3.119603570078976),
-    (2.413022465359577, -0.4645011833767912, -0.6812203992186029),
-    (-1.7416987108082087, 2.406160376811408, -0.9708258555641209),
-]
-
-
-@pytest.mark.parametrize("chunk", [5, 64, SAMPLE_CHUNK])
-def test_batched_samples_equal_ref_segment_points(chunk):
-    # Bit for bit, in segment order, whatever the chunk; chunks straddle
-    # segment boundaries and the last one is padded.
-    env = _stepped_heightmap_env()
-    a, b = _random_segments(env, SplitMix64(chunk), 2000, 0.25)
-    a = np.vstack([np.zeros((len(DIST_BOUNDARY_ENDS), 3)), a])
-    b = np.vstack([DIST_BOUNDARY_ENDS, b])
-    seen = []
-
-    def record(pts):
-        assert pts.shape == (chunk, 3)
-        seen.append(pts.copy())
-        return np.zeros(len(pts), dtype=bool)
-
-    for step in (0.05, 0.125):
-        seen.clear()
-        assert not _any_sample(a, b, step, chunk, record).any()
-        ref = np.concatenate([ref_segment_points(p, q, step) for p, q in zip(a, b)])
-        got = np.concatenate(seen)
-        bits = got.view(np.int64)
-        assert np.array_equal(bits[: len(ref)], ref.view(np.int64))
-        assert (bits[len(ref) :] == bits[len(ref) - 1]).all()
-
-
-def test_batched_checks_report_each_segment_across_chunks():
-    # One hit in one segment marks that segment only, wherever chunks split.
-    env = _box_env()
-    a = np.array([(1.0, 1.0, 1.0)] * 6 + [(3.0, 5.0, 1.0)] + [(1.0, 1.0, 1.0)] * 6)
-    b = a + np.array([0.5, 0.0, 0.0])
-    b[6] = (7.0, 5.0, 1.0)
-    for chunk in (1, 2, 3, 5, 11, 13, 1000):
-        hits = _any_sample(a, b, 0.05, chunk, lambda p: env.points_in_collision(p, 0.0))
-        assert hits.tolist() == [False] * 6 + [True] + [False] * 6
-
-
 def test_segment_whose_squared_length_underflows_keeps_both_ends():
-    # |b - a| = 1e-170 squares to 0.0, so its length reads 0.0; the samples
-    # are still a and b, not their midpoint alone.
+    # |b - a| = 1e-170 squares to 0.0, so its length reads 0.0; the ends
+    # are still tested, not their midpoint alone. b lies just outside the
+    # bounds and the midpoint on them, at x = 0.0, so only b rejects the
+    # segment, from either end.
     a = np.array([(5e-171, 1.0, 1.0)])
     b = np.array([(-5e-171, 1.0, 1.0)])
     assert distances(a, b).tolist() == [0.0]
-    seen = []
-
-    def record(pts):
-        seen.append(pts.copy())
-        return np.zeros(len(pts), dtype=bool)
-
-    assert not _any_sample(a, b, 0.05, 2, record).any()
-    assert np.concatenate(seen).tobytes() == np.concatenate((a, b)).tobytes()
-    # b lies just outside the bounds and the midpoint on them, at x = 0.0,
-    # so only a sample at b rejects the segment, from either end.
     env = _box_env()
     assert env.point_in_collision(b[0], 0.0)
     assert not env.point_in_collision((0.0, 1.0, 1.0), 0.0)
     for clearance in (0.0, 0.35):
         assert env.segments_in_collision(a, b, clearance).tolist() == [True]
         assert env.segments_in_collision(b, a, clearance).tolist() == [True]
+        assert ref_in_collision(env, a[0], b[0], clearance)
 
 
-def test_sample_counts_over_the_cap_are_refused_not_cast():
-    # At clearance 1e-300 the step is 5e-301, and ceil(2 / step) cast to
-    # int64 used to overflow to the 2-sample minimum: a segment through the
-    # arena's wall tested only its ends and passed.
+def test_tiny_clearances_and_non_finite_ends_are_decided():
+    # The exact test makes no more points for a smaller clearance: at
+    # 1e-300 and 5e-324 a segment through the arena's wall collides, and
+    # one beside it does not.
     env = load_environment(ARENA)
-    a, b = [(4.0, 3.0, 0.0)], [(6.0, 3.0, 0.0)]
-    assert env.segments_in_collision(a, b, 0.35).tolist() == [True]
-    for clearance in (1e-300, 1e-12, 5e-324):  # the last step rounds to 0.0
-        with pytest.raises(ConfigError, match="a 2 m segment needs more than 1048576 samples"):
-            env.segments_in_collision(a, b, clearance)
-    # The cap is on samples, ceil(L / step) + 1; 0.0625 divides exactly.
-    assert sample_gaps([(MAX_SEGMENT_SAMPLES - 1) * 0.0625], 0.0625).tolist() == [
-        MAX_SEGMENT_SAMPLES - 1
-    ]
-    for length in (MAX_SEGMENT_SAMPLES * 0.0625, math.inf, math.nan):
-        with pytest.raises(ConfigError, match="needs more than"):
-            sample_gaps([1.0, length], 0.0625)
-    # A nan end has no sample count either.
-    with pytest.raises(ConfigError, match="a nan m segment"):
-        _any_sample(np.zeros((1, 3)), [(math.nan, 0.0, 0.0)], 0.05, 8, lambda p: p[:, 0] > 0)
+    a, b = [(4.0, 3.0, 0.0), (4.0, 3.0, 1.5)], [(6.0, 3.0, 0.0), (6.0, 3.0, 1.5)]
+    for clearance in (0.35, 1e-12, 1e-300, 5e-324, 0.0):
+        assert env.segments_in_collision(a, b, clearance).tolist() == [True, False]
+    # An end that is nan or infinite lies outside the bounds: the segment
+    # collides, with no floating-point warning, also over a heightmap.
+    ends = [(math.nan, 3.0, 1.0), (math.inf, 3.0, 1.0), (math.inf, 3.0, 1.0)]
+    others = [(1.0, 3.0, 1.0), (1.0, 3.0, 1.0), (math.inf, 3.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for world in (env, _stepped_heightmap_env()):
+            assert world.segments_in_collision(ends, others, 0.35).tolist() == [True] * 3
+            assert world.segments_in_collision(others, ends, 0.35).tolist() == [True] * 3
+            assert world.segments_on_ground(ends, others).tolist() == [False] * 3
 
 
-def test_samples_lie_in_the_hull_of_their_end_samples():
-    # The broad phase of segments_in_collision bounds each segment's samples
-    # by [min(a, b), max(a, b)]; a and b are sampled exactly, and b-a gives
-    # the same samples as a-b.
+def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
+    # b-a gets a-b's verdict, and the narrow phase tests both ends exactly
+    # and no point outside [min(a, b), max(a, b)], the box that the broad
+    # phase clears.
     rng = SplitMix64(77)
     rows = [
         # (a, b): ascending, descending, mixed, and far from the origin.
@@ -565,27 +520,70 @@ def test_samples_lie_in_the_hull_of_their_end_samples():
             axis = rng.randint(3)
             b[axis] = a[axis]
         rows.append((a, b))
-    a_all, b_all = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
-    e_all = a_all + (b_all - a_all)
-    assert e_all[10, 2] == 0.0 < b_all[10, 2] and e_all[11, 2] < b_all[11, 2]
+    a, b = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    e = a + (b - a)
+    assert e[10, 2] == 0.0 < b[10, 2] and e[11, 2] < b[11, 2]
+    tested = []
+    points_in_collision = Environment.points_in_collision
 
-    def samples(a, b, step):
-        seen = []
+    def record(self, pts, clearance):
+        tested.append(pts.copy())
+        return points_in_collision(self, pts, clearance)
 
-        def record(pts):
-            seen.append(pts.copy())
-            return np.zeros(len(pts), dtype=bool)
+    monkeypatch.setattr(Environment, "points_in_collision", record)
+    for env in (_box_env(), _stepped_heightmap_env()):
+        for clearance in (0.0, 0.35):
+            for p, q in zip(a, b):
+                tested.clear()
+                there = env.segments_hit([p], [q], clearance)
+                pts = np.concatenate(tested)
+                assert (np.minimum(p, q) <= pts).all() and (pts <= np.maximum(p, q)).all(), (p, q)
+                assert (pts == p).all(axis=1).any() and (pts == q).all(axis=1).any(), (p, q)
+                tested.clear()
+                back = env.segments_hit([q], [p], clearance)
+                assert np.array_equal(np.concatenate(tested), pts) and back == there, (p, q)
+            assert env.segments_in_collision(b, a, clearance).tolist() == (
+                env.segments_in_collision(a, b, clearance).tolist()
+            )
+        assert env.segments_on_ground(b, a).tolist() == env.segments_on_ground(a, b).tolist()
 
-        _any_sample(a, b, step, 7, record)
-        # The last pass is padded with repeats of the final sample.
-        return np.unique(np.concatenate(seen), axis=0)
 
-    for a, b in zip(a_all, b_all):
-        for step in (0.05, 0.0125):
-            pts = samples(a, b, step)
-            assert (np.minimum(a, b) <= pts).all() and (pts <= np.maximum(a, b)).all(), (a, b)
-            assert (pts == a).all(axis=1).any() and (pts == b).all(axis=1).any(), (a, b)
-            assert np.array_equal(samples(b, a, step), pts), (a, b)
+# The exactness sandwich against dense sampling: a segment with a dense
+# sample in collision collides, and a colliding segment has a dense sample
+# within half the sample spacing of its clearance (1e-9 covers rounding).
+
+SANDWICH_STEP = 0.02
+_SANDWICH_BOUNDS = (10.0, 10.0, 5.0)
+_sandwich_point = st.tuples(*(st.floats(-0.5, hi + 0.5) for hi in _SANDWICH_BOUNDS))
+_sandwich_segments = st.lists(st.tuples(_sandwich_point, _sandwich_point), min_size=1, max_size=12)
+_sandwich_boxes = st.lists(
+    st.tuples(
+        st.tuples(*(st.floats(0.0, hi) for hi in _SANDWICH_BOUNDS)),
+        st.tuples(*(st.floats(0.01, 3.0) for _ in range(3))),
+    ),
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("clearance", [0.0, 1e-4, 0.05, 0.35, 0.5])
+@pytest.mark.parametrize("world", ["four boxes", "random boxes"])
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(segments=_sandwich_segments, boxes=_sandwich_boxes)
+def test_exact_verdicts_lie_between_dense_samplings(world, clearance, segments, boxes):
+    if world == "four boxes":
+        env = _several_boxes_env()
+    else:
+        obstacles = [Aabb(lo, tuple(c + s for c, s in zip(lo, size))) for lo, size in boxes]
+        env = Environment(Aabb((0.0, 0.0, 0.0), _SANDWICH_BOUNDS), obstacles)
+    a, b = (np.array(ends) for ends in zip(*segments))
+    exact = env.segments_in_collision(a, b, clearance)
+    assert env.segments_in_collision(b, a, clearance).tolist() == exact.tolist()
+    for p, q, hit in zip(a, b, exact):
+        pts = ref_segment_points(p, q, SANDWICH_STEP)
+        if env.points_in_collision(pts, clearance).any():
+            assert hit, (p, q)
+        if hit:
+            assert env.points_in_collision(pts, clearance + SANDWICH_STEP / 2 + 1e-9).any(), (p, q)
 
 
 def _broad_phase_world(rng, ground):
@@ -685,9 +683,9 @@ def _touching_segments(env, rng, n):
 @pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
 @pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
 def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch):
-    # segments_in_collision and segments_on_ground decide some segments
-    # without sampling; their verdicts must equal sampling every segment.
-    step = 0.05 if clearance == 0.0 else min(0.05, clearance / 2.0)
+    # segments_in_collision decides some segments in its broad phase, and
+    # segments_on_ground on flat ground from the ends alone; their verdicts
+    # must equal the narrow phase on every segment, and the reference.
     hits = on = 0
     for seed in range(8):
         rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
@@ -697,35 +695,34 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch
         # draws above do not shift.
         ta, tb = _touching_segments(env, rng, 300)
         a, b = np.vstack([a, ta]), np.vstack([b, tb])
-        want = _any_sample(a, b, step, SAMPLE_CHUNK, lambda p: env.points_in_collision(p, clearance))
+        want = env.segments_hit(a, b, clearance)
         got = env.segments_in_collision(a, b, clearance)
         assert got.tolist() == want.tolist(), (ground, clearance, seed)
-
-        def off_ground(pts):
-            z = env.ground_heights(pts[:, 0], pts[:, 1])
-            return ~(np.abs(pts[:, 2] - z) <= 1e-6)
-
-        want_on = ~_any_sample(a, b, 0.05, SAMPLE_CHUNK, off_ground)
-        assert env.segments_on_ground(a, b).tolist() == want_on.tolist(), (ground, seed)
         hits += int(want.sum())
-        on += int(want_on.sum())
+        if ground != "heightmap":
+            want_on = [ref_on_ground(env, p, q) for p, q in zip(a, b)]
+            assert env.segments_on_ground(a, b).tolist() == want_on, (ground, seed)
+            on += sum(want_on)
     assert 0 < hits < 8 * 1000
-    assert 0 < on < 8 * 1000
+    assert ground == "heightmap" or 0 < on < 8 * 1000
     if ground != "heightmap":
         # A transition edge's ground end, far from every box, is decided
-        # without sampling, flown up from the ground or down onto it (where
-        # 1.4 + (ground - 1.4) is below a ground of 0.2).
+        # in the broad phase, flown up from the ground or down onto it
+        # (where 1.4 + (ground - 1.4) is below a ground of 0.2).
         env = Environment(Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 5.0)), _box_env().obstacles, ground)
         up = [1.0, 1.0, ground], [2.0, 1.5, 1.4]
         down = up[::-1]
         assert not env.segments_in_collision(*down, clearance).any()
-        sampled = []
+        narrow = []
+        segments_hit = Environment.segments_hit
         monkeypatch.setattr(
-            env_module, "_any_sample", lambda a, *args: sampled.append(len(a)) or np.zeros(len(a), bool)
+            Environment,
+            "segments_hit",
+            lambda self, a, *args: narrow.append(len(a)) or segments_hit(self, a, *args),
         )
         assert not env.segments_in_collision(*up, clearance).any()
         assert not env.segments_in_collision(*down, clearance).any()
-        assert sum(sampled) == 0
+        assert sum(narrow) == 0
 
 
 # -- occupancy grid -----------------------------------------------------------

@@ -7,7 +7,6 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from morphnav import env as env_module
 from morphnav.costmodel import CostModel
 from morphnav.env import Aabb, Environment, Heightmap, distances, load_environment
 from morphnav.errors import (
@@ -146,20 +145,23 @@ def test_build_refuses_edge_prices_that_overflow():
     assert len(roadmap.cost) and np.isfinite(roadmap.cost).all()
 
 
-def test_build_refuses_a_clearance_that_samples_too_finely():
-    # The swept check samples min(0.05, clearance / 2) apart. At clearance
-    # 1e-300 the sample count of a segment used to overflow its int64 cast
-    # and fall back to the two endpoints, so 568 ground edges crossed the
-    # arena's wall. A clearance that samples the bounds diagonal (13.7477 m)
-    # at more than MAX_SEGMENT_SAMPLES points is refused before sampling.
+def test_any_non_negative_clearance_builds():
+    # The exact swept test makes no more points at a smaller clearance, so
+    # any non-negative clearance builds: no ground edge crosses the wall,
+    # and the plan across it still flies over.
     env = walled_env()
-    for clearance in (1e-300, 1e-12, 2e-5, 5e-324):
-        params = PrmParams(n_ground=5, n_air=5, seed=1, clearance=clearance)
-        with pytest.raises(ConfigError, match=f"prm clearance {clearance:g} is too small"):
-            build_roadmap(env, CM, params)
-    # 916,517 samples along the diagonal at 3e-5: within the cap.
-    roadmap = build_roadmap(env, CM, PrmParams(n_ground=5, n_air=5, seed=1, clearance=3e-5))
-    assert len(roadmap.a)
+    for clearance in (1e-300, 5e-324, 0.0):
+        params = PrmParams(n_ground=150, n_air=150, seed=1, clearance=clearance,
+                           min_air_clearance=1.4)
+        roadmap = build_roadmap(env, CM, params)
+        x = roadmap.positions[:, 0]
+        ground = roadmap.kind == EDGE_KINDS.index(EdgeKind.GROUND)
+        across = (x[roadmap.a] < 5.0) != (x[roadmap.b] < 5.0)
+        assert ground.sum() > 100 and not (ground & across).any(), clearance
+        roadmap, s, g = insert_query_nodes(
+            roadmap, (1.0, 3.0, 0.0), (10.0, 3.0, 0.0), env, CM, params
+        )
+        assert astar_multimodal(roadmap, s, g, CM).n_transitions == 2, clearance
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -578,7 +580,7 @@ def test_one_arena_roadmap_serves_many_queries():
 def test_query_transition_verdicts_do_not_depend_on_orientation():
     # The walled arena raised to a ground of 0.2. Flown down onto that
     # ground from an aerial node, 1.4 + (0.2 - 1.4) lands below it, so a
-    # sample made that way would reject every aerial-to-query candidate from
+    # point made that way would reject every aerial-to-query candidate from
     # the aerial end and clear it from the query end.
     arena = load_environment(ARENA)
 
@@ -933,7 +935,7 @@ def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=air_clearance, seed=1)
     built = build_roadmap(env, CM, params)
     pos, mode = built.positions, built.mode
-    calls = {"segments_undecided": 0, "segments_sampled_in_collision": 0}
+    calls = {"segments_undecided": 0, "segments_hit": 0}
     for name in calls:
         method = getattr(Environment, name)
 
@@ -944,10 +946,10 @@ def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch
         monkeypatch.setattr(Environment, name, counting)
     full = _connect_edges(pos, mode, 0, env, CM, params, params.radius)
     assert calls["segments_undecided"] > 3, calls
-    assert calls["segments_sampled_in_collision"] == 1, calls
+    assert calls["segments_hit"] == 1, calls
     rows = [_connect_edges(pos[: k + 1], mode[: k + 1], k, env, CM, params, params.radius)
             for k in range(len(pos))]
-    assert calls["segments_sampled_in_collision"] == 1 + len(pos)
+    assert calls["segments_hit"] == 1 + len(pos)
     joined = map(np.concatenate, zip(*rows))
     for col, want, got in zip(("a", "b", "kind", "length", "cost"), full, joined):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (world, col)
@@ -989,12 +991,11 @@ def test_record_views_match_columns():
 
 def test_build_memory_stays_flat():
     # Edge checks run in fixed-size numpy passes: sweep rectangles of at most
-    # PAIR_BLOCK squared distances, broad-phase groups of about PAIR_GROUP
-    # candidates, and one narrow pass per build in sample chunks of
-    # env.SAMPLE_CHUNK. Making every sample of a walled-arena build at once
-    # would hold about 9 MB of samples alone; the passes keep the build's
-    # transient memory, above what the finished roadmap retains, under 2 MB
-    # (about 0.5 MB).
+    # PAIR_BLOCK squared distances and broad-phase groups of about PAIR_GROUP
+    # candidates, and one exact narrow pass per build tests a few points for
+    # each of the few hundred segments the broad phase leaves undecided. The
+    # build's transient memory, above what the finished roadmap retains,
+    # stays under 2 MB (about 0.5 MB).
     env = load_environment(ARENA)
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=7)
     tracemalloc.start()
@@ -1029,24 +1030,24 @@ def test_build_memory_scales_with_edges():
 
 def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
     # The swept checks' broad phases decide most of a seed-1 walled-arena
-    # build's 19,446 segment checks without sampling; 276 reach the sampler.
-    # A broad phase that samples every transition edge (1,749 segments)
+    # build's 19,446 segment checks; 276 reach the narrow phase. A broad
+    # phase that leaves every transition edge (1,749 segments) undecided
     # fails here.
-    sampled = []
+    narrow = []
+    segments_hit = Environment.segments_hit
 
-    def counting(a, b, *args):
-        sampled.append(len(a))
-        return any_sample(a, b, *args)
+    def counting(self, a, b, clearance):
+        narrow.append(len(a))
+        return segments_hit(self, a, b, clearance)
 
-    any_sample = env_module._any_sample
-    monkeypatch.setattr(env_module, "_any_sample", counting)
+    monkeypatch.setattr(Environment, "segments_hit", counting)
     env = load_environment(ARENA)
     params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=1.4, seed=1)
     roadmap = build_roadmap(env, CM, params)
     assert len(roadmap.a) > 10000
-    assert 0 < sum(sampled) < 500, sum(sampled)
-    # The build's several validation groups share one sampler pass.
-    assert len(sampled) == 1, sampled
+    assert 0 < sum(narrow) < 500, sum(narrow)
+    # The build's several validation groups share one narrow pass.
+    assert len(narrow) == 1, narrow
 
 
 # -- export ------------------------------------------------------------------------
