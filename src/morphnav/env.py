@@ -252,15 +252,6 @@ class Environment:
                 return True
         return False
 
-    def segments_in_collision(self, a, b, clearance: float) -> np.ndarray:
-        """Swept test of each segment a[k]-b[k], for (K, 3) endpoint arrays:
-        the broad phase, then the exact narrow phase on the segments it
-        leaves undecided. The verdict is the same for b-a as for a-b."""
-        a, b = _rows(a), _rows(b)
-        hit = self.segments_undecided(a, b, clearance)
-        hit[hit] = self.segments_hit(a[hit], b[hit], clearance)
-        return hit
-
     def segments_undecided(self, a, b, clearance: float) -> np.ndarray:
         """Broad phase of the swept test: False for each segment a[k]-b[k]
         that it clears, True for the rest.
@@ -286,29 +277,33 @@ class Environment:
         return ~clear
 
     def segments_hit(self, a, b, clearance: float) -> np.ndarray:
-        """Exact narrow phase of the swept test: True for each segment
-        a[k]-b[k] in collision at a candidate parameter t, where it comes
-        closest to what it can hit: points_in_collision at t = 0 and 1, as
-        the bounds and a flat ground are convex, and at _box_params for each
-        obstacle within clearance + 1e-9 of the segment's box; z < ground at
-        _ground_range's parameters where it dips below the highest ground."""
+        """Exact swept test: True for each segment a[k]-b[k] that collides
+        where it comes closest to some part of the world, each part tested at
+        its own candidates alone: the ends for the bounds and a flat ground,
+        both convex; _box_params for each obstacle within clearance + 1e-9 of
+        the segment's box; on a heightmap, _ground_range below the highest
+        ground. b-a gets a-b's verdict; segments_undecided only saves work."""
         return self._in_passes(a, b, lambda *ends: self._hit_pass(*ends, clearance))
 
     def _hit_pass(self, a, b, d, clearance: float) -> np.ndarray:
-        k = np.arange(a.shape[1])
-        seg, pts = [k, k], [a.T, b.T]
-        lo, hi = np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
-        gx, gy, gz = np.square(np.maximum(np.maximum(self._box_lo - hi, lo - self._box_hi), 0.0))
-        box, near = np.nonzero(gx + gy + gz <= (clearance + 1e-9) * (clearance + 1e-9))
-        pa, pb, pd = (np.take(c, near, axis=1) for c in (a, b, d))
-        t = _box_params(pa, pd, self._box_lo[:, box, 0], self._box_hi[:, box, 0])
-        seg.append(np.tile(near, len(t)))
-        pts.append(_points(pa, pb, pd, t).reshape(3, -1).T)
-        hits = self.points_in_collision(np.concatenate(pts), clearance)
-        hit = np.bincount(np.concatenate(seg), hits, len(k)) > 0
-        if self.heightmap is not None:
-            low = np.flatnonzero(lo[2, 0] < self._floor_top)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        inside = (lo >= self._bmin[:, None]) & (hi <= self._bmax[:, None])
+        hit = ~(inside[0] & inside[1] & inside[2])
+        if self.heightmap is None:
+            hit |= lo[2] < self.ground_const
+        else:
+            low = np.flatnonzero(lo[2] < self._floor_top)
             hit[low] |= self._ground_range(*(c[:, low] for c in (a, b, d)))[0] < 0.0
+        gap = np.maximum(np.maximum(self._box_lo - hi[:, None], lo[:, None] - self._box_hi), 0.0)
+        gx, gy, gz = gap * gap
+        box, near = np.nonzero(gx + gy + gz <= (clearance + 1e-9) * (clearance + 1e-9))
+        blo, bhi = self._box_lo[:, box, 0], self._box_hi[:, box, 0]
+        pa, pb, pd = (np.take(c, near, axis=1) for c in (a, b, d))
+        c = _points(pa, pb, pd, _box_params(pa, pd, blo, bhi))
+        # Each vertex against its own box, as points_in_collision tests a point.
+        gap = np.maximum(np.maximum(blo[:, None] - c, c - bhi[:, None]), 0.0)
+        gx, gy, gz = gap * gap
+        hit[near[(gx + gy + gz <= clearance * clearance).any(axis=0)]] = True
         return hit
 
     def segments_on_ground(self, a, b, tol: float = 1e-6) -> np.ndarray:
@@ -375,9 +370,10 @@ class Environment:
         return h.min(axis=0), h.max(axis=0)
 
 
-# Point-box pairs of one obstacle pass of points_in_collision. A pass makes
-# about six (3, boxes, points) temporaries. Of 2,048, 4,096 and 8,192 pairs,
-# 4,096 timed best overall at 512 and 2,048 points in worlds of 4 to 50
+# Pairs per pass: segment-box pairs of _in_passes, and point-box pairs of
+# points_in_collision (node sampling). A pass makes about six (3, boxes,
+# points) temporaries. Of 2,048, 4,096 and 8,192 pairs, 4,096 timed best
+# for points_in_collision at 512 and 2,048 points in worlds of 4 to 50
 # boxes; one point still meets up to 4,096 boxes in one pass.
 BOX_BLOCK = 1 << 12
 

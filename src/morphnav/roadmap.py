@@ -364,8 +364,8 @@ def _connect_edges(
     (_candidate_keys, with their squared lengths) are priced and put through
     the on-ground check and the collision broad phase
     (env.segments_undecided) in groups; the segments that the broad phase
-    leaves undecided in every group go through the exact narrow phase
-    (env.segments_hit) together at the end. A narrow-phase call costs about
+    leaves undecided in every group go through the swept test
+    (env.segments_hit, exact on its own) together at the end. A call costs about
     a hundred numpy operations whatever its size, so one per group made an
     arena build about 1 ms slower. Keep the group shape:
     the sorted keys are cut only where a block of PAIR_BLOCK // n newer ids

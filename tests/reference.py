@@ -127,7 +127,11 @@ def ref_point_in_collision(env, p, clearance):
 # The exact swept tests one segment at a time: the candidate parameters of
 # env.Environment.segments_hit and segments_on_ground, with their float
 # operations in their order. A candidate that the program adds twice, or on
-# a piece of zero length, is made once here.
+# a piece of zero length, is made once here. On purpose, ref_in_collision
+# tests every candidate against everything (the bounds, the ground and every
+# box), where segments_hit tests each part of the world only at the
+# candidates that it produced: so the two agree only if no candidate of one
+# part hits another part that the program does not test it against.
 
 
 def _ref_ordered(a, b):

@@ -287,7 +287,7 @@ def test_distances_match_ref_length_bit_for_bit():
 
 
 def _one_hit(env, a, b, clearance):
-    return bool(env.segments_in_collision([a], [b], clearance)[0])
+    return bool(env.segments_hit([a], [b], clearance)[0])
 
 
 def _one_on_ground(env, a, b):
@@ -310,8 +310,8 @@ def test_segment_collision_catches_thin_wall():
     # The ends lie on either side of the wall: only the narrow phase sees it.
     a = [(1.0, 3.0, 0.5), (1.0, 3.0, 0.0), (1.0, 3.0, 2.0)]
     b = [(11.0, 3.0, 0.5), (11.0, 3.0, 0.0), (11.0, 3.0, 2.0)]
-    assert env.segments_in_collision(a, b, 0.0)[0]
-    assert env.segments_in_collision(a, b, 0.35).tolist() == [True, True, False]
+    assert env.segments_hit(a, b, 0.0)[0]
+    assert env.segments_hit(a, b, 0.35).tolist() == [True, True, False]
 
 
 def test_thin_plate_collides_at_zero_clearance():
@@ -323,19 +323,19 @@ def test_thin_plate_collides_at_zero_clearance():
     )
     a, b = [(4.0, 5.0, 1.0)] * 2, [(6.013, 5.0, 1.0), (6.0, 5.0, 1.0)]
     assert not env.points_in_collision(ref_segment_points(a[0], b[0], 0.05), 0.0).any()
-    assert env.segments_in_collision(a, b, 0.0).tolist() == [True, True]
-    assert env.segments_in_collision(b, a, 0.0).tolist() == [True, True]
+    assert env.segments_hit(a, b, 0.0).tolist() == [True, True]
+    assert env.segments_hit(b, a, 0.0).tolist() == [True, True]
     # Stopping 0.01 m short of the plate: the clearance decides.
     short = [(4.99, 5.0, 1.0)]
-    assert env.segments_in_collision(a[:1], short, 0.0099).tolist() == [False]
-    assert env.segments_in_collision(a[:1], short, 0.0101).tolist() == [True]
+    assert env.segments_hit(a[:1], short, 0.0099).tolist() == [False]
+    assert env.segments_hit(a[:1], short, 0.0101).tolist() == [True]
 
 
 def test_segment_degenerate_reduces_to_point():
     env = _box_env()
     assert _one_hit(env, (5.0, 5.0, 1.0), (5.0, 5.0, 1.0), 0.0)
     assert not _one_hit(env, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0)
-    assert env.segments_in_collision(np.zeros((0, 3)), np.zeros((0, 3)), 0.1).shape == (0,)
+    assert env.segments_hit(np.zeros((0, 3)), np.zeros((0, 3)), 0.1).shape == (0,)
 
 
 def test_segment_on_ground_flat_and_sloped():
@@ -441,7 +441,7 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     env = WORLDS[world]()
     rng = SplitMix64(len(world) * 100 + int(clearance * 100))
     a, b = _random_segments(env, rng, 2000, clearance)
-    hits = env.segments_in_collision(a, b, clearance)
+    hits = env.segments_hit(a, b, clearance)
     ref_hits = [ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
     assert hits.tolist() == ref_hits
     assert 0 < sum(ref_hits) < len(ref_hits)
@@ -463,8 +463,8 @@ def test_segment_whose_squared_length_underflows_keeps_both_ends():
     assert env.point_in_collision(b[0], 0.0)
     assert not env.point_in_collision((0.0, 1.0, 1.0), 0.0)
     for clearance in (0.0, 0.35):
-        assert env.segments_in_collision(a, b, clearance).tolist() == [True]
-        assert env.segments_in_collision(b, a, clearance).tolist() == [True]
+        assert env.segments_hit(a, b, clearance).tolist() == [True]
+        assert env.segments_hit(b, a, clearance).tolist() == [True]
         assert ref_in_collision(env, a[0], b[0], clearance)
 
 
@@ -475,7 +475,7 @@ def test_tiny_clearances_and_non_finite_ends_are_decided():
     env = load_environment(ARENA)
     a, b = [(4.0, 3.0, 0.0), (4.0, 3.0, 1.5)], [(6.0, 3.0, 0.0), (6.0, 3.0, 1.5)]
     for clearance in (0.35, 1e-12, 1e-300, 5e-324, 0.0):
-        assert env.segments_in_collision(a, b, clearance).tolist() == [True, False]
+        assert env.segments_hit(a, b, clearance).tolist() == [True, False]
     # An end that is nan or infinite lies outside the bounds: the segment
     # collides, with no floating-point warning, also over a heightmap.
     ends = [(math.nan, 3.0, 1.0), (math.inf, 3.0, 1.0), (math.inf, 3.0, 1.0)]
@@ -483,15 +483,16 @@ def test_tiny_clearances_and_non_finite_ends_are_decided():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for world in (env, _stepped_heightmap_env()):
-            assert world.segments_in_collision(ends, others, 0.35).tolist() == [True] * 3
-            assert world.segments_in_collision(others, ends, 0.35).tolist() == [True] * 3
+            assert world.segments_hit(ends, others, 0.35).tolist() == [True] * 3
+            assert world.segments_hit(others, ends, 0.35).tolist() == [True] * 3
             assert world.segments_on_ground(ends, others).tolist() == [False] * 3
 
 
 def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
-    # b-a gets a-b's verdict, and the narrow phase tests both ends exactly
-    # and no point outside [min(a, b), max(a, b)], the box that the broad
-    # phase clears.
+    # b-a gets a-b's verdict from the same tested points, and the narrow
+    # phase makes no point outside [min(a, b), max(a, b)], the box that the
+    # broad phase clears. The ends decide the bounds and a flat ground from
+    # that box; over a heightmap they are _ground_range's t = 0 and 1.
     rng = SplitMix64(77)
     rows = [
         # (a, b): ascending, descending, mixed, and far from the origin.
@@ -524,27 +525,44 @@ def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
     e = a + (b - a)
     assert e[10, 2] == 0.0 < b[10, 2] and e[11, 2] < b[11, 2]
     tested = []
-    points_in_collision = Environment.points_in_collision
+    points = env_module._points
 
-    def record(self, pts, clearance):
-        tested.append(pts.copy())
-        return points_in_collision(self, pts, clearance)
+    def record(a, b, d, t):
+        out = points(a, b, d, t)
+        tested.append(out.reshape(len(out), -1).T.copy())
+        return out
 
-    monkeypatch.setattr(Environment, "points_in_collision", record)
+    monkeypatch.setattr(env_module, "_points", record)
+
+    def made(pts, width):
+        return np.concatenate([p for p in pts if p.shape[1] == width] or [np.empty((0, width))])
+
     for env in (_box_env(), _stepped_heightmap_env()):
+        bare = Environment(env.bounds, (), env.ground_const, env.heightmap)
+        count = 0
         for clearance in (0.0, 0.35):
             for p, q in zip(a, b):
                 tested.clear()
                 there = env.segments_hit([p], [q], clearance)
-                pts = np.concatenate(tested)
-                assert (np.minimum(p, q) <= pts).all() and (pts <= np.maximum(p, q)).all(), (p, q)
-                assert (pts == p).all(axis=1).any() and (pts == q).all(axis=1).any(), (p, q)
+                pts = list(tested)
+                count += sum(len(u) for u in pts)
+                for width in (2, 3):
+                    inside = made(pts, width)
+                    assert (np.minimum(p, q)[:width] <= inside).all(), (p, q)
+                    assert (inside <= np.maximum(p, q)[:width]).all(), (p, q)
+                if bare.point_in_collision(p, 0.0) or bare.point_in_collision(q, 0.0):
+                    assert there, (p, q)
+                if env.heightmap is not None and min(p[2], q[2]) < env._floor_top:
+                    ends = made(pts, 3)
+                    assert (ends == p).all(axis=1).any() and (ends == q).all(axis=1).any(), (p, q)
                 tested.clear()
                 back = env.segments_hit([q], [p], clearance)
-                assert np.array_equal(np.concatenate(tested), pts) and back == there, (p, q)
-            assert env.segments_in_collision(b, a, clearance).tolist() == (
-                env.segments_in_collision(a, b, clearance).tolist()
+                assert len(tested) == len(pts) and back == there, (p, q)
+                assert all(np.array_equal(u, v) for u, v in zip(tested, pts)), (p, q)
+            assert env.segments_hit(b, a, clearance).tolist() == (
+                env.segments_hit(a, b, clearance).tolist()
             )
+        assert count > 0
         assert env.segments_on_ground(b, a).tolist() == env.segments_on_ground(a, b).tolist()
 
 
@@ -576,8 +594,8 @@ def test_exact_verdicts_lie_between_dense_samplings(world, clearance, segments, 
         obstacles = [Aabb(lo, tuple(c + s for c, s in zip(lo, size))) for lo, size in boxes]
         env = Environment(Aabb((0.0, 0.0, 0.0), _SANDWICH_BOUNDS), obstacles)
     a, b = (np.array(ends) for ends in zip(*segments))
-    exact = env.segments_in_collision(a, b, clearance)
-    assert env.segments_in_collision(b, a, clearance).tolist() == exact.tolist()
+    exact = env.segments_hit(a, b, clearance)
+    assert env.segments_hit(b, a, clearance).tolist() == exact.tolist()
     for p, q, hit in zip(a, b, exact):
         pts = ref_segment_points(p, q, SANDWICH_STEP)
         if env.points_in_collision(pts, clearance).any():
@@ -682,11 +700,12 @@ def _touching_segments(env, rng, n):
 
 @pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
 @pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
-def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch):
-    # segments_in_collision decides some segments in its broad phase, and
-    # segments_on_ground on flat ground from the ends alone; their verdicts
-    # must equal the narrow phase on every segment, and the reference.
-    hits = on = 0
+def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
+    # segments_undecided clears some segments, and segments_on_ground on
+    # flat ground decides from the ends alone: the exact test hits no
+    # segment that the broad phase clears, and on-ground verdicts equal the
+    # reference.
+    hits = on = cleared = 0
     for seed in range(8):
         rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
         env = _broad_phase_world(rng, ground)
@@ -695,34 +714,77 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance, monkeypatch
         # draws above do not shift.
         ta, tb = _touching_segments(env, rng, 300)
         a, b = np.vstack([a, ta]), np.vstack([b, tb])
-        want = env.segments_hit(a, b, clearance)
-        got = env.segments_in_collision(a, b, clearance)
-        assert got.tolist() == want.tolist(), (ground, clearance, seed)
-        hits += int(want.sum())
+        hit = env.segments_hit(a, b, clearance)
+        undecided = env.segments_undecided(a, b, clearance)
+        assert not (hit & ~undecided).any(), (ground, clearance, seed)
+        hits += int(hit.sum())
+        cleared += int((~undecided).sum())
         if ground != "heightmap":
             want_on = [ref_on_ground(env, p, q) for p, q in zip(a, b)]
             assert env.segments_on_ground(a, b).tolist() == want_on, (ground, seed)
             on += sum(want_on)
-    assert 0 < hits < 8 * 1000
+    assert 0 < hits < 8 * 1000 and 0 < cleared < 8 * 1000
     assert ground == "heightmap" or 0 < on < 8 * 1000
     if ground != "heightmap":
-        # A transition edge's ground end, far from every box, is decided
+        # A transition edge's ground end, far from every box, is cleared
         # in the broad phase, flown up from the ground or down onto it
         # (where 1.4 + (ground - 1.4) is below a ground of 0.2).
         env = Environment(Aabb((0.0, 0.0, 0.0), (10.0, 10.0, 5.0)), _box_env().obstacles, ground)
         up = [1.0, 1.0, ground], [2.0, 1.5, 1.4]
         down = up[::-1]
-        assert not env.segments_in_collision(*down, clearance).any()
-        narrow = []
-        segments_hit = Environment.segments_hit
-        monkeypatch.setattr(
-            Environment,
-            "segments_hit",
-            lambda self, a, *args: narrow.append(len(a)) or segments_hit(self, a, *args),
-        )
-        assert not env.segments_in_collision(*up, clearance).any()
-        assert not env.segments_in_collision(*down, clearance).any()
-        assert sum(narrow) == 0
+        for ends in (up, down):
+            assert not env.segments_undecided(*ends, clearance).any()
+            assert not env.segments_hit(*ends, clearance).any()
+
+
+def _cluttered_env():
+    """40 SplitMix64 boxes in a 12 x 9 x 4 m world. Of every four, the first
+    is free and the next three overlap, touch and nest in the box before
+    them, so that some box's vertex lies in another box."""
+    rng = SplitMix64(4040)
+    boxes = []
+    for i in range(40):
+        lo = [uniform(rng, 0.0, 9.0), uniform(rng, 0.0, 7.0), uniform(rng, 0.0, 2.5)]
+        size = [uniform(rng, 0.1, 1.5) for _ in range(3)]
+        if i % 4:
+            prev_lo, prev_hi = boxes[-1].min_corner, boxes[-1].max_corner
+            if i % 4 == 1:  # a corner inside the box before
+                lo = [uniform(rng, p, q) for p, q in zip(prev_lo, prev_hi)]
+            elif i % 4 == 2:  # on its +x face
+                lo = [prev_hi[0], prev_lo[1], prev_lo[2]]
+            else:  # inside it, one face shared
+                lo = list(prev_lo)
+                size = [(q - p) * uniform(rng, 0.2, 0.8) for p, q in zip(prev_lo, prev_hi)]
+        boxes.append(Aabb(tuple(lo), tuple(v + d for v, d in zip(lo, size))))
+    return Environment(Aabb((0.0, 0.0, 0.0), (12.0, 9.0, 4.0)), boxes)
+
+
+@pytest.mark.parametrize("clearance", [0.0, 1e-4, 0.35])
+def test_cluttered_verdicts_equal_reference(clearance, monkeypatch):
+    # Each box is tested only at its own candidates; the reference tests
+    # every candidate against everything, so an overlapping, touching or
+    # nested box that another box's candidate would hit shows here.
+    env = _cluttered_env()
+    rng = SplitMix64(40 + int(clearance * 100))
+    a, b = _broad_phase_segments(env, rng, 1400, clearance)
+    ta, tb = _touching_segments(env, rng, 300)
+    # Segments from a box's vertex, to a point or to another box's vertex.
+    corners = [box.min_corner for box in env.obstacles] + [box.max_corner for box in env.obstacles]
+    va = np.array([corners[rng.randint(len(corners))] for _ in range(300)])
+    vb = np.array([
+        corners[rng.randint(len(corners))] if i % 2 else [uniform(rng, 0.0, 9.0) for _ in range(3)]
+        for i in range(300)
+    ])
+    a, b = np.vstack([a, ta, va]), np.vstack([b, tb, vb])
+
+    def points_in_collision(*args):
+        raise AssertionError("the swept test calls points_in_collision")
+
+    monkeypatch.setattr(Environment, "points_in_collision", points_in_collision)
+    want = [ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
+    assert env.segments_hit(a, b, clearance).tolist() == want
+    assert env.segments_hit(b, a, clearance).tolist() == want
+    assert 0.2 * len(want) < sum(want) < 0.8 * len(want), sum(want)
 
 
 # -- occupancy grid -----------------------------------------------------------

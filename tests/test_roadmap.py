@@ -346,7 +346,7 @@ def test_edge_invariants():
         assert kind is _ref_kind(modes[a], modes[b])
         assert cost == ref_edge_cost(CM, kind, length, positions[a][2], positions[b][2])
     a, b = roadmap.positions[roadmap.a], roadmap.positions[roadmap.b]
-    assert not env.segments_in_collision(a, b, params.clearance).any()
+    assert not env.segments_hit(a, b, params.clearance).any()
     drive = roadmap.kind == EDGE_KINDS.index(EdgeKind.GROUND)
     assert env.segments_on_ground(a[drive], b[drive]).all()
 
@@ -602,8 +602,8 @@ def test_query_transition_verdicts_do_not_depend_on_orientation():
         for q in (sid, gid):
             near = aerial[distances(pos[aerial], pos[q]) <= params.radius]
             air, ground = pos[near], np.repeat(pos[q : q + 1], len(near), axis=0)
-            down = env.segments_in_collision(air, ground, params.clearance)
-            up = env.segments_in_collision(ground, air, params.clearance)
+            down = env.segments_hit(air, ground, params.clearance)
+            up = env.segments_hit(ground, air, params.clearance)
             assert down.tolist() == up.tolist(), seed
             ends = roadmap.a[roadmap.b == q]
             assert sorted(ends[roadmap.mode[ends] == aerial_code]) == near[~down].tolist(), seed
