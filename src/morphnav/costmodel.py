@@ -3,10 +3,10 @@
 Driving and hovering are modeled as constant electrical power draws at a
 constant commanded speed, so a traversal of length d costs power * d / speed.
 Flight additionally pays the potential energy of any net climb and recovers
-it on descent, floored at zero per edge. Morphing is a fixed-duration,
-fixed-power maneuver. `roadmap.edge_costs` prices edges with these
-parameters and `roadmap.heuristic_costs` bounds them for A*; this module
-holds the parameters and the morph cost.
+it on descent; CostModel keeps every flight price positive. Morphing is a
+fixed-duration, fixed-power maneuver. `roadmap.edge_costs` prices edges
+with these parameters and `roadmap.heuristic_costs` bounds them for A*;
+this module holds the parameters and the morph cost.
 
 Default power/speed numbers are calibration placeholders for a roughly
 6 kg morphing robot; only the mass is a measured value. Calibrate the
@@ -77,12 +77,15 @@ class CostModel:
         ):
             if not math.isfinite(value):
                 raise ConfigError(f"cost product '{name}' must be finite, got {value!r}")
-        # roadmap.heuristic_costs charges horizontal travel at the ground
-        # rate, a lower bound only while flying a meter never beats driving it.
-        if self.ground_power / self.ground_speed > self.flight_power / self.flight_speed:
+        # A flight price serves both ways: climbing an edge stored as falling
+        # costs F * L - m * g * |dz|, while roadmap.heuristic_costs drops by up
+        # to G * dxy + m * g * |dz|. F >= hypot(G, 2 * m * g) bounds the drop.
+        flight = self.flight_power / self.flight_speed
+        need = math.hypot(self.ground_power / self.ground_speed, 2.0 * self.mass * self.gravity)
+        if not flight >= need:
             raise ConfigError(
-                "ground energy per meter must not exceed flight energy per "
-                "meter (ground_power/ground_speed <= flight_power/flight_speed)"
+                f"flight energy per meter flight_power/flight_speed = {flight:.9g} J/m must be at "
+                f"least hypot(ground_power/ground_speed, 2 * mass * gravity) = {need:.9g} J/m"
             )
 
     def transition_cost(self) -> float:

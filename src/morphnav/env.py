@@ -7,7 +7,8 @@ whose radius is the requested clearance; the clearance inflates obstacles
 only, while the ground and the arena bounds are tested at the query point
 itself (a ground vehicle sits exactly on the surface, so inflating the ground
 would reject every legal pose). Swept segment checks are exact: a segment is
-tested where it comes closest to the bounds, the ground and each box.
+tested where it comes closest to the bounds, the ground and each box, and a
+segment with both ends on the ground must also stay on it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ DEFAULT_INFLATION = 0.35
 # Vertical band a driving robot sweeps above local ground.
 DEFAULT_HEIGHT_BAND = (0.05, 0.60)
 DEFAULT_GRID_RESOLUTION = 0.1
+# Largest |z - ground| of a point on the ground, as segments_hit tests it.
+GROUND_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,12 +280,14 @@ class Environment:
         return ~clear
 
     def segments_hit(self, a, b, clearance: float) -> np.ndarray:
-        """Exact swept test: True for each segment a[k]-b[k] that collides
-        where it comes closest to some part of the world, each part tested at
-        its own candidates alone: the ends for the bounds and a flat ground,
-        both convex; _box_params for each obstacle within clearance + 1e-9 of
-        the segment's box; on a heightmap, _ground_range below the highest
-        ground. b-a gets a-b's verdict; segments_undecided only saves work."""
+        """Exact swept test, the one verdict on a roadmap edge: True for each
+        segment a[k]-b[k] that collides where it comes closest to some part
+        of the world, each part tested at its own candidates alone: the ends
+        for the bounds and a flat ground, both convex; _box_params for each
+        obstacle within clearance + 1e-9 of the segment's box; on a
+        heightmap, _ground_range below the highest ground, where a segment
+        with both ends within GROUND_TOL of the ground must also stay so.
+        b-a gets a-b's verdict; segments_undecided only saves work."""
         return self._in_passes(a, b, lambda *ends: self._hit_pass(*ends, clearance))
 
     def _hit_pass(self, a, b, d, clearance: float) -> np.ndarray:
@@ -293,7 +298,9 @@ class Environment:
             hit |= lo[2] < self.ground_const
         else:
             low = np.flatnonzero(lo[2] < self._floor_top)
-            hit[low] |= self._ground_range(*(c[:, low] for c in (a, b, d)))[0] < 0.0
+            least, most, at_ends = self._ground_range(*(c[:, low] for c in (a, b, d)))
+            driven = np.abs(at_ends).max(axis=0) <= GROUND_TOL  # so it must follow the ground
+            hit[low] |= (least < 0.0) | driven & (np.maximum(-least, most) > GROUND_TOL)
         gap = np.maximum(np.maximum(self._box_lo - hi[:, None], lo[:, None] - self._box_hi), 0.0)
         gx, gy, gz = gap * gap
         box, near = np.nonzero(gx + gy + gz <= (clearance + 1e-9) * (clearance + 1e-9))
@@ -305,17 +312,6 @@ class Environment:
         gx, gy, gz = gap * gap
         hit[near[(gx + gy + gz <= clearance * clearance).any(axis=0)]] = True
         return hit
-
-    def segments_on_ground(self, a, b, tol: float = 1e-6) -> np.ndarray:
-        """True for each segment a[k]-b[k] with |z - ground| <= tol all along
-        it: at its ends on flat ground, where z - ground is linear along it,
-        and at _ground_range's parameters on a heightmap."""
-        a, b = _rows(a), _rows(b)
-        if self.ground_const is not None:
-            return np.abs(np.stack((a[:, 2], b[:, 2])) - self.ground_const).max(axis=0) <= tol
-        return self._in_passes(
-            a, b, lambda *ends: np.abs(self._ground_range(*ends)).max(axis=0) <= tol
-        )
 
     def _in_passes(self, a, b, test) -> np.ndarray:
         """test(a, b, d) on x, y and z rows of the segments a[k]-b[k], their
@@ -340,14 +336,16 @@ class Environment:
                 out[i : i + block] = test(*(c[:, i : i + block] for c in ends))
         return out
 
-    def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray]:
+    def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The least and the greatest z - ground along segments a + t d over
-        the heightmap, given as (3, K) x, y and z rows: at 0, 1, the
-        crossings of the lattice lines (Amanatides & Woo, "A fast voxel
-        traversal algorithm for ray tracing", 1987) and the clamped vertex
-        of each piece between them, where the bilinear, edge-clamped ground
-        is quadratic in t and its values at the piece's ends and midpoint
-        give the vertex. Rows with fewer crossings repeat t = 0.
+        the heightmap, given as (3, K) x, y and z rows, and z - ground at
+        their ends, t = 0 and 1, as (2, K) rows. The extremes are taken at
+        0, 1, the crossings of the lattice lines (Amanatides & Woo, "A fast
+        voxel traversal algorithm for ray tracing", 1987) and the clamped
+        vertex of each piece between them, where the bilinear, edge-clamped
+        ground is quadratic in t and its values at the piece's ends and
+        midpoint give the vertex. Rows with fewer crossings repeat t = 0, so
+        t = 0 and 1 stay the first and the last sorted parameter.
         """
         hm = self.heightmap
         cross = [np.zeros_like(a[:1]), np.ones_like(a[:1])]
@@ -367,7 +365,7 @@ class Environment:
         s = np.divide((d[2] * w - g[1:] + g[:-1]) * w, curv, out=np.zeros_like(w), where=curv != 0)
         xv, yv, zv = _points(a, b, d, np.fmin(np.fmax(tm + s, t0), t1))
         h = np.concatenate((z - g, zv - self.ground_heights(xv, yv)))
-        return h.min(axis=0), h.max(axis=0)
+        return h.min(axis=0), h.max(axis=0), h[[0, len(ends) - 1]]
 
 
 # Pairs per pass: segment-box pairs of _in_passes, and point-box pairs of

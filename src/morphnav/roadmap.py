@@ -183,12 +183,12 @@ class Roadmap:
 
 def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
     """Stored traversal cost of each edge in its a-to-b orientation: the one
-    edge pricing formula. Flight adds m * g * (z_b - z_a) and is floored at
-    0. Transition edges morph at the ground endpoint and then fly, so they
-    pay one morph plus the flight cost."""
+    edge pricing formula. Flight adds m * g * (z_b - z_a), which CostModel
+    keeps within half the level-flight price, so every flight price is > 0.
+    Transition edges morph at the ground endpoint and then fly, so they pay
+    one morph plus the flight cost."""
     ground = cm.ground_power * length / cm.ground_speed
-    raw = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
-    flight = np.where(raw > 0.0, raw, 0.0)  # max(0.0, raw), -0.0 included
+    flight = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
     return np.where(
         kind == _GROUND, ground, np.where(kind == _FLIGHT, flight, cm.transition_cost() + flight)
     )
@@ -197,11 +197,12 @@ def edge_costs(cm: CostModel, kind, length, z_a, z_b) -> np.ndarray:
 def heuristic_costs(cm: CostModel, positions, goal) -> np.ndarray:
     """A* lower bound on the cost from each row of `positions` (K, 3) to
     `goal`: horizontal distance sqrt(dx * dx + dy * dy) at the ground rate,
-    which CostModel keeps at or below the flight rate, plus the potential
-    energy of any net climb. The distance is env.distances' rule without
-    the dz term, so it never exceeds the length of an edge between the same
-    points. On flat ground the bound drops by at most the edge_costs price
-    of any edge, so A* with it is admissible and consistent."""
+    plus the potential energy of any net climb. The distance is
+    env.distances' rule without the dz term, so it never exceeds the length
+    of an edge between the same points. With a flight rate of at least
+    hypot(ground rate, 2 * m * g) (CostModel), on flat ground the bound
+    drops by at most the edge_costs price of any edge, either way, so A*
+    with it is admissible and consistent."""
     positions = np.asarray(positions, dtype=float)
     dx, dy = positions[:, 0] - goal[0], positions[:, 1] - goal[1]
     climb = np.maximum(0.0, goal[2] - positions[:, 2])
@@ -354,20 +355,19 @@ def _connect_edges(
     time would: by newer id, then by older id. Returns new edge columns a,
     b, kind, length and cost from node columns pos and mode; no roadmap changes.
 
-    An edge is valid when the straight segment is collision-free at the
-    build clearance; driving edges additionally require the whole segment
-    to lie on the ground surface (flat-ground traversal). Edges are
-    stored with the lower node id first, so the stored cost orientation is
-    from the older node toward the newer one.
+    An edge is valid when env.segments_hit clears its straight segment at
+    the build clearance, the one verdict for every kind: a driving edge's
+    ends lie on the ground, so the swept test also holds the whole segment
+    to the surface. Edges are stored with the lower node id first, so the
+    stored cost orientation is from the older node toward the newer one.
 
     Broad phase per group, one narrow pass per call. Candidates
     (_candidate_keys, with their squared lengths) are priced and put through
-    the on-ground check and the collision broad phase
-    (env.segments_undecided) in groups; the segments that the broad phase
+    the broad phase (env.segments_undecided) in groups; the segments that it
     leaves undecided in every group go through the swept test
-    (env.segments_hit, exact on its own) together at the end. A call costs about
-    a hundred numpy operations whatever its size, so one per group made an
-    arena build about 1 ms slower. Keep the group shape:
+    (env.segments_hit, exact on its own) together at the end. A call costs
+    about a hundred numpy operations whatever its size, so one per group
+    made an arena build about 1 ms slower. Keep the group shape:
     the sorted keys are cut only where a block of PAIR_BLOCK // n newer ids
     ends, and a group is validated once it holds PAIR_GROUP pairs or the
     last block is in. Groups of exactly PAIR_GROUP pairs validate the same
@@ -399,8 +399,6 @@ def _connect_edges(
         kind = mode[old] + mode[new]
         costs[i:j] = edge_costs(cm, kind, length, pos[old, 2], pos[new, 2])
         ok = (DUPLICATE_NODE_TOL < length) & (length <= radius)
-        drive = ok & (kind == _GROUND)
-        ok[drive] = env.segments_on_ground(pos[old[drive]], pos[new[drive]])
         undecided[i:j][ok] = env.segments_undecided(pos[old[ok]], pos[new[ok]], params.clearance)
         valid[i:j] = ok
     narrow = np.flatnonzero(undecided)

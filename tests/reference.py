@@ -56,8 +56,7 @@ def ref_edge_cost(cm, kind, length, z_a, z_b):
     of roadmap.edge_costs in its order."""
     if kind is EdgeKind.GROUND:
         return cm.ground_power * length / cm.ground_speed
-    raw = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
-    flight = max(0.0, raw)
+    flight = cm.flight_power * length / cm.flight_speed + cm.mass * cm.gravity * (z_b - z_a)
     return flight if kind is EdgeKind.FLIGHT else cm.transition_cost() + flight
 
 
@@ -124,14 +123,14 @@ def ref_point_in_collision(env, p, clearance):
     return False
 
 
-# The exact swept tests one segment at a time: the candidate parameters of
-# env.Environment.segments_hit and segments_on_ground, with their float
-# operations in their order. A candidate that the program adds twice, or on
-# a piece of zero length, is made once here. On purpose, ref_in_collision
-# tests every candidate against everything (the bounds, the ground and every
-# box), where segments_hit tests each part of the world only at the
-# candidates that it produced: so the two agree only if no candidate of one
-# part hits another part that the program does not test it against.
+# The exact swept test one segment at a time: the candidate parameters of
+# env.Environment.segments_hit, with their float operations in their order.
+# A candidate that the program adds twice, or on a piece of zero length, is
+# made once here. On purpose, ref_in_collision tests every candidate against
+# everything (the bounds, the ground and every box), where segments_hit tests
+# each part of the world only at the candidates that it produced: so the two
+# agree only if no candidate of one part hits another part that the program
+# does not test it against.
 
 
 def _ref_ordered(a, b):
@@ -225,14 +224,18 @@ def ref_in_collision(env, a, b, clearance):
             params += _ref_box_params(a, d, box)
     if any(ref_point_in_collision(env, _ref_point(a, b, d, t), clearance) for t in params):
         return True
-    if env.heightmap is None:
-        return False
-    # Below the ground: only where the segment dips below the highest ground,
-    # with the margin that env.Environment adds.
-    data = env.heightmap.data
-    if min(a[2], b[2]) >= float(data.max()) + 1e-9 * max(1.0, float(np.abs(data).max())):
+    if not _ref_below_highest_ground(env, a, b):
         return False
     return min(_ref_ground_gaps(env, a, b, d)) < 0.0
+
+
+def _ref_below_highest_ground(env, a, b):
+    """Whether the segment a-b dips below the highest ground of a heightmap,
+    with the margin that env.Environment adds; False on flat ground."""
+    if env.heightmap is None:
+        return False
+    data = env.heightmap.data
+    return min(a[2], b[2]) < float(data.max()) + 1e-9 * max(1.0, float(np.abs(data).max()))
 
 
 def ref_on_ground(env, a, b, tol=1e-6):
@@ -246,6 +249,30 @@ def ref_on_ground(env, a, b, tol=1e-6):
     else:
         gaps = _ref_ground_gaps(env, a, b, d)
     return all(abs(h) <= tol for h in gaps)
+
+
+def ref_ends_on_ground(env, a, b, tol=1e-6):
+    """Whether both ends of the segment a-b lie within tol of the ground,
+    which makes it a driven segment; False for a nan end."""
+    return all(
+        abs(float(p[2]) - float(env.ground_heights(float(p[0]), float(p[1])))) <= tol
+        for p in (a, b)
+    )
+
+
+def ref_segment_hit(env, a, b, clearance):
+    """env.Environment.segments_hit's verdict on the segment a-b:
+    ref_in_collision, or a driven segment (ref_ends_on_ground) that dips
+    below the highest ground of a heightmap and leaves the ground there (not
+    ref_on_ground). On flat ground a driven segment stays on it."""
+    if ref_in_collision(env, a, b, clearance):
+        return True
+    a, b = _ref_ordered(a, b)
+    return (
+        _ref_below_highest_ground(env, a, b)
+        and ref_ends_on_ground(env, a, b)
+        and not ref_on_ground(env, a, b)
+    )
 
 
 def ref_grid_length(grid, start, goal=None):

@@ -67,6 +67,12 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
     def heightmap(**patch):
         return {"ground": {"heightmap": {**flat, **patch}}}
 
+    def too_cheap(flight, need):
+        return (
+            f"flight energy per meter flight_power/flight_speed = {flight} J/m must be at "
+            f"least hypot(ground_power/ground_speed, 2 * mass * gravity) = {need} J/m"
+        )
+
     cases = [
         ("cost", {"sim": {"bogus": 1}}, "unknown sim parameter(s): ['bogus']"),
         ("cost", {"dwa": {"dt": "fast"}}, "dwa parameter 'dt' must be a number"),
@@ -148,9 +154,14 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         # Finite parameters whose edge prices overflow in the arena.
         (
             "plan-cost",
-            {"flight_power": 1e308, "mass": 1e307},
+            {"flight_power": 5e307},
             "cost model overflows pricing a 13.7477 m edge climbing 3 m",
         ),
+        # A flight rate under which the A* bound is not consistent, refused
+        # before any search; at 150 J/m plan and oracle used to raise.
+        ("plan-cost", {"flight_power": 1e308, "mass": 1e307}, too_cheap("1e+308", "inf")),
+        ("plan-cost", {"flight_power": 150}, too_cheap(150, 168.101155)),
+        ("oracle-cost", {"flight_power": 150}, too_cheap(150, 168.101155)),
         ("latency", "nan", "sim parameter 'actuation_latency' must be finite, got nan"),
         ("latency", "inf", "sim parameter 'actuation_latency' must be finite, got inf"),
         ("latency", "1e308", "sim parameter 'actuation_latency' is too many ticks"),
@@ -174,6 +185,11 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         ("args", ("simulate", "--start", "nan,1,0"), "--start[0] must be finite, got nan"),
         ("args", ("plan", "--start", "1,-inf,0"), "--start[1] must be finite, got -inf"),
     ]
+    cost_commands = {
+        "cost": ("simulate", "--env", ARENA),
+        "plan-cost": ("plan", "--env", ARENA),
+        "oracle-cost": ("oracle", "--n", 1, "--queries", 1),
+    }
     for i, (kind, patch, fragment) in enumerate(cases):
         path = tmp_path / f"{kind}{i}.json"
         if kind == "latency":
@@ -182,10 +198,9 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
             args = ("oracle", "--n", 1, "--queries", 1, *patch)
         elif kind == "args":
             args = (patch[0], "--env", ARENA, *patch[1:])
-        elif kind in ("cost", "plan-cost"):
+        elif kind in cost_commands:
             path.write_text(json.dumps(patch))
-            command = "simulate" if kind == "cost" else "plan"
-            args = (command, "--env", ARENA, "--cost-config", path)
+            args = (*cost_commands[kind], "--cost-config", path)
         elif kind == "prm":
             path.write_text(json.dumps({**scenario, "prm": {**scenario["prm"], **patch}}))
             args = ("roadmap", "--env", path)
@@ -204,6 +219,21 @@ def test_bad_config_files_exit_one(tmp_path, capsys):
         assert f"config error: {fragment}" in stderr, (patch, stderr)
         assert "Traceback" not in stderr, patch
         assert "Warning" not in stderr, patch
+
+
+def test_lowest_accepted_flight_rate_plans_and_passes_the_oracle(tmp_path, capsys):
+    # At the least flight rate CostModel takes, hypot(G, 2 * m * g), the A*
+    # bound is still consistent: plan and the oracle run without the closed
+    # node check firing, and A* finds Dijkstra's costs.
+    need = math.hypot(CM.ground_power / CM.ground_speed, 2.0 * CM.mass * CM.gravity)
+    path = tmp_path / "lowest.json"
+    path.write_text(json.dumps({"flight_power": need}))
+    for seed in (1, 2, 3):
+        argv = ["plan", "--env", ARENA, "--seed", str(seed), "--cost-config", str(path)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    argv = ["oracle", "--n", "5", "--cost-config", str(path), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert read_json(tmp_path, "oracle.json")["pass"]
 
 
 def test_huge_finite_radius_plans(tmp_path):

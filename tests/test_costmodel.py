@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphnav.costmodel import CostModel, config_from_dict, cost_section
-from morphnav.env import load_environment
+from morphnav.env import distances, load_environment
 from morphnav.errors import ConfigError
 from morphnav.localnav import DwaParams
 from morphnav.rng import SplitMix64
@@ -54,13 +56,19 @@ def test_flight_edge_cost_level_and_climb():
     assert _price(EdgeKind.TRANSITION, 2.0, 1.5, 1.5) == 1400.0
 
 
-def test_flight_edge_cost_clamps_at_zero():
-    # A cheap-hover, heavy model can make a steep descent net-negative;
-    # recovered energy never goes below zero.
-    cm = CostModel(ground_power=1.0, ground_speed=1.0, flight_power=2.0,
-                   flight_speed=1.0, mass=50.0, gravity=9.81)
-    assert _price(EdgeKind.FLIGHT, 10.0, 10.0, 0.0, cm=cm) == 0.0
-    assert _price(EdgeKind.TRANSITION, 10.0, 10.0, 0.0, cm=cm) == cm.transition_cost()
+def test_refuses_flight_rates_below_the_consistency_bound():
+    # A cheap-hover, heavy model, whose steep descent would be net-negative,
+    # is refused, and so is any flight rate F below hypot(G, 2 * m * g):
+    # the A* bound could then drop by more than some edge's price.
+    with pytest.raises(ConfigError, match=r"= 2 J/m must be at least hypot\(.*\) = 981\.\d+ J/m"):
+        CostModel(ground_power=1.0, ground_speed=1.0, flight_power=2.0,
+                  flight_speed=1.0, mass=50.0, gravity=9.81)
+    need = math.hypot(CM.ground_power, 2.0 * CM.mass * CM.gravity)
+    assert 168.1 < need < 168.11
+    for power in (130.0, 150.0, math.nextafter(need, 0.0)):
+        with pytest.raises(ConfigError, match="flight_power/flight_speed"):
+            CostModel(flight_power=power)
+    assert CostModel(flight_power=need).flight_power == need
 
 
 def test_transition_cost():
@@ -179,6 +187,56 @@ def test_heuristic_never_exceeds_any_edge_cost():
     h = _bound(*zip(*pairs))
     d = np.array([ref_length(p, q) for p, q in pairs])
     assert (h <= _price(EdgeKind.GROUND, d) + 1e-9).all()
+
+
+def _lowest_flight_power(ground_rate, mass, flight_speed):
+    """The least flight_power that CostModel takes with these parameters."""
+    need = math.hypot(ground_rate, 2.0 * mass * CM.gravity)
+    power = need * flight_speed
+    while power / flight_speed < need:
+        power = math.nextafter(power, math.inf)
+    return power
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    ground_rate=st.floats(1.0, 1000.0),
+    mass=st.floats(0.1, 50.0),
+    flight_speed=st.floats(0.2, 20.0),
+    excess=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bound_stays_consistent_at_the_refusal_boundary(
+    ground_rate, mass, flight_speed, excess, seed
+):
+    # Models at or just above the lowest flight rate CostModel takes: on
+    # flight and transition edges, stored either way round, the shipped
+    # bound drops by no more than the stored cost in either direction. Half
+    # the edges climb along the tightest direction, horizontal share G / F,
+    # toward a goal above and beyond them.
+    power = _lowest_flight_power(ground_rate, mass, flight_speed) * (1.0 + excess)
+    cm = CostModel(ground_power=ground_rate, mass=mass, flight_speed=flight_speed,
+                   flight_power=power)
+    rng = np.random.default_rng(seed)
+    n = 32
+    p = rng.uniform((0.0, 0.0, 0.0), (20.0, 20.0, 5.0), (n, 3))
+    q = rng.uniform((0.0, 0.0, 0.0), (20.0, 20.0, 5.0), (n, 3))
+    goal = rng.uniform((0.0, 0.0, 0.0), (20.0, 20.0, 5.0), (n, 3))
+    rate = power / flight_speed
+    angle = rng.uniform(0.0, 2.0 * math.pi, n // 2)
+    heading = np.stack((np.cos(angle), np.sin(angle), np.zeros_like(angle)), axis=1)
+    up = np.array([0.0, 0.0, 1.0])
+    step = rng.uniform(0.01, 2.0, (n // 2, 1))
+    q[: n // 2] = p[: n // 2] + step * (heading * (ground_rate / rate) + up * (2.0 * mass * CM.gravity / rate))
+    goal[: n // 2] = q[: n // 2] + 10.0 * heading + up
+    length = distances(p, q)
+    for kind in (EdgeKind.FLIGHT, EdgeKind.TRANSITION):
+        stored = np.minimum(
+            _price(kind, length, p[:, 2], q[:, 2], cm=cm), _price(kind, length, q[:, 2], p[:, 2], cm=cm)
+        )
+        for k in range(n):
+            hp, hq = heuristic_costs(cm, [p[k], q[k]], goal[k])
+            assert abs(hp - hq) <= stored[k] + 1e-9 * (1.0 + hp + hq), (kind, k)
 
 
 def test_heuristic_triangle_inequality():

@@ -26,10 +26,11 @@ from morphnav.errors import ConfigError
 from morphnav.rng import SplitMix64
 from reference import (
     ARENA,
+    ref_ends_on_ground,
     ref_in_collision,
     ref_length,
-    ref_on_ground,
     ref_point_in_collision,
+    ref_segment_hit,
     ref_segment_points,
     uniform,
 )
@@ -290,10 +291,6 @@ def _one_hit(env, a, b, clearance):
     return bool(env.segments_hit([a], [b], clearance)[0])
 
 
-def _one_on_ground(env, a, b):
-    return bool(env.segments_on_ground([a], [b])[0])
-
-
 def test_segment_collision_through_and_over_box():
     env = _box_env()
     assert _one_hit(env, (3.0, 5.0, 1.0), (7.0, 5.0, 1.0), 0.0)
@@ -338,19 +335,48 @@ def test_segment_degenerate_reduces_to_point():
     assert env.segments_hit(np.zeros((0, 3)), np.zeros((0, 3)), 0.1).shape == (0,)
 
 
-def test_segment_on_ground_flat_and_sloped():
+def _assert_hit_both_ways(env, a, b, want):
+    """segments_hit and ref_segment_hit give `want` for a-b and for b-a."""
+    for p, q in ((a, b), (b, a)):
+        assert _one_hit(env, p, q, 0.0) is want, (p, q)
+        assert ref_segment_hit(env, p, q, 0.0) is want, (p, q)
+
+
+def test_driven_segment_must_follow_the_ground():
+    # On flat ground a segment between two ground points stays on it; one
+    # that leaves it is flown, and only a dip below it would hit.
     flat = _box_env()
-    assert _one_on_ground(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.0))
-    assert not _one_on_ground(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.5))
+    _assert_hit_both_ways(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.0), False)
+    _assert_hit_both_ways(flat, (1.0, 1.0, 0.0), (2.0, 2.0, 0.5), False)
     # Bilinear saddle: endpoints on the surface, chord off it in the middle.
     hm = Heightmap((0.0, 0.0), 1.0, [[0.0, 0.0], [0.0, 1.0]])
     env = Environment(
         Aabb((0.0, 0.0, 0.0), (1.0, 1.0, 3.0)), ground_const=None, heightmap=hm
     )
     a = (0.0, 0.0, 0.0)
-    b = (1.0, 1.0, 1.0)
-    assert not _one_on_ground(env, a, b)
-    assert _one_on_ground(env, a, a)
+    _assert_hit_both_ways(env, a, (1.0, 1.0, 1.0), True)
+    _assert_hit_both_ways(env, a, a, False)
+
+
+def test_driven_chord_is_held_to_the_ground_tolerance():
+    # A valley of depth `dip` in x, one lattice cell wide: the chord between
+    # its rims, both on the surface, floats `dip` above the valley floor.
+    tol = env_module.GROUND_TOL
+    for dip, want in ((2.0 * tol, True), (0.5 * tol, False), (0.5, True)):
+        hm = Heightmap((0.0, 0.0), 1.0, [[0.2, 0.2 - dip, 0.2]] * 3)
+        env = Environment(Aabb((0.0, 0.0, -1.0), (2.0, 2.0, 2.0)), ground_const=None, heightmap=hm)
+        a, b = (0.0, 1.0, 0.2), (2.0, 1.0, 0.2)
+        assert ref_ends_on_ground(env, a, b)
+        _assert_hit_both_ways(env, a, b, want)
+        # One end raised 1 cm: the segment is not driven, and only a dip
+        # below the ground would hit it.
+        raised = (2.0, 1.0, 0.21)
+        assert not ref_ends_on_ground(env, a, raised)
+        _assert_hit_both_ways(env, a, raised, False)
+    # Over a ridge instead, the raised chord passes below the crest and hits.
+    hm = Heightmap((0.0, 0.0), 1.0, [[0.2, 0.7, 0.2]] * 3)
+    env = Environment(Aabb((0.0, 0.0, -1.0), (2.0, 2.0, 2.0)), ground_const=None, heightmap=hm)
+    _assert_hit_both_ways(env, (0.0, 1.0, 0.2), (2.0, 1.0, 0.21), True)
 
 
 # The batched checks against the per-segment ones they replaced (reference.py).
@@ -442,13 +468,15 @@ def test_batched_segment_checks_match_per_segment_reference(world, clearance):
     rng = SplitMix64(len(world) * 100 + int(clearance * 100))
     a, b = _random_segments(env, rng, 2000, clearance)
     hits = env.segments_hit(a, b, clearance)
-    ref_hits = [ref_in_collision(env, p, q, clearance) for p, q in zip(a, b)]
+    ref_hits = [ref_segment_hit(env, p, q, clearance) for p, q in zip(a, b)]
     assert hits.tolist() == ref_hits
     assert 0 < sum(ref_hits) < len(ref_hits)
-    on = env.segments_on_ground(a, b)
-    ref_on = [ref_on_ground(env, p, q) for p, q in zip(a, b)]
-    assert on.tolist() == ref_on
-    assert 0 < sum(ref_on) < len(ref_on)
+    # Some driven segments, and over the heightmap some of them are hit
+    # only for leaving the ground.
+    driven = [ref_ends_on_ground(env, p, q) for p, q in zip(a, b)]
+    assert 0 < sum(driven) < len(driven)
+    off = [h and not ref_in_collision(env, p, q, clearance) for h, p, q in zip(ref_hits, a, b)]
+    assert (sum(off) > 0) == (env.heightmap is not None)
 
 
 def test_segment_whose_squared_length_underflows_keeps_both_ends():
@@ -485,7 +513,6 @@ def test_tiny_clearances_and_non_finite_ends_are_decided():
         for world in (env, _stepped_heightmap_env()):
             assert world.segments_hit(ends, others, 0.35).tolist() == [True] * 3
             assert world.segments_hit(others, ends, 0.35).tolist() == [True] * 3
-            assert world.segments_on_ground(ends, others).tolist() == [False] * 3
 
 
 def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
@@ -521,6 +548,11 @@ def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
             axis = rng.randint(3)
             b[axis] = a[axis]
         rows.append((a, b))
+    # Driven segments: both ends on the stepped heightmap's ground.
+    stepped = _stepped_heightmap_env()
+    for _ in range(40):
+        xy = [(uniform(rng, 0.0, 10.5), uniform(rng, 0.0, 6.0)) for _ in range(2)]
+        rows.append(tuple([x, y, stepped.ground_height(x, y)] for x, y in xy))
     a, b = np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
     e = a + (b - a)
     assert e[10, 2] == 0.0 < b[10, 2] and e[11, 2] < b[11, 2]
@@ -563,7 +595,6 @@ def test_swept_verdicts_do_not_depend_on_orientation(monkeypatch):
                 env.segments_hit(a, b, clearance).tolist()
             )
         assert count > 0
-        assert env.segments_on_ground(b, a).tolist() == env.segments_on_ground(a, b).tolist()
 
 
 # The exactness sandwich against dense sampling: a segment with a dense
@@ -701,10 +732,9 @@ def _touching_segments(env, rng, n):
 @pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
 @pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
 def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
-    # segments_undecided clears some segments, and segments_on_ground on
-    # flat ground decides from the ends alone: the exact test hits no
-    # segment that the broad phase clears, and on-ground verdicts equal the
-    # reference.
+    # segments_undecided clears some segments: the exact test hits no
+    # segment that the broad phase clears, and its verdicts on driven
+    # segments, both ends on the ground, equal the reference.
     hits = on = cleared = 0
     for seed in range(8):
         rng = SplitMix64(1000 * seed + int(clearance * 100) + (ground == 0.2))
@@ -719,12 +749,12 @@ def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
         assert not (hit & ~undecided).any(), (ground, clearance, seed)
         hits += int(hit.sum())
         cleared += int((~undecided).sum())
-        if ground != "heightmap":
-            want_on = [ref_on_ground(env, p, q) for p, q in zip(a, b)]
-            assert env.segments_on_ground(a, b).tolist() == want_on, (ground, seed)
-            on += sum(want_on)
+        driven = np.array([ref_ends_on_ground(env, p, q) for p, q in zip(a, b)])
+        want = [ref_segment_hit(env, p, q, clearance) for p, q in zip(a[driven], b[driven])]
+        assert hit[driven].tolist() == want, (ground, seed)
+        on += int(driven.sum())
     assert 0 < hits < 8 * 1000 and 0 < cleared < 8 * 1000
-    assert ground == "heightmap" or 0 < on < 8 * 1000
+    assert 0 < on < 8 * 1000
     if ground != "heightmap":
         # A transition edge's ground end, far from every box, is cleared
         # in the broad phase, flown up from the ground or down onto it

@@ -37,6 +37,7 @@ from reference import (
     CM,
     open_env,
     ref_edge_cost,
+    ref_ends_on_ground,
     ref_in_collision,
     ref_length,
     ref_on_ground,
@@ -129,16 +130,20 @@ def test_prm_params_validation():
 
 def test_build_refuses_edge_prices_that_overflow():
     # Finite cost parameters whose edge prices overflow in this world are
-    # refused before any edge is priced inf or NaN (a NaN descent price used
-    # to be floored to 0 J).
+    # refused before any edge is priced inf or NaN.
     params = PrmParams(n_ground=5, n_air=5, seed=1)
     for cm in (
-        CostModel(flight_power=1e308, mass=1e307),
         CostModel(flight_power=5e307),
-        CostModel(mass=1e307),  # only the climb's m * g * dz overflows
+        # F * L and m * g * dz are finite; their sum overflows.
+        CostModel(flight_power=1.2e307, mass=5.6e305),
     ):
         with pytest.raises(ConfigError, match="overflows pricing a 13.7477 m edge climbing 3 m"):
             build_roadmap(walled_env(), cm, params)
+    # A climb that overflows on its own needs a flight rate of at least
+    # 2 * m * g, which overflows too: such models fail at construction.
+    for kwargs in ({"flight_power": 1e308, "mass": 1e307}, {"mass": 1e307}):
+        with pytest.raises(ConfigError, match="must be at least hypot"):
+            CostModel(**kwargs)
     # In a world with a 1.5 m diagonal the same flight power prices finitely.
     small = Environment(Aabb((0.0, 0.0, 0.0), (1.0, 1.0, 0.5)))
     roadmap = build_roadmap(small, CostModel(flight_power=5e307), params)
@@ -345,19 +350,22 @@ def test_edge_invariants():
         assert length <= params.radius
         assert kind is _ref_kind(modes[a], modes[b])
         assert cost == ref_edge_cost(CM, kind, length, positions[a][2], positions[b][2])
+    # Every edge is clear, and a ground edge's ends lie on the surface, so
+    # that verdict held it to the ground all along.
     a, b = roadmap.positions[roadmap.a], roadmap.positions[roadmap.b]
     assert not env.segments_hit(a, b, params.clearance).any()
     drive = roadmap.kind == EDGE_KINDS.index(EdgeKind.GROUND)
-    assert env.segments_on_ground(a[drive], b[drive]).all()
+    assert drive.any() and all(ref_ends_on_ground(env, p, q) for p, q in zip(a[drive], b[drive]))
 
 
 def test_edge_costs_match_cost_model_bit_for_bit():
     # The vectorized costs repeat the scalar reference's operations in its
-    # order, so each equals it exactly. The cheap-flight model makes
-    # steep descents negative before the floor at 0, and its speeds make
-    # the order of the products and quotients matter.
+    # order, so each equals it exactly. The cheap-flight model, near the
+    # lowest flight rate CostModel takes, makes a steep descent's credit
+    # nearly half its flight energy, and its speeds make the order of the
+    # products and quotients matter.
     cheap_flight = CostModel(
-        ground_power=10.0, ground_speed=0.7, flight_power=30.0, flight_speed=1.3
+        ground_power=10.0, ground_speed=0.7, flight_power=160.0, flight_speed=1.3
     )
     rng = np.random.default_rng(12)
     za = rng.uniform(0.0, 3.0, 4000)
@@ -372,10 +380,11 @@ def test_edge_costs_match_cost_model_bit_for_bit():
             for k, L, a, b in zip(kind.tolist(), length.tolist(), za.tolist(), zb.tolist())
         ]
         assert got.tobytes() == np.array(want).tobytes()
-    raw = 30.0 * length / 1.3 + cheap_flight.mass * cheap_flight.gravity * (zb - za)
-    floored = (kind == EDGE_KINDS.index(EdgeKind.FLIGHT)) & (raw < 0.0)
-    assert floored.sum() > 10
-    assert (edge_costs(cheap_flight, kind, length, za, zb)[floored] == 0.0).all()
+        # No floor is needed: every edge of positive length costs energy.
+        assert (got[length > 0.0] > 0.0).all()
+    hover = 160.0 * length / 1.3
+    credit = cheap_flight.mass * cheap_flight.gravity * (za - zb)
+    assert (credit > 0.4 * hover).sum() > 10
 
 
 def test_no_ground_edge_crosses_the_wall():
