@@ -287,8 +287,29 @@ class Environment:
         obstacle within clearance + 1e-9 of the segment's box; on a
         heightmap, _ground_range below the highest ground, where a segment
         with both ends within GROUND_TOL of the ground must also stay so.
-        b-a gets a-b's verdict; segments_undecided only saves work."""
-        return self._in_passes(a, b, lambda *ends: self._hit_pass(*ends, clearance))
+        segments_undecided only saves work.
+
+        The ends are put in lexicographic order, so that b-a gets a-b's
+        verdict bit for bit, and _hit_pass tests x, y and z rows of them and
+        of d = b - a in passes of at most BOX_BLOCK segment-box pairs and
+        heightmap parameters. Non-finite ends, which lie outside the bounds,
+        make nan parameters."""
+        a, b = _rows(a), _rows(b)
+        eq, lt = a == b, b < a
+        swap = (lt[:, 0] | eq[:, 0] & (lt[:, 1] | eq[:, 1] & lt[:, 2]))[:, None]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        hit = np.zeros(len(a), dtype=bool)
+        with np.errstate(all="ignore"):
+            ends = a.T, b.T, (b - a).T
+            width = len(self.obstacles)
+            if self.heightmap is not None:  # 2 parameters a lattice line crossed, 5 more
+                hm = self.heightmap
+                span = np.fmax.reduce(np.abs(ends[2][:2]).sum(axis=0), initial=0.0)
+                width += 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
+            block = max(1, BOX_BLOCK // max(1, width))
+            for i in range(0, len(a), block):
+                hit[i : i + block] = self._hit_pass(*(c[:, i : i + block] for c in ends), clearance)
+        return hit
 
     def _hit_pass(self, a, b, d, clearance: float) -> np.ndarray:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -312,29 +333,6 @@ class Environment:
         gx, gy, gz = gap * gap
         hit[near[(gx + gy + gz <= clearance * clearance).any(axis=0)]] = True
         return hit
-
-    def _in_passes(self, a, b, test) -> np.ndarray:
-        """test(a, b, d) on x, y and z rows of the segments a[k]-b[k], their
-        ends put in lexicographic order so that b-a gets a-b's verdict bit
-        for bit, and d = b - a, in passes of at most BOX_BLOCK segment-box
-        pairs and heightmap parameters. Non-finite ends, which lie outside
-        the bounds, make nan parameters."""
-        a, b = _rows(a), _rows(b)
-        eq, lt = a == b, b < a
-        swap = (lt[:, 0] | eq[:, 0] & (lt[:, 1] | eq[:, 1] & lt[:, 2]))[:, None]
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        out = np.zeros(len(a), dtype=bool)
-        with np.errstate(all="ignore"):
-            ends = a.T, b.T, (b - a).T
-            width = len(self.obstacles)
-            if self.heightmap is not None:  # 2 parameters a lattice line crossed, 5 more
-                hm = self.heightmap
-                span = np.fmax.reduce(np.abs(ends[2][:2]).sum(axis=0), initial=0.0)
-                width += 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
-            block = max(1, BOX_BLOCK // max(1, width))
-            for i in range(0, len(a), block):
-                out[i : i + block] = test(*(c[:, i : i + block] for c in ends))
-        return out
 
     def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The least and the greatest z - ground along segments a + t d over
@@ -368,7 +366,7 @@ class Environment:
         return h.min(axis=0), h.max(axis=0), h[[0, len(ends) - 1]]
 
 
-# Pairs per pass: segment-box pairs of _in_passes, and point-box pairs of
+# Pairs per pass: segment-box pairs of segments_hit, and point-box pairs of
 # points_in_collision (node sampling). A pass makes about six (3, boxes,
 # points) temporaries. Of 2,048, 4,096 and 8,192 pairs, 4,096 timed best
 # for points_in_collision at 512 and 2,048 points in worlds of 4 to 50

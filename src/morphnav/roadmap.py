@@ -14,10 +14,11 @@ the program reads the columns. No record is stored.
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
 aerial ones, and the edges and their order are those of connecting each node
-to the older nodes in ascending id order. Candidate edges come from a sweep
-over the nodes sorted by x, so a build computes distances only between nodes
-within the connection radius in x, not between every pair. Two builds from
-the same parameters are bit-identical.
+to the older nodes in ascending id order. A build's candidate edges come
+from a sweep over the nodes sorted by x, so it computes distances only
+between nodes within the connection radius in x, not between every pair; a
+query node takes its candidates from its one distance scan over the nodes.
+Two builds from the same parameters are bit-identical.
 """
 
 from __future__ import annotations
@@ -272,7 +273,12 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     air = _sample_nodes(env, params, rng, params.n_air, air=True)
     pos = np.concatenate((ground, air))
     mode = np.repeat(np.arange(2, dtype=np.int8), (len(ground), len(air)))  # NODE_MODES codes
-    return Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, cm, params, params.radius))
+    # A margin for the squared-distance search, squared by a multiply (inf on
+    # overflow, where ** raises); the lengths, rounded square roots of the
+    # sweep's sums, make the closed-radius decision.
+    radius = params.radius
+    keys, length = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
+    return Roadmap(pos, mode, *_connect_edges(pos, mode, keys, length, env, cm, params, radius))
 
 
 def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
@@ -314,7 +320,9 @@ def insert_query_nodes(
     connects to the roadmap's nodes, the goal also to the start. A query
     node that gains no edges at the build radius is retried once at double
     the radius; if it is still isolated, QueryNodeIsolatedError is raised.
-    The query nodes' edges follow the roadmap's, the start's first.
+    Its candidates at either radius come from the one env.distances scan
+    that looks for a node to reuse. The query nodes' edges follow the
+    roadmap's, the start's first.
     """
     pos, mode = roadmap.positions, roadmap.mode
     ids, edges = [], []
@@ -330,7 +338,9 @@ def insert_query_nodes(
         pos = np.concatenate((pos, [snapped]))
         mode = np.concatenate((mode, [NODE_MODES.index(NodeMode.GROUND)]), dtype=np.int8)
         for radius in (params.radius, 2.0 * params.radius):
-            new = _connect_edges(pos, mode, nid, env, cm, params, radius)
+            older = np.flatnonzero(d <= radius)
+            keys = nid * len(pos) + older
+            new = _connect_edges(pos, mode, keys, d[older], env, cm, params, radius)
             if len(new[0]):
                 break
         else:
@@ -344,31 +354,34 @@ def insert_query_nodes(
 def _connect_edges(
     pos: np.ndarray,
     mode: np.ndarray,
-    first: int,
+    keys: np.ndarray,
+    length: np.ndarray,
     env: Environment,
     cm: CostModel,
     params: PrmParams,
     radius: float,
 ) -> tuple[np.ndarray, ...]:
-    """Every valid edge between a node with id >= `first` and an older node
-    within `radius` of it, in the order that inserting the nodes one at a
-    time would: by newer id, then by older id. Returns new edge columns a,
-    b, kind, length and cost from node columns pos and mode; no roadmap changes.
+    """Every valid edge among the candidate pairs `keys`, ascending newer * n
+    + older ids of the n nodes of pos and mode, whose lengths are `length`,
+    in key order: by newer id, then by older id, the order that inserting
+    the nodes one at a time would give. Returns new edge columns a, b, kind,
+    length and cost; no roadmap changes.
 
-    An edge is valid when env.segments_hit clears its straight segment at
-    the build clearance, the one verdict for every kind: a driving edge's
-    ends lie on the ground, so the swept test also holds the whole segment
-    to the surface. Edges are stored with the lower node id first, so the
-    stored cost orientation is from the older node toward the newer one.
+    A candidate is an edge when its length is within `radius` (closed) and
+    above DUPLICATE_NODE_TOL, and env.segments_hit clears its straight
+    segment at the build clearance, the one verdict for every kind: a
+    driving edge's ends lie on the ground, so the swept test also holds the
+    whole segment to the surface. Edges are stored with the lower node id
+    first, so the stored cost orientation is from the older node toward the
+    newer one.
 
-    Broad phase per group, one narrow pass per call. Candidates
-    (_candidate_keys, with their squared lengths) are priced and put through
-    the broad phase (env.segments_undecided) in groups; the segments that it
-    leaves undecided in every group go through the swept test
-    (env.segments_hit, exact on its own) together at the end. A call costs
-    about a hundred numpy operations whatever its size, so one per group
-    made an arena build about 1 ms slower. Keep the group shape:
-    the sorted keys are cut only where a block of PAIR_BLOCK // n newer ids
+    Broad phase per group, one narrow pass per call. Candidates are priced
+    and put through the broad phase (env.segments_undecided) in groups; the
+    segments that it leaves undecided in every group go through the swept
+    test (env.segments_hit, exact on its own) together at the end. A call
+    costs about a hundred numpy operations whatever its size, so one per
+    group made an arena build about 1 ms slower. Keep the group shape:
+    the keys are cut only where a block of PAIR_BLOCK // n newer ids
     ends, and a group is validated once it holds PAIR_GROUP pairs or the
     last block is in. Groups of exactly PAIR_GROUP pairs validate the same
     edges, but the resident peak of repeated arena plans then creeps about
@@ -378,13 +391,9 @@ def _connect_edges(
     so a 21,600-node build peaked about 15% higher with them.
     """
     n = len(pos)
-    # A margin for the squared-distance search, squared by a multiply (inf on
-    # overflow, where ** raises); the lengths, rounded square roots of the
-    # sweep's sums, make the closed-radius decision.
-    keys, sums = _candidate_keys(pos, first, radius * radius * (1.0 + 2e-9))
     rows = max(1, PAIR_BLOCK // n) if n else 1
     cuts = [0]
-    for end in np.searchsorted(keys, np.arange(first + rows, n, rows) * n).tolist():
+    for end in np.searchsorted(keys, np.arange(rows, n, rows) * n).tolist():
         if end - cuts[-1] >= PAIR_GROUP:
             cuts.append(end)
     cuts.append(len(keys))
@@ -394,77 +403,63 @@ def _connect_edges(
     costs = np.empty(len(keys))
     for i, j in zip(cuts, cuts[1:]):
         new, old = np.divmod(keys[i:j], n)
-        # env.distances' rule: the same sums, in the same order.
-        length = np.sqrt(sums[i:j])
         kind = mode[old] + mode[new]
-        costs[i:j] = edge_costs(cm, kind, length, pos[old, 2], pos[new, 2])
-        ok = (DUPLICATE_NODE_TOL < length) & (length <= radius)
+        costs[i:j] = edge_costs(cm, kind, length[i:j], pos[old, 2], pos[new, 2])
+        ok = (DUPLICATE_NODE_TOL < length[i:j]) & (length[i:j] <= radius)
         undecided[i:j][ok] = env.segments_undecided(pos[old[ok]], pos[new[ok]], params.clearance)
         valid[i:j] = ok
     narrow = np.flatnonzero(undecided)
     new, old = np.divmod(keys[narrow], n)
     valid[narrow] = ~env.segments_hit(pos[old], pos[new], params.clearance)
     new, old = np.divmod(keys[valid], n)
-    return old, new, mode[old] + mode[new], np.sqrt(sums[valid]), costs[valid]
+    return old, new, mode[old] + mode[new], length[valid], costs[valid]
 
 
-def _candidate_keys(pos: np.ndarray, first: int, reach2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending keys newer * n + older of every pair of nodes, one of them
-    a row (id >= `first`), whose squared distance dx*dx + dy*dy + dz*dz is
-    at most `reach2`, and those squared distances, in key order.
+def _candidate_keys(pos: np.ndarray, reach2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending keys newer * n + older of every pair of nodes whose squared
+    distance dx*dx + dy*dy + dz*dz is at most `reach2`, and the square roots
+    of those sums, env.distances' lengths, in key order.
 
     A sweep over the nodes sorted by x (Bentley, Stanat & Williams, "The
     complexity of finding fixed-radius near neighbors", IPL 1977). A row's
-    columns are the nodes within `half` of it in x, a contiguous window of
-    the sorted order: in a full build the nodes after the row, and for a
-    row of an insertion also the older nodes before it. Squared distances
-    are computed only in rectangles of consecutive rows by the union of
-    their windows, each of at most PAIR_BLOCK entries, or one row. A window
-    may hold more than the pairs within reach2; the squared-distance test
-    decides.
+    columns are the nodes after it in the sorted order and within `half` of
+    it in x, a contiguous window. Squared distances are computed only in
+    rectangles of consecutive rows by the union of their windows, each of
+    at most PAIR_BLOCK entries, or one row. A window may hold more than the
+    pairs within reach2; the squared-distance test decides.
     """
     n = len(pos)
-    if first >= n:
-        return np.empty(0, dtype=np.intp), np.empty(0)
     order = np.argsort(pos[:, 0])
     cols = np.take(pos.T, order, axis=1)  # x, y and z by ascending x, each contiguous
     xs = cols[0]
-    older = order < first
-    rows = np.flatnonzero(~older)  # sorted positions of the rows
     # Nodes farther apart than half in x have fl(dx)**2 > reach2, as half
     # exceeds sqrt(reach2) by far more than rounding can take back; nodes
     # within half lie within x +- half rounded, as rounding is monotone.
     half = math.sqrt(reach2) * (1.0 + 1e-9)
-    x_rows = xs[rows]
-    hi = np.searchsorted(xs, x_rows + half, side="right").tolist()
-    lo = (np.searchsorted(xs, x_rows - half) if first else rows + 1).tolist()
-    # Column q pairs with row p when q > p, so a pair of rows is found once,
-    # or with every row when q is older than all rows: colkey[q] > p.
-    colkey = np.where(older, n, np.arange(n))
-    row_cols, row_ids = cols[:, rows], order[rows]
-    keys, sums, k0 = [], [], 0
-    while k0 < len(rows):
-        c0 = lo[k0]
+    hi = np.searchsorted(xs, xs + half, side="right").tolist()
+    keys, sums, p0 = [np.empty(0, dtype=np.intp)], [np.empty(0)], 0
+    while p0 < n:
+        c0 = p0 + 1
         # The most rows, at least one, whose rectangle fits PAIR_BLOCK; its
         # area only grows with the row count.
         fit = bisect_right(
-            range(k0 + 1, len(rows) + 1), PAIR_BLOCK, key=lambda k: (k - k0) * (hi[k - 1] - c0)
+            range(p0 + 1, n + 1), PAIR_BLOCK, key=lambda p: (p - p0) * (hi[p - 1] - c0)
         )
-        k1 = k0 + max(1, fit)
-        c1 = hi[k1 - 1]
-        dx, dy, dz = (r[k0:k1, None] - c[c0:c1] for r, c in zip(row_cols, cols))
+        p1 = p0 + max(1, fit)
+        c1 = hi[p1 - 1]
+        dx, dy, dz = (c[p0:p1, None] - c[c0:c1] for c in cols)
         d2 = dx * dx + dy * dy + dz * dz
         near = d2 <= reach2
-        near &= colkey[c0:c1] > rows[k0:k1, None]
+        near &= np.arange(c0, c1) > np.arange(p0, p1)[:, None]  # each pair once
         i, j = np.nonzero(near)
-        a, b = row_ids[k0:k1][i], order[c0:c1][j]
+        a, b = order[p0:p1][i], order[c0:c1][j]
         keys.append(np.maximum(a, b) * n + np.minimum(a, b))
         sums.append(d2[near])
-        k0 = k1
+        p0 = p1
     keys, sums = np.concatenate(keys), np.concatenate(sums)
     by_key = np.argsort(keys)
-    keys = keys[by_key]
-    return keys, sums[by_key]
+    keys, sums = keys[by_key], sums[by_key]
+    return keys, np.sqrt(sums, out=sums)
 
 
 # -- export -------------------------------------------------------------------

@@ -731,7 +731,7 @@ def _touching_segments(env, rng, n):
 
 @pytest.mark.parametrize("ground", [0.0, 0.2, "heightmap"])
 @pytest.mark.parametrize("clearance", [0.0, 0.1, 0.35])
-def test_broad_phase_verdicts_equal_full_sampling(ground, clearance):
+def test_broad_phase_verdicts_equal_the_exact_reference(ground, clearance):
     # segments_undecided clears some segments: the exact test hits no
     # segment that the broad phase clears, and its verdicts on driven
     # segments, both ends on the ground, equal the reference.

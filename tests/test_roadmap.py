@@ -25,6 +25,7 @@ from morphnav.roadmap import (
     NodeMode,
     PrmParams,
     Roadmap,
+    _candidate_keys,
     _connect_edges,
     _sample_nodes,
     build_roadmap,
@@ -397,13 +398,29 @@ def test_no_ground_edge_crosses_the_wall():
     assert not ((np.minimum(xa, xb) < 5.0) & (5.0 < np.maximum(xa, xb))).any()
 
 
+def _build_edges(pos, mode, env, params, radius):
+    """Edge columns of nodes pos and mode as build_roadmap connects them:
+    _connect_edges over the sweep's candidates."""
+    keys, length = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
+    return _connect_edges(pos, mode, keys, length, env, CM, params, radius)
+
+
+def _row_edges(pos, mode, k, env, params, radius):
+    """Edge columns of node k to nodes 0..k-1, its candidates taken from
+    env.distances as insert_query_nodes takes a query node's."""
+    d = distances(pos[:k], pos[k])
+    older = np.flatnonzero(d <= radius)
+    keys = k * (k + 1) + older
+    return _connect_edges(pos[: k + 1], mode[: k + 1], keys, d[older], env, CM, params, radius)
+
+
 def test_connect_edges_closed_radius_and_nearest():
     env = open_env()
     params = PrmParams(n_ground=3, n_air=0, radius=0.5, seed=0)
     pos = np.array([(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (3.0, 0.0, 0.0)])
     mode = np.zeros(3, dtype=np.int8)
     for radius, pairs in ((1.0, [(0, 1)]), (0.5, [(0, 1)]), (0.5 - 1e-10, [])):
-        a, b, *_ = _connect_edges(pos, mode, 0, env, CM, params, radius)
+        a, b, *_ = _build_edges(pos, mode, env, params, radius)
         # 0.5 apart connects at radius 0.5 (closed), not just inside it.
         assert list(zip(a.tolist(), b.tolist())) == pairs
     # A query within 1e-9 of a node reuses the nearest one, the lowest id
@@ -411,7 +428,7 @@ def test_connect_edges_closed_radius_and_nearest():
     # from node 1, so it is reused; with the next float above 1e-9 for y,
     # the query is a new node.
     pos, mode = np.concatenate((pos, pos[1:2])), np.zeros(4, dtype=np.int8)  # node 3 on node 1
-    roadmap = Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, CM, params, 1.0))
+    roadmap = Roadmap(pos, mode, *_build_edges(pos, mode, env, params, 1.0))
     for start, sid in (((0.5, 0.0, 0.0), 1), ((0.5, 1e-9, 0.0), 1), ((3.0, 0.0, 0.0), 2)):
         rm, *ids = insert_query_nodes(roadmap, start, (0.0, 0.0, 0.0), env, CM, params)
         assert ids == [sid, 0] and len(rm.positions) == 4
@@ -419,6 +436,30 @@ def test_connect_edges_closed_radius_and_nearest():
     rm, sid, gid = insert_query_nodes(roadmap, above, (0.0, 0.0, 0.0), env, CM, params)
     assert (sid, gid, len(rm.positions)) == (4, 0, 5)
     assert rm.positions[4].tolist() == list(above)
+
+
+def test_insert_query_closed_radius_and_retry_radius():
+    # Node 0 is the start's nearest node; node 1 lies 1.5 from x = 6,
+    # beyond the build radius of 1 and within the retry radius of 2, so
+    # the start's neighbours tell which radius connected it. The goal
+    # connects to node 0 alone.
+    env = open_env()
+    params = PrmParams(n_ground=0, n_air=0, radius=1.0)
+    roadmap = Roadmap([(5.0, 5.0, 0.0), (7.5, 5.0, 0.0)], [0, 0])
+    goal = (4.5, 5.0, 0.0)
+    beyond = np.nextafter(6.0, 7.0)
+    for x, neighbours in (
+        (6.0, [0]),  # exactly radius from node 0: the build radius
+        (beyond, [0, 1]),  # a float beyond it: only the retry
+        (3.0, [0]),  # exactly 2 * radius from node 0: the retry
+    ):
+        rm, sid, gid = insert_query_nodes(roadmap, (x, 5.0, 0.0), goal, env, CM, params)
+        indptr, neighbour, _, _ = rm.csr()
+        assert (sid, gid) == (2, 3)
+        assert sorted(neighbour[indptr[sid] : indptr[sid + 1]].tolist()) == neighbours, x
+        assert neighbour[indptr[gid] : indptr[gid + 1]].tolist() == [0], x
+    with pytest.raises(QueryNodeIsolatedError):  # a float beyond 2 * radius
+        insert_query_nodes(roadmap, (np.nextafter(3.0, 0.0), 5.0, 0.0), goal, env, CM, params)
 
 
 def test_csr_lists_each_nodes_edges_by_id():
@@ -542,7 +583,7 @@ def test_refused_query_leaves_the_roadmap_unchanged():
     params = PrmParams(n_ground=0, n_air=0, radius=1.0)
     pos = np.array([(5.0, 5.0, 0.0), (6.0, 5.0, 0.0), (5.0, 6.0, 0.0), (5.5, 5.5, 0.6)])
     mode = np.array([NODE_MODES.index(m) for m in [NodeMode.GROUND] * 3 + [NodeMode.AERIAL]])
-    roadmap = Roadmap(pos, mode, *_connect_edges(pos, mode, 0, env, CM, params, params.radius))
+    roadmap = Roadmap(pos, mode, *_build_edges(pos, mode, env, params, params.radius))
     before, csr = [c.copy() for c in _columns(roadmap)], roadmap.csr()
     assert len(roadmap.a) == 5
     near, blocked, far = (5.5, 5.0, 0.0), (10.0, 10.0, 0.0), (15.0, 15.0, 0.0)
@@ -838,13 +879,12 @@ def test_batched_build_matches_one_node_at_a_time_build():
 
 def _hand_roadmaps(points, modes, env, params, radius):
     """The same hand-placed nodes connected by _connect_edges in one full
-    pass and one node at a time (each call with one row, node k over nodes
-    0..k), and by the reference."""
+    pass over the sweep's candidates and one node at a time (node k over
+    nodes 0..k, its candidates from env.distances), and by the reference."""
     pos = np.array(points, dtype=float).reshape(-1, 3)
     code = np.array([NODE_MODES.index(m) for m in modes], dtype=np.int8)
-    full = Roadmap(pos, code, *_connect_edges(pos, code, 0, env, CM, params, radius))
-    rows = [_connect_edges(pos[: k + 1], code[: k + 1], k, env, CM, params, radius)
-            for k in range(len(pos))]
+    full = Roadmap(pos, code, *_build_edges(pos, code, env, params, radius))
+    rows = [_row_edges(pos, code, k, env, params, radius) for k in range(len(pos))]
     incremental = Roadmap(pos, code, *map(np.concatenate, zip(*rows)))
     ref = _RefRoadmap(radius)
     for nid, (point, mode) in enumerate(zip(points, modes)):
@@ -953,11 +993,10 @@ def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch
             return _method(self, *args)
 
         monkeypatch.setattr(Environment, name, counting)
-    full = _connect_edges(pos, mode, 0, env, CM, params, params.radius)
+    full = _build_edges(pos, mode, env, params, params.radius)
     assert calls["segments_undecided"] > 3, calls
     assert calls["segments_hit"] == 1, calls
-    rows = [_connect_edges(pos[: k + 1], mode[: k + 1], k, env, CM, params, params.radius)
-            for k in range(len(pos))]
+    rows = [_row_edges(pos, mode, k, env, params, params.radius) for k in range(len(pos))]
     assert calls["segments_hit"] == 1 + len(pos)
     joined = map(np.concatenate, zip(*rows))
     for col, want, got in zip(("a", "b", "kind", "length", "cost"), full, joined):
@@ -975,8 +1014,9 @@ def test_connect_edges_with_no_rows_or_no_nodes():
     )
     assert len(roadmap.a) == 1
     empty = Roadmap()
-    for rm, first in ((roadmap, len(roadmap.positions)), (empty, 0)):
-        columns = _connect_edges(rm.positions, rm.mode, first, env, CM, params, 2.0)
+    assert [len(c) for c in _candidate_keys(empty.positions, 4.0)] == [0, 0]
+    for rm in (roadmap, empty):
+        columns = _connect_edges(rm.positions, rm.mode, empty.a, empty.length, env, CM, params, 2.0)
         for col, like in zip(columns, (empty.a, empty.b, empty.kind, empty.length, empty.cost)):
             assert col.dtype == like.dtype and len(col) == 0
     empty = build_roadmap(env, CM, params)
@@ -1037,7 +1077,7 @@ def test_build_memory_scales_with_edges():
     assert peak - retained <= retained + 2**20, (retained, peak)
 
 
-def test_build_samples_only_segments_the_broad_phase_cannot_decide(monkeypatch):
+def test_narrow_phase_sees_only_segments_the_broad_phase_cannot_decide(monkeypatch):
     # The swept checks' broad phases decide most of a seed-1 walled-arena
     # build's 19,446 segment checks; 276 reach the narrow phase. A broad
     # phase that leaves every transition edge (1,749 segments) undecided
