@@ -14,10 +14,11 @@ the program reads the columns. No record is stored.
 Construction is fully deterministic: node positions come from a SplitMix64
 stream seeded by the build parameters, ground nodes are sampled before
 aerial ones, and the edges and their order are those of connecting each node
-to the older nodes in ascending id order. A build's candidate edges come
-from a sweep over the nodes sorted by x, so it computes distances only
-between nodes within the connection radius in x, not between every pair; a
-query node takes its candidates from its one distance scan over the nodes.
+to the older nodes in ascending id order. A build's candidate pairs come
+from a sweep over the nodes sorted by x, which computes distances only
+between nodes within the connection radius in x and returns the pairs alone;
+a query node's come from its one distance scan over the nodes. Validation
+computes each candidate's length itself.
 Two builds from the same parameters are bit-identical.
 """
 
@@ -274,11 +275,11 @@ def build_roadmap(env: Environment, cm: CostModel, params: PrmParams) -> Roadmap
     pos = np.concatenate((ground, air))
     mode = np.repeat(np.arange(2, dtype=np.int8), (len(ground), len(air)))  # NODE_MODES codes
     # A margin for the squared-distance search, squared by a multiply (inf on
-    # overflow, where ** raises); the lengths, rounded square roots of the
-    # sweep's sums, make the closed-radius decision.
+    # overflow, where ** raises); _connect_edges' lengths make the
+    # closed-radius decision.
     radius = params.radius
-    keys, length = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
-    return Roadmap(pos, mode, *_connect_edges(pos, mode, keys, length, env, cm, params, radius))
+    keys = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
+    return Roadmap(pos, mode, *_connect_edges(pos, mode, keys, env, cm, params, radius))
 
 
 def _check_worst_edge_price(env: Environment, cm: CostModel) -> None:
@@ -338,9 +339,8 @@ def insert_query_nodes(
         pos = np.concatenate((pos, [snapped]))
         mode = np.concatenate((mode, [NODE_MODES.index(NodeMode.GROUND)]), dtype=np.int8)
         for radius in (params.radius, 2.0 * params.radius):
-            older = np.flatnonzero(d <= radius)
-            keys = nid * len(pos) + older
-            new = _connect_edges(pos, mode, keys, d[older], env, cm, params, radius)
+            keys = nid * len(pos) + np.flatnonzero(d <= radius)
+            new = _connect_edges(pos, mode, keys, env, cm, params, radius)
             if len(new[0]):
                 break
         else:
@@ -355,37 +355,37 @@ def _connect_edges(
     pos: np.ndarray,
     mode: np.ndarray,
     keys: np.ndarray,
-    length: np.ndarray,
     env: Environment,
     cm: CostModel,
     params: PrmParams,
     radius: float,
 ) -> tuple[np.ndarray, ...]:
     """Every valid edge among the candidate pairs `keys`, ascending newer * n
-    + older ids of the n nodes of pos and mode, whose lengths are `length`,
-    in key order: by newer id, then by older id, the order that inserting
-    the nodes one at a time would give. Returns new edge columns a, b, kind,
-    length and cost; no roadmap changes.
+    + older ids of the n nodes of pos and mode, in key order: by newer id,
+    then by older id, the order that inserting the nodes one at a time would
+    give. Returns new edge columns a, b, kind, length and cost; no roadmap
+    changes.
 
-    A candidate is an edge when its length is within `radius` (closed) and
-    above DUPLICATE_NODE_TOL, and env.segments_hit clears its straight
-    segment at the build clearance, the one verdict for every kind: a
-    driving edge's ends lie on the ground, so the swept test also holds the
-    whole segment to the surface. Edges are stored with the lower node id
-    first, so the stored cost orientation is from the older node toward the
-    newer one.
+    A candidate's length is env.distances' of its ends, which a group gathers
+    once, as x, y and z rows, for its lengths, its prices and the broad phase.
+    It is an edge when that length is within `radius` (closed) and above
+    DUPLICATE_NODE_TOL, and env.segments_hit clears its straight segment at
+    the build clearance, the one verdict for every kind: a driving edge's
+    ends lie on the ground, so the swept test also holds the whole segment
+    to the surface. Edges are stored with the lower node id first, so the
+    stored cost orientation is from the older node toward the newer one.
 
-    Broad phase per group, one narrow pass per call. Candidates are priced
-    and put through the broad phase (env.segments_undecided) in groups; the
-    segments that it leaves undecided in every group go through the swept
-    test (env.segments_hit, exact on its own) together at the end. A call
-    costs about a hundred numpy operations whatever its size, so one per
-    group made an arena build about 1 ms slower. Keep the group shape:
-    the keys are cut only where a block of PAIR_BLOCK // n newer ids
-    ends, and a group is validated once it holds PAIR_GROUP pairs or the
-    last block is in. Groups of exactly PAIR_GROUP pairs validate the same
-    edges, but the resident peak of repeated arena plans then creeps about
-    1.3 MB higher over 900 plans. Verdicts and costs go into arrays of one
+    Broad phase per group, at most one narrow pass per call. Candidates are
+    priced and put through the broad phase (env.segments_undecided) in
+    groups; the segments that it leaves undecided in every group, if any, go
+    through the swept test (env.segments_hit, exact on its own) together at
+    the end. A call costs about a hundred numpy operations whatever its size,
+    so one per group made an arena build about 1 ms slower. Keep the group
+    shape: the keys are cut only where a block of PAIR_BLOCK // n newer ids
+    ends, and a group is validated once it holds PAIR_GROUP pairs or the last
+    block is in. Groups of exactly PAIR_GROUP pairs validate the same edges,
+    but the resident peak of repeated arena plans then creeps about 1.3 MB
+    higher over 900 plans. Verdicts, lengths and costs go into arrays of one
     entry per candidate, and the edge columns are taken from them once, not
     gathered from per-group arrays: freed per-group arrays stay in the heap,
     so a 21,600-node build peaked about 15% higher with them.
@@ -398,27 +398,29 @@ def _connect_edges(
             cuts.append(end)
     cuts.append(len(keys))
     # One entry per candidate: whether it is an edge, whether the broad
-    # phase left it to the narrow phase, and its cost.
+    # phase left it to the narrow phase, its length and its cost.
     valid, undecided = np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=bool)
-    costs = np.empty(len(keys))
+    length, costs = np.empty(len(keys)), np.empty(len(keys))
+    cols = np.ascontiguousarray(pos.T)
     for i, j in zip(cuts, cuts[1:]):
         new, old = np.divmod(keys[i:j], n)
-        kind = mode[old] + mode[new]
-        costs[i:j] = edge_costs(cm, kind, length[i:j], pos[old, 2], pos[new, 2])
-        ok = (DUPLICATE_NODE_TOL < length[i:j]) & (length[i:j] <= radius)
-        undecided[i:j][ok] = env.segments_undecided(pos[old[ok]], pos[new[ok]], params.clearance)
-        valid[i:j] = ok
+        at, bt = cols.take(old, axis=1), cols.take(new, axis=1)
+        length[i:j] = distances(at.T, bt.T)
+        costs[i:j] = edge_costs(cm, mode[old] + mode[new], length[i:j], at[2], bt[2])
+        valid[i:j] = (DUPLICATE_NODE_TOL < length[i:j]) & (length[i:j] <= radius)
+        undecided[i:j] = valid[i:j] & env.segments_undecided(at.T, bt.T, params.clearance)
     narrow = np.flatnonzero(undecided)
-    new, old = np.divmod(keys[narrow], n)
-    valid[narrow] = ~env.segments_hit(pos[old], pos[new], params.clearance)
+    if len(narrow):
+        new, old = np.divmod(keys[narrow], n)
+        valid[narrow] = ~env.segments_hit(pos[old], pos[new], params.clearance)
     new, old = np.divmod(keys[valid], n)
     return old, new, mode[old] + mode[new], length[valid], costs[valid]
 
 
-def _candidate_keys(pos: np.ndarray, reach2: float) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_keys(pos: np.ndarray, reach2: float) -> np.ndarray:
     """Ascending keys newer * n + older of every pair of nodes whose squared
-    distance dx*dx + dy*dy + dz*dz is at most `reach2`, and the square roots
-    of those sums, env.distances' lengths, in key order.
+    distance dx*dx + dy*dy + dz*dz is at most `reach2`; the keys alone, as
+    _connect_edges computes each candidate's length itself.
 
     A sweep over the nodes sorted by x (Bentley, Stanat & Williams, "The
     complexity of finding fixed-radius near neighbors", IPL 1977). A row's
@@ -437,7 +439,7 @@ def _candidate_keys(pos: np.ndarray, reach2: float) -> tuple[np.ndarray, np.ndar
     # within half lie within x +- half rounded, as rounding is monotone.
     half = math.sqrt(reach2) * (1.0 + 1e-9)
     hi = np.searchsorted(xs, xs + half, side="right").tolist()
-    keys, sums, p0 = [np.empty(0, dtype=np.intp)], [np.empty(0)], 0
+    keys, p0 = [np.empty(0, dtype=np.intp)], 0
     while p0 < n:
         c0 = p0 + 1
         # The most rows, at least one, whose rectangle fits PAIR_BLOCK; its
@@ -454,12 +456,10 @@ def _candidate_keys(pos: np.ndarray, reach2: float) -> tuple[np.ndarray, np.ndar
         i, j = np.nonzero(near)
         a, b = order[p0:p1][i], order[c0:c1][j]
         keys.append(np.maximum(a, b) * n + np.minimum(a, b))
-        sums.append(d2[near])
         p0 = p1
-    keys, sums = np.concatenate(keys), np.concatenate(sums)
-    by_key = np.argsort(keys)
-    keys, sums = keys[by_key], sums[by_key]
-    return keys, np.sqrt(sums, out=sums)
+    keys = np.concatenate(keys)
+    keys.sort()
+    return keys
 
 
 # -- export -------------------------------------------------------------------

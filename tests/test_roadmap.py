@@ -401,17 +401,15 @@ def test_no_ground_edge_crosses_the_wall():
 def _build_edges(pos, mode, env, params, radius):
     """Edge columns of nodes pos and mode as build_roadmap connects them:
     _connect_edges over the sweep's candidates."""
-    keys, length = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
-    return _connect_edges(pos, mode, keys, length, env, CM, params, radius)
+    keys = _candidate_keys(pos, radius * radius * (1.0 + 2e-9))
+    return _connect_edges(pos, mode, keys, env, CM, params, radius)
 
 
 def _row_edges(pos, mode, k, env, params, radius):
     """Edge columns of node k to nodes 0..k-1, its candidates taken from
     env.distances as insert_query_nodes takes a query node's."""
-    d = distances(pos[:k], pos[k])
-    older = np.flatnonzero(d <= radius)
-    keys = k * (k + 1) + older
-    return _connect_edges(pos[: k + 1], mode[: k + 1], keys, d[older], env, CM, params, radius)
+    keys = k * (k + 1) + np.flatnonzero(distances(pos[:k], pos[k]) <= radius)
+    return _connect_edges(pos[: k + 1], mode[: k + 1], keys, env, CM, params, radius)
 
 
 def test_connect_edges_closed_radius_and_nearest():
@@ -971,33 +969,59 @@ def test_sweep_inserts_query_nodes_at_the_x_extremes_and_on_a_shared_x():
         assert _snapshot(roadmap) == _ref_snapshot(ref)
 
 
-@pytest.mark.parametrize("world", ["walled arena", "heightmap, 7 obstacles"])
+def _hundred_box_env():
+    """The 100-box cluttered world of CI's roadmap pin: SplitMix64(100)
+    boxes in a 20 x 12 x 3 m world, every fourth touching the +x face of
+    the box before it."""
+    rng = SplitMix64(100)
+    boxes = []
+    for i in range(100):
+        lo = [rng.random() * 19.0, rng.random() * 11.0, rng.random() * 2.5]
+        if i % 4 == 3:
+            lo = [boxes[-1].max_corner[0], boxes[-1].min_corner[1], boxes[-1].min_corner[2]]
+        boxes.append(Aabb(tuple(lo), tuple(v + 0.1 + rng.random() for v in lo)))
+    return Environment(Aabb((0.0, 0.0, 0.0), (20.0, 12.0, 3.0)), tuple(boxes))
+
+
+@pytest.mark.parametrize("world", ["walled arena", "heightmap, 7 obstacles", "100 boxes"])
 def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch):
-    # 300 + 300 nodes make several validation groups of about PAIR_GROUP
-    # candidates, each through the broad phase, and one narrow pass over
-    # what they leave undecided. The edges must be those of one call per
-    # node, each a single group with its own narrow pass.
+    # 300 + 300 nodes (400 + 400 among 100 boxes) make several validation
+    # groups of about PAIR_GROUP candidates, each through the broad phase,
+    # and one narrow pass over what they leave undecided. The edges must be
+    # those of one call per node, each a single group with a narrow pass
+    # only when its broad phase leaves a segment undecided.
+    n, air_clearance = 300, 0.3
     if world == "walled arena":
         env, air_clearance = load_environment(ARENA), 1.4
-    else:
+    elif world == "heightmap, 7 obstacles":
         env, air_clearance = _heightmap_obstacles_env(), 0.4
-    params = PrmParams(n_ground=300, n_air=300, radius=2.0, min_air_clearance=air_clearance, seed=1)
+    else:
+        env, n = _hundred_box_env(), 400
+    params = PrmParams(n_ground=n, n_air=n, radius=2.0, min_air_clearance=air_clearance, seed=1)
     built = build_roadmap(env, CM, params)
     pos, mode = built.positions, built.mode
-    calls = {"segments_undecided": 0, "segments_hit": 0}
-    for name in calls:
-        method = getattr(Environment, name)
+    undecided, narrow = [], []
+    undecided_method, hit_method = Environment.segments_undecided, Environment.segments_hit
 
-        def counting(self, *args, _name=name, _method=method):
-            calls[_name] += 1
-            return _method(self, *args)
+    def spy_undecided(self, a, b, clearance):
+        undecided.append(undecided_method(self, a, b, clearance))
+        return undecided[-1]
 
-        monkeypatch.setattr(Environment, name, counting)
+    def spy_hit(self, a, b, clearance):
+        narrow.append(len(a))
+        return hit_method(self, a, b, clearance)
+
+    monkeypatch.setattr(Environment, "segments_undecided", spy_undecided)
+    monkeypatch.setattr(Environment, "segments_hit", spy_hit)
     full = _build_edges(pos, mode, env, params, params.radius)
-    assert calls["segments_undecided"] > 3, calls
-    assert calls["segments_hit"] == 1, calls
+    assert len(undecided) > 3 and len(narrow) == 1, (len(undecided), narrow)
+    if world == "100 boxes":
+        assert narrow[0] > 2000, narrow  # thousands left to the narrow phase
+    del undecided[:], narrow[:]
     rows = [_row_edges(pos, mode, k, env, params, params.radius) for k in range(len(pos))]
-    assert calls["segments_hit"] == 1 + len(pos)
+    assert len(undecided) == len(pos)
+    assert len(narrow) == sum(u.any() for u in undecided) > 0
+    assert min(narrow) > 0
     joined = map(np.concatenate, zip(*rows))
     for col, want, got in zip(("a", "b", "kind", "length", "cost"), full, joined):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (world, col)
@@ -1014,9 +1038,9 @@ def test_connect_edges_with_no_rows_or_no_nodes():
     )
     assert len(roadmap.a) == 1
     empty = Roadmap()
-    assert [len(c) for c in _candidate_keys(empty.positions, 4.0)] == [0, 0]
+    assert len(_candidate_keys(empty.positions, 4.0)) == 0
     for rm in (roadmap, empty):
-        columns = _connect_edges(rm.positions, rm.mode, empty.a, empty.length, env, CM, params, 2.0)
+        columns = _connect_edges(rm.positions, rm.mode, empty.a, env, CM, params, 2.0)
         for col, like in zip(columns, (empty.a, empty.b, empty.kind, empty.length, empty.cost)):
             assert col.dtype == like.dtype and len(col) == 0
     empty = build_roadmap(env, CM, params)
@@ -1059,11 +1083,11 @@ def test_build_memory_stays_flat():
 
 def test_build_memory_scales_with_edges():
     # The arena tiled 2 x 2, a 1 m wall every 12 m, at the arena's density.
-    # The build holds a key, a squared length, a cost and two flags per
-    # candidate pair, so its transient memory stays within what the finished
-    # roadmap retains plus 1 MB (about 1.6 MB against 2.0 MB). A key buffer
-    # sized to the rectangles' area, or every candidate validated at once,
-    # holds several MB more.
+    # The build holds a key, a length, a cost and two flags per candidate
+    # pair, so its transient memory stays within what the finished roadmap
+    # retains plus 1 MB (about 1.7 MB against 1.9 MB). A key buffer sized to
+    # the rectangles' area, or every candidate validated at once, holds
+    # several MB more.
     walls = tuple(Aabb((12.0 * k + 4.9, 0.0, 0.0), (12.0 * k + 5.1, 12.0, 1.0)) for k in range(2))
     env = Environment(Aabb((0.0, 0.0, 0.0), (24.0, 12.0, 3.0)), obstacles=walls)
     params = PrmParams(n_ground=1200, n_air=1200, radius=2.0, min_air_clearance=1.4, seed=7)
