@@ -8,7 +8,11 @@ only, while the ground and the arena bounds are tested at the query point
 itself (a ground vehicle sits exactly on the surface, so inflating the ground
 would reject every legal pose). Swept segment checks are exact: a segment is
 tested where it comes closest to the bounds, the ground and each box, and a
-segment with both ends on the ground must also stay on it.
+segment with both ends on the ground must also stay on it. Their two phases
+share one hull test on each segment's box [min(a, b), max(a, b)]: the broad
+phase clears what it finds free, and the narrow phase tests the ground over
+the segments below its highest point and the boxes over the (segment, box)
+pairs within reach.
 """
 
 from __future__ import annotations
@@ -142,8 +146,7 @@ class Environment:
         corners = np.array([(o.min_corner, o.max_corner) for o in self.obstacles])
         corners = corners.reshape(-1, 2, 3).transpose(1, 2, 0)[..., None]
         self._box_lo, self._box_hi = np.ascontiguousarray(corners)
-        # No point at or above this height is below the ground (see
-        # segments_undecided).
+        # No point at or above this height is below the ground (see _hull).
         if heightmap is None:
             self._floor_top = self.ground_const
         else:
@@ -259,80 +262,87 @@ class Environment:
         """Broad phase of the swept test: False for each segment a[k]-b[k]
         that it clears, True for the rest.
 
-        A segment is cleared when its box [min(a, b), max(a, b)] lies inside
-        the bounds, at or above the highest ground and farther than
-        clearance + 1e-9 from every obstacle (the 1e-9 absorbs the rounding
-        of the squared distances). Every point that segments_hit tests lies
-        in that box. On a heightmap the highest ground is the largest
-        elevation plus a margin, since a bilinear blend can round past its
-        inputs. So the broad phase clears no segment that the narrow phase
-        would reject.
+        A segment is cleared when _hull finds its box [min(a, b), max(a, b)]
+        inside the bounds, at or above the highest ground and near no
+        obstacle. Every point that segments_hit tests lies in that box, and
+        segments_hit tests each part of the world only where _hull sends it,
+        so the broad phase clears no segment that the narrow phase would
+        reject.
         """
-        a, b = _rows(a), _rows(b)
-        at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-        lo, hi = np.minimum(at, bt), np.maximum(at, bt)
-        inside = (lo >= self._bmin[:, None]) & (hi <= self._bmax[:, None])
-        clear = inside[0] & inside[1] & inside[2] & (lo[2] >= self._floor_top)
-        reach = clearance + 1e-9
-        for olo, ohi in zip(self._box_lo.swapaxes(0, 1), self._box_hi.swapaxes(0, 1)):
-            gx, gy, gz = np.square(np.maximum(np.maximum(olo - hi, lo - ohi), 0.0))
-            clear &= gx + gy + gz > reach * reach
-        return ~clear
+        a, b = (np.ascontiguousarray(_rows(c).T) for c in (a, b))
+        undecided, low, near = self._hull(a, b, clearance)
+        undecided |= low
+        for seg in near:
+            undecided[seg] = True
+        return undecided
 
     def segments_hit(self, a, b, clearance: float) -> np.ndarray:
         """Exact swept test, the one verdict on a roadmap edge: True for each
         segment a[k]-b[k] that collides where it comes closest to some part
-        of the world, each part tested at its own candidates alone: the ends
-        for the bounds and a flat ground, both convex; _box_params for each
-        obstacle within clearance + 1e-9 of the segment's box; on a
-        heightmap, _ground_range below the highest ground, where a segment
-        with both ends within GROUND_TOL of the ground must also stay so.
-        segments_undecided only saves work.
+        of the world. _hull decides the bounds and a flat ground at the ends,
+        both convex, and gives each other part its own work list: on a
+        heightmap, _ground_range over the segments below the highest ground,
+        where a segment with both ends within GROUND_TOL of the ground must
+        also stay so; for the obstacles, each (segment, box) pair within
+        clearance + 1e-9, tested at its _box_params vertices against that box
+        alone. segments_undecided only saves work.
 
         The ends are put in lexicographic order, so that b-a gets a-b's
-        verdict bit for bit, and _hit_pass tests x, y and z rows of them and
-        of d = b - a in passes of at most BOX_BLOCK segment-box pairs and
-        heightmap parameters. Non-finite ends, which lie outside the bounds,
-        make nan parameters."""
+        verdict bit for bit, and taken as x, y and z rows, with d = b - a.
+        The ground is tested in passes of at most BOX_BLOCK heightmap
+        parameters, the boxes in passes of BOX_BLOCK pairs; pass cuts change
+        no verdict. Non-finite ends, which lie outside the bounds, make nan
+        parameters."""
         a, b = _rows(a), _rows(b)
         eq, lt = a == b, b < a
         swap = (lt[:, 0] | eq[:, 0] & (lt[:, 1] | eq[:, 1] & lt[:, 2]))[:, None]
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        hit = np.zeros(len(a), dtype=bool)
+        a, b = (np.ascontiguousarray(c.T) for c in (np.where(swap, b, a), np.where(swap, a, b)))
         with np.errstate(all="ignore"):
-            ends = a.T, b.T, (b - a).T
-            width = len(self.obstacles)
-            if self.heightmap is not None:  # 2 parameters a lattice line crossed, 5 more
-                hm = self.heightmap
-                span = np.fmax.reduce(np.abs(ends[2][:2]).sum(axis=0), initial=0.0)
-                width += 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
-            block = max(1, BOX_BLOCK // max(1, width))
-            for i in range(0, len(a), block):
-                hit[i : i + block] = self._hit_pass(*(c[:, i : i + block] for c in ends), clearance)
+            d = b - a
+            hit, low, near = self._hull(a, b, clearance)
+            if self.heightmap is None:
+                hit |= low
+            else:  # 2 parameters a lattice line crossed, 5 more
+                hm, low = self.heightmap, np.flatnonzero(low)
+                span = np.fmax.reduce(np.abs(d[:2, low]).sum(axis=0), initial=0.0)
+                width = 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
+                block = max(1, BOX_BLOCK // width)
+                for i in range(0, len(low), block):
+                    k = low[i : i + block]
+                    least, most, at_ends = self._ground_range(a[:, k], b[:, k], d[:, k])
+                    # A segment with both ends on the ground must follow it.
+                    driven = np.abs(at_ends).max(axis=0) <= GROUND_TOL
+                    hit[k] |= (least < 0.0) | driven & (np.maximum(-least, most) > GROUND_TOL)
+            seg = np.concatenate((np.zeros(0, dtype=np.intp), *near))
+            box = np.repeat(np.arange(len(near)), [len(s) for s in near])
+            for i in range(0, len(seg), BOX_BLOCK):
+                s, k = seg[i : i + BOX_BLOCK], box[i : i + BOX_BLOCK]
+                blo, bhi = self._box_lo[:, k, 0], self._box_hi[:, k, 0]
+                pa, pb, pd = (c.take(s, axis=1) for c in (a, b, d))
+                c = _points(pa, pb, pd, _box_params(pa, pd, blo, bhi))
+                # Each vertex against its own box, as points_in_collision tests a point.
+                gap = np.maximum(np.maximum(blo[:, None] - c, c - bhi[:, None]), 0.0)
+                gx, gy, gz = gap * gap
+                hit[s[(gx + gy + gz <= clearance * clearance).any(axis=0)]] = True
         return hit
 
-    def _hit_pass(self, a, b, d, clearance: float) -> np.ndarray:
+    def _hull(self, a, b, clearance: float):
+        """The hull test of both swept phases, for segments with (3, K) x, y
+        and z rows a and b, on their boxes [min(a, b), max(a, b)]: whether
+        each leaves the bounds (a nan end does), whether each reaches below
+        the highest ground, _floor_top (on a heightmap the largest elevation
+        plus a margin, since a bilinear blend can round past its inputs), and
+        per obstacle the indices of the segments whose box lies within
+        clearance + 1e-9 of it (the 1e-9 absorbs the rounding of the squared
+        distances)."""
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         inside = (lo >= self._bmin[:, None]) & (hi <= self._bmax[:, None])
-        hit = ~(inside[0] & inside[1] & inside[2])
-        if self.heightmap is None:
-            hit |= lo[2] < self.ground_const
-        else:
-            low = np.flatnonzero(lo[2] < self._floor_top)
-            least, most, at_ends = self._ground_range(*(c[:, low] for c in (a, b, d)))
-            driven = np.abs(at_ends).max(axis=0) <= GROUND_TOL  # so it must follow the ground
-            hit[low] |= (least < 0.0) | driven & (np.maximum(-least, most) > GROUND_TOL)
-        gap = np.maximum(np.maximum(self._box_lo - hi[:, None], lo[:, None] - self._box_hi), 0.0)
-        gx, gy, gz = gap * gap
-        box, near = np.nonzero(gx + gy + gz <= (clearance + 1e-9) * (clearance + 1e-9))
-        blo, bhi = self._box_lo[:, box, 0], self._box_hi[:, box, 0]
-        pa, pb, pd = (np.take(c, near, axis=1) for c in (a, b, d))
-        c = _points(pa, pb, pd, _box_params(pa, pd, blo, bhi))
-        # Each vertex against its own box, as points_in_collision tests a point.
-        gap = np.maximum(np.maximum(blo[:, None] - c, c - bhi[:, None]), 0.0)
-        gx, gy, gz = gap * gap
-        hit[near[(gx + gy + gz <= clearance * clearance).any(axis=0)]] = True
-        return hit
+        reach = clearance + 1e-9
+        near = []
+        for olo, ohi in zip(self._box_lo.swapaxes(0, 1), self._box_hi.swapaxes(0, 1)):
+            gx, gy, gz = np.square(np.maximum(np.maximum(olo - hi, lo - ohi), 0.0))
+            near.append(np.flatnonzero(gx + gy + gz <= reach * reach))
+        return ~(inside[0] & inside[1] & inside[2]), lo[2] < self._floor_top, near
 
     def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The least and the greatest z - ground along segments a + t d over
@@ -366,11 +376,13 @@ class Environment:
         return h.min(axis=0), h.max(axis=0), h[[0, len(ends) - 1]]
 
 
-# Pairs per pass: segment-box pairs of segments_hit, and point-box pairs of
-# points_in_collision (node sampling). A pass makes about six (3, boxes,
-# points) temporaries. Of 2,048, 4,096 and 8,192 pairs, 4,096 timed best
-# for points_in_collision at 512 and 2,048 points in worlds of 4 to 50
-# boxes; one point still meets up to 4,096 boxes in one pass.
+# Work per pass: the (segment, box) pairs of a segments_hit box pass, which
+# makes a few (3, 7, pairs) temporaries; the heightmap parameters of a ground
+# pass, segments times the crossings their lattice span allows; and the
+# point-box pairs of points_in_collision (node sampling), which makes about
+# six (3, boxes, points) temporaries. Of 2,048, 4,096 and 8,192 pairs, 4,096
+# timed best for points_in_collision at 512 and 2,048 points in worlds of 4
+# to 50 boxes; one point still meets up to 4,096 boxes in one pass.
 BOX_BLOCK = 1 << 12
 
 

@@ -349,7 +349,7 @@ def test_cost_to_go_diagonal_and_straight():
     assert field.cost(9, 9) == 0.0 and field.descend((9, 9)) == [(9, 9)]
 
 
-def test_grid_plan_goal_failures_vs_start_errors():
+def test_cost_to_go_goal_failures_vs_start_errors():
     # An occupied or off-grid goal leaves no route from anywhere; an occupied
     # or off-grid start is infinite only at that cell, and the field it sits
     # in stays finite elsewhere.

@@ -7,6 +7,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from morphnav import env as env_module
 from morphnav.costmodel import CostModel
 from morphnav.env import Aabb, Environment, Heightmap, distances, load_environment
 from morphnav.errors import (
@@ -1102,10 +1103,10 @@ def test_build_memory_scales_with_edges():
 
 
 def test_narrow_phase_sees_only_segments_the_broad_phase_cannot_decide(monkeypatch):
-    # The swept checks' broad phases decide most of a seed-1 walled-arena
-    # build's 19,446 segment checks; 276 reach the narrow phase. A broad
-    # phase that leaves every transition edge (1,749 segments) undecided
-    # fails here.
+    # The broad phase decides most of a seed-1 walled-arena build's 13,261
+    # segment checks (one per candidate pair); 276 reach the narrow phase. A
+    # broad phase that leaves every transition candidate (1,528 segments)
+    # undecided fails here.
     narrow = []
     segments_hit = Environment.segments_hit
 
@@ -1121,6 +1122,88 @@ def test_narrow_phase_sees_only_segments_the_broad_phase_cannot_decide(monkeypat
     assert 0 < sum(narrow) < 500, sum(narrow)
     # The build's several validation groups share one narrow pass.
     assert len(narrow) == 1, narrow
+
+
+# The worlds of CI's cluttered and sinusoid-heightmap roadmap pins: a maker
+# and the prm parameters besides radius 2.0 and seed 1.
+PASS_WORLDS = {
+    "100 boxes": (_hundred_box_env, {"n_ground": 400, "n_air": 400}),
+    "heightmap, 7 obstacles": (
+        _heightmap_obstacles_env, {"n_ground": 300, "n_air": 300, "min_air_clearance": 0.4}
+    ),
+}
+
+
+def test_each_narrow_pass_is_sized_by_its_own_work(monkeypatch):
+    # The narrow phase tests the boxes over the (segment, box) pairs within
+    # reach, in passes of BOX_BLOCK pairs, and a heightmap over the segments
+    # whose hull dips below the highest ground, in passes as wide as their
+    # own lattice span needs. Passes sized by the box count, or padded with
+    # every segment's work, took 59 box passes for the 100-box build's 3,246
+    # pairs and 47 ground passes for the heightmap build's 11,391 segments.
+    narrow, box_pairs, ground = [], [], []
+    segments_hit, box_params = Environment.segments_hit, env_module._box_params
+    ground_range = Environment._ground_range
+
+    def spy_hit(self, a, b, clearance):
+        narrow.append((np.asarray(a), np.asarray(b), clearance))
+        return segments_hit(self, a, b, clearance)
+
+    def spy_box_params(a, d, lo, hi):
+        box_pairs.append(a.shape[1])
+        return box_params(a, d, lo, hi)
+
+    def spy_ground(self, a, b, d):
+        ground.append((np.minimum(a[2], b[2]), np.abs(d[:2]).sum(axis=0)))
+        return ground_range(self, a, b, d)
+
+    monkeypatch.setattr(Environment, "segments_hit", spy_hit)
+    monkeypatch.setattr(env_module, "_box_params", spy_box_params)
+    monkeypatch.setattr(Environment, "_ground_range", spy_ground)
+    for world, (make, prm) in PASS_WORLDS.items():
+        del narrow[:], box_pairs[:], ground[:]
+        env = make()
+        build_roadmap(env, CM, PrmParams(radius=2.0, seed=1, **prm))
+        [(a, b, clearance)] = narrow
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        pairs = 0
+        for box in env.obstacles:
+            gap = np.maximum(np.maximum(np.array(box.min_corner) - hi, lo - box.max_corner), 0.0)
+            pairs += int(((gap * gap).sum(axis=1) <= (clearance + 1e-9) ** 2).sum())
+        block = env_module.BOX_BLOCK
+        assert box_pairs == [min(block, pairs - i) for i in range(0, pairs, block)], world
+        low = lo[:, 2] < env._floor_top
+        if env.heightmap is None:
+            assert ground == [] and (pairs, len(box_pairs)) == (3246, 1)
+            continue
+        span = np.abs(b - a)[low, :2].sum(axis=1).max()
+        hm = env.heightmap
+        block //= 2 * int(min(span / hm.resolution, hm.cols + hm.rows)) + 5
+        assert len(ground) == math.ceil(low.sum() / block), (len(ground), low.sum(), block)
+        assert all((z < env._floor_top).all() and len(z) <= block for z, _ in ground)
+        assert sum(len(z) for z, _ in ground) == low.sum() == 11391
+        assert max(w.max() for _, w in ground) == span
+
+
+@pytest.mark.parametrize("world", sorted(PASS_WORLDS))
+def test_pass_cuts_change_no_verdict(world, monkeypatch):
+    # Every segments_hit pass is a cut of elementwise work, so no cut of the
+    # ground segments or of the (segment, box) pairs moves a verdict: one
+    # pair or one segment a pass, 7, 64 and BOX_BLOCK, in either end order.
+    # About 1,000 of the world's candidate segments keep one pair a pass
+    # quick.
+    make, prm = PASS_WORLDS[world]
+    env, params = make(), PrmParams(radius=2.0, seed=1, **prm)
+    pos = build_roadmap(env, CM, params).positions
+    keys = _candidate_keys(pos, params.radius**2)
+    new, old = np.divmod(keys[:: len(keys) // 1000], len(pos))
+    a, b = pos[old], pos[new]
+    want = env.segments_hit(a, b, params.clearance).tolist()
+    assert 0 < sum(want) < len(want)
+    for block in (env_module.BOX_BLOCK, 1, 7, 64):
+        monkeypatch.setattr(env_module, "BOX_BLOCK", block)
+        for p, q in ((a, b), (b, a)):
+            assert env.segments_hit(p, q, params.clearance).tolist() == want, block
 
 
 # -- export ------------------------------------------------------------------------
