@@ -490,17 +490,32 @@ class OccupancyGrid:
         inside = 0 <= row < self.height and 0 <= col < self.width
         return not inside or bool(self.cells[row, col])
 
-    def clearances(self, x, y) -> np.ndarray:
-        """Clearance at world points, for arrays x and y of one shape: meters
-        from the center of each point's cell (as world_to_cell finds it) to
-        the nearest occupied cell center. Infinite on an empty grid; 0.0 on
-        occupied and off-grid cells, non-finite coordinates included. The
-        distance transform is cached flat, padded by one 0.0 cell a side."""
+    def _raster(self) -> np.ndarray:
+        """The distance transform in meters, built on first use and cached
+        flat, padded by one 0.0 cell a side: cell (row, col) sits at flat
+        index (row + 1) * (width + 2) + col + 1."""
         if self._clearance is None:
             clear = np.zeros((self.height + 2, self.width + 2))
             clear[1:-1, 1:-1] = edt(self.cells) * self.resolution
             clear.flags.writeable = False
             self._clearance = clear.ravel()
+        return self._clearance
+
+    def clearance(self, x: float, y: float) -> float:
+        """clearances at one point, as a float: the same raster cell, read
+        through world_to_cell, which snaps and refuses points as the array
+        lookup does."""
+        row, col = self.world_to_cell(x, y)
+        if not (0 <= row < self.height and 0 <= col < self.width):
+            return 0.0
+        return float(self._raster()[(row + 1) * (self.width + 2) + col + 1])
+
+    def clearances(self, x, y) -> np.ndarray:
+        """Clearance at world points, for arrays x and y of one shape: meters
+        from the center of each point's cell (as world_to_cell finds it) to
+        the nearest occupied cell center. Infinite on an empty grid; 0.0 on
+        occupied and off-grid cells, non-finite coordinates included."""
+        raster = self._raster()
         w, h = self.width, self.height
         d = np.empty((2,) + np.shape(x))
         np.subtract(x, self.origin[0], out=d[0])
@@ -513,7 +528,7 @@ class OccupancyGrid:
                 i -= (i == n) & (np.abs(e - n * self.resolution) < 1e-9)
                 np.fmin(np.fmax(i, -1.0, out=i), n, out=i)
         # Flat index of padded cell (row + 1, col + 1).
-        return self._clearance.take((row * (w + 2) + col + (w + 3)).astype(np.intp))
+        return raster.take((row * (w + 2) + col + (w + 3)).astype(np.intp))
 
 
 # Target element count of edt()'s row-pass temporary: 2 MB of float64.

@@ -10,6 +10,10 @@ Each control period rolls out and scores the whole window at once: positions
 are one (steps + 1, 2, samples_v, samples_omega) array of step offsets summed
 a step row at a time, and clearance is read from the grid's padded raster by
 one take (OccupancyGrid.clearances): a rollout collides where it reaches 0.
+The take skips the leading rows that the start cell's own clearance proves
+to be at least d_sat away from every occupied cell (_saturated_rows), since
+the clearance term is 1 there either way; in open space that is the whole
+window, and no pose is looked up.
 
 Every float of the pick is the one a one-candidate-at-a-time controller
 computes with `math`: rollout trig and every bearing go through math.cos,
@@ -33,6 +37,8 @@ from .errors import ConfigError
 # (ceil(horizon / dt) + 1) * samples_v * samples_omega: the default window is
 # 2,541 poses, a 100 s horizon at the default sampling 231,231.
 MAX_WINDOW_POSES = 1 << 18
+
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,7 @@ def _scores(
     goal: tuple[float, float],
     grid: OccupancyGrid,
     p: DwaParams,
+    first: int = 0,
 ) -> np.ndarray:
     """Scores in [0, 1] of rollouts laid out as by _rollouts: xy of shape
     (poses, 2, n_v, n_omega), final_yaw of shape (n_omega,). A rollout
@@ -145,20 +152,72 @@ def _scores(
     clearance: min(1, d_min / d_sat) over all poses (1 on an empty grid).
     velocity: commanded speed over v_max, recovered from the first step,
     which is shared by every omega of one v.
+
+    Only the poses of rows `first` onward are looked up in the grid: the
+    caller vouches that every pose of the rows before it has clearance at
+    least d_sat (see _saturated_rows). Such a pose changes neither the
+    clearance term, which min(1, .) already holds at 1, nor the -inf mask,
+    so the scores are those of first=0 bit for bit.
     """
-    d_min = grid.clearances(xy[:, 0], xy[:, 1]).min(axis=0)
-    clearance = np.minimum(1.0, d_min / p.d_sat)
+    clearance, d_min = 1.0, None
+    if first < len(xy):
+        d_min = grid.clearances(xy[first:, 0], xy[first:, 1]).min(axis=0)
+        clearance = np.minimum(1.0, d_min / p.d_sat)
     dx, dy = (np.array(goal)[:, None] - xy[-1].reshape(2, -1)).tolist()
-    bearing = np.fromiter(map(math.atan2, dy, dx), float, len(dx)).reshape(d_min.shape)
+    bearing = np.fromiter(map(math.atan2, dy, dx), float, len(dx)).reshape(xy.shape[2:])
     # numpy's float % is Python's (fmod, then the divisor's sign).
     error = (bearing - final_yaw + math.pi) % (2.0 * math.pi) - math.pi
     heading = 1.0 - np.abs(error) / math.pi
-    first = xy[:2, :, :, 0].swapaxes(1, 2).tolist()
-    speed = [[math.dist(a, b) / p.dt] for a, b in zip(*first)] if len(first) > 1 else 0.0
+    start = xy[:2, :, :, 0].swapaxes(1, 2).tolist()
+    speed = [[math.dist(a, b) / p.dt] for a, b in zip(*start)] if len(start) > 1 else 0.0
     velocity = np.minimum(1.0, np.divide(speed, p.v_max))
     score = p.w_heading * heading + p.w_clearance * clearance + p.w_velocity * velocity
-    score[d_min == 0.0] = -np.inf
+    if d_min is not None:
+        score[d_min == 0.0] = -np.inf
     return score
+
+
+def _saturated_rows(
+    pose: tuple[float, float, float], vs: list[float], steps: int, grid: OccupancyGrid,
+    p: DwaParams,
+) -> int:
+    """How many leading rows of the rollouts of speeds `vs` from `pose`,
+    steps + 1 rows in all, provably have clearance of at least d_sat at
+    every pose: 0 when none is proven, steps + 1 when all are.
+
+    Row k is proven when k * r <= min(C0 - d_sat - res * sqrt(2), room)
+    - margin, where C0 is the start cell's clearance, r = max |v| * dt
+    over the samples (a sample may round an ulp above the window's top),
+    room is the start's distance to the grid's outer edges, and margin =
+    1e-9 * scale, scale = max(1, |x0|, |y0|, the grid's edge coordinates,
+    C0 if finite).
+    Proof: a pose of row k is the start plus k rounded step rows, each of
+    length at most r(1 + 4u), u = 2**-53 (v * cos and * dt round once each,
+    math.cos and math.sin are within an ulp), and each of the k row sums
+    rounds by half an ulp of the coordinate; with k < 2**18, the pose lies
+    within k * r + 3e-11 * scale of the start. Within room, the pose is on
+    the grid and needs no edge snap; its cell centre lies within res *
+    sqrt(2) / 2 of it, as the start's centre does of the start, give or
+    take the few ulps by which the floor of a rounded quotient may pick a
+    neighbour beside a cell edge. The exact clearance is 1-Lipschitz in the
+    cell centre, so the pose's exceeds C0's exact value less k * r + res *
+    sqrt(2) and that slack; both raster values are fl(fl(sqrt(n)) * res),
+    within 2u of exact. Every slack is below 1e-10 of the margin's scale,
+    so the pose reads at least d_sat. A nan or off-grid start, or C0 = 0,
+    proves nothing; on an empty grid (C0 = inf) room alone bounds the rows.
+    """
+    x0, y0 = pose[0], pose[1]
+    c0 = grid.clearance(x0, y0)
+    (ox, oy), res = grid.origin, grid.resolution
+    ex, ey = ox + grid.width * res, oy + grid.height * res
+    room = min(x0 - ox, ex - x0, y0 - oy, ey - y0)
+    scale = max(1.0, abs(x0), abs(y0), abs(ox), abs(oy), abs(ex), abs(ey),
+                c0 if c0 < math.inf else 0.0)
+    budget = min(room, c0 - p.d_sat - res * SQRT2) - 1e-9 * scale
+    r = max(map(abs, vs)) * p.dt
+    if not (budget >= 0.0 and r < math.inf):
+        return 0
+    return steps + 1 if r * steps <= budget else int(budget / r) + 1
 
 
 def _samples(lo: float, hi: float, n: int) -> list[float]:
@@ -188,7 +247,8 @@ def dwa_step(
     vs = _samples(v_lo, v_hi, p.samples_v)
     ws = _samples(w_lo, w_hi, p.samples_omega)
     xy, yaws = _rollouts(pose, vs, ws, p)
-    score = _scores(xy, yaws[-1], goal, grid, p)
+    first = _saturated_rows(pose, vs, len(xy) - 1, grid, p)
+    score = _scores(xy, yaws[-1], goal, grid, p, first)
     best = score.max()
     if best == -math.inf:
         return VelocityCommand(0.0, p.omega_max / 2.0)

@@ -892,6 +892,40 @@ def test_clearance_at_far_off_grid():
             assert got.tolist() == [0.0, on_grid[2, 3]]
 
 
+def test_scalar_clearance_reads_the_array_lookup():
+    """clearance(x, y) is clearances at that one point, as a float: on
+    random points over and around the grid, on the far edges and within
+    their 1e-9 snap, just past each edge, far off the grid, at nan and
+    infinite coordinates, and on an empty grid, where it is inf."""
+    rng = SplitMix64(43)
+    wall = np.zeros((7, 9), dtype=bool)
+    wall[2, 3] = wall[5, 8] = True
+    for cells in (wall, np.zeros((7, 9), dtype=bool)):
+        grid = OccupancyGrid(0.3, (-1.2, 0.7), cells)
+        ex, ey = -1.2 + 9 * 0.3, 0.7 + 7 * 0.3
+        xs = [-1.2 + (rng.random() * 1.4 - 0.2) * 2.7 for _ in range(400)]
+        ys = [0.7 + (rng.random() * 1.4 - 0.2) * 2.1 for _ in range(400)]
+        # The far edges, their snap band, past them, and past the near ones.
+        for d in (0.0, 5e-10, 9e-10, 2e-9, -1e-12):
+            xs += [ex + d, -1.2 - abs(d), 0.2, 0.2]
+            ys += [1.5, 1.5, ey + d, 0.7 - abs(d)]
+        odd = [1e300, -1e300, math.inf, -math.inf, math.nan]
+        xs += odd + [0.1] * len(odd)
+        ys += [1.5] * len(odd) + odd
+        want = grid.clearances(np.array(xs), np.array(ys))
+        got = [grid.clearance(x, y) for x, y in zip(xs, ys)]
+        assert all(type(c) is float for c in got)
+        assert np.array_equal(got, want)
+        # Some points of each kind: on the grid, off it, and occupied.
+        walled = bool(cells.any())
+        assert 0.0 in want and (math.inf in want) == (not walled)
+        assert bool(((want > 0.0) & (want < math.inf)).any()) == walled
+    # The scalar reader builds the raster the array lookup then reads.
+    fresh = OccupancyGrid(0.3, (-1.2, 0.7), wall)
+    assert fresh.clearance(-1.05, 0.85) == math.sqrt(13.0) * 0.3
+    assert fresh.clearances(np.array([-1.05]), np.array([0.85]))[0] == math.sqrt(13.0) * 0.3
+
+
 def test_edt_matches_scipy():
     """The in-house distance transform equals scipy's exactly, on thin,
     square, wide, tall and sparse-to-dense grids and on the walled arena."""

@@ -13,6 +13,7 @@ from morphnav.localnav import (
     VelocityCommand,
     _rollouts,
     _samples,
+    _saturated_rows,
     _scores,
     dwa_step,
     dynamic_window,
@@ -264,17 +265,21 @@ def test_dwa_selection_matches_reference_argmax():
     """The batched controller picks exactly the scalar reference's command,
     and its rollout and score of one candidate match the reference, on
     empty, fully blocked and random grids, off-grid and boundary poses,
-    single-sample windows and a horizon shorter than dt."""
+    single-sample windows and a horizon shorter than dt. Skipping the
+    window's saturated rows changes no score (see _proven_rows)."""
     rng = SplitMix64(77)
+    proven = []
     for i in range(300):
         grid, pose, current, goal, p = _random_case(rng, i)
         assert dwa_step(pose, current, goal, grid, p) == select_like_dwa(
             pose, current, goal, grid, p
         ), i
+        proven.append(_proven_rows(pose, current, goal, grid, p))
         cmd = VelocityCommand(uniform(rng, 0.0, 1.0), uniform(rng, -1.5, 1.5))
         traj = _rollout(pose, cmd, p)
         assert traj == ref_rollout(pose, cmd, p)
         assert _score(traj, goal, grid, p) == ref_score(traj, goal, grid, p)
+    assert proven.count(0) > 0 and max(proven) > 1
 
 
 def _arena_grid():
@@ -329,6 +334,78 @@ def test_exact_heading_ties(pose, current, goal):
             )
             got, exact = _window_scores(pose, current, goal, grid, p)
             assert np.array_equal(got, exact)
+
+
+# -- saturated rows ----------------------------------------------------------------
+
+
+def _proven_rows(pose, current, goal, grid, p):
+    """dwa_step's count of saturated leading rows for this window, after
+    checking that every pose of those rows reads at least d_sat and that
+    _scores skipping them equals _scores looking up every pose, -inf
+    included."""
+    v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
+    vs, ws = _samples(v_lo, v_hi, p.samples_v), _samples(w_lo, w_hi, p.samples_omega)
+    xy, yaws = _rollouts(pose, vs, ws, p)
+    k = _saturated_rows(pose, vs, len(xy) - 1, grid, p)
+    assert 0 <= k <= len(xy)
+    if k:
+        assert grid.clearances(xy[:k, 0], xy[:k, 1]).min() >= p.d_sat
+    full = _scores(xy, yaws[-1], goal, grid, p)
+    assert np.array_equal(_scores(xy, yaws[-1], goal, grid, p, k), full)
+    return k
+
+
+def _sweep(start, heading, metres, grid, goal, p=P, speed=1.0):
+    """_proven_rows at 1 mm steps from `start` along unit vector `heading`,
+    facing it at `speed`; the set of row counts seen."""
+    yaw = math.atan2(heading[1], heading[0])
+    seen = set()
+    for i in range(round(metres * 1000.0) + 1):
+        pose = (start[0] + heading[0] * i * 1e-3, start[1] + heading[1] * i * 1e-3, yaw)
+        seen.add(_proven_rows(pose, VelocityCommand(speed, 0.0), goal, grid, p))
+    return seen
+
+
+def test_saturated_rows_are_exact_at_the_margin():
+    """Stepping a millimetre at a time toward the arena's inflated wall and
+    toward the grid's edge, in the arena and on an empty grid, the count of
+    skipped rows takes every value from 0 (the whole window looked up) to
+    steps + 1 (none), and each window scores as with every pose looked up."""
+    every = set(range(int(math.ceil(P.horizon / P.dt)) + 2))
+    arena = _arena_grid()
+    assert _sweep((2.8, 3.0), (1.0, 0.0), 1.9, arena, (6.0, 3.0)) == every
+    assert _sweep((2.8, 2.9), (0.6, 0.8), 2.0, arena, (6.0, 3.0)) == every
+    # East of the wall the bottom edge binds, and its last step lies on it.
+    assert _sweep((9.0, 1.3), (0.0, -1.0), 1.3, arena, (9.0, -1.0)) == every
+    assert _sweep((3.0, 1.3), (0.0, -1.0), 1.3, _empty_grid(), (3.0, -1.0)) == every
+    # With d_sat off the 0.1 m lattice and steps shorter than a cell, a
+    # pose's cell centre can lie nearer the wall than the start's by more
+    # than the pose does: the res * sqrt(2) term keeps those rows at d_sat.
+    assert 0 in _sweep((2.8, 3.0), (1.0, 0.0), 1.9, arena, (6.0, 3.0), DwaParams(d_sat=0.43), 0.65)
+
+
+def test_saturated_windows_skip_the_raster(monkeypatch):
+    """Two metres from the wall a full-speed window reads no pose from the
+    raster; beside the inflated wall it reads at least one row of them."""
+    grid = _arena_grid()
+    looked = []
+    lookup = grid.clearances
+
+    def spy(x, y):
+        looked.append(np.size(x))
+        return lookup(x, y)
+
+    monkeypatch.setattr(grid, "clearances", spy)
+    window = P.samples_v * P.samples_omega
+    for pose, current, goal, reads in (
+        ((2.0, 3.0, 0.0), VelocityCommand(1.0, 0.0), (6.0, 3.0), 0),
+        ((4.2, 2.9, 0.0), VelocityCommand(0.4, 0.0), (6.0, 3.0), window),
+    ):
+        looked.clear()
+        cmd = dwa_step(pose, current, goal, grid, P)
+        assert cmd == select_like_dwa(pose, current, goal, grid, P)
+        assert sum(looked) >= reads if reads else looked == []
 
 
 # -- config parsing ----------------------------------------------------------------

@@ -302,9 +302,10 @@ def test_latency_sweep_overshoot_monotone():
 
 
 def test_dwa_matches_reference_on_every_tick_of_the_arena_mission(monkeypatch):
-    """`simulate --seed 1` on the walled arena, plain and with latency 0.2:
-    on every ground tick the batched controller returns exactly the
-    command of the one-candidate-at-a-time reference."""
+    """`simulate --seed 1` on the walled arena, plain and with latency 0.2,
+    from the scenario's start yaw 0 and from yaws -2.5, 1.3 and 2.9: on
+    every ground tick the batched controller returns exactly the command
+    of the one-candidate-at-a-time reference."""
     scenario = load_config_file(ARENA)
     env = load_environment(ARENA)
     dwa_step = sim.dwa_step
@@ -319,14 +320,20 @@ def test_dwa_matches_reference_on_every_tick_of_the_arena_mission(monkeypatch):
     monkeypatch.setattr(sim, "dwa_step", checked)
     figures = []
     for latency in (0.0, 0.2):
-        res = Mission(
-            env, scenario["waypoints"], CM, DWA, SimConfig(actuation_latency=latency),
-            seed=1, start=scenario["start"],
-        ).run()
-        figures.append((res.outcome, round(res.duration, 1), round(res.ledger.total, 1)))
-    # The figures `simulate` prints for these two runs.
-    assert figures == [("Done", 23.1, 4904.3), ("Done", 23.5, 5311.1)]
-    assert len(ticks) > 150
+        for yaw in (0.0, -2.5, 1.3, 2.9):
+            res = Mission(
+                env, scenario["waypoints"], CM, DWA, SimConfig(actuation_latency=latency),
+                seed=1, start=scenario["start"], start_yaw=yaw,
+            ).run()
+            figures.append((res.outcome, round(res.duration, 1), round(res.ledger.total, 1)))
+    # The first of each latency are the figures `simulate` prints.
+    assert figures == [
+        ("Done", 23.1, 4904.3), ("Done", 24.8, 5060.3),
+        ("Done", 23.5, 4904.3), ("Done", 25.5, 5144.3),
+        ("Done", 23.5, 5311.1), ("Done", 25.2, 5515.1),
+        ("Done", 23.8, 5347.1), ("Done", 29.0, 5851.1),
+    ]
+    assert len(ticks) > 600
 
 
 def test_mission_is_deterministic():
