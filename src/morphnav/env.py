@@ -493,13 +493,18 @@ class OccupancyGrid:
     def _raster(self) -> np.ndarray:
         """The distance transform in meters, built on first use and cached
         flat, padded by one 0.0 cell a side: cell (row, col) sits at flat
-        index (row + 1) * (width + 2) + col + 1."""
+        index _padded(row, col), and rows and columns -1 and H (W) are the
+        pad."""
         if self._clearance is None:
             clear = np.zeros((self.height + 2, self.width + 2))
             clear[1:-1, 1:-1] = edt(self.cells) * self.resolution
             clear.flags.writeable = False
             self._clearance = clear.ravel()
         return self._clearance
+
+    def _padded(self, row, col):
+        """Flat index into _raster of cell (row, col), scalars or arrays."""
+        return row * (self.width + 2) + col + (self.width + 3)
 
     def clearance(self, x: float, y: float) -> float:
         """clearances at one point, as a float: the same raster cell, read
@@ -508,14 +513,13 @@ class OccupancyGrid:
         row, col = self.world_to_cell(x, y)
         if not (0 <= row < self.height and 0 <= col < self.width):
             return 0.0
-        return float(self._raster()[(row + 1) * (self.width + 2) + col + 1])
+        return float(self._raster()[self._padded(row, col)])
 
     def clearances(self, x, y) -> np.ndarray:
         """Clearance at world points, for arrays x and y of one shape: meters
         from the center of each point's cell (as world_to_cell finds it) to
         the nearest occupied cell center. Infinite on an empty grid; 0.0 on
         occupied and off-grid cells, non-finite coordinates included."""
-        raster = self._raster()
         w, h = self.width, self.height
         d = np.empty((2,) + np.shape(x))
         np.subtract(x, self.origin[0], out=d[0])
@@ -527,8 +531,7 @@ class OccupancyGrid:
             for i, e, n in zip(idx, d, (w, h)):
                 i -= (i == n) & (np.abs(e - n * self.resolution) < 1e-9)
                 np.fmin(np.fmax(i, -1.0, out=i), n, out=i)
-        # Flat index of padded cell (row + 1, col + 1).
-        return raster.take((row * (w + 2) + col + (w + 3)).astype(np.intp))
+        return self._raster().take(self._padded(row, col).astype(np.intp))
 
 
 # Target element count of edt()'s row-pass temporary: 2 MB of float64.

@@ -178,12 +178,12 @@ def _scores(
 
 
 def _saturated_rows(
-    pose: tuple[float, float, float], vs: list[float], steps: int, grid: OccupancyGrid,
+    pose: tuple[float, float, float], vs: list[float], xy: np.ndarray, grid: OccupancyGrid,
     p: DwaParams,
 ) -> int:
-    """How many leading rows of the rollouts of speeds `vs` from `pose`,
-    steps + 1 rows in all, provably have clearance of at least d_sat at
-    every pose: 0 when none is proven, steps + 1 when all are.
+    """How many leading rows of the rollouts xy of speeds `vs` from `pose`,
+    laid out as by _rollouts, provably have clearance of at least d_sat at
+    every pose: 0 when none is proven, len(xy) when all are.
 
     Row k is proven when k * r <= min(C0 - d_sat - res * sqrt(2), room)
     - margin, where C0 is the start cell's clearance, r = max |v| * dt
@@ -203,10 +203,15 @@ def _saturated_rows(
     cell centre, so the pose's exceeds C0's exact value less k * r + res *
     sqrt(2) and that slack; both raster values are fl(fl(sqrt(n)) * res),
     within 2u of exact. Every slack is below 1e-10 of the margin's scale,
-    so the pose reads at least d_sat. A nan or off-grid start, or C0 = 0,
+    so the pose reads at least d_sat. The step bound needs every pose
+    finite; non-finite coordinates never sum back to finite ones, so the
+    last row stands for all. A non-finite pose (a nan start yaw makes every
+    pose after the start nan, and those read 0), an off-grid start or C0 = 0
     proves nothing; on an empty grid (C0 = inf) room alone bounds the rows.
     """
-    x0, y0 = pose[0], pose[1]
+    if not np.isfinite(xy[-1]).all():
+        return 0
+    x0, y0, steps = pose[0], pose[1], len(xy) - 1
     c0 = grid.clearance(x0, y0)
     (ox, oy), res = grid.origin, grid.resolution
     ex, ey = ox + grid.width * res, oy + grid.height * res
@@ -247,7 +252,7 @@ def dwa_step(
     vs = _samples(v_lo, v_hi, p.samples_v)
     ws = _samples(w_lo, w_hi, p.samples_omega)
     xy, yaws = _rollouts(pose, vs, ws, p)
-    first = _saturated_rows(pose, vs, len(xy) - 1, grid, p)
+    first = _saturated_rows(pose, vs, xy, grid, p)
     score = _scores(xy, yaws[-1], goal, grid, p, first)
     best = score.max()
     if best == -math.inf:

@@ -304,9 +304,6 @@ class CostToGo:
         if not grid.occupied(*goal_cell):
             _wavefront(cost, self._index(goal_cell), steps)
         self._cost = memoryview(np.abs(cost, out=cost))
-        # Each cell's descent step, by padded index, filled as descend
-        # visits cells: the step depends on the cell alone.
-        self._succ: dict[int, int] = {}
 
     def _index(self, cell: tuple[int, int]) -> int:
         return (int(cell[0]) + 1) * self._width + int(cell[1]) + 1
@@ -322,20 +319,14 @@ class CostToGo:
         """Cells of a shortest path from `cell` (first) toward the goal, for
         `max_steps` steps or to the goal. A straight step goes before a
         diagonal one when both continue a shortest path; a cell of infinite
-        cost yields just itself. A cell's step depends on the cell alone,
-        so the field remembers it: a later path through the cell reads it
-        back from a dict."""
+        cost yields just itself."""
         u, cu, w, cost = self._index(cell), self.cost(*cell), self._width, self._cost
-        succ = self._succ
         out = [u]
         while 0.0 < cu < math.inf and (max_steps is None or len(out) <= max_steps):
-            v = succ.get(u)
-            if v is None:
-                for off, step in self._steps:
-                    if cost[u + off] + step <= cu * (1.0 + _TIE):
-                        break
-                v = succ[u] = u + off
-            u = v
+            for off, step in self._steps:
+                if cost[u + off] + step <= cu * (1.0 + _TIE):
+                    break
+            u += off
             cu = cost[u]
             out.append(u)
         return [(i // w - 1, i % w - 1) for i in out]

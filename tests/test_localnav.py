@@ -347,7 +347,7 @@ def _proven_rows(pose, current, goal, grid, p):
     v_lo, v_hi, w_lo, w_hi = dynamic_window(current, p)
     vs, ws = _samples(v_lo, v_hi, p.samples_v), _samples(w_lo, w_hi, p.samples_omega)
     xy, yaws = _rollouts(pose, vs, ws, p)
-    k = _saturated_rows(pose, vs, len(xy) - 1, grid, p)
+    k = _saturated_rows(pose, vs, xy, grid, p)
     assert 0 <= k <= len(xy)
     if k:
         assert grid.clearances(xy[:k, 0], xy[:k, 1]).min() >= p.d_sat
@@ -383,6 +383,27 @@ def test_saturated_rows_are_exact_at_the_margin():
     # pose's cell centre can lie nearer the wall than the start's by more
     # than the pose does: the res * sqrt(2) term keeps those rows at d_sat.
     assert 0 in _sweep((2.8, 3.0), (1.0, 0.0), 1.9, arena, (6.0, 3.0), DwaParams(d_sat=0.43), 0.65)
+
+
+@pytest.mark.parametrize(
+    "pose, current",
+    [
+        # A nan start yaw, an infinite turn rate and an infinite speed each
+        # make every pose after the start non-finite, which reads 0.
+        ((2.0, 3.0, math.nan), VelocityCommand(1.0, 0.0)),
+        ((2.0, 3.0, 0.0), VelocityCommand(1.0, math.inf)),
+        ((2.0, 3.0, 0.0), VelocityCommand(math.inf, 0.0)),
+    ],
+)
+def test_non_finite_windows_prove_no_row(pose, current):
+    """In open space, where a finite window proves every row, a window with
+    non-finite poses proves none: every rollout collides and dwa_step
+    returns the recovery command, as with every pose looked up."""
+    grid = _arena_grid()
+    assert _proven_rows(pose, current, (6.0, 3.0), grid, P) == 0
+    assert dwa_step(pose, current, (6.0, 3.0), grid, P) == VelocityCommand(0.0, P.omega_max / 2.0)
+    finite = (pose[0], pose[1], 0.0), VelocityCommand(1.0, 0.0)
+    assert _proven_rows(*finite, (6.0, 3.0), grid, P) == int(math.ceil(P.horizon / P.dt)) + 1
 
 
 def test_saturated_windows_skip_the_raster(monkeypatch):

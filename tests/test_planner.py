@@ -496,33 +496,6 @@ def test_cost_to_go_is_reference_on_the_arena_waypoint_fields():
         _assert_field_is_reference(grid, grid.world_to_cell(x, y))
 
 
-def test_descent_memo_changes_no_path():
-    """descend on a field whose step memo has warmed over every earlier
-    call returns the path of a field that remembers nothing, from every
-    free cell of the three arena waypoint fields, whole and cut at 1 and
-    12 steps. The three fields are read in turn, so a memo one field
-    shared with another would fail here too."""
-    grid = project_to_grid(load_environment(ARENA))
-    free = [tuple(cell) for cell in np.argwhere(~grid.cells).tolist()]
-    goals = [grid.world_to_cell(x, y) for x, y, _ in load_config_file(ARENA)["waypoints"]]
-    warm = [CostToGo(grid, goal) for goal in goals]
-    fresh = [CostToGo(grid, goal) for goal in goals]
-    for max_steps in (1, 12, None):
-        for cell in free:
-            for goal, a, b in zip(goals, warm, fresh):
-                b._succ.clear()
-                path = b.descend(cell, max_steps)
-                assert a.descend(cell, max_steps) == path, (goal, cell, max_steps)
-                if math.isinf(b.cost(*cell)):  # across the wall
-                    assert path == [cell]
-                else:
-                    assert path[-1] == goal or len(path) == max_steps + 1
-    for a in warm:
-        # Every cell with a path but the goal has its step remembered.
-        reachable = sum(math.isfinite(a.cost(*cell)) for cell in free)
-        assert len(a._succ) == reachable - 1 > 0
-
-
 def test_cost_to_go_retains_one_float_per_padded_cell():
     # The field keeps one float64 array over the padded raster and nothing
     # else of its build: 8 bytes a cell plus a few small objects.
