@@ -12,7 +12,7 @@ segment with both ends on the ground must also stay on it. Their two phases
 share one hull test on each segment's box [min(a, b), max(a, b)]: the broad
 phase clears what it finds free, and the narrow phase tests the ground over
 the segments below its highest point and the boxes over the (segment, box)
-pairs within reach.
+pairs within the clearance.
 """
 
 from __future__ import annotations
@@ -284,7 +284,7 @@ class Environment:
         heightmap, _ground_range over the segments below the highest ground,
         where a segment with both ends within GROUND_TOL of the ground must
         also stay so; for the obstacles, each (segment, box) pair within
-        clearance + 1e-9, tested at its _box_params vertices against that box
+        clearance, tested at its _box_params vertices against that box
         alone. segments_undecided only saves work.
 
         The ends are put in lexicographic order, so that b-a gets a-b's
@@ -333,15 +333,17 @@ class Environment:
         the highest ground, _floor_top (on a heightmap the largest elevation
         plus a margin, since a bilinear blend can round past its inputs), and
         per obstacle the indices of the segments whose box lies within
-        clearance + 1e-9 of it (the 1e-9 absorbs the rounding of the squared
-        distances)."""
+        clearance of it. No pair left out can hit: within the bounds, which
+        decide a segment that leaves them, every narrow-phase vertex from
+        _points lies in [min(a, b), max(a, b)] in floats (a nan one hits
+        nothing), so by monotone rounding its per-axis gaps, their squares
+        and their sum are each at least the hull's."""
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         inside = (lo >= self._bmin[:, None]) & (hi <= self._bmax[:, None])
-        reach = clearance + 1e-9
         near = []
         for olo, ohi in zip(self._box_lo.swapaxes(0, 1), self._box_hi.swapaxes(0, 1)):
             gx, gy, gz = np.square(np.maximum(np.maximum(olo - hi, lo - ohi), 0.0))
-            near.append(np.flatnonzero(gx + gy + gz <= reach * reach))
+            near.append(np.flatnonzero(gx + gy + gz <= clearance * clearance))
         return ~(inside[0] & inside[1] & inside[2]), lo[2] < self._floor_top, near
 
     def _ground_range(self, a, b, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -493,8 +495,8 @@ class OccupancyGrid:
     def _raster(self) -> np.ndarray:
         """The distance transform in meters, built on first use and cached
         flat, padded by one 0.0 cell a side: cell (row, col) sits at flat
-        index _padded(row, col), and rows and columns -1 and H (W) are the
-        pad."""
+        index padded_index(row, col), and rows and columns -1 and H (W) are
+        the pad."""
         if self._clearance is None:
             clear = np.zeros((self.height + 2, self.width + 2))
             clear[1:-1, 1:-1] = edt(self.cells) * self.resolution
@@ -502,9 +504,10 @@ class OccupancyGrid:
             self._clearance = clear.ravel()
         return self._clearance
 
-    def _padded(self, row, col):
-        """Flat index into _raster of cell (row, col), scalars or arrays."""
-        return row * (self.width + 2) + col + (self.width + 3)
+    def padded_index(self, row, col):
+        """Flat index of cell (row, col), scalars or arrays, in a raster padded
+        by one cell a side, as _raster and CostToGo's fields are laid out."""
+        return (row + 1) * (self.width + 2) + col + 1
 
     def clearance(self, x: float, y: float) -> float:
         """clearances at one point, as a float: the same raster cell, read
@@ -513,7 +516,7 @@ class OccupancyGrid:
         row, col = self.world_to_cell(x, y)
         if not (0 <= row < self.height and 0 <= col < self.width):
             return 0.0
-        return float(self._raster()[self._padded(row, col)])
+        return float(self._raster()[self.padded_index(row, col)])
 
     def clearances(self, x, y) -> np.ndarray:
         """Clearance at world points, for arrays x and y of one shape: meters
@@ -531,7 +534,7 @@ class OccupancyGrid:
             for i, e, n in zip(idx, d, (w, h)):
                 i -= (i == n) & (np.abs(e - n * self.resolution) < 1e-9)
                 np.fmin(np.fmax(i, -1.0, out=i), n, out=i)
-        return self._raster().take(self._padded(row, col).astype(np.intp))
+        return self._raster().take(self.padded_index(row, col).astype(np.intp))
 
 
 # Target element count of edt()'s row-pass temporary: 2 MB of float64.

@@ -94,12 +94,13 @@ def dynamic_window(
 ) -> tuple[float, float, float, float]:
     """(v_lo, v_hi, omega_lo, omega_hi) reachable within one period.
 
-    Forward speed is clipped to [0, v_max]; no reverse driving.
+    Each bound is clamped into [0, v_max] or [-omega_max, omega_max]: no
+    reverse driving, and a window wholly beyond a limit is that limit alone.
     """
-    v_lo = max(0.0, current.v - p.accel_v * p.dt)
-    v_hi = min(p.v_max, current.v + p.accel_v * p.dt)
-    w_lo = max(-p.omega_max, current.omega - p.accel_omega * p.dt)
-    w_hi = min(p.omega_max, current.omega + p.accel_omega * p.dt)
+    v_lo = min(max(0.0, current.v - p.accel_v * p.dt), p.v_max)
+    v_hi = max(min(p.v_max, current.v + p.accel_v * p.dt), 0.0)
+    w_lo = min(max(-p.omega_max, current.omega - p.accel_omega * p.dt), p.omega_max)
+    w_hi = max(min(p.omega_max, current.omega + p.accel_omega * p.dt), -p.omega_max)
     return v_lo, v_hi, w_lo, w_hi
 
 

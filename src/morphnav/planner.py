@@ -268,8 +268,8 @@ class CostToGo:
     cell: a Dijkstra wavefront from the goal over the free cells, diagonal
     steps sqrt(2) times the resolution. Infinite on occupied, off-grid and
     cut-off cells, and everywhere when the goal is occupied or off-grid.
-    Costs sit in one float64 array over the raster padded by one occupied
-    cell, 8 bytes a cell, so neighbour offsets are constants and no step
+    Costs sit in one float64 array at the grid's padded_index, the pad
+    occupied, 8 bytes a cell, so neighbour offsets are constants and no step
     needs a bounds check; reads go through a memoryview and return floats.
 
     The wavefront settles cells in bands one straight step wide
@@ -292,8 +292,8 @@ class CostToGo:
     """
 
     def __init__(self, grid: OccupancyGrid, goal_cell: tuple[int, int]):
-        self._rows, self._cols = grid.cells.shape
-        w = self._width = self._cols + 2
+        self._grid = grid
+        w = self._width = grid.width + 2
         res = grid.resolution
         # Straight steps first: descent takes the first that continues a
         # shortest path.
@@ -302,16 +302,14 @@ class CostToGo:
         ]
         cost = np.where(np.pad(grid.cells, 1, constant_values=True).ravel(), -math.inf, math.inf)
         if not grid.occupied(*goal_cell):
-            _wavefront(cost, self._index(goal_cell), steps)
+            _wavefront(cost, grid.padded_index(*goal_cell), steps)
         self._cost = memoryview(np.abs(cost, out=cost))
-
-    def _index(self, cell: tuple[int, int]) -> int:
-        return (int(cell[0]) + 1) * self._width + int(cell[1]) + 1
 
     def cost(self, row: int, col: int) -> float:
         """Path length from a cell to the goal; infinite off the grid."""
-        inside = 0 <= row < self._rows and 0 <= col < self._cols
-        return self._cost[self._index((row, col))] if inside else math.inf
+        grid = self._grid
+        inside = 0 <= row < grid.height and 0 <= col < grid.width
+        return self._cost[grid.padded_index(row, col)] if inside else math.inf
 
     def descend(
         self, cell: tuple[int, int], max_steps: int | None = None
@@ -320,7 +318,7 @@ class CostToGo:
         `max_steps` steps or to the goal. A straight step goes before a
         diagonal one when both continue a shortest path; a cell of infinite
         cost yields just itself."""
-        u, cu, w, cost = self._index(cell), self.cost(*cell), self._width, self._cost
+        u, cu, w, cost = self._grid.padded_index(*cell), self.cost(*cell), self._width, self._cost
         out = [u]
         while 0.0 < cu < math.inf and (max_steps is None or len(out) <= max_steps):
             for off, step in self._steps:

@@ -28,6 +28,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .costmodel import CostModel, check_fields
 from .env import Environment, OccupancyGrid, project_to_grid
@@ -147,8 +148,9 @@ def accumulate_energy(
         ledger.transition += cm.morph_power * dt
 
 
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(NamedTuple):
+    """One row of the trajectory; its fields are trajectory_csv's columns."""
+
     t: float
     x: float
     y: float
@@ -309,18 +311,18 @@ class Mission:
         self._morph_ticks = 0
         self._morph_ticks_needed = max(1, int(math.ceil(cm.morph_duration / self.dt - 1e-9)))
         self._land_z = 0.0
-        self._failure_pending = self._preflight_check()
-        self._record(self.env.point_in_collision((sx, sy, sz), 0.0))  # row at t = 0
-
-    # -- setup helpers ---------------------------------------------------
-
-    def _preflight_check(self) -> str:
-        if self.env.point_in_collision((self.state.x, self.state.y, self.state.z), 0.0):
-            return "start position is inside an obstacle"
-        for i, wp in enumerate(self.waypoints):
-            if self.env.point_in_collision(wp, 0.0):
-                return f"waypoint {i} is inside an obstacle"
-        return ""
+        collided = env.point_in_collision((sx, sy, sz), 0.0)
+        self._record(collided)  # row at t = 0
+        # A start or waypoint inside an obstacle fails before the first tick.
+        reason = "start position is inside an obstacle" if collided else next(
+            (f"waypoint {i} is inside an obstacle"
+             for i, wp in enumerate(self.waypoints) if env.point_in_collision(wp, 0.0)),
+            "",
+        )
+        if reason:
+            self._fail(reason)
+            self.tick = 1
+            self._record(collided)
 
     @property
     def t(self) -> float:
@@ -449,13 +451,6 @@ class Mission:
         """Advance the mission by one control period."""
         if self.phase in (MissionPhase.DONE, MissionPhase.FAILED):
             return
-        if self._failure_pending:
-            self._fail(self._failure_pending)
-            self._failure_pending = ""
-            self.tick += 1
-            self._record(self.records[-1].collided)
-            return
-
         if self.phase is MissionPhase.GROUND_NAV:
             desired = self._control_ground_nav()
         elif self.phase in (MissionPhase.MORPH_TO_UAS, MissionPhase.MORPH_TO_UGV):
@@ -530,22 +525,21 @@ class Mission:
             ledger=self.ledger,
             timeline=[*self.timeline, (self.phase.value, self._phase_start_t, self.t)],
             morph_count=self.morph_count,
-            descend_overshoot=max(0.0, self.descend_overshoot),
+            descend_overshoot=self.descend_overshoot,
             waypoints_reached=self.wp_idx,
             final_state=self.state,
         )
 
 
+def _csv_field(value) -> str:
+    if isinstance(value, str):
+        return value
+    return str(int(value)) if isinstance(value, bool) else repr(value)
+
+
 def trajectory_csv(records) -> str:
-    """Render tick records as CSV with round-trip float formatting."""
-    lines = [
-        "t,x,y,z,yaw,mode,phase,v,omega,"
-        "e_ground,e_flight,e_transition,e_total,collided"
-    ]
-    for r in records:
-        lines.append(
-            f"{r.t!r},{r.x!r},{r.y!r},{r.z!r},{r.yaw!r},{r.mode},{r.phase},"
-            f"{r.v!r},{r.omega!r},{r.e_ground!r},{r.e_flight!r},"
-            f"{r.e_transition!r},{r.e_total!r},{int(r.collided)}"
-        )
+    """Render tick records as CSV, a column per TickRecord field: strings as
+    they are, the collided flag as 0 or 1, floats by round-trip repr."""
+    lines = [",".join(TickRecord._fields)]
+    lines.extend(",".join(map(_csv_field, r)) for r in records)
     return "\n".join(lines) + "\n"

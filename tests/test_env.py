@@ -767,6 +767,21 @@ def test_broad_phase_verdicts_equal_the_exact_reference(ground, clearance):
             assert not env.segments_hit(*ends, clearance).any()
 
 
+@pytest.mark.parametrize("clearance", [0.0, 0.35])
+def test_broad_phase_clears_a_hull_just_beyond_the_clearance(clearance):
+    # A segment along the box's +x face whose hull lies in (c, c + 1e-9] of
+    # the box: no vertex of the narrow phase is nearer than its hull, so the
+    # broad phase clears it, and the exact test agrees.
+    env = _box_env()
+    x = 6.0 + clearance + 5e-10
+    gap = x - 6.0
+    assert clearance * clearance < gap * gap and clearance < gap <= clearance + 1e-9
+    a, b = [x, 5.0, 1.0], [x, 5.5, 1.0]
+    assert not env.segments_undecided(a, b, clearance).any()
+    assert not env.segments_hit(a, b, clearance).any()
+    assert env.segments_hit([6.0 + clearance, 5.0, 1.0], [x, 5.5, 1.0], clearance).all()
+
+
 def _cluttered_env():
     """40 SplitMix64 boxes in a 12 x 9 x 4 m world. Of every four, the first
     is free and the next three overlap, touch and nest in the box before

@@ -99,6 +99,24 @@ def test_window_clamps_to_limits():
     assert w_lo == -1.5 and w_hi == pytest.approx(-1.3)
 
 
+@pytest.mark.parametrize(
+    "current, window",
+    [
+        (VelocityCommand(-1.0, 0.0), (0.0, 0.0, -0.2, 0.2)),
+        (VelocityCommand(5.0, 0.0), (1.0, 1.0, -0.2, 0.2)),
+        (VelocityCommand(0.0, 5.0), (0.0, 0.1, 1.5, 1.5)),
+        (VelocityCommand(math.inf, 0.0), (1.0, 1.0, -0.2, 0.2)),
+        (VelocityCommand(1.0, math.inf), (0.9, 1.0, 1.5, 1.5)),
+    ],
+)
+def test_window_beyond_the_limits_is_the_nearest_limit(current, window):
+    # A command beyond a limit gets a one-value window at that limit, never
+    # an inverted one that would sample reverse or too-fast commands.
+    assert dynamic_window(current, P) == window
+    cmd = dwa_step((2.0, 2.0, 0.0), current, (5.0, 3.0), _empty_grid(), P)
+    assert 0.0 <= cmd.v <= P.v_max and -P.omega_max <= cmd.omega <= P.omega_max
+
+
 # -- rollout -----------------------------------------------------------------
 
 
@@ -388,11 +406,12 @@ def test_saturated_rows_are_exact_at_the_margin():
 @pytest.mark.parametrize(
     "pose, current",
     [
-        # A nan start yaw, an infinite turn rate and an infinite speed each
-        # make every pose after the start non-finite, which reads 0.
+        # A nan start yaw makes every pose after the start non-finite, a nan
+        # or infinite start coordinate every pose; such poses read 0. (The
+        # window itself is always finite: see the limits test above.)
         ((2.0, 3.0, math.nan), VelocityCommand(1.0, 0.0)),
-        ((2.0, 3.0, 0.0), VelocityCommand(1.0, math.inf)),
-        ((2.0, 3.0, 0.0), VelocityCommand(math.inf, 0.0)),
+        ((math.nan, 3.0, 0.0), VelocityCommand(1.0, 0.0)),
+        ((2.0, math.inf, 0.0), VelocityCommand(1.0, 0.0)),
     ],
 )
 def test_non_finite_windows_prove_no_row(pose, current):
@@ -402,7 +421,7 @@ def test_non_finite_windows_prove_no_row(pose, current):
     grid = _arena_grid()
     assert _proven_rows(pose, current, (6.0, 3.0), grid, P) == 0
     assert dwa_step(pose, current, (6.0, 3.0), grid, P) == VelocityCommand(0.0, P.omega_max / 2.0)
-    finite = (pose[0], pose[1], 0.0), VelocityCommand(1.0, 0.0)
+    finite = (2.0, 3.0, 0.0), VelocityCommand(1.0, 0.0)
     assert _proven_rows(*finite, (6.0, 3.0), grid, P) == int(math.ceil(P.horizon / P.dt)) + 1
 
 

@@ -419,6 +419,33 @@ def test_waypoint_inside_obstacle_fails():
     assert len(result.records) >= 2
 
 
+@pytest.mark.parametrize(
+    "start, waypoints, reason, collided",
+    [
+        ((5.0, 3.0, 0.0), _ARENA_WAYPOINTS, "start position is inside an obstacle", True),
+        (
+            (1.0, 3.0, 0.0),
+            ((4.0, 3.0, 0.0), (5.0, 3.0, 0.5)),
+            "waypoint 1 is inside an obstacle",
+            False,
+        ),
+    ],
+)
+def test_preflight_failure_is_recorded_before_the_first_tick(start, waypoints, reason, collided):
+    # A start or waypoint inside the wall fails the mission unticked: the
+    # row at t = 0 repeats at dt, both flagged with the start's verdict.
+    mission = Mission(walled_env(), waypoints, CM, DWA, SimConfig(), start=start)
+    result = mission.run()
+    dt = DWA.dt
+    assert (result.outcome, result.reason) == ("Failed", reason)
+    assert [(r.t, r.phase, r.collided) for r in result.records] == [
+        (0.0, "GroundNav", collided),
+        (dt, "Failed", collided),
+    ]
+    assert result.timeline == [("GroundNav", 0.0, 0.0), ("Failed", 0.0, dt)]
+    assert mission.run() == result
+
+
 def test_start_inside_inflated_region_fails():
     # Collision-free in 3D but inside the inflated driving costmap.
     result = Mission(
