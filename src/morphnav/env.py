@@ -537,8 +537,9 @@ class OccupancyGrid:
         return self._raster().take(self.padded_index(row, col).astype(np.intp))
 
 
-# Target element count of edt()'s row-pass temporary: 2 MB of float64.
-_EDT_CHUNK = 1 << 18
+# Target element count of edt()'s row-pass temporary: 256 KB of float64,
+# which stays in cache while the pass reduces it.
+_EDT_CHUNK = 1 << 15
 
 
 def edt(cells: np.ndarray) -> np.ndarray:
@@ -546,30 +547,38 @@ def edt(cells: np.ndarray) -> np.ndarray:
 
     Returns, for every cell, the distance in cells from its center to the
     nearest occupied cell center: 0 on occupied cells, infinite everywhere
-    when no cell is occupied. Separable transform: a column
-    pass gives the vertical distance to the nearest occupied cell in the
-    same column, then a row pass takes min over columns c' of
-    g(c')^2 + (c - c')^2. Every square is an exact integer in float64, so
-    the result is the correctly rounded square root of the true squared
-    distance. The row pass runs along the shorter axis, a chunk of rows at
-    a time (about _EDT_CHUNK elements, never less than one row), so it takes
-    O(H * W * min(H, W)) time.
+    when no cell is occupied (and then no pass runs). Separable transform:
+    a column pass gives g, the vertical distance to the nearest occupied
+    cell in the same column, then a row pass takes min over columns c' of
+    g(c')^2 + (c - c')^2. Both passes run over the k columns that hold an
+    occupied cell only, since any other column has g infinite and adds
+    only inf to the minimum; the raster is transposed first when fewer
+    rows than columns hold one. Every square is an exact integer in
+    float64, so the result is the correctly rounded square root of the
+    true squared distance. The row pass takes a chunk of rows at a time
+    (about _EDT_CHUNK elements, never less than one row), so it takes
+    O(H * W * k) time.
     """
     cells = np.asarray(cells, dtype=bool)
-    if cells.shape[1] > cells.shape[0]:
+    occupied_cols = np.flatnonzero(cells.any(axis=0))
+    if occupied_cols.size == 0:
+        return np.full(cells.shape, np.inf)
+    if np.count_nonzero(cells.any(axis=1)) < occupied_cols.size:
         return edt(cells.T).T
     height, width = cells.shape
-    rows = np.arange(height, dtype=float)[:, None]
-    above = np.maximum.accumulate(np.where(cells, rows, -np.inf), axis=0)
-    below = np.minimum.accumulate(np.where(cells, rows, np.inf)[::-1], axis=0)[::-1]
+    # One row per occupied column, so that the row pass reduces over its
+    # leading axis: an elementwise minimum of whole (rows, W) slabs.
+    lines = cells.T.take(occupied_cols, axis=0)
+    rows = np.arange(height, dtype=float)
+    above = np.maximum.accumulate(np.where(lines, rows, -np.inf), axis=1)
+    below = np.minimum.accumulate(np.where(lines, rows, np.inf)[:, ::-1], axis=1)[:, ::-1]
     g2 = np.minimum(rows - above, below - rows) ** 2
-    cols = np.arange(width, dtype=float)
-    dc2 = (cols[:, None] - cols[None, :]) ** 2
+    dc2 = (np.arange(width, dtype=float) - occupied_cols[:, None]) ** 2
     d2 = np.empty((height, width))
-    chunk = max(1, _EDT_CHUNK // (width * width))
+    chunk = max(1, _EDT_CHUNK // (width * occupied_cols.size))
     for r0 in range(0, height, chunk):
-        block = g2[r0 : r0 + chunk, None, :] + dc2[None, :, :]
-        d2[r0 : r0 + chunk] = block.min(axis=2)
+        block = g2[:, r0 : r0 + chunk, None] + dc2[:, None, :]
+        np.minimum.reduce(block, axis=0, out=d2[r0 : r0 + chunk])
     return np.sqrt(d2)
 
 

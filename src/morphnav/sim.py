@@ -1,10 +1,15 @@
 """Mission execution for a robot that drives, morphs, and flies.
 
 The executor mirrors a simple field procedure: drive toward the active
-waypoint with a grid cost-to-go field, built once per waypoint, plus
-dynamic-window control; when no drivable path exists, assume the waypoint
-is reachable by air, morph, fly a takeoff / fixed-altitude cruise /
-vertical descent profile to it, morph back, and continue driving.
+waypoint with a grid cost-to-go field plus dynamic-window control; when no
+drivable path exists, assume the waypoint is reachable by air, morph, fly a
+takeoff / fixed-altitude cruise / vertical descent profile to it, morph
+back, and continue driving. A field is built only when a tick needs its
+values: the last field built is kept, and when it is finite at the robot's
+cell but infinite at the next waypoint's, the waypoint lies off the
+robot's drivable component, so the robot morphs (or, with flight disabled,
+fails) without building one. A mission that drives on from waypoint to
+waypoint thus builds one field per waypoint it can reach by ground.
 
 Each tick runs one of three controllers, picked by phase: the ground
 controller, the morph controller (both directions), or the flight
@@ -304,7 +309,9 @@ class Mission:
         self.morph_count = 0
         self.descend_overshoot = 0.0
         self.reason = ""
-        self._field: CostToGo | None = None  # of waypoint wp_idx
+        # The last cost-to-go field built, and the waypoint it leads to.
+        self._field: CostToGo | None = None
+        self._field_wp = -1
         # Window reference for the local controller: its own last command,
         # not the delayed plant response, or latency destabilizes the loop.
         self._intent = VelocityCommand(0.0, 0.0)
@@ -365,23 +372,28 @@ class Mission:
         wp = self.waypoints[self.wp_idx]
         if math.hypot(wp[0] - vx, wp[1] - vy) <= self.cfg.goal_tolerance:
             self.wp_idx += 1
-            self._field = None
             if self.wp_idx >= len(self.waypoints):
                 self._set_phase(MissionPhase.DONE)
                 return _ZERO_CMD
             wp = self.waypoints[self.wp_idx]
-        if self._field is None:
-            self._field = CostToGo(self.grid, self.grid.world_to_cell(wp[0], wp[1]))
         cell = self.grid.world_to_cell(vx, vy)
+        if self._field_wp != self.wp_idx:
+            goal = self.grid.world_to_cell(wp[0], wp[1])
+            last = self._field
+            # A field is finite at exactly the free cells 8-connected to its
+            # goal, and at none when the goal is occupied. So a last field
+            # finite at the robot's cell and infinite at the new goal's puts
+            # the goal off the robot's component, or on an occupied cell:
+            # the new field is infinite at the robot's cell, which is free,
+            # and this tick would take the no-drivable-path branch anyway.
+            if last is not None and last.cost(*cell) < math.inf and math.isinf(last.cost(*goal)):
+                return self._no_drivable_path()
+            self._field, self._field_wp = CostToGo(self.grid, goal), self.wp_idx
         if math.isinf(self._field.cost(*cell)):
             if self.grid.occupied(*cell):
                 self._fail("vehicle inside the inflated obstacle region")
                 return _ZERO_CMD
-            if not self.cfg.assume_flyable:
-                self._fail(f"no drivable path to waypoint {self.wp_idx} and flight disabled")
-                return _ZERO_CMD
-            self._enter_morph(MissionPhase.MORPH_TO_UAS)
-            return _ZERO_CMD
+            return self._no_drivable_path()
         if math.hypot(wp[0] - vx, wp[1] - vy) <= LOOKAHEAD_DIST:
             carrot = (wp[0], wp[1])
         else:
@@ -390,6 +402,14 @@ class Mission:
         cmd = dwa_step((vx, vy, vyaw), self._intent, carrot, self.grid, self.dwa)
         self._intent = cmd
         return (cmd.v, cmd.omega, 0.0, 0.0, 0.0)
+
+    def _no_drivable_path(self) -> tuple[float, float, float, float, float]:
+        """Morph to fly to the waypoint, or fail when flight is disabled."""
+        if self.cfg.assume_flyable:
+            self._enter_morph(MissionPhase.MORPH_TO_UAS)
+        else:
+            self._fail(f"no drivable path to waypoint {self.wp_idx} and flight disabled")
+        return _ZERO_CMD
 
     def _control_morph(self) -> tuple[float, float, float, float, float]:
         if self.state.mode is not LocomotionMode.MORPHING:

@@ -943,7 +943,8 @@ def test_scalar_clearance_reads_the_array_lookup():
 
 def test_edt_matches_scipy():
     """The in-house distance transform equals scipy's exactly, on thin,
-    square, wide, tall and sparse-to-dense grids and on the walled arena."""
+    square, wide, tall and sparse-to-dense grids, on the walled arena, on
+    full-height walls, on one occupied cell and on a full raster."""
     rng = np.random.default_rng(5)
     shapes = [(1, 1), (1, 37), (37, 1), (2, 9), (9, 2), (13, 40), (40, 13), (200, 150)]
     grids = []
@@ -954,6 +955,15 @@ def test_edt_matches_scipy():
                 cells.flat[rng.integers(cells.size)] = True  # scipy needs one
                 grids.append(cells)
     grids.append(project_to_grid(load_environment(ARENA)).cells)
+    # One occupied column, so one line to scan, in a wide and a tall raster;
+    # one occupied cell; every cell occupied.
+    for shape in ((20, 70), (70, 20)):
+        wall = np.zeros(shape, dtype=bool)
+        wall[:, 13] = True
+        grids.append(wall)
+    single = np.zeros((17, 23), dtype=bool)
+    single[11, 4] = True
+    grids += [single, np.ones((9, 14), dtype=bool)]
     for cells in grids:
         assert np.array_equal(edt(cells), ndimage.distance_transform_edt(~cells))
 

@@ -1,5 +1,6 @@
 """Mission executor: vehicle steps, phase machine, energy ledger, latency."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from morphnav.sim import (
     step_ugv,
     trajectory_csv,
 )
-from reference import ARENA, CM, open_env, select_like_dwa, walled_env
+from reference import ARENA, CM, OPEN_FIELD, open_env, select_like_dwa, walled_env
 
 DWA = DwaParams()
 
@@ -408,6 +409,116 @@ def test_flight_disabled_fails_cleanly():
     ).run()
     assert result.outcome == "Failed"
     assert "flight disabled" in result.reason
+
+
+def _spied_mission(monkeypatch, env, waypoints, cfg, start, seed=1):
+    """Run a mission, returning its result and the goal cell of every
+    cost-to-go field it built, in order."""
+    goals = []
+    cost_to_go = sim.CostToGo
+
+    def spy(grid, goal_cell):
+        goals.append(goal_cell)
+        return cost_to_go(grid, goal_cell)
+
+    monkeypatch.setattr(sim, "CostToGo", spy)
+    mission = Mission(env, waypoints, CM, DWA, cfg, seed=seed, start=start)
+    return mission.run(), goals, [mission.grid.world_to_cell(*wp[:2]) for wp in waypoints]
+
+
+def _csv_sha256(records):
+    return hashlib.sha256(trajectory_csv(records).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "latency, csv_sha256, ledger, timeline",
+    [
+        (
+            0.0,
+            "364309eb553af89948d1556f1a226c2e5159944e8ae6c6cc846b428f6035bc32",
+            EnergyLedger(1116.0, 3388.29, 400.0),
+            [
+                ("GroundNav", 0.0, 4.1000000000000005),
+                ("MorphToUas", 4.1000000000000005, 8.200000000000001),
+                ("Takeoff", 8.200000000000001, 9.8),
+                ("Cruise", 9.8, 12.0),
+                ("Descend", 12.0, 13.600000000000001),
+                ("MorphToUgv", 13.600000000000001, 17.7),
+                ("GroundNav", 17.7, 23.0),
+                ("Done", 23.0, 23.1),
+            ],
+        ),
+        (
+            0.2,
+            "0b34eed0ba6d335a5cc1156ec29921e9b28dd307fd01a607032a44454ee6ae4c",
+            EnergyLedger(1044.0, 3867.1499999999996, 400.0),
+            [
+                ("GroundNav", 0.0, 4.0),
+                ("MorphToUas", 4.0, 8.3),
+                ("Takeoff", 8.3, 10.100000000000001),
+                ("Cruise", 10.100000000000001, 12.4),
+                ("Descend", 12.4, 14.4),
+                ("MorphToUgv", 14.4, 18.5),
+                ("GroundNav", 18.5, 23.400000000000002),
+                ("Done", 23.400000000000002, 23.5),
+            ],
+        ),
+    ],
+    ids=["latency-0", "latency-0.2"],
+)
+def test_arena_mission_builds_no_field_for_the_waypoint_across_the_wall(
+    monkeypatch, latency, csv_sha256, ledger, timeline
+):
+    # `simulate --seed 1` on the walled arena. Waypoint 0's field is finite
+    # at the robot's cell and infinite at waypoint 1's, so the robot morphs
+    # for waypoint 1 without building its field. It lands on waypoint 1,
+    # where waypoint 0's field is infinite, so waypoint 2 gets its own field
+    # and is driven to. The records are those of a mission that builds all
+    # three fields (the CI pins of `simulate --seed 1`, with and without
+    # `--latency 0.2`).
+    scenario = load_config_file(ARENA)
+    result, goals, wp_cells = _spied_mission(
+        monkeypatch, load_environment(ARENA), scenario["waypoints"],
+        SimConfig(actuation_latency=latency), scenario["start"],
+    )
+    assert goals == [wp_cells[0], wp_cells[2]]
+    assert (result.outcome, result.morph_count) == ("Done", 2)
+    assert _csv_sha256(result.records) == csv_sha256
+    assert result.ledger == ledger
+    assert result.timeline == timeline
+
+
+def test_flight_disabled_arena_mission_fails_after_one_field(monkeypatch):
+    # The no-drivable-path branch fails with flight disabled, reached from
+    # waypoint 0's field alone; the records are the CLI's flight-disabled pin.
+    scenario = load_config_file(ARENA)
+    result, goals, wp_cells = _spied_mission(
+        monkeypatch, load_environment(ARENA), scenario["waypoints"],
+        SimConfig(assume_flyable=False), scenario["start"],
+    )
+    assert goals == [wp_cells[0]]
+    assert (result.outcome, result.reason) == (
+        "Failed", "no drivable path to waypoint 1 and flight disabled"
+    )
+    assert (round(result.duration, 1), round(result.ledger.total, 1), result.morph_count) == (
+        4.2, 492.0, 0
+    )
+    assert _csv_sha256(result.records) == (
+        "dbcd9d5cc70c572ae8f0fa8ff5e9d0867358fc4de98b69700b2c67aac4014647"
+    )
+
+
+def test_a_drivable_next_waypoint_gets_its_own_field(monkeypatch):
+    # On the open field every free cell is one component: the last field is
+    # finite at the next waypoint's cell too, so each waypoint's field is
+    # built and driven to, with no morph.
+    result, goals, wp_cells = _spied_mission(
+        monkeypatch, load_environment(OPEN_FIELD), ((5.0, 2.0, 0.0), (5.0, 5.0, 0.0)),
+        SimConfig(), (2.0, 2.0, 0.0),
+    )
+    assert goals == wp_cells
+    assert (result.outcome, result.morph_count, result.waypoints_reached) == ("Done", 0, 2)
+    assert [p for p, _, _ in result.timeline] == ["GroundNav", "Done"]
 
 
 def test_waypoint_inside_obstacle_fails():
