@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
+import golden
 from morphnav import cli
 from reference import ARENA, CM, OPEN_FIELD, REPO, run_cli
 
-DEFAULT_COSTS = str(REPO / "scenarios" / "default_costs.json")
 README = REPO / "README.md"
 
 
@@ -348,17 +348,6 @@ def test_roadmap_without_prm_block_uses_library_defaults(tmp_path):
     assert read_json(tmp_path, "roadmap.json") == json.loads(json.dumps(roadmap_to_dict(built)))
 
 
-def test_roadmap_rerun_is_byte_identical(tmp_path):
-    for sub in ("a", "b"):
-        proc = run_cli(
-            "roadmap", "--env", ARENA, "--nw", 60, "--nf", 60,
-            "--out", tmp_path / sub,
-        )
-        assert proc.returncode == 0
-    for name in ("roadmap.json", "roadmap.svg"):
-        assert read_bytes(tmp_path / "a", name) == read_bytes(tmp_path / "b", name)
-
-
 # -- plan command ------------------------------------------------------------------
 
 PLAN_KEYS = [
@@ -417,17 +406,6 @@ def test_plan_edges_csv(tmp_path):
     )
     svg = read_bytes(tmp_path, "plan.svg")
     assert svg.startswith(b"<svg")
-
-
-def test_plan_rerun_is_byte_identical(tmp_path):
-    for sub in ("a", "b"):
-        proc = run_cli(
-            "plan", "--env", ARENA, "--nw", 150, "--nf", 150,
-            "--out", tmp_path / sub,
-        )
-        assert proc.returncode == 0
-    for name in ("plan.json", "plan_edges.csv", "plan.svg"):
-        assert read_bytes(tmp_path / "a", name) == read_bytes(tmp_path / "b", name)
 
 
 def test_plan_seed_changes_roadmap(tmp_path):
@@ -502,14 +480,6 @@ def test_simulate_mission_document(tmp_path):
     assert read_bytes(tmp_path, "mission.svg").startswith(b"<svg")
 
 
-def test_simulate_rerun_is_byte_identical(tmp_path):
-    for sub in ("a", "b"):
-        proc = run_cli("simulate", "--env", ARENA, "--out", tmp_path / sub)
-        assert proc.returncode == 0
-    for name in ("trajectory.csv", "mission.json", "mission.svg"):
-        assert read_bytes(tmp_path / "a", name) == read_bytes(tmp_path / "b", name)
-
-
 def test_simulate_latency_flag(tmp_path):
     proc = run_cli(
         "simulate", "--env", ARENA, "--latency", 1.0, "--out", tmp_path
@@ -529,20 +499,6 @@ def test_simulate_mmprm_pipeline(tmp_path):
     assert doc["outcome"] == "Done"
     assert doc["morph_count"] == 2
     assert doc["energy"]["flight"] > 0.0
-
-
-def test_simulate_explicit_cost_config(tmp_path):
-    proc = run_cli(
-        "simulate", "--env", ARENA, "--cost-config", DEFAULT_COSTS,
-        "--out", tmp_path / "cfg",
-    )
-    assert proc.returncode == 0
-    base = run_cli("simulate", "--env", ARENA, "--out", tmp_path / "plain")
-    assert base.returncode == 0
-    # the shipped config file restates the defaults, so outputs agree
-    assert read_bytes(tmp_path / "cfg", "mission.json") == read_bytes(
-        tmp_path / "plain", "mission.json"
-    )
 
 
 # -- oracle command ----------------------------------------------------------------
@@ -649,11 +605,13 @@ def test_commands_read_no_roadmap_record_view(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_readme_quick_start_output(tmp_path):
+def test_readme_quick_start_output():
     # The quick start shows what `plan` and `simulate` print, as comment
-    # lines under each command; the commands must print exactly that.
+    # lines under each command: the golden table's lines for those commands,
+    # so a re-pin that leaves the README stale fails here.
     block = README.read_text().split("## Quick start", 1)[1]
     lines = block.split("```sh", 1)[1].split("```", 1)[0].splitlines()
+    rows = {row.argv: row for row in golden.ROWS}
     checked = []
     for i, line in enumerate(lines):
         if not line.startswith(("morphnav plan ", "morphnav simulate ")):
@@ -663,12 +621,9 @@ def test_readme_quick_start_output(tmp_path):
             if not nxt.startswith("# "):
                 break
             shown.append(nxt[2:])
-        args = line.split()[1:]
-        args[args.index("--out") + 1] = str(tmp_path)
-        proc = run_cli(*args)
-        assert proc.returncode == 0, (line, proc.stderr)
-        assert proc.stdout == " ".join(shown) + "\n", line
-        checked.append(args[0])
+        argv = line.removeprefix("morphnav ").removesuffix(" --out out/")
+        assert rows[argv].stdout == " ".join(shown), line
+        checked.append(argv.split()[0])
     assert checked == ["plan", "simulate"]
 
 

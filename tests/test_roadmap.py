@@ -9,7 +9,7 @@ import pytest
 
 from morphnav import env as env_module
 from morphnav.costmodel import CostModel
-from morphnav.env import Aabb, Environment, Heightmap, distances, load_environment
+from morphnav.env import Aabb, Environment, distances, load_environment
 from morphnav.errors import (
     ConfigError,
     NoPathError,
@@ -46,6 +46,13 @@ from reference import (
     uniform,
     walled_env,
 )
+from worlds import SCENARIOS
+
+# The committed worlds of tests/worlds.py.
+CLUTTERED = SCENARIOS / "cluttered_boxes.json"
+STEPPED = SCENARIOS / "stepped_heightmap.json"
+SINUSOID = SCENARIOS / "sinusoid_heightmap.json"
+TILED = SCENARIOS / "tiled_arena.json"
 
 # -- reference: the scalar rule an edge's kind must follow -------------------------
 
@@ -246,19 +253,6 @@ def _scalar_sample(env, params, rng, air):
     raise SamplingError(f"no collision-free {kind} sample in {SAMPLE_RETRY_BUDGET} attempts")
 
 
-def _heightmap_obstacles_env():
-    rows = [[0.3 * math.sin(0.5 * j) * math.cos(0.5 * i) + 0.3 for j in range(13)]
-            for i in range(7)]
-    boxes = [((1.0 + 1.5 * k, 0.5 + 0.6 * k, 0.0), (1.8 + 1.5 * k, 1.5 + 0.6 * k, 1.0 + 0.3 * k))
-             for k in range(7)]
-    return Environment(
-        Aabb((0.0, 0.0, 0.0), (12.0, 6.0, 3.0)),
-        obstacles=tuple(Aabb(lo, hi) for lo, hi in boxes),
-        ground_const=None,
-        heightmap=Heightmap((0.0, 0.0), 1.0, rows),
-    )
-
-
 def _sample_both_ways(env, params, n, air):
     """(positions, stream state) from the batched and the scalar sampler,
     or the SamplingError message each raised."""
@@ -281,8 +275,8 @@ def test_batched_sampler_matches_scalar_loop():
     worlds = {
         "open field": (open_env(), {}),
         "walled arena": (load_environment(ARENA), {"min_air_clearance": 1.4}),
-        "heightmap, 7 obstacles": (_heightmap_obstacles_env(), {"min_air_clearance": 0.4}),
-        "z_max cap": (_heightmap_obstacles_env(), {"z_max": 1.2}),
+        "heightmap, 7 obstacles": (load_environment(SINUSOID), {"min_air_clearance": 0.4}),
+        "z_max cap": (load_environment(SINUSOID), {"z_max": 1.2}),
     }
     for world, (env, prm) in worlds.items():
         for seed in range(6):
@@ -769,23 +763,11 @@ def _four_boxes_env():
     )
 
 
-def _one_box_stepped_heightmap_env():
-    # Plateaus at 0, 0.5 and 1 m joined by one-lattice-cell ramps; test_env's
-    # stepped heightmap adds a second, raised box.
-    row = [0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0]
-    return Environment(
-        Aabb((0.0, 0.0, 0.0), (10.5, 6.0, 4.0)),
-        obstacles=(Aabb((2.0, 2.0, 0.0), (2.5, 4.0, 2.0)),),
-        ground_const=None,
-        heightmap=Heightmap((0.0, 0.0), 1.5, [row] * 5),
-    )
-
-
 REFERENCE_WORLDS = {
     "open field": (open_env, {"n_ground": 25, "n_air": 5}),
     "walled arena": (lambda: load_environment(ARENA), {"min_air_clearance": 1.4}),
     "four boxes": (_four_boxes_env, {}),
-    "stepped heightmap": (_one_box_stepped_heightmap_env, {"n_ground": 90, "n_air": 50}),
+    "stepped heightmap": (lambda: load_environment(STEPPED), {"n_ground": 90, "n_air": 50}),
     "clearance 0": (walled_env, {"clearance": 0.0}),
 }
 
@@ -970,20 +952,6 @@ def test_sweep_inserts_query_nodes_at_the_x_extremes_and_on_a_shared_x():
         assert _snapshot(roadmap) == _ref_snapshot(ref)
 
 
-def _hundred_box_env():
-    """The 100-box cluttered world of CI's roadmap pin: SplitMix64(100)
-    boxes in a 20 x 12 x 3 m world, every fourth touching the +x face of
-    the box before it."""
-    rng = SplitMix64(100)
-    boxes = []
-    for i in range(100):
-        lo = [rng.random() * 19.0, rng.random() * 11.0, rng.random() * 2.5]
-        if i % 4 == 3:
-            lo = [boxes[-1].max_corner[0], boxes[-1].min_corner[1], boxes[-1].min_corner[2]]
-        boxes.append(Aabb(tuple(lo), tuple(v + 0.1 + rng.random() for v in lo)))
-    return Environment(Aabb((0.0, 0.0, 0.0), (20.0, 12.0, 3.0)), tuple(boxes))
-
-
 @pytest.mark.parametrize("world", ["walled arena", "heightmap, 7 obstacles", "100 boxes"])
 def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch):
     # 300 + 300 nodes (400 + 400 among 100 boxes) make several validation
@@ -995,9 +963,9 @@ def test_groups_share_one_narrow_pass_and_match_one_row_calls(world, monkeypatch
     if world == "walled arena":
         env, air_clearance = load_environment(ARENA), 1.4
     elif world == "heightmap, 7 obstacles":
-        env, air_clearance = _heightmap_obstacles_env(), 0.4
+        env, air_clearance = load_environment(SINUSOID), 0.4
     else:
-        env, n = _hundred_box_env(), 400
+        env, n = load_environment(CLUTTERED), 400
     params = PrmParams(n_ground=n, n_air=n, radius=2.0, min_air_clearance=air_clearance, seed=1)
     built = build_roadmap(env, CM, params)
     pos, mode = built.positions, built.mode
@@ -1089,8 +1057,7 @@ def test_build_memory_scales_with_edges():
     # retains plus 1 MB (about 1.7 MB against 1.9 MB). A key buffer sized to
     # the rectangles' area, or every candidate validated at once, holds
     # several MB more.
-    walls = tuple(Aabb((12.0 * k + 4.9, 0.0, 0.0), (12.0 * k + 5.1, 12.0, 1.0)) for k in range(2))
-    env = Environment(Aabb((0.0, 0.0, 0.0), (24.0, 12.0, 3.0)), obstacles=walls)
+    env = load_environment(TILED)
     params = PrmParams(n_ground=1200, n_air=1200, radius=2.0, min_air_clearance=1.4, seed=7)
     tracemalloc.start()
     try:
@@ -1124,12 +1091,12 @@ def test_narrow_phase_sees_only_segments_the_broad_phase_cannot_decide(monkeypat
     assert len(narrow) == 1, narrow
 
 
-# The worlds of CI's cluttered and sinusoid-heightmap roadmap pins: a maker
-# and the prm parameters besides radius 2.0 and seed 1.
+# The cluttered and sinusoid-heightmap worlds of the golden table: a maker and
+# the prm parameters besides radius 2.0 and seed 1.
 PASS_WORLDS = {
-    "100 boxes": (_hundred_box_env, {"n_ground": 400, "n_air": 400}),
+    "100 boxes": (lambda: load_environment(CLUTTERED), {"n_ground": 400, "n_air": 400}),
     "heightmap, 7 obstacles": (
-        _heightmap_obstacles_env, {"n_ground": 300, "n_air": 300, "min_air_clearance": 0.4}
+        lambda: load_environment(SINUSOID), {"n_ground": 300, "n_air": 300, "min_air_clearance": 0.4}
     ),
 }
 

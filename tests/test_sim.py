@@ -474,8 +474,8 @@ def test_arena_mission_builds_no_field_for_the_waypoint_across_the_wall(
     # for waypoint 1 without building its field. It lands on waypoint 1,
     # where waypoint 0's field is infinite, so waypoint 2 gets its own field
     # and is driven to. The records are those of a mission that builds all
-    # three fields (the CI pins of `simulate --seed 1`, with and without
-    # `--latency 0.2`).
+    # three fields (the golden table's pins of `simulate --seed 1`, with and
+    # without `--latency 0.2`).
     scenario = load_config_file(ARENA)
     result, goals, wp_cells = _spied_mission(
         monkeypatch, load_environment(ARENA), scenario["waypoints"],
